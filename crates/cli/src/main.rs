@@ -16,7 +16,7 @@
 //! \checkpoint         force a durability checkpoint (needs --data-dir)
 //! \trace on|off       per-statement span traces (also: --trace flag)
 //! \metrics [prom]     dump the metrics registry (JSON or Prometheus)
-//! \analyze SELECT …   execute and print the per-operator profile
+//! \analyze <stmt>     execute a SELECT/UPDATE/DELETE and print its per-operator profile
 //!                     (est/actual rows, q-error, work, wall)
 //! \flight [path]      dump the flight recorder as JSON (stdout or file)
 //! \help, \quit
@@ -244,12 +244,12 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
             eprintln!("\\setting no-stats|general|workload|jits [s_max]");
             eprintln!("\\runstats   \\migrate   \\stats   \\checkpoint   \\quit");
             eprintln!("\\trace on|off   \\metrics [prom]");
-            eprintln!("\\analyze SELECT ...   \\flight [path]");
+            eprintln!("\\analyze <stmt>     \\flight [path]");
         }
         Some("analyze") => {
             let sql = cmd.trim_start_matches("analyze").trim();
             if sql.is_empty() {
-                eprintln!("usage: \\analyze SELECT ...");
+                eprintln!("usage: \\analyze <SELECT | UPDATE | DELETE ...>");
             } else {
                 match db.explain_analyze(sql) {
                     Ok(text) => print!("{text}"),

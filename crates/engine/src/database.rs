@@ -1,5 +1,6 @@
 //! The `Database` facade.
 
+use crate::dml::{self, DmlContext};
 use crate::explain::{explain_block, JitsExplain};
 use crate::metrics::{wall_since, QueryMetrics, StageWalls};
 use crate::persist::{self, RecoveryReport, RestoredState, StateRefs};
@@ -29,7 +30,7 @@ use jits_query::{
     bind_statement, parse, BoundDelete, BoundInsert, BoundStatement, BoundUpdate, QueryBlock,
     Statement,
 };
-use jits_storage::{CacheLookup, CachedSample, RowId, SampleCache, Table};
+use jits_storage::{CacheLookup, CachedSample, SampleCache, Table};
 use jits_wal::{Wal, WalRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -727,8 +728,8 @@ impl Database {
                 Ok(QueryResult { rows, metrics })
             }
             BoundStatement::Insert(ins) => self.run_insert(ins, t0),
-            BoundStatement::Update(upd) => self.run_update(upd, t0),
-            BoundStatement::Delete(del) => self.run_delete(del, t0),
+            BoundStatement::Update(upd) => self.run_update(upd, t0, sql),
+            BoundStatement::Delete(del) => self.run_delete(del, t0, sql),
         }
     }
 
@@ -782,8 +783,9 @@ impl Database {
     /// profile tree: estimated vs. actual cardinality, q-error, charged
     /// work, and wall time for every node of the executed plan.
     ///
-    /// Errors for statements that execute no plan (DML, EXPLAIN, system
-    /// views).
+    /// An UPDATE or DELETE is executed too, and renders the one node that
+    /// located its rows. Errors for statements that execute no plan
+    /// (INSERT, EXPLAIN, system views).
     pub fn explain_analyze(&mut self, sql: &str) -> Result<String> {
         // the flips route through set_profiling so they are WAL-logged:
         // replay must profile (and feed the q-error aggregates) exactly as
@@ -792,10 +794,9 @@ impl Database {
         self.set_profiling(true);
         let result = self.execute(sql);
         self.set_profiling(was);
-        let profile = result?
-            .metrics
-            .profile
-            .ok_or_else(|| JitsError::Plan("EXPLAIN ANALYZE supports plain SELECT only".into()))?;
+        let profile = result?.metrics.profile.ok_or_else(|| {
+            JitsError::Plan("EXPLAIN ANALYZE supports SELECT, UPDATE and DELETE only".into())
+        })?;
         Ok(render_profile(&profile))
     }
 
@@ -1297,64 +1298,46 @@ impl Database {
         })
     }
 
-    fn run_update(&mut self, upd: BoundUpdate, t0: u64) -> Result<QueryResult> {
+    fn run_update(&mut self, upd: BoundUpdate, t0: u64, sql: &str) -> Result<QueryResult> {
         self.clock += 1;
         let compile_wall = wall_since(t0);
         let t1 = now_nanos();
-        let t = &mut self.tables[upd.table.index()];
-        let matching: Vec<RowId> = t
-            .scan()
-            .filter(|&r| {
-                upd.predicates
-                    .iter()
-                    .all(|p| p.matches(&t.value(r, p.column)))
-            })
-            .collect();
-        let scanned = t.row_count();
-        for &r in &matching {
-            for (col, v) in &upd.sets {
-                t.update(r, *col, v.clone())?;
-            }
-        }
-        Ok(QueryResult {
-            rows: Vec::new(),
-            metrics: QueryMetrics {
-                compile_wall,
-                exec_wall: wall_since(t1),
-                exec_work: scanned as f64 + matching.len() as f64,
-                result_rows: matching.len(),
-                ..QueryMetrics::default()
-            },
-        })
+        let node = dml::update(&mut self.tables[upd.table.index()], &upd, &self.cost)?;
+        Ok(self.dml_result(node, sql, compile_wall, t1))
     }
 
-    fn run_delete(&mut self, del: BoundDelete, t0: u64) -> Result<QueryResult> {
+    fn run_delete(&mut self, del: BoundDelete, t0: u64, sql: &str) -> Result<QueryResult> {
         self.clock += 1;
         let compile_wall = wall_since(t0);
         let t1 = now_nanos();
-        let t = &mut self.tables[del.table.index()];
-        let matching: Vec<RowId> = t
-            .scan()
-            .filter(|&r| {
-                del.predicates
-                    .iter()
-                    .all(|p| p.matches(&t.value(r, p.column)))
-            })
-            .collect();
-        let scanned = t.row_count();
-        for &r in &matching {
-            t.delete(r);
-        }
-        Ok(QueryResult {
+        let node = dml::delete(&mut self.tables[del.table.index()], &del, &self.cost);
+        Ok(self.dml_result(node, sql, compile_wall, t1))
+    }
+
+    fn dml_result(
+        &self,
+        node: jits_obs::ProfileNodeRow,
+        sql: &str,
+        compile_wall: std::time::Duration,
+        exec_start: u64,
+    ) -> QueryResult {
+        let ctx = DmlContext {
+            clock: self.clock,
+            session: 0,
+            sql,
+            profiling: self.profiling,
+        };
+        QueryResult {
             rows: Vec::new(),
-            metrics: QueryMetrics {
+            metrics: dml::finish(
+                node,
+                &ctx,
+                &self.obs,
                 compile_wall,
-                exec_wall: wall_since(t1),
-                exec_work: scanned as f64 + matching.len() as f64,
-                result_rows: matching.len(),
-                ..QueryMetrics::default()
-            },
-        })
+                exec_start,
+                std::time::Duration::ZERO,
+            ),
+        }
     }
 }
 

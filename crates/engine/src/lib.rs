@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod database;
+mod dml;
 pub mod explain;
 pub mod metrics;
 mod observe;

@@ -57,7 +57,8 @@ pub struct QueryMetrics {
     pub compile_work: f64,
     /// Execution work in cost-model units.
     pub exec_work: f64,
-    /// Chosen plan (empty for DML).
+    /// Chosen plan. For UPDATE/DELETE a one-table summary of the exact
+    /// locate: rows affected and charged work (None for INSERT).
     pub plan: Option<PlanSummary>,
     /// Result rows returned (or rows affected, for DML).
     pub result_rows: usize,
@@ -85,8 +86,9 @@ pub struct QueryMetrics {
     /// One `"<fault-point> -> <fallback>"` entry per degradation, in the
     /// deterministic order they were recorded.
     pub degraded_reasons: Vec<String>,
-    /// Per-operator profile of the executed plan (None for DML, system
-    /// views, or when profiling is disabled). Captured at execution time so
+    /// Per-operator profile of the executed plan; for UPDATE/DELETE the one
+    /// node naming the access path that located the rows (None for INSERT,
+    /// EXPLAIN, system views, or when profiling is disabled). Captured at execution time so
     /// `explain_analyze` never races other sessions for the flight ring.
     pub profile: Option<jits_obs::QueryProfile>,
 }

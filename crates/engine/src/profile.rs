@@ -4,6 +4,7 @@
 //! executor's post-order observation stream ([`jits_executor::ExecStats`])
 //! into a [`QueryProfile`]: one row per operator carrying estimated vs.
 //! actual cardinality, q-error, charged work, and inclusive wall time.
+//! (UPDATE and DELETE build their one-node profile in [`crate::dml`].)
 //! The deterministic fields (kind, table, rows, q-error, work) are
 //! bit-identical between the row and batch executors and across
 //! `collect_threads`; only `wall_nanos` is volatile, and every dump path
@@ -155,6 +156,8 @@ fn push_row(
         q_error: clamp_q_error(obs.q_error()),
         work: obs.work,
         wall_nanos: stats.node_walls.get(i).copied().unwrap_or(0),
+        blocks_total: 0,
+        blocks_pruned: 0,
     });
 }
 
@@ -177,9 +180,14 @@ pub(crate) fn render_profile(p: &QueryProfile) -> String {
         } else {
             format!(" on {}", n.table)
         };
+        let blocks = if n.blocks_total > 0 {
+            format!(" blocks_pruned={}/{}", n.blocks_pruned, n.blocks_total)
+        } else {
+            String::new()
+        };
         let _ = writeln!(
             out,
-            "{}{}{} (est={:.1} actual={:.1} q-error={:.2} work={:.0} wall={}ns)",
+            "{}{}{} (est={:.1} actual={:.1} q-error={:.2} work={:.0}{} wall={}ns)",
             "  ".repeat(n.depth + 1),
             n.kind,
             on,
@@ -187,6 +195,7 @@ pub(crate) fn render_profile(p: &QueryProfile) -> String {
             n.actual_rows,
             n.q_error,
             n.work,
+            blocks,
             n.wall_nanos,
         );
     }

@@ -52,6 +52,7 @@ use crate::database::{
     commit_drawn_samples, materialize_group_into, resolve_sample_sources, MaterializeOutcome,
     PhysicalMetadataProvider, OPTIMIZER_CALL_WORK,
 };
+use crate::dml::{self, DmlContext};
 use crate::explain::{explain_block, JitsExplain};
 use crate::metrics::{wall_since, CountersSnapshot, EngineCounters, QueryMetrics, StageWalls};
 use crate::persist::{self, RecoveryReport, StateRefs};
@@ -78,7 +79,7 @@ use jits_optimizer::{
 use jits_query::{
     bind_statement, parse, BoundDelete, BoundInsert, BoundStatement, BoundUpdate, QueryBlock,
 };
-use jits_storage::{RowId, SampleCache, Table};
+use jits_storage::{SampleCache, Table};
 use jits_wal::{Wal, WalRecord};
 use parking_lot::rank::LockRank;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -831,8 +832,8 @@ impl Session {
                 Ok(QueryResult { rows, metrics })
             }
             BoundStatement::Insert(ins) => self.run_insert(ins, t0, waited),
-            BoundStatement::Update(upd) => self.run_update(upd, t0, waited),
-            BoundStatement::Delete(del) => self.run_delete(del, t0, waited),
+            BoundStatement::Update(upd) => self.run_update(upd, t0, waited, sql),
+            BoundStatement::Delete(del) => self.run_delete(del, t0, waited, sql),
         }
     }
 
@@ -918,10 +919,9 @@ impl Session {
         let result = self.execute(sql);
         self.shared
             .set_flag_logged(&self.shared.profiling, "profiling", was);
-        let profile = result?
-            .metrics
-            .profile
-            .ok_or_else(|| JitsError::Plan("EXPLAIN ANALYZE supports plain SELECT only".into()))?;
+        let profile = result?.metrics.profile.ok_or_else(|| {
+            JitsError::Plan("EXPLAIN ANALYZE supports SELECT, UPDATE and DELETE only".into())
+        })?;
         Ok(render_profile(&profile))
     }
 
@@ -1502,74 +1502,69 @@ impl Session {
         })
     }
 
-    fn run_update(&mut self, upd: BoundUpdate, t0: u64, mut waited: u64) -> Result<QueryResult> {
-        self.shared.clock.fetch_add(1, Ordering::SeqCst);
+    fn run_update(
+        &mut self,
+        upd: BoundUpdate,
+        t0: u64,
+        mut waited: u64,
+        sql: &str,
+    ) -> Result<QueryResult> {
+        let sh = &self.shared;
+        let clock = sh.clock.fetch_add(1, Ordering::SeqCst) + 1;
         let compile_wall = wall_since(t0);
         let t1 = now_nanos();
-        let (scanned, changed) = {
-            let mut tables = timed_write(&self.shared.tables, &self.shared.counters, &mut waited);
-            let t = &mut tables[upd.table.index()];
-            let matching: Vec<RowId> = t
-                .scan()
-                .filter(|&r| {
-                    upd.predicates
-                        .iter()
-                        .all(|p| p.matches(&t.value(r, p.column)))
-                })
-                .collect();
-            let scanned = t.row_count();
-            for &r in &matching {
-                for (col, v) in &upd.sets {
-                    t.update(r, *col, v.clone())?;
-                }
-            }
-            (scanned, matching.len())
+        let node = {
+            let mut tables = timed_write(&sh.tables, &sh.counters, &mut waited);
+            dml::update(&mut tables[upd.table.index()], &upd, &sh.cost)?
         };
-        Ok(QueryResult {
-            rows: Vec::new(),
-            metrics: QueryMetrics {
-                compile_wall,
-                exec_wall: wall_since(t1),
-                exec_work: scanned as f64 + changed as f64,
-                result_rows: changed,
-                lock_wait: Duration::from_nanos(waited),
-                ..QueryMetrics::default()
-            },
-        })
+        Ok(self.dml_result(node, clock, sql, compile_wall, t1, waited))
     }
 
-    fn run_delete(&mut self, del: BoundDelete, t0: u64, mut waited: u64) -> Result<QueryResult> {
-        self.shared.clock.fetch_add(1, Ordering::SeqCst);
+    fn run_delete(
+        &mut self,
+        del: BoundDelete,
+        t0: u64,
+        mut waited: u64,
+        sql: &str,
+    ) -> Result<QueryResult> {
+        let sh = &self.shared;
+        let clock = sh.clock.fetch_add(1, Ordering::SeqCst) + 1;
         let compile_wall = wall_since(t0);
         let t1 = now_nanos();
-        let (scanned, changed) = {
-            let mut tables = timed_write(&self.shared.tables, &self.shared.counters, &mut waited);
-            let t = &mut tables[del.table.index()];
-            let matching: Vec<RowId> = t
-                .scan()
-                .filter(|&r| {
-                    del.predicates
-                        .iter()
-                        .all(|p| p.matches(&t.value(r, p.column)))
-                })
-                .collect();
-            let scanned = t.row_count();
-            for &r in &matching {
-                t.delete(r);
-            }
-            (scanned, matching.len())
+        let node = {
+            let mut tables = timed_write(&sh.tables, &sh.counters, &mut waited);
+            dml::delete(&mut tables[del.table.index()], &del, &sh.cost)
         };
-        Ok(QueryResult {
+        Ok(self.dml_result(node, clock, sql, compile_wall, t1, waited))
+    }
+
+    fn dml_result(
+        &self,
+        node: jits_obs::ProfileNodeRow,
+        clock: u64,
+        sql: &str,
+        compile_wall: Duration,
+        exec_start: u64,
+        waited: u64,
+    ) -> QueryResult {
+        let sh = &self.shared;
+        let ctx = DmlContext {
+            clock,
+            session: self.id,
+            sql,
+            profiling: sh.profiling.load(Ordering::SeqCst),
+        };
+        QueryResult {
             rows: Vec::new(),
-            metrics: QueryMetrics {
+            metrics: dml::finish(
+                node,
+                &ctx,
+                &sh.obs,
                 compile_wall,
-                exec_wall: wall_since(t1),
-                exec_work: scanned as f64 + changed as f64,
-                result_rows: changed,
-                lock_wait: Duration::from_nanos(waited),
-                ..QueryMetrics::default()
-            },
-        })
+                exec_start,
+                Duration::from_nanos(waited),
+            ),
+        }
     }
 }
 

@@ -8,10 +8,11 @@
 //! * operators carry **selection vectors** — one `Vec<RowId>` per covered
 //!   quantifier, struct-of-arrays instead of the row path's array-of-structs
 //!   tuple vectors;
-//! * scan predicates evaluate as **bitsets over gathered columns**: every
-//!   referenced column is gathered once into a typed dense
-//!   [`FrameColumn`] (PR 4's collection-path layout, reused here against
-//!   live tables) and each predicate ANDs its verdicts into a `Vec<bool>`;
+//! * scan predicates evaluate as **bitsets**: each predicate ANDs its
+//!   verdicts into a `Vec<bool>`, integer intervals over a typed dense
+//!   gather of their column ([`FrameColumn`], PR 4's collection-path
+//!   layout, reused here against live tables) — the filter is
+//!   [`crate::locate`]'s, shared with UPDATE and DELETE;
 //! * joins gather their key columns once per side and probe/build over the
 //!   dense slices; aggregation accumulates over gathered slices.
 //!
@@ -27,15 +28,15 @@
 //! comparator. The contract is enforced by `tests/batch_executor.rs`.
 
 use crate::exec::{
-    accumulate, finish_groups, index_interval, matches_preds, position_in, record_scan, table_of,
-    zone_constraints, AggAcc, ExecOptions, ExecOutput,
+    accumulate, finish_groups, index_interval, matches_preds, position_in, record_scan, scan_preds,
+    table_of, AggAcc, ExecOptions, ExecOutput,
 };
+use crate::locate::{filter_rows, probe_index, surviving_rows, zone_constraints};
 use crate::monitor::{ExecStats, NodeKind, NodeObservation};
-use jits_common::{Bound, ColumnId, Interval, JitsError, Result, Value};
+use jits_common::{ColumnId, JitsError, Result, Value};
 use jits_optimizer::{CostModel, PhysicalPlan};
-use jits_query::{LocalPredicate, PredKind, Projection, QueryBlock};
+use jits_query::{Projection, QueryBlock};
 use jits_storage::{FrameColumn, FrameValues, Row, RowId, Table};
-use std::collections::BTreeMap;
 
 /// A batch in struct-of-arrays form: `sel[i]` is the selection vector of
 /// quantifier `quns[i]`, and all selection vectors share length `len`
@@ -276,7 +277,7 @@ fn run_operator(
         PhysicalPlan::SeqScan { scan, est } => {
             let table = table_of(tables, block, scan.qun)?;
             let rows: Vec<RowId> = table.scan().collect();
-            let sel = filter_rows(table, rows, block, &scan.pred_indices);
+            let sel = filter_rows(table, rows, scan_preds(block, &scan.pred_indices));
             let work = cost.seq_scan(table.row_count() as f64, sel.len() as f64);
             stats.work += work;
             record_scan(
@@ -304,17 +305,14 @@ fn run_operator(
             // same skip list, work formula, and row order as the row path
             // (and as the off-mode full scan — pruning is sound, so the
             // surviving blocks contain every matching row)
-            let constraints = zone_constraints(block, &scan.pred_indices);
-            let skip = table.skip_list(&constraints);
+            let preds = scan_preds(block, &scan.pred_indices);
+            let skip = table.skip_list(&zone_constraints(preds.clone()));
             let rows: Vec<RowId> = if opts.data_skipping {
-                skip.survivors
-                    .iter()
-                    .flat_map(|&b| table.block_rows(b as usize))
-                    .collect()
+                surviving_rows(table, &skip)
             } else {
                 table.scan().collect()
             };
-            let sel = filter_rows(table, rows, block, &scan.pred_indices);
+            let sel = filter_rows(table, rows, preds);
             let work = cost.pruned_scan(
                 skip.blocks_total as f64,
                 skip.surviving_rows as f64,
@@ -353,25 +351,9 @@ fn run_operator(
                 ))
             })?;
             let interval = index_interval(block, &scan.pred_indices, *index_column)?;
-            // equality probes route to the hash twin when one exists (same
-            // per-key row order as the B-tree, so the candidate stream is
-            // identical either way)
-            let point_key = if interval.is_point() {
-                interval.low.value()
-            } else {
-                None
-            };
-            let candidates: Vec<RowId> = match (point_key, table.hash_index(*index_column)) {
-                (Some(v), Some(hash)) => hash.lookup_eq(v).to_vec(),
-                _ => index.lookup_range(&interval),
-            };
-            let fetched = candidates.len() as f64;
-            let live: Vec<RowId> = candidates
-                .into_iter()
-                .filter(|&r| table.is_live(r))
-                .collect();
-            let sel = filter_rows(table, live, block, &scan.pred_indices);
-            let work = cost.index_scan(fetched, sel.len() as f64);
+            let (live, fetched) = probe_index(table, index, *index_column, &interval);
+            let sel = filter_rows(table, live, scan_preds(block, &scan.pred_indices));
+            let work = cost.index_scan(fetched as f64, sel.len() as f64);
             stats.work += work;
             record_scan(
                 stats,
@@ -648,86 +630,6 @@ fn hash_join_pairs(
         }
     }
     pairs
-}
-
-/// Gathers every predicate column once and keeps the rows passing all
-/// predicates (bitset AND), preserving input order.
-fn filter_rows(
-    table: &Table,
-    rows: Vec<RowId>,
-    block: &QueryBlock,
-    pred_indices: &[usize],
-) -> Vec<RowId> {
-    if pred_indices.is_empty() {
-        return rows;
-    }
-    let mut cols: BTreeMap<ColumnId, FrameColumn> = BTreeMap::new();
-    for &i in pred_indices {
-        let c = block.local_predicates[i].column;
-        cols.entry(c)
-            .or_insert_with(|| table.gather_column(c, &rows));
-    }
-    let mut keep = vec![true; rows.len()];
-    for &i in pred_indices {
-        let p = &block.local_predicates[i];
-        eval_pred(p, &cols[&p.column], &mut keep);
-    }
-    rows.into_iter()
-        .zip(keep)
-        .filter_map(|(r, k)| k.then_some(r))
-        .collect()
-}
-
-/// ANDs one predicate's verdicts into `keep`. Integer intervals compare
-/// dense `i64`s directly; every other shape falls back to
-/// [`LocalPredicate::matches`] over [`FrameColumn::value`], which is
-/// definitionally identical to the row path.
-fn eval_pred(p: &LocalPredicate, fc: &FrameColumn, keep: &mut [bool]) {
-    if let (PredKind::Interval(iv), FrameValues::Int(vals)) = (&p.kind, &fc.values) {
-        if let Some((lo, hi)) = int_bounds(iv) {
-            let in_bounds = |v: i64| {
-                lo.is_none_or(|(x, inc)| if inc { v >= x } else { v > x })
-                    && hi.is_none_or(|(x, inc)| if inc { v <= x } else { v < x })
-            };
-            if fc.non_null == fc.len() {
-                // the gather proved the slice NULL-free (for pruned scans
-                // the zone map's null count already knew), so the per-row
-                // validity re-check is hoisted out of the inner loop
-                for (i, k) in keep.iter_mut().enumerate() {
-                    if *k {
-                        *k = in_bounds(vals[i]);
-                    }
-                }
-            } else {
-                for (i, k) in keep.iter_mut().enumerate() {
-                    if *k {
-                        // NULL never matches an interval; bound semantics
-                        // mirror Interval::contains over exact i64 compares
-                        *k = fc.validity[i] && in_bounds(vals[i]);
-                    }
-                }
-            }
-            return;
-        }
-    }
-    for (i, k) in keep.iter_mut().enumerate() {
-        if *k {
-            *k = p.matches(&fc.value(i));
-        }
-    }
-}
-
-/// The interval's bounds as `(value, inclusive)` pairs when both endpoints
-/// are integer or unbounded (`None` = unbounded); `None` otherwise.
-#[allow(clippy::type_complexity)]
-fn int_bounds(iv: &Interval) -> Option<(Option<(i64, bool)>, Option<(i64, bool)>)> {
-    let side = |b: &Bound| match b {
-        Bound::Unbounded => Some(None),
-        Bound::Inclusive(Value::Int(x)) => Some(Some((*x, true))),
-        Bound::Exclusive(Value::Int(x)) => Some(Some((*x, false))),
-        _ => None,
-    };
-    Some((side(&iv.low)?, side(&iv.high)?))
 }
 
 fn project_batch(batch: &ColumnBatch, block: &QueryBlock, tables: &[Table]) -> Result<Vec<Row>> {

@@ -1,10 +1,11 @@
 //! Plan evaluation.
 
+use crate::locate::zone_constraints;
 use crate::monitor::{ExecStats, NodeKind, NodeObservation, ScanObservation};
 use jits_common::{ColumnId, Interval, JitsError, Result, Value};
 use jits_optimizer::{CostModel, PhysicalPlan, ScanGroupEstimate};
 use jits_query::ast::AggFunc;
-use jits_query::{PredKind, Projection, QueryBlock};
+use jits_query::{LocalPredicate, Projection, QueryBlock};
 use jits_storage::{Row, RowId, Table};
 
 /// The result of executing a SELECT block.
@@ -210,7 +211,7 @@ fn run(
             // (pruned blocks hold no matching rows), so the off-mode full
             // scan yields the same rows in the same ascending order, and
             // charging work from the skip list keeps the stats identical
-            let constraints = zone_constraints(block, &scan.pred_indices);
+            let constraints = zone_constraints(scan_preds(block, &scan.pred_indices));
             let skip = table.skip_list(&constraints);
             let mut tuples = Vec::new();
             if opts.data_skipping {
@@ -547,25 +548,12 @@ pub(crate) fn matches_preds(
     })
 }
 
-/// The per-column zone-map constraints of a scan's predicate group: every
-/// interval predicate, merged per column by intersection. Shared by both
-/// executors so their skip lists (and therefore their work charges) agree.
-pub(crate) fn zone_constraints(
-    block: &QueryBlock,
-    pred_indices: &[usize],
-) -> Vec<(ColumnId, Interval)> {
-    let mut merged: std::collections::BTreeMap<ColumnId, Interval> = Default::default();
-    for &i in pred_indices {
-        let p = &block.local_predicates[i];
-        if let PredKind::Interval(iv) = &p.kind {
-            let next = match merged.remove(&p.column) {
-                Some(existing) => existing.intersect(iv),
-                None => iv.clone(),
-            };
-            merged.insert(p.column, next);
-        }
-    }
-    merged.into_iter().collect()
+/// The local predicates a scan applies, in `pred_indices` order.
+pub(crate) fn scan_preds<'a>(
+    block: &'a QueryBlock,
+    pred_indices: &'a [usize],
+) -> impl Iterator<Item = &'a LocalPredicate> + Clone {
+    pred_indices.iter().map(|&i| &block.local_predicates[i])
 }
 
 /// The merged index-driving interval for `column` among the scan's
@@ -575,22 +563,12 @@ pub(crate) fn index_interval(
     pred_indices: &[usize],
     column: ColumnId,
 ) -> Result<Interval> {
-    let mut interval: Option<Interval> = None;
-    for &i in pred_indices {
-        let p = &block.local_predicates[i];
-        if p.column != column {
-            continue;
-        }
-        if let PredKind::Interval(iv) = &p.kind {
-            interval = Some(match interval {
-                Some(existing) => existing.intersect(iv),
-                None => iv.clone(),
-            });
-        }
-    }
-    interval.ok_or_else(|| {
-        JitsError::Execution(format!("index scan on {column} has no interval predicate"))
-    })
+    zone_constraints(scan_preds(block, pred_indices).filter(|p| p.column == column))
+        .pop()
+        .map(|(_, interval)| interval)
+        .ok_or_else(|| {
+            JitsError::Execution(format!("index scan on {column} has no interval predicate"))
+        })
 }
 
 #[allow(clippy::too_many_arguments)]

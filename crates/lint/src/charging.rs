@@ -6,8 +6,13 @@
 //! pass while the real cost grows unbounded — and the bit-identity replay
 //! contract breaks, because budget-aborted runs abort at different points.
 //!
-//! The rule: in any function **reachable from a collection root** (a `fn`
-//! whose name starts with `collect` or contains `sample`), a `for` loop
+//! The same holds for DML row location (`locate*`): the work it reports is
+//! the statement's charged `exec_work`, so a row loop it reaches must be
+//! paid for on the same terms.
+//!
+//! The rule: in any function **reachable from a charging root** (a `fn`
+//! whose name starts with `collect` or `locate`, or contains `sample`), a
+//! `for` loop
 //! whose iterated expression names sampled-row state (`rows`, `sample`,
 //! `vals`, `validity`, …) must be paid for — either
 //!
@@ -40,7 +45,7 @@ pub fn run(ws: &Workspace, scope: Option<&[&str]>) -> Vec<Violation> {
     let roots: Vec<usize> = (0..n)
         .filter(|&i| {
             let l = ws.graph.nodes[i].name.to_ascii_lowercase();
-            l.starts_with("collect") || l.contains("sample")
+            l.starts_with("collect") || l.starts_with("locate") || l.contains("sample")
         })
         .collect();
     let reach = ws.graph.reachable(roots);

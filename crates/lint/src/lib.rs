@@ -264,12 +264,21 @@ pub const FLOAT_ORDER_CRATES: &[&str] = &[
 pub const LOCK_ORDER_CRATES: &[&str] = &["engine", "obs"];
 
 /// Files the work-charging pass reports on in repo mode: the collection
-/// driver and the budgeted sampler (the call graph still spans the whole
-/// workspace, so coverage-by-caller crosses crates).
-pub const CHARGING_SCOPE: &[&str] = &["crates/jits/src/collect.rs", "crates/storage/src/sample.rs"];
+/// driver, the budgeted sampler, and the row-location core whose charge
+/// is DML's `exec_work` (the call graph still spans the whole workspace,
+/// so coverage-by-caller crosses crates).
+pub const CHARGING_SCOPE: &[&str] = &[
+    "crates/jits/src/collect.rs",
+    "crates/storage/src/sample.rs",
+    "crates/executor/src/locate.rs",
+];
 
-/// Files the batch-bounds pass reports on in repo mode.
-pub const BOUNDS_SCOPE: &[&str] = &["crates/executor/src/batch.rs"];
+/// Files the batch-bounds pass reports on in repo mode: the batch executor
+/// and the columnar filter it shares with DML row location.
+pub const BOUNDS_SCOPE: &[&str] = &[
+    "crates/executor/src/batch.rs",
+    "crates/executor/src/locate.rs",
+];
 
 /// Files the wal-ordering pass reports on in repo mode: the crate that owns
 /// the durable mutator surface.

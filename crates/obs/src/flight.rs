@@ -62,6 +62,12 @@ pub struct ProfileNodeRow {
     /// Inclusive wall time of the operator in nanoseconds. Volatile: masked
     /// to zero in deterministic dumps.
     pub wall_nanos: u64,
+    /// Zone-map blocks the operator probed: set on the `pruned_scan` node
+    /// of an UPDATE/DELETE, zero elsewhere (a SELECT's pruned scans report
+    /// through `jits.skip.*`).
+    pub blocks_total: u64,
+    /// Of those, blocks proven to hold no matching row.
+    pub blocks_pruned: u64,
 }
 
 /// One query's operator profile: the deterministic skeleton of a statement
@@ -74,7 +80,8 @@ pub struct QueryProfile {
     pub session: u64,
     /// Statement text.
     pub sql: String,
-    /// Which executor evaluated the plan (`row` or `batch`).
+    /// Which executor evaluated the plan (`row` or `batch`; `dml` for the
+    /// one-node profile of an UPDATE or DELETE).
     pub executor: String,
     /// Rows the statement returned.
     pub result_rows: usize,
@@ -284,7 +291,8 @@ fn event_json(out: &mut String, e: &FlightEvent, include_volatile: bool) {
                 }
                 out.push_str(&format!(
                     "{{\"depth\": {}, \"kind\": {}, \"table\": {}, \"est_rows\": {}, \
-                     \"actual_rows\": {}, \"q_error\": {}, \"work\": {}, \"wall_nanos\": {}}}",
+                     \"actual_rows\": {}, \"q_error\": {}, \"work\": {}, \"wall_nanos\": {}, \
+                     \"blocks_total\": {}, \"blocks_pruned\": {}}}",
                     n.depth,
                     json_str(&n.kind),
                     json_str(&n.table),
@@ -293,6 +301,8 @@ fn event_json(out: &mut String, e: &FlightEvent, include_volatile: bool) {
                     json_f64(n.q_error),
                     json_f64(n.work),
                     mask(n.wall_nanos),
+                    n.blocks_total,
+                    n.blocks_pruned,
                 ));
             }
             out.push_str("]}");
@@ -357,6 +367,8 @@ mod tests {
                     q_error: 2.0,
                     work: 100.0,
                     wall_nanos: 900,
+                    blocks_total: 0,
+                    blocks_pruned: 0,
                 },
                 ProfileNodeRow {
                     depth: 1,
@@ -367,6 +379,8 @@ mod tests {
                     q_error: 1.0,
                     work: 20.5,
                     wall_nanos: 300,
+                    blocks_total: 0,
+                    blocks_pruned: 0,
                 },
             ],
         }

@@ -35,7 +35,7 @@ pub struct BoundInsert {
 pub struct BoundUpdate {
     /// Target table.
     pub table: TableId,
-    /// Assignments.
+    /// Assignments, each value already coerced to its column's type.
     pub sets: Vec<(ColumnId, Value)>,
     /// WHERE predicates (over a single implicit quantifier 0).
     pub predicates: Vec<LocalPredicate>,
@@ -89,11 +89,21 @@ pub fn bind_statement(stmt: &Statement, catalog: &Catalog) -> Result<BoundStatem
         }
         Statement::Update(u) => {
             let table = catalog.require(&u.table)?;
-            let schema = catalog.table(table).unwrap().schema.clone();
+            let schema = &catalog.table(table).unwrap().schema;
+            // every SET value is typed against the schema here, before any
+            // row is written: a bad value in the second assignment must not
+            // leave the first one applied
             let sets = u
                 .sets
                 .iter()
-                .map(|(c, v)| Ok((schema.require_column(c)?, v.clone())))
+                .map(|(c, v)| {
+                    let column = schema.require_column(c)?;
+                    let dtype = schema.columns()[column.index()].dtype;
+                    let v = v.clone().coerce(dtype).map_err(|e| {
+                        JitsError::Binding(format!("UPDATE '{}' SET {c}: {e}", u.table))
+                    })?;
+                    Ok((column, v))
+                })
                 .collect::<Result<Vec<_>>>()?;
             let binder = single_table_binder(table, &u.table, catalog);
             let predicates = bind_local_predicates(&u.predicates, &binder)?;
@@ -576,6 +586,16 @@ mod tests {
         };
         assert_eq!(u.sets, vec![(ColumnId(4), Value::Int(2007))]);
         assert_eq!(u.predicates.len(), 1);
+
+        // SET values are typed at bind: an Int literal widens into the
+        // Float column, a string is rejected with nothing executed
+        let b = bind_sql("UPDATE owner SET salary = 999 WHERE id = 1").unwrap();
+        let BoundStatement::Update(u) = b else {
+            panic!()
+        };
+        assert!(matches!(u.sets[0].1, Value::Float(f) if f == 999.0));
+        let e = bind_sql("UPDATE owner SET salary = 999, name = 7 WHERE id = 1");
+        assert!(matches!(e, Err(JitsError::Binding(m)) if m.contains("name")));
 
         let b = bind_sql("DELETE FROM owner WHERE salary < 100").unwrap();
         let BoundStatement::Delete(d) = b else {

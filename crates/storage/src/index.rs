@@ -15,6 +15,7 @@
 
 use crate::row::RowId;
 use jits_common::{Bound, Interval, Value};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound as RangeBound;
@@ -35,6 +36,51 @@ impl PartialOrd for OrdValue {
 impl Ord for OrdValue {
     fn cmp(&self, other: &Self) -> Ordering {
         self.0.cmp_total(&other.0)
+    }
+}
+
+/// Borrowed view of a B-tree key, so a probe compares the caller's `&Value`
+/// against the stored keys instead of cloning it into an [`OrdValue`] first.
+/// Ordered exactly like [`OrdValue`] (`cmp_total`), as `Borrow` requires.
+trait KeyView {
+    fn key(&self) -> &Value;
+}
+
+impl KeyView for OrdValue {
+    fn key(&self) -> &Value {
+        &self.0
+    }
+}
+
+impl KeyView for Value {
+    fn key(&self) -> &Value {
+        self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for OrdValue {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp_total(other.key())
     }
 }
 
@@ -82,13 +128,13 @@ impl SecondaryIndex {
         if value.is_null() {
             return;
         }
-        let key = OrdValue(value.clone());
-        if let Some(rows) = self.map.get_mut(&key) {
+        let key: &dyn KeyView = value;
+        if let Some(rows) = self.map.get_mut(key) {
             if let Some(pos) = rows.iter().position(|r| *r == row) {
                 rows.swap_remove(pos);
                 self.entries -= 1;
                 if rows.is_empty() {
-                    self.map.remove(&key);
+                    self.map.remove(key);
                 }
             }
         }
@@ -97,7 +143,7 @@ impl SecondaryIndex {
     /// Rows with exactly `value`.
     pub fn lookup_eq(&self, value: &Value) -> &[RowId] {
         self.map
-            .get(&OrdValue(value.clone()))
+            .get(value as &dyn KeyView)
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }

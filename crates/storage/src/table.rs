@@ -194,19 +194,31 @@ impl Table {
             let old = self.columns[cid.index()].get(i);
             idx.remove(&old, row);
         }
-        let was_null: Vec<bool> = self.columns.iter().map(|c| !c.is_valid(i)).collect();
         let before = self.epoch;
         self.live[i] = false;
         self.live_count -= 1;
         self.udi.deletes += 1;
         self.epoch += 1;
         debug_assert!(self.epoch == before + 1, "epoch must tick before zones");
-        self.zones.note_delete(row, &was_null);
+        // tombstoning leaves the cells in place, so the NULL flags stream
+        // straight from the columns
+        self.zones
+            .note_delete(row, self.columns.iter().map(|c| !c.is_valid(i)));
         true
     }
 
-    /// Updates one column of a live row.
+    /// Updates one column of a live row, coercing `value` to the column
+    /// type.
     pub fn update(&mut self, row: RowId, column: ColumnId, value: Value) -> Result<()> {
+        let dtype = self.column_type(column)?;
+        self.update_typed(row, column, &value.coerce(dtype)?)
+    }
+
+    /// [`Table::update`] for a value already of the column's type (or
+    /// NULL) — what a bound `UPDATE` carries, so its write loop neither
+    /// coerces nor clones per row. Any other type is rejected before
+    /// anything is written.
+    pub fn update_typed(&mut self, row: RowId, column: ColumnId, value: &Value) -> Result<()> {
         let i = row as usize;
         if !self.is_live(row) {
             return Err(JitsError::Execution(format!(
@@ -214,35 +226,38 @@ impl Table {
                 self.name
             )));
         }
-        if column.index() >= self.columns.len() {
-            return Err(JitsError::NotFound(format!(
-                "column {column} in '{}'",
+        let dtype = self.column_type(column)?;
+        if value.data_type().is_some_and(|t| t != dtype) {
+            return Err(JitsError::TypeMismatch(format!(
+                "cannot store {value} in {dtype} column {column} of '{}'",
                 self.name
             )));
         }
-        let coerced = if value.is_null() {
-            value
-        } else {
-            value.coerce(self.schema.column(column).unwrap().dtype)?
-        };
         if let Some(idx) = self.indexes.get_mut(&column) {
             let old = self.columns[column.index()].get(i);
             idx.remove(&old, row);
-            idx.insert(coerced.clone(), row);
+            idx.insert(value.clone(), row);
         }
         if let Some(idx) = self.hash_indexes.get_mut(&column) {
             let old = self.columns[column.index()].get(i);
             idx.remove(&old, row);
-            idx.insert(&coerced, row);
+            idx.insert(value, row);
         }
         let was_null = !self.columns[column.index()].is_valid(i);
-        self.columns[column.index()].set(i, coerced.clone())?;
+        self.columns[column.index()].set(i, value.clone())?;
         let before = self.epoch;
         self.udi.updates += 1;
         self.epoch += 1;
         debug_assert!(self.epoch == before + 1, "epoch must tick before zones");
-        self.zones.note_update(row, column, was_null, &coerced);
+        self.zones.note_update(row, column, was_null, value);
         Ok(())
+    }
+
+    fn column_type(&self, column: ColumnId) -> Result<jits_common::DataType> {
+        self.schema
+            .column(column)
+            .map(|c| c.dtype)
+            .ok_or_else(|| JitsError::NotFound(format!("column {column} in '{}'", self.name)))
     }
 
     /// Reads one cell.

@@ -249,17 +249,20 @@ impl ZoneMaps {
         }
     }
 
-    /// Accounts a tombstoned row; `was_null[c]` is whether column `c` held
-    /// NULL. Min/max stay put (widen-only).
-    pub fn note_delete(&mut self, row: RowId, was_null: &[bool]) {
-        debug_assert_eq!(was_null.len(), self.ncols);
+    /// Accounts a tombstoned row; `was_null` yields, per column in schema
+    /// order, whether the row held NULL there. Min/max stay put
+    /// (widen-only).
+    pub fn note_delete(&mut self, row: RowId, was_null: impl IntoIterator<Item = bool>) {
         let zone = self.block_mut(block_of(row));
         zone.live_rows -= 1;
+        let mut flags = 0;
         for (cz, null) in zone.cols.iter_mut().zip(was_null) {
-            if *null {
+            flags += 1;
+            if null {
                 cz.nulls -= 1;
             }
         }
+        debug_assert_eq!(flags, self.ncols, "one NULL flag per column");
     }
 
     /// Accounts an in-place overwrite of one cell.
@@ -382,7 +385,7 @@ mod tests {
         z.note_update(0, ColumnId(0), false, &Value::Null);
         assert_eq!(z.nulls(0, ColumnId(0)), 1);
         // delete the NULL row
-        z.note_delete(0, &[true]);
+        z.note_delete(0, [true]);
         assert_eq!(z.live_rows(0), 1);
         assert_eq!(z.nulls(0, ColumnId(0)), 0);
     }
@@ -392,7 +395,7 @@ mod tests {
         let mut z = ZoneMaps::new(1);
         z.note_insert(0, &[int(100)]);
         z.note_insert(1, &[int(200)]);
-        z.note_delete(1, &[false]);
+        z.note_delete(1, [false]);
         // 200 is gone but the envelope still covers it: block survives
         // (conservative), never wrongly pruned
         let skip = z.skip_list(&[(ColumnId(0), Interval::point(int(200)))]);
@@ -406,7 +409,7 @@ mod tests {
     fn empty_blocks_are_skipped() {
         let mut z = ZoneMaps::new(1);
         z.note_insert(0, &[int(1)]);
-        z.note_delete(0, &[false]);
+        z.note_delete(0, [false]);
         let skip = z.skip_list(&[]);
         assert!(skip.survivors.is_empty());
         assert_eq!(skip.blocks_total, 1);

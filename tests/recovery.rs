@@ -39,8 +39,15 @@ const OPS: &[&str] = &[
     "SELECT id FROM car WHERE year > 1999",
     "DELETE FROM car WHERE id = 9000",
     "SELECT id FROM car WHERE make = 'Honda'",
+    // keyed DML: rows located through the primary-key and `year` indexes
+    // (point, range, a SET on the probed column), so replay must rebuild
+    // the same per-key posting order the probes then read
+    "UPDATE car SET year = 1991 WHERE year = 1990",
+    "DELETE FROM car WHERE id BETWEEN 20 AND 24",
     "SELECT id FROM car WHERE make = 'Toyota' AND year > 2000",
+    "UPDATE car SET make = 'Audi' WHERE year = 1991 AND id < 200",
     "SELECT id FROM car WHERE year > 1995",
+    "DELETE FROM car WHERE year = 2006",
     "SELECT id FROM car WHERE make = 'Honda' AND year > 1992",
     "SELECT id FROM car WHERE year > 2002",
     "SELECT id FROM car WHERE make = 'Toyota'",
@@ -75,6 +82,8 @@ fn setup(db: &mut Database, threads: usize) {
         })
         .collect();
     db.load_rows("car", rows).unwrap();
+    db.set_primary_key("car", "id").unwrap();
+    db.create_index("car", "year").unwrap();
     db.set_setting(StatsSetting::Jits(cfg(threads)));
 }
 

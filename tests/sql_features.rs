@@ -378,3 +378,40 @@ fn jits_measures_in_list_groups() {
         "sampled estimate {est} vs actual {actual}"
     );
 }
+
+/// An UPDATE whose second assignment cannot be typed must fail as a
+/// whole: the first assignment stays unapplied (it used to be written to
+/// every matching row before the bad value was reached), and the error is
+/// a binding error, as for INSERT.
+#[test]
+fn update_with_a_mistyped_assignment_changes_nothing() {
+    use jits_repro::common::JitsError;
+
+    let sql = "UPDATE car SET price = 999, year = 'x' WHERE id = 1";
+    let probe = "SELECT price, year FROM car WHERE id = 1";
+    let untouched = vec![vec![Value::Float(1001.0), Value::Int(1991)]];
+
+    let mut single = db();
+    let before = single.tables()[0].snapshot();
+    let err = single.execute(sql).unwrap_err();
+    assert_eq!(single.tables()[0].snapshot(), before);
+    assert!(matches!(err, JitsError::Binding(_)), "{err:?}");
+    assert_eq!(single.execute(probe).unwrap().rows, untouched);
+    // the well-typed spelling goes through, the Int literal widened to Float
+    let r = single
+        .execute("UPDATE car SET price = 999, year = 2007 WHERE id = 1")
+        .unwrap();
+    assert_eq!(r.metrics.result_rows, 1);
+    assert_eq!(
+        single.execute(probe).unwrap().rows,
+        vec![vec![Value::Float(999.0), Value::Int(2007)]]
+    );
+
+    let shared = db().into_shared();
+    let mut session = shared.session();
+    let before = shared.with_tables(|t| t[0].snapshot());
+    let err = session.execute(sql).unwrap_err();
+    assert_eq!(shared.with_tables(|t| t[0].snapshot()), before);
+    assert!(matches!(err, JitsError::Binding(_)), "{err:?}");
+    assert_eq!(session.execute(probe).unwrap().rows, untouched);
+}
