@@ -149,7 +149,8 @@ fn main() {
             "recovered {} (checkpoint lsn {}, {} record(s) replayed, {} replay error(s), \
              {} torn byte(s) discarded); statistics are warm: archive has {} histogram(s)",
             data_dir.as_deref().unwrap_or("?"),
-            r.checkpoint_lsn.map_or("none".to_string(), |l| l.to_string()),
+            r.checkpoint_lsn
+                .map_or("none".to_string(), |l| l.to_string()),
             r.replayed_records,
             r.replay_errors,
             r.torn_bytes,

@@ -70,13 +70,11 @@ pub(crate) struct DmlContext<'a> {
     pub session: u64,
     /// Statement text.
     pub sql: &'a str,
-    /// Whether per-operator profiling is on.
-    pub profiling: bool,
 }
 
 /// The metrics of a finished UPDATE/DELETE whose execution began at
-/// `exec_start` (an `obs::clock` reading). With profiling on the one-node
-/// profile also lands in the flight ring.
+/// `exec_start` (an `obs::clock` reading). The one-node profile also lands
+/// in the flight ring.
 pub(crate) fn finish(
     mut node: ProfileNodeRow,
     ctx: &DmlContext<'_>,
@@ -93,23 +91,20 @@ pub(crate) fn finish(
         est_cost: node.work,
     };
     let exec_work = node.work;
-    let profile = ctx.profiling.then(|| {
-        node.wall_nanos = exec_wall.as_nanos() as u64;
-        let profile = QueryProfile {
-            clock: ctx.clock,
-            session: ctx.session,
-            sql: ctx.sql.to_string(),
-            executor: "dml".to_string(),
-            result_rows: affected,
-            total_work: exec_work,
-            max_q_error: 1.0,
-            degraded: false,
-            exec_wall_nanos: node.wall_nanos,
-            nodes: vec![node],
-        };
-        obs.flight.record(FlightEvent::Profile(profile.clone()));
-        profile
-    });
+    node.wall_nanos = exec_wall.as_nanos() as u64;
+    let profile = QueryProfile {
+        clock: ctx.clock,
+        session: ctx.session,
+        sql: ctx.sql.to_string(),
+        executor: "dml".to_string(),
+        result_rows: affected,
+        total_work: exec_work,
+        max_q_error: 1.0,
+        degraded: false,
+        exec_wall_nanos: node.wall_nanos,
+        nodes: vec![node],
+    };
+    obs.flight.record(FlightEvent::Profile(profile.clone()));
     QueryMetrics {
         compile_wall,
         exec_wall,
@@ -117,7 +112,7 @@ pub(crate) fn finish(
         plan: Some(plan),
         result_rows: affected,
         lock_wait,
-        profile,
+        profile: Some(profile),
         ..QueryMetrics::default()
     }
 }

@@ -1,7 +1,8 @@
 //! The database engine facade.
 //!
 //! [`Database`] owns the storage tables, the catalog, the QSS archive and
-//! the StatHistory, and wires the full query path:
+//! the StatHistory; [`SharedDatabase`] puts the same state behind ranked
+//! locks for concurrent [`Session`]s. Both run one statement pipeline:
 //!
 //! ```text
 //! SQL → parse → bind → [JITS: analyze → sensitivity → sample → archive]
@@ -41,15 +42,18 @@ pub mod explain;
 pub mod metrics;
 mod observe;
 mod persist;
+mod pipeline;
 mod profile;
 pub mod session;
 pub mod settings;
+mod store;
 pub mod views;
 
-pub use database::{Database, QueryResult, DEFAULT_CHECKPOINT_EVERY};
-pub use persist::RecoveryReport;
+pub use database::{Database, DEFAULT_CHECKPOINT_EVERY};
 pub use explain::{JitsExplain, MaterializeExplain};
 pub use metrics::{CountersSnapshot, EngineCounters, QueryMetrics, StageWalls};
+pub use persist::RecoveryReport;
+pub use pipeline::QueryResult;
 pub use session::{Session, SharedDatabase};
 pub use settings::StatsSetting;
 pub use views::{

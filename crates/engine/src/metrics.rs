@@ -74,10 +74,6 @@ pub struct QueryMetrics {
     /// Time this statement spent blocked acquiring engine locks (always
     /// zero on the single-session [`crate::Database`] path).
     pub lock_wait: Duration,
-    /// True when the statement was evaluated on the vectorized batch
-    /// executor (the default); false on the row-at-a-time A/B path. Always
-    /// false for DML, which bypasses plan execution.
-    pub batch_executor: bool,
     /// True when any part of the JITS pipeline degraded for this statement
     /// (budget abort, fault-isolated table, quarantined archive group, …).
     /// The statement still returns a plan — degradation trades statistics
@@ -88,7 +84,7 @@ pub struct QueryMetrics {
     pub degraded_reasons: Vec<String>,
     /// Per-operator profile of the executed plan; for UPDATE/DELETE the one
     /// node naming the access path that located the rows (None for INSERT,
-    /// EXPLAIN, system views, or when profiling is disabled). Captured at execution time so
+    /// EXPLAIN and system views). Captured at execution time so
     /// `explain_analyze` never races other sessions for the flight ring.
     pub profile: Option<jits_obs::QueryProfile>,
 }

@@ -11,7 +11,6 @@
 //! The obs registry lock ranks *above* every engine lock, so calling these
 //! helpers while holding engine guards is always rank-safe.
 
-use crate::database::MaterializeOutcome;
 use crate::metrics::CountersSnapshot;
 use jits::{CollectTiming, JitsConfig, MaterializeDecision, SampleOrigin, TableScore};
 use jits_catalog::Catalog;
@@ -207,12 +206,12 @@ pub(crate) fn note_materialize_outcome(
     obs: &Observability,
     tb: &mut TraceBuilder,
     colgroup: &ColGroup,
-    outcome: &MaterializeOutcome,
+    outcome: &jits::MaterializeOutcome,
 ) {
     let reg = &obs.registry;
     match outcome {
-        MaterializeOutcome::Skipped => {}
-        MaterializeOutcome::Cache => {
+        jits::MaterializeOutcome::Skipped => {}
+        jits::MaterializeOutcome::Cache => {
             reg.counter("jits.archive.cached_groups", Volatility::Deterministic)
                 .inc();
             tb.event(|| TraceEvent::Refine {
@@ -225,7 +224,7 @@ pub(crate) fn note_materialize_outcome(
                 converged: true,
             });
         }
-        MaterializeOutcome::Histogram(r) => {
+        jits::MaterializeOutcome::Histogram(r) => {
             reg.counter(
                 "jits.archive.materialized_groups",
                 Volatility::Deterministic,
@@ -413,24 +412,11 @@ pub(crate) fn qerror_feedback(obs: &Observability, catalog: &Catalog) -> BTreeMa
         .collect()
 }
 
-/// Records the feedback stage (LEO ingest).
-/// Records which executor evaluated one SELECT. Deterministic: the choice
-/// is a setting, never data- or timing-dependent, so the batch/row split is
-/// replayable and backs the A/B comparisons.
-pub(crate) fn note_executor(obs: &Observability, batch: bool) {
-    let name = if batch {
-        "jits.exec.batch_statements"
-    } else {
-        "jits.exec.row_statements"
-    };
-    obs.registry.counter(name, Volatility::Deterministic).inc();
-}
-
 /// Records one SELECT's access-path usage: zone-map skip counters plus a
 /// per-path tally of how base tables were reached. Everything derives from
-/// the skip lists and the plan shape — never from whether blocks were
-/// physically skipped — so the counters are deterministic and identical
-/// with data skipping on or off, on either executor, at any thread count.
+/// the skip lists and the plan shape — never from which blocks were
+/// physically read — so the counters are deterministic, identical on the
+/// row reference executor, and identical at any thread count.
 pub(crate) fn note_access_paths(obs: &Observability, stats: &jits_executor::ExecStats) {
     use jits_executor::NodeKind;
     let (mut seq, mut pruned, mut index) = (0u64, 0u64, 0u64);
@@ -455,6 +441,7 @@ pub(crate) fn note_access_paths(obs: &Observability, stats: &jits_executor::Exec
         .add(stats.blocks_pruned);
 }
 
+/// Records the feedback stage (LEO ingest).
 pub(crate) fn note_feedback(obs: &Observability, tb: &mut TraceBuilder, observations: usize) {
     obs.registry
         .counter("jits.feedback.observations", Volatility::Deterministic)
@@ -537,7 +524,8 @@ pub(crate) fn note_checkpoint(obs: &Observability, clock: u64, lsn: u64, payload
 /// so `--dump-flight` shows the recovery story post-mortem).
 pub(crate) fn note_recovery(obs: &Observability, report: &crate::persist::RecoveryReport) {
     let reg = &obs.registry;
-    reg.counter("jits.recovery.opens", Volatility::Volatile).inc();
+    reg.counter("jits.recovery.opens", Volatility::Volatile)
+        .inc();
     reg.counter("jits.recovery.replayed_records", Volatility::Volatile)
         .add(report.replayed_records);
     reg.counter("jits.recovery.replay_errors", Volatility::Volatile)

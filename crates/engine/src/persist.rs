@@ -2,8 +2,8 @@
 //!
 //! A checkpoint must capture everything a replayed record could read —
 //! tables, catalog statistics, the QSS archive, StatHistory, predicate and
-//! sample caches, the deterministic substrate (clock, RNG stream, setting,
-//! flags), the deterministic metric counters, and the q-error aggregates
+//! sample caches, the deterministic substrate (clock, RNG stream, setting),
+//! the deterministic metric counters, and the q-error aggregates
 //! that feed sensitivity scoring. What it deliberately does *not* capture
 //! are the observability rings (query log, flight recorder, trace ring,
 //! degradation ring, latest scores): those are bounded post-mortem
@@ -23,22 +23,25 @@
 //! resurrecting a poisoned histogram with a matching stored checksum.
 
 use crate::settings::StatsSetting;
+use crate::store::EngineState;
 use jits::{
-    AggregateFn, ArchiveSnapshot, CachedSelectivity, EpsilonConfig, HistEntry, JitsConfig,
-    PredicateCache, QssArchive, SensitivityStrategy, StatHistory,
+    AggregateFn, ArchiveSnapshot, CachedSelectivity, EpsilonConfig, HistEntry, HistorySnapshot,
+    JitsConfig, PredicateCache, PredicateCacheSnapshot, QssArchive, SensitivityStrategy,
+    StatHistory,
 };
 use jits_catalog::{Catalog, ColumnStats, TableStats};
+use jits_common::{ColGroup, ColumnId, JitsError, Result, SplitMix64, TableId, Value};
 use jits_histogram::{EquiDepth, GridLimits, GridSnapshot};
 use jits_obs::{MetricSample, Observability, QErrorStat, SampleValue};
 use jits_storage::{
     CacheCounters, CachedSample, SampleCache, SampleSpec, Table, TableSnapshot, ZoneSnapshot,
 };
 use jits_wal::{Decoder, Encoder};
-use jits_common::{ColGroup, ColumnId, JitsError, Result, SplitMix64, TableId, Value};
 use std::sync::Arc;
 
-/// Checkpoint payload format version.
-const STATE_VERSION: u8 = 1;
+/// Checkpoint payload format version. Version 1 also carried three engine
+/// flags that no longer exist; its segments are refused, not reinterpreted.
+const STATE_VERSION: u8 = 2;
 
 /// What recovery did, surfaced through `Database::recovery_report` and the
 /// `jits.recovery.*` metrics.
@@ -57,13 +60,11 @@ pub struct RecoveryReport {
     pub corrupt_checkpoints: u32,
 }
 
-/// Borrowed view of everything [`encode_state`] folds into a checkpoint.
+/// Borrowed view of the [`EngineState`] that [`encode_state`] folds into a
+/// checkpoint (a shared database lends it from read guards).
 pub(crate) struct StateRefs<'a> {
     pub clock: u64,
     pub rng_state: u64,
-    pub batch_executor: bool,
-    pub data_skipping: bool,
-    pub profiling: bool,
     pub setting: &'a StatsSetting,
     pub catalog: &'a Catalog,
     pub tables: &'a [Table],
@@ -71,23 +72,11 @@ pub(crate) struct StateRefs<'a> {
     pub history: &'a StatHistory,
     pub predcache: &'a PredicateCache,
     pub samplecache: &'a SampleCache,
-    pub obs: &'a Observability,
 }
 
 /// Owned engine state decoded from a checkpoint payload.
 pub(crate) struct RestoredState {
-    pub clock: u64,
-    pub rng: SplitMix64,
-    pub batch_executor: bool,
-    pub data_skipping: bool,
-    pub profiling: bool,
-    pub setting: StatsSetting,
-    pub catalog: Catalog,
-    pub tables: Vec<Table>,
-    pub archive: QssArchive,
-    pub history: StatHistory,
-    pub predcache: PredicateCache,
-    pub samplecache: SampleCache,
+    pub state: EngineState,
     /// Deterministic metric readings to restore into the registry.
     pub metrics: Vec<MetricSample>,
     /// Q-error aggregates to restore into the observability state.
@@ -314,7 +303,9 @@ fn equidepth(d: &mut Decoder) -> Result<EquiDepth> {
     let counts = f64s(d)?;
     let distincts = f64s(d)?;
     let total = d.f64()?;
-    Ok(EquiDepth::from_raw_parts(boundaries, counts, distincts, total))
+    Ok(EquiDepth::from_raw_parts(
+        boundaries, counts, distincts, total,
+    ))
 }
 
 fn put_column_stats(e: &mut Encoder, cs: &ColumnStats) {
@@ -642,7 +633,7 @@ fn archive(d: &mut Decoder) -> Result<ArchiveSnapshot> {
 
 // ---- history, predicate cache, sample cache -----------------------------
 
-fn put_history(e: &mut Encoder, s: &[((TableId, ColGroup), Vec<HistEntry>)]) {
+fn put_history(e: &mut Encoder, s: &HistorySnapshot) {
     e.put_u32(s.len() as u32);
     for ((tid, g), entries) in s {
         e.put_u32(tid.0);
@@ -659,7 +650,7 @@ fn put_history(e: &mut Encoder, s: &[((TableId, ColGroup), Vec<HistEntry>)]) {
     }
 }
 
-fn history(d: &mut Decoder) -> Result<Vec<((TableId, ColGroup), Vec<HistEntry>)>> {
+fn history(d: &mut Decoder) -> Result<HistorySnapshot> {
     let n = d.u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
@@ -685,7 +676,7 @@ fn history(d: &mut Decoder) -> Result<Vec<((TableId, ColGroup), Vec<HistEntry>)>
     Ok(out)
 }
 
-fn put_predcache(e: &mut Encoder, (capacity, entries): &(usize, Vec<((TableId, String), CachedSelectivity)>)) {
+fn put_predcache(e: &mut Encoder, (capacity, entries): &PredicateCacheSnapshot) {
     e.put_u64(*capacity as u64);
     e.put_u32(entries.len() as u32);
     for ((tid, fp), v) in entries {
@@ -697,7 +688,7 @@ fn put_predcache(e: &mut Encoder, (capacity, entries): &(usize, Vec<((TableId, S
     }
 }
 
-fn predcache(d: &mut Decoder) -> Result<(usize, Vec<((TableId, String), CachedSelectivity)>)> {
+fn predcache(d: &mut Decoder) -> Result<PredicateCacheSnapshot> {
     let capacity = d.u64()? as usize;
     let n = d.u32()? as usize;
     let mut entries = Vec::with_capacity(n.min(1 << 16));
@@ -886,15 +877,13 @@ fn qerror(d: &mut Decoder) -> Result<Vec<(String, QErrorStat)>> {
 
 // ---- top level ----------------------------------------------------------
 
-/// Folds the full engine state into one checkpoint payload.
-pub(crate) fn encode_state(s: &StateRefs) -> Vec<u8> {
+/// Folds the full engine state, plus the deterministic metrics and q-error
+/// aggregates of `obs`, into one checkpoint payload.
+pub(crate) fn encode_state(s: &StateRefs, obs: &Observability) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u8(STATE_VERSION);
     e.put_u64(s.clock);
     e.put_u64(s.rng_state);
-    e.put_bool(s.batch_executor);
-    e.put_bool(s.data_skipping);
-    e.put_bool(s.profiling);
     put_setting(&mut e, s.setting);
     put_catalog(&mut e, s.catalog);
     e.put_u32(s.tables.len() as u32);
@@ -905,8 +894,8 @@ pub(crate) fn encode_state(s: &StateRefs) -> Vec<u8> {
     put_history(&mut e, &s.history.snapshot());
     put_predcache(&mut e, &s.predcache.snapshot());
     put_samplecache(&mut e, s.samplecache);
-    put_metrics(&mut e, &s.obs.registry.snapshot());
-    put_qerror(&mut e, &s.obs.qerror_stats());
+    put_metrics(&mut e, &obs.registry.snapshot());
+    put_qerror(&mut e, &obs.qerror_stats());
     e.into_bytes()
 }
 
@@ -923,9 +912,6 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Result<RestoredState> {
     }
     let clock = d.u64()?;
     let rng = SplitMix64::from_state(d.u64()?);
-    let batch_executor = d.bool()?;
-    let data_skipping = d.bool()?;
-    let profiling = d.bool()?;
     let setting = setting(&mut d)?;
     let catalog = catalog(&mut d)?;
     let ntables = d.u32()? as usize;
@@ -948,18 +934,17 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Result<RestoredState> {
         )));
     }
     Ok(RestoredState {
-        clock,
-        rng,
-        batch_executor,
-        data_skipping,
-        profiling,
-        setting,
-        catalog,
-        tables,
-        archive,
-        history,
-        predcache,
-        samplecache,
+        state: EngineState {
+            catalog,
+            tables,
+            archive,
+            history,
+            predcache,
+            samplecache,
+            setting,
+            clock,
+            rng,
+        },
         metrics,
         qerror,
     })
@@ -971,22 +956,7 @@ mod tests {
     use jits_common::{DataType, Schema};
 
     fn seeded_refs_roundtrip(db: &crate::Database) -> RestoredState {
-        let bytes = encode_state(&StateRefs {
-            clock: db.clock(),
-            rng_state: db.rng_state_for_test(),
-            batch_executor: db.batch_executor(),
-            data_skipping: db.data_skipping(),
-            profiling: db.profiling(),
-            setting: db.setting(),
-            catalog: db.catalog(),
-            tables: db.tables(),
-            archive: db.archive(),
-            history: db.history(),
-            predcache: db.predcache_for_test(),
-            samplecache: db.sample_cache(),
-            obs: db.obs(),
-        });
-        decode_state(&bytes).unwrap()
+        decode_state(&encode_state(&db.state().refs(), db.obs())).unwrap()
     }
 
     #[test]
@@ -1017,7 +987,11 @@ mod tests {
         }
         db.execute("DELETE FROM t WHERE id = 5").unwrap();
 
-        let restored = seeded_refs_roundtrip(&db);
+        let RestoredState {
+            state: restored,
+            metrics,
+            qerror,
+        } = seeded_refs_roundtrip(&db);
         assert_eq!(restored.clock, db.clock());
         assert_eq!(restored.rng.state(), db.rng_state_for_test());
         assert_eq!(restored.tables.len(), 1);
@@ -1032,7 +1006,7 @@ mod tests {
             restored.samplecache.counters(),
             db.sample_cache().counters()
         );
-        assert_eq!(restored.qerror, db.obs().qerror_stats());
+        assert_eq!(qerror, db.obs().qerror_stats());
         let det: Vec<_> = db
             .obs()
             .registry
@@ -1044,7 +1018,7 @@ mod tests {
                 ..s
             })
             .collect();
-        assert_eq!(restored.metrics, det);
+        assert_eq!(metrics, det);
     }
 
     #[test]
@@ -1070,21 +1044,7 @@ mod tests {
     #[test]
     fn truncated_payload_is_a_typed_recovery_error() {
         let db = crate::Database::new(1);
-        let bytes = encode_state(&StateRefs {
-            clock: 0,
-            rng_state: 1,
-            batch_executor: true,
-            data_skipping: true,
-            profiling: true,
-            setting: db.setting(),
-            catalog: db.catalog(),
-            tables: db.tables(),
-            archive: db.archive(),
-            history: db.history(),
-            predcache: db.predcache_for_test(),
-            samplecache: db.sample_cache(),
-            obs: db.obs(),
-        });
+        let bytes = encode_state(&db.state().refs(), db.obs());
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             match decode_state(&bytes[..cut]) {
                 Err(JitsError::Recovery(_)) => {}
@@ -1095,9 +1055,21 @@ mod tests {
         // trailing garbage is corruption too
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(matches!(
-            decode_state(&padded),
-            Err(JitsError::Recovery(_))
-        ));
+        assert!(matches!(decode_state(&padded), Err(JitsError::Recovery(_))));
+    }
+
+    /// A version-1 segment (which carried three engine flags after the RNG
+    /// state) is refused with a typed error, never decoded as version 2.
+    #[test]
+    fn version_one_segment_is_a_typed_recovery_error() {
+        let db = crate::Database::new(1);
+        let mut bytes = encode_state(&db.state().refs(), db.obs());
+        bytes[0] = 1;
+        bytes.splice(17..17, [1, 1, 1]);
+        match decode_state(&bytes) {
+            Err(JitsError::Recovery(m)) => assert!(m.contains("version 1"), "{m}"),
+            Err(other) => panic!("expected Recovery error, got {other:?}"),
+            Ok(_) => panic!("expected Recovery error, got Ok"),
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! into a [`QueryProfile`]: one row per operator carrying estimated vs.
 //! actual cardinality, q-error, charged work, and inclusive wall time.
 //! (UPDATE and DELETE build their one-node profile in [`crate::dml`].)
-//! The deterministic fields (kind, table, rows, q-error, work) are
-//! bit-identical between the row and batch executors and across
+//! The deterministic fields (kind, table, rows, q-error, work) equal the
+//! row reference executor's observations bit for bit and do not depend on
 //! `collect_threads`; only `wall_nanos` is volatile, and every dump path
 //! can mask it.
 //!
@@ -32,8 +32,6 @@ pub(crate) struct ProfileContext<'a> {
     pub session: u64,
     /// Statement text.
     pub sql: &'a str,
-    /// Whether the batch executor evaluated the statement.
-    pub batch_executor: bool,
     /// Result rows returned.
     pub result_rows: usize,
     /// Whether any pipeline stage degraded for this statement.
@@ -67,7 +65,7 @@ pub(crate) fn build_profile(
         clock: ctx.clock,
         session: ctx.session,
         sql: ctx.sql.to_string(),
-        executor: if ctx.batch_executor { "batch" } else { "row" }.to_string(),
+        executor: "batch".to_string(),
         result_rows: ctx.result_rows,
         total_work: stats.work,
         max_q_error,

@@ -29,7 +29,7 @@
 
 use crate::exec::{
     accumulate, finish_groups, index_interval, matches_preds, position_in, record_scan, scan_preds,
-    table_of, AggAcc, ExecOptions, ExecOutput,
+    table_of, AggAcc, ExecOutput,
 };
 use crate::locate::{filter_rows, probe_index, surviving_rows, zone_constraints};
 use crate::monitor::{ExecStats, NodeKind, NodeObservation};
@@ -85,10 +85,9 @@ pub(crate) fn execute_batch(
     block: &QueryBlock,
     tables: &[Table],
     cost: &CostModel,
-    opts: ExecOptions,
 ) -> Result<ExecOutput> {
     let mut stats = ExecStats::default();
-    let mut batch = run_batch(plan, block, tables, cost, opts, &mut stats)?;
+    let mut batch = run_batch(plan, block, tables, cost, &mut stats)?;
     if let Some((qun, col, desc)) = block.order_by {
         let table = table_of(tables, block, qun)?;
         let fc = table.gather_column(col, batch.sel_of(qun)?);
@@ -130,12 +129,11 @@ fn run_batch(
     block: &QueryBlock,
     tables: &[Table],
     cost: &CostModel,
-    opts: ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<ColumnBatch> {
     #[cfg(debug_assertions)]
     let (work_before, nodes_before) = (stats.work, stats.nodes.len());
-    let batch = run_operator(plan, block, tables, cost, opts, stats)?;
+    let batch = run_operator(plan, block, tables, cost, stats)?;
     #[cfg(debug_assertions)]
     debug_validate_batch(plan, &batch, stats, work_before, nodes_before);
     Ok(batch)
@@ -267,7 +265,6 @@ fn run_operator(
     block: &QueryBlock,
     tables: &[Table],
     cost: &CostModel,
-    opts: ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<ColumnBatch> {
     // inclusive wall per node, mirroring the row path's capture points;
@@ -302,17 +299,12 @@ fn run_operator(
                 "optimizer block-size assumption diverged from storage"
             );
             let table = table_of(tables, block, scan.qun)?;
-            // same skip list, work formula, and row order as the row path
-            // (and as the off-mode full scan — pruning is sound, so the
-            // surviving blocks contain every matching row)
+            // same skip list, work formula, and row order as the row path,
+            // which reads every block — pruning is sound, so the surviving
+            // blocks contain every matching row
             let preds = scan_preds(block, &scan.pred_indices);
             let skip = table.skip_list(&zone_constraints(preds.clone()));
-            let rows: Vec<RowId> = if opts.data_skipping {
-                surviving_rows(table, &skip)
-            } else {
-                table.scan().collect()
-            };
-            let sel = filter_rows(table, rows, preds);
+            let sel = filter_rows(table, surviving_rows(table, &skip), preds);
             let work = cost.pruned_scan(
                 skip.blocks_total as f64,
                 skip.surviving_rows as f64,
@@ -377,8 +369,8 @@ fn run_operator(
             keys,
             est,
         } => {
-            let build_batch = run_batch(build, block, tables, cost, opts, stats)?;
-            let probe_batch = run_batch(probe, block, tables, cost, opts, stats)?;
+            let build_batch = run_batch(build, block, tables, cost, stats)?;
+            let probe_batch = run_batch(probe, block, tables, cost, stats)?;
             if keys.is_empty() {
                 return Err(JitsError::Execution("hash join without keys".into()));
             }
@@ -425,7 +417,7 @@ fn run_operator(
             keys,
             est,
         } => {
-            let outer_batch = run_batch(outer, block, tables, cost, opts, stats)?;
+            let outer_batch = run_batch(outer, block, tables, cost, stats)?;
             let inner_table = table_of(tables, block, inner.qun)?;
             let index = inner_table.index(*index_column).ok_or_else(|| {
                 JitsError::Execution(format!(
@@ -512,8 +504,8 @@ fn run_operator(
             keys,
             est,
         } => {
-            let outer_batch = run_batch(outer, block, tables, cost, opts, stats)?;
-            let inner_batch = run_batch(inner, block, tables, cost, opts, stats)?;
+            let outer_batch = run_batch(outer, block, tables, cost, stats)?;
+            let inner_batch = run_batch(inner, block, tables, cost, stats)?;
             let outer_cols = gather_keys(&outer_batch, block, tables, keys.iter().map(|(o, _)| o))?;
             let inner_cols = gather_keys(&inner_batch, block, tables, keys.iter().map(|(_, i)| i))?;
             let mut pairs: Vec<(usize, usize)> = Vec::new();

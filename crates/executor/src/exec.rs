@@ -21,31 +21,16 @@ pub struct ExecOutput {
 ///
 /// Both produce bit-identical results, work charges, and observations; the
 /// batch executor replaces per-row `Value` materialization with columnar
-/// gathers and selection vectors (see [`crate::batch`]).
+/// gathers and selection vectors (see [`crate::batch`]). The engine always
+/// runs the batch executor; the row executor is the reference the
+/// differential test suites compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
-    /// Row-at-a-time volcano evaluation over row-id tuples.
+    /// Row-at-a-time volcano evaluation over row-id tuples. Pruned scans
+    /// read every block, so it also checks that skipping is sound.
     Row,
     /// Vectorized evaluation over gathered columns and selection vectors.
     Batch,
-}
-
-/// Per-execution options shared by both executors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Whether pruned scans physically skip zone-map-pruned blocks. The
-    /// skip list is computed and work is charged from it either way, so
-    /// rows, work, and observations are bit-identical on and off; the knob
-    /// only changes wall-clock time.
-    pub data_skipping: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            data_skipping: true,
-        }
-    }
 }
 
 /// A batch of intermediate tuples: `quns[i]` names the quantifier whose row
@@ -90,21 +75,9 @@ pub fn execute_with(
     tables: &[Table],
     cost: &CostModel,
 ) -> Result<ExecOutput> {
-    execute_with_opts(kind, plan, block, tables, cost, ExecOptions::default())
-}
-
-/// [`execute_with`] with explicit [`ExecOptions`].
-pub fn execute_with_opts(
-    kind: ExecutorKind,
-    plan: &PhysicalPlan,
-    block: &QueryBlock,
-    tables: &[Table],
-    cost: &CostModel,
-    opts: ExecOptions,
-) -> Result<ExecOutput> {
     match kind {
-        ExecutorKind::Row => execute_row(plan, block, tables, cost, opts),
-        ExecutorKind::Batch => crate::batch::execute_batch(plan, block, tables, cost, opts),
+        ExecutorKind::Row => execute_row(plan, block, tables, cost),
+        ExecutorKind::Batch => crate::batch::execute_batch(plan, block, tables, cost),
     }
 }
 
@@ -113,10 +86,9 @@ fn execute_row(
     block: &QueryBlock,
     tables: &[Table],
     cost: &CostModel,
-    opts: ExecOptions,
 ) -> Result<ExecOutput> {
     let mut stats = ExecStats::default();
-    let mut batch = run(plan, block, tables, cost, opts, &mut stats)?;
+    let mut batch = run(plan, block, tables, cost, &mut stats)?;
     if let Some((qun, col, desc)) = block.order_by {
         let pos = batch.position_of(qun)?;
         let table = table_of(tables, block, qun)?;
@@ -168,7 +140,6 @@ fn run(
     block: &QueryBlock,
     tables: &[Table],
     cost: &CostModel,
-    opts: ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<Batch> {
     // inclusive wall per node (children recurse within the arm, so a join's
@@ -207,26 +178,16 @@ fn run(
                 "optimizer block-size assumption diverged from storage"
             );
             let table = table_of(tables, block, scan.qun)?;
-            // the skip list is computed in both modes: pruning is sound
-            // (pruned blocks hold no matching rows), so the off-mode full
-            // scan yields the same rows in the same ascending order, and
-            // charging work from the skip list keeps the stats identical
+            // the reference reads every block: pruning is sound (pruned
+            // blocks hold no matching rows) exactly when this full scan
+            // yields the batch executor's rows, and charging work from the
+            // skip list keeps the stats identical
             let constraints = zone_constraints(scan_preds(block, &scan.pred_indices));
             let skip = table.skip_list(&constraints);
             let mut tuples = Vec::new();
-            if opts.data_skipping {
-                for &b in &skip.survivors {
-                    for row in table.block_rows(b as usize) {
-                        if matches_preds(table, row, block, &scan.pred_indices) {
-                            tuples.push(vec![row]);
-                        }
-                    }
-                }
-            } else {
-                for row in table.scan() {
-                    if matches_preds(table, row, block, &scan.pred_indices) {
-                        tuples.push(vec![row]);
-                    }
+            for row in table.scan() {
+                if matches_preds(table, row, block, &scan.pred_indices) {
+                    tuples.push(vec![row]);
                 }
             }
             let work = cost.pruned_scan(
@@ -308,8 +269,8 @@ fn run(
             keys,
             est,
         } => {
-            let build_batch = run(build, block, tables, cost, opts, stats)?;
-            let probe_batch = run(probe, block, tables, cost, opts, stats)?;
+            let build_batch = run(build, block, tables, cost, stats)?;
+            let probe_batch = run(probe, block, tables, cost, stats)?;
             if keys.is_empty() {
                 return Err(JitsError::Execution("hash join without keys".into()));
             }
@@ -388,7 +349,7 @@ fn run(
             keys,
             est,
         } => {
-            let outer_batch = run(outer, block, tables, cost, opts, stats)?;
+            let outer_batch = run(outer, block, tables, cost, stats)?;
             let inner_table = table_of(tables, block, inner.qun)?;
             let index = inner_table.index(*index_column).ok_or_else(|| {
                 JitsError::Execution(format!(
@@ -479,8 +440,8 @@ fn run(
             keys,
             est,
         } => {
-            let outer_batch = run(outer, block, tables, cost, opts, stats)?;
-            let inner_batch = run(inner, block, tables, cost, opts, stats)?;
+            let outer_batch = run(outer, block, tables, cost, stats)?;
+            let inner_batch = run(inner, block, tables, cost, stats)?;
             let key_positions: Vec<((usize, ColumnId), (usize, ColumnId))> = keys
                 .iter()
                 .map(|((oq, oc), (iq, ic))| {

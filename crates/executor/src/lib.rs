@@ -25,6 +25,6 @@ pub mod exec;
 pub mod locate;
 pub mod monitor;
 
-pub use exec::{execute, execute_with, execute_with_opts, ExecOptions, ExecOutput, ExecutorKind};
+pub use exec::{execute, execute_with, ExecOutput, ExecutorKind};
 pub use locate::{locate_rows, Located};
 pub use monitor::{ExecStats, NodeKind, NodeObservation, ScanObservation};

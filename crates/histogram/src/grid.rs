@@ -49,13 +49,17 @@ pub struct GridSnapshot {
     pub stamps: Vec<u64>,
     /// Total rows represented.
     pub total: f64,
-    /// Retained constraints, FIFO order: (region ranges, count, stamp).
-    pub constraints: Vec<(Vec<(f64, f64)>, f64, u64)>,
+    /// Retained constraints, FIFO order.
+    pub constraints: Vec<ConstraintSnapshot>,
     /// LRU stamp of the histogram itself.
     pub last_used: u64,
     /// Size caps in force.
     pub limits: GridLimits,
 }
+
+/// One retained constraint of a [`GridSnapshot`]: (region ranges, count,
+/// stamp).
+pub type ConstraintSnapshot = (Vec<(f64, f64)>, f64, u64);
 
 /// An adaptive N-dimensional histogram.
 ///

@@ -33,6 +33,6 @@ pub mod region;
 
 pub use accuracy::{boundary_accuracy, region_accuracy};
 pub use equidepth::EquiDepth;
-pub use grid::{GridHistogram, GridLimits, GridSnapshot};
+pub use grid::{ConstraintSnapshot, GridHistogram, GridLimits, GridSnapshot};
 pub use maxent::{Constraint, FitResult, IpfOptions};
 pub use region::Region;

@@ -55,6 +55,10 @@ impl HistEntry {
     }
 }
 
+/// A [`StatHistory::snapshot`]: every entry list, keyed by table and
+/// column group.
+pub type HistorySnapshot = Vec<((TableId, ColGroup), Vec<HistEntry>)>;
+
 /// The statistics-collection history.
 ///
 /// Keyed by `BTreeMap`: [`StatHistory::entries_using`] iterates the whole
@@ -159,7 +163,7 @@ impl StatHistory {
     /// its entry vector in stored order. Entry order matters — the
     /// per-key-cap eviction `swap_remove`s, so order is history the
     /// sensitivity scores iterate over.
-    pub fn snapshot(&self) -> Vec<((TableId, ColGroup), Vec<HistEntry>)> {
+    pub fn snapshot(&self) -> HistorySnapshot {
         self.entries
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
@@ -168,7 +172,7 @@ impl StatHistory {
 
     /// Rebuilds a history from a [`StatHistory::snapshot`], field for
     /// field.
-    pub fn from_snapshot(s: Vec<((TableId, ColGroup), Vec<HistEntry>)>) -> StatHistory {
+    pub fn from_snapshot(s: HistorySnapshot) -> StatHistory {
         StatHistory {
             entries: s.into_iter().collect(),
         }

@@ -41,6 +41,7 @@ pub mod epsilon;
 pub mod feedback;
 pub mod gate;
 pub mod history;
+pub mod materialize;
 pub mod migrate;
 pub mod predcache;
 pub mod provider;
@@ -56,9 +57,12 @@ pub use collect::{
 pub use config::{AggregateFn, JitsConfig, SensitivityStrategy};
 pub use epsilon::{epsilon_sensitivity, EpsilonConfig, EpsilonOutcome};
 pub use feedback::ingest;
-pub use history::{HistEntry, StatHistory};
-pub use predcache::{fingerprint, CachedSelectivity, PredicateCache};
-pub use provider::JitsStatisticsProvider;
+pub use history::{HistEntry, HistorySnapshot, StatHistory};
+pub use materialize::{
+    commit_drawn_samples, materialize_group, resolve_sample_sources, MaterializeOutcome,
+};
+pub use predcache::{fingerprint, CachedSelectivity, PredicateCache, PredicateCacheSnapshot};
+pub use provider::{JitsStatisticsProvider, PhysicalMetadataProvider};
 pub use sensitivity::{
     sensitivity_analysis, sensitivity_analysis_with_feedback, MaterializeDecision,
     MaterializeReason, SensitivityDecision, TableScore,

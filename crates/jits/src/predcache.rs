@@ -23,6 +23,9 @@ pub struct CachedSelectivity {
     pub last_used: u64,
 }
 
+/// A [`PredicateCache::snapshot`]: capacity plus every entry in key order.
+pub type PredicateCacheSnapshot = (usize, Vec<((TableId, String), CachedSelectivity)>);
+
 /// LRU cache of measured selectivities for non-region predicate groups.
 ///
 /// Keyed by `BTreeMap` so eviction scans visit entries in a deterministic
@@ -121,7 +124,7 @@ impl PredicateCache {
     /// Raw state dump for checkpointing: capacity plus every entry in key
     /// order, LRU stamps included (eviction decisions after recovery must
     /// match the never-crashed run).
-    pub fn snapshot(&self) -> (usize, Vec<((TableId, String), CachedSelectivity)>) {
+    pub fn snapshot(&self) -> PredicateCacheSnapshot {
         (
             self.capacity,
             self.entries
@@ -133,9 +136,7 @@ impl PredicateCache {
 
     /// Rebuilds a cache from a [`PredicateCache::snapshot`], field for
     /// field.
-    pub fn from_snapshot(
-        (capacity, entries): (usize, Vec<((TableId, String), CachedSelectivity)>),
-    ) -> PredicateCache {
+    pub fn from_snapshot((capacity, entries): PredicateCacheSnapshot) -> PredicateCache {
         PredicateCache {
             entries: entries.into_iter().collect(),
             capacity: capacity.max(1),

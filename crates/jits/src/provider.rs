@@ -247,6 +247,37 @@ impl StatisticsProvider for JitsStatisticsProvider<'_> {
     }
 }
 
+/// The "no statistics" provider a real DBMS actually has: nothing from any
+/// statistics subsystem, but table cardinalities still come from physical
+/// storage metadata (DB2 derives a default CARD from the table's page
+/// count even before any RUNSTATS). Selectivities all fall to textbook
+/// defaults.
+pub struct PhysicalMetadataProvider<'a> {
+    /// Storage tables, indexed by `TableId`.
+    pub tables: &'a [Table],
+}
+
+impl StatisticsProvider for PhysicalMetadataProvider<'_> {
+    fn table_cardinality(&self, table: TableId) -> Option<f64> {
+        self.tables.get(table.index()).map(|t| t.row_count() as f64)
+    }
+
+    fn group_selectivity(
+        &self,
+        _block: &QueryBlock,
+        _qun: usize,
+        _pred_indices: &[usize],
+    ) -> Option<SelEstimate> {
+        None
+    }
+
+    fn distinct(&self, table: TableId, column: ColumnId) -> Option<f64> {
+        // index metadata (key cardinality) is also physical, not statistical
+        let idx = self.tables.get(table.index())?.index(column)?;
+        Some(idx.distinct_keys() as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,4 +46,11 @@ impl Db {
         self.wal_append(&WalRecord::RunstatsAll)?;
         self.collect_general()
     }
+
+    /// Ticks a store's clock before the record exists.
+    fn migrate_statistics(&mut self) -> usize {
+        let clock = self.store.tick();
+        wal_append(&self.env, &mut self.store, &WalRecord::MigrateStats);
+        self.migrate_into(clock)
+    }
 }

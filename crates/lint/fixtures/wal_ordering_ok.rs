@@ -53,4 +53,17 @@ impl Db {
         self.clock += 1;
         self.collect_general()
     }
+
+    /// A front-end delegating to the shared pipeline: the callee is a
+    /// durable entry point held to the same rule.
+    fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
+        pipeline::create_index(&self.env, &mut self.store, table, column)
+    }
+
+    /// A store's clock tick after the record is durable.
+    fn migrate_statistics(&mut self) -> usize {
+        wal_append(&self.env, &mut self.store, &WalRecord::MigrateStats);
+        let clock = self.store.tick();
+        self.migrate_into(clock)
+    }
 }

@@ -13,13 +13,16 @@
 //!   mutator surface. A new durable mutator must be added to the list when
 //!   it is introduced (the DESIGN §14 checklist), and is then held to the
 //!   same contract forever.
-//! - **append markers**: a call to `wal_append(` / `wal_append_lossy(` /
-//!   `set_flag_logged(`, or `append(` / `append_lossy(` / `checkpoint(`
-//!   invoked on a receiver whose name contains `wal`.
+//! - **append markers**: a call to `wal_append(` / `wal_append_lossy(`, or
+//!   `append(` / `append_lossy(` / `checkpoint(` invoked on a receiver whose
+//!   name contains `wal`. A front-end that delegates to a durable entry
+//!   point by path (`pipeline::execute(…)`) inherits that function's
+//!   contract, so the delegating call counts as its append: the callee is in
+//!   scope and held to the rule itself.
 //! - **mutation markers**: method calls that change durable components
 //!   (`create`, `add_index`, `set_primary_key`, `insert`, `reset_udi`,
 //!   `clear`, `migrate`, `push`), and logical-clock bumps (`clock += …`,
-//!   `clock.fetch_add(`). Guard *acquisition* (`timed_write(`) is not a
+//!   `clock.fetch_add(`, a store's `tick(`). Guard *acquisition* (`timed_write(`) is not a
 //!   mutation: shared-mode entry points deliberately take their write
 //!   guards first and append under them, so log order matches mutation
 //!   order.
@@ -53,7 +56,7 @@ pub const DURABLE_FNS: &[&str] = &[
 ];
 
 /// Calls that put (or schedule) a record in the write-ahead log.
-const APPEND_FNS: &[&str] = &["wal_append", "wal_append_lossy", "set_flag_logged"];
+const APPEND_FNS: &[&str] = &["wal_append", "wal_append_lossy"];
 
 /// Calls that append when invoked on a WAL receiver (`wal.append(…)`).
 const APPEND_METHODS_ON_WAL: &[&str] = &["append", "append_lossy", "checkpoint"];
@@ -68,6 +71,7 @@ const MUTATION_CALLS: &[&str] = &[
     "clear",
     "migrate",
     "push",
+    "tick",
 ];
 
 /// Runs the pass. `scope` limits which files are *reported on* (repo mode:
@@ -142,6 +146,9 @@ fn first_append_tok(ws: &Workspace, fi: usize, open: usize, close: usize) -> Opt
         .find(|c| {
             if APPEND_FNS.contains(&c.name.as_str()) {
                 return true;
+            }
+            if DURABLE_FNS.contains(&c.name.as_str()) && matches!(c.kind, CallKind::Path(_)) {
+                return true; // delegation to a durable entry point
             }
             if APPEND_METHODS_ON_WAL.contains(&c.name.as_str()) {
                 if let CallKind::Method(Some(recv)) = &c.kind {

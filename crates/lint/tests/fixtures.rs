@@ -383,8 +383,9 @@ fn wal_ordering_fixture_is_flagged() {
         .filter(|v| v.rule == wal_ordering::RULE)
         .collect();
     // mutate-then-log DDL, mutate-then-log bulk load, a statement path
-    // that never logs, and a clock bump ahead of its record
-    assert_eq!(wo.len(), 4, "expected 4 wal-ordering findings: {wo:#?}");
+    // that never logs, and a clock bump and a store tick ahead of their
+    // records
+    assert_eq!(wo.len(), 5, "expected 5 wal-ordering findings: {wo:#?}");
     assert!(
         wo.iter()
             .any(|v| v.message.contains("`create_table`") && v.message.contains("before")),
@@ -397,6 +398,11 @@ fn wal_ordering_fixture_is_flagged() {
     );
     assert!(
         wo.iter().any(|v| v.message.contains("`runstats_all`")),
+        "{wo:#?}"
+    );
+    assert!(
+        wo.iter()
+            .any(|v| v.message.contains("`migrate_statistics`") && v.message.contains("`tick`")),
         "{wo:#?}"
     );
     assert!(report.failed(false));

@@ -28,6 +28,8 @@ pub use index::{HashIndex, SecondaryIndex};
 pub use row::{Row, RowId};
 pub use sample::{sample_rows_budgeted, BudgetedDraw, SampleSpec};
 pub use samplecache::{sample_staleness, CacheCounters, CacheLookup, CachedSample, SampleCache};
-pub use table::{Table, TableSnapshot};
+pub use table::{IndexEntries, Table, TableSnapshot};
 pub use udi::UdiCounter;
-pub use zonemap::{block_of, BlockSkipList, ColumnZone, ZoneMaps, ZoneSnapshot, BLOCK_SIZE};
+pub use zonemap::{
+    block_of, BlockSkipList, ColumnZone, ZoneBounds, ZoneMaps, ZoneSnapshot, BLOCK_SIZE,
+};

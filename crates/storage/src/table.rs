@@ -31,10 +31,13 @@ pub struct TableSnapshot {
     /// Indexed columns with their B-tree entries in
     /// [`SecondaryIndex::entries_in_order`] order; both index kinds are
     /// rebuilt from the same entries.
-    pub indexes: Vec<(ColumnId, Vec<(Value, Vec<RowId>)>)>,
+    pub indexes: Vec<(ColumnId, IndexEntries)>,
     /// Per-block zone-map state.
     pub zones: ZoneSnapshot,
 }
+
+/// One index of a [`TableSnapshot`]: each key with its posting list.
+pub type IndexEntries = Vec<(Value, Vec<RowId>)>;
 
 /// An in-memory table.
 ///
@@ -680,8 +683,12 @@ mod tests {
         }
         // per-key index row order survives (swap_remove left [4, 0])
         assert_eq!(
-            r.index(ColumnId(1)).unwrap().lookup_eq(&Value::str("Toyota")),
-            t.index(ColumnId(1)).unwrap().lookup_eq(&Value::str("Toyota")),
+            r.index(ColumnId(1))
+                .unwrap()
+                .lookup_eq(&Value::str("Toyota")),
+            t.index(ColumnId(1))
+                .unwrap()
+                .lookup_eq(&Value::str("Toyota")),
         );
         assert_eq!(
             r.hash_index(ColumnId(1))

@@ -155,10 +155,12 @@ impl BlockSkipList {
 pub struct ZoneSnapshot {
     /// Column count of the owning table.
     pub ncols: usize,
-    /// Per block: exact live-row count, then per column
-    /// `(min, max, null_count)`.
-    pub blocks: Vec<(u32, Vec<(Option<Value>, Option<Value>, u32)>)>,
+    /// Per block: exact live-row count, then per column zone.
+    pub blocks: Vec<(u32, Vec<ZoneBounds>)>,
 }
+
+/// One column's zone in a [`ZoneSnapshot`]: `(min, max, null_count)`.
+pub type ZoneBounds = (Option<Value>, Option<Value>, u32);
 
 impl ZoneMaps {
     /// Empty zone maps for a table of `ncols` columns.

@@ -201,7 +201,9 @@ impl<'a> Decoder<'a> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(JitsError::Recovery(format!("decode: bad bool byte {other}"))),
+            other => Err(JitsError::Recovery(format!(
+                "decode: bad bool byte {other}"
+            ))),
         }
     }
 

@@ -48,8 +48,7 @@
 
 use crate::record::WalRecord;
 use jits_common::fault::{
-    FaultPlane, FP_WAL_AFTER_APPEND, FP_WAL_BEFORE_APPEND, FP_WAL_MID_CHECKPOINT,
-    FP_WAL_TORN_TAIL,
+    FaultPlane, FP_WAL_AFTER_APPEND, FP_WAL_BEFORE_APPEND, FP_WAL_MID_CHECKPOINT, FP_WAL_TORN_TAIL,
 };
 use jits_common::{JitsError, Result};
 use std::fs::{self, File, OpenOptions};
@@ -182,7 +181,8 @@ impl Wal {
             // A prefix cut inside the magic itself: an empty log.
             torn_bytes = bytes.len() as u64;
             keep = 0;
-            file.set_len(0).map_err(|e| io_err("truncate torn magic", e))?;
+            file.set_len(0)
+                .map_err(|e| io_err("truncate torn magic", e))?;
             file.seek(SeekFrom::Start(0))
                 .map_err(|e| io_err("seek wal.log", e))?;
             file.write_all(WAL_MAGIC)
@@ -236,7 +236,8 @@ impl Wal {
             if torn_bytes > 0 {
                 file.set_len(keep as u64)
                     .map_err(|e| io_err("truncate torn tail", e))?;
-                file.sync_data().map_err(|e| io_err("fsync truncation", e))?;
+                file.sync_data()
+                    .map_err(|e| io_err("fsync truncation", e))?;
             }
             last_lsn = last_lsn.max(ckpt_lsn);
             let wal = Wal {
@@ -495,7 +496,9 @@ fn read_segment(path: &Path, expect_lsn: u64) -> Result<Vec<u8>> {
     let len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes")) as usize;
     pos += 8;
     if lsn != expect_lsn || bytes.len() - pos != len {
-        return Err(JitsError::Recovery("ckpt segment: bad lsn or length".into()));
+        return Err(JitsError::Recovery(
+            "ckpt segment: bad lsn or length".into(),
+        ));
     }
     let mut covered = Vec::with_capacity(8 + len);
     covered.extend_from_slice(&lsn.to_le_bytes());

@@ -4,7 +4,7 @@
 //! operation, not the page deltas, and recovery re-executes it through the
 //! normal engine paths. That is only sound because the engine is
 //! deterministic given its restored substrate (logical clock, RNG stream,
-//! statistics setting, flags) — which the checkpoint carries and the
+//! statistics setting) — which the checkpoint carries and the
 //! record set below completes. Two consequences worth stating:
 //!
 //! * **SELECT and EXPLAIN are logged.** In this engine a read is a write:
@@ -90,16 +90,6 @@ pub enum WalRecord {
         /// Engine-encoded setting bytes.
         payload: Vec<u8>,
     },
-    /// An engine flag flip (`profiling`, `batch_executor`,
-    /// `data_skipping`) — all three are decision-bearing (profiling feeds
-    /// q-error feedback; the executor flags pick code paths that tick
-    /// different observability counters).
-    SetFlag {
-        /// Flag name.
-        name: String,
-        /// New value.
-        on: bool,
-    },
 }
 
 impl WalRecord {
@@ -118,7 +108,6 @@ impl WalRecord {
             WalRecord::MigrateStats => "migrate_stats",
             WalRecord::ClearStats => "clear_stats",
             WalRecord::SetSetting { .. } => "set_setting",
-            WalRecord::SetFlag { .. } => "set_flag",
         }
     }
 
@@ -175,11 +164,6 @@ impl WalRecord {
                 e.put_u8(12);
                 e.put_bytes(payload);
             }
-            WalRecord::SetFlag { name, on } => {
-                e.put_u8(13);
-                e.put_str(name);
-                e.put_bool(*on);
-            }
         }
         e.into_bytes()
     }
@@ -225,10 +209,6 @@ impl WalRecord {
             11 => WalRecord::ClearStats,
             12 => WalRecord::SetSetting {
                 payload: d.bytes()?,
-            },
-            13 => WalRecord::SetFlag {
-                name: d.str()?,
-                on: d.bool()?,
             },
             t => {
                 return Err(JitsError::Recovery(format!(
@@ -283,10 +263,6 @@ mod tests {
             WalRecord::SetSetting {
                 payload: vec![9, 8, 7],
             },
-            WalRecord::SetFlag {
-                name: "profiling".into(),
-                on: true,
-            },
         ]
     }
 
@@ -313,6 +289,20 @@ mod tests {
         ));
         assert!(matches!(
             WalRecord::decode(&[]),
+            Err(JitsError::Recovery(_))
+        ));
+    }
+
+    /// Tag 13 carried engine flag flips, which no longer exist: a log that
+    /// still holds one is refused, never replayed.
+    #[test]
+    fn retired_flag_record_is_a_recovery_error() {
+        let mut bytes = vec![13];
+        bytes.extend_from_slice(&9u32.to_le_bytes());
+        bytes.extend_from_slice(b"profiling");
+        bytes.push(1);
+        assert!(matches!(
+            WalRecord::decode(&bytes),
             Err(JitsError::Recovery(_))
         ));
     }

@@ -4,9 +4,10 @@
 //! replay bit-identically regardless of collection parallelism.
 
 use jits::JitsConfig;
+use jits::QssArchive;
 use jits_common::fault::FAULT_POINTS;
-use jits_common::{FaultPlane, Value};
-use jits_engine::StatsSetting;
+use jits_common::{ColGroup, FaultPlane, Value};
+use jits_engine::{Database, QueryResult, Session, SharedDatabase, StatsSetting};
 use jits_workload::{
     generate_workload, prepare, setup_database, DataGenConfig, Setting, WorkloadSpec,
 };
@@ -249,9 +250,8 @@ fn tight_budget_degrades_but_completes_the_workload() {
 /// the rebuild happens at a later statement clock — are excluded. Literal
 /// byte-identity of a rebuild at the *same* stamp is covered by the
 /// archive's own unit tests.
-fn archive_stats(db: &jits_engine::Database) -> Vec<String> {
-    let mut stats: Vec<String> = db
-        .archive()
+fn archive_stats(archive: &QssArchive) -> Vec<String> {
+    let mut stats: Vec<String> = archive
         .iter()
         .map(|(g, h)| {
             format!(
@@ -266,25 +266,57 @@ fn archive_stats(db: &jits_engine::Database) -> Vec<String> {
     stats
 }
 
-#[test]
-fn quarantine_and_rebuild_round_trip_restores_archive_stats() {
-    let (dg, _) = tiny(1);
-    let mut db = setup_database(&dg).unwrap();
-    db.set_setting(StatsSetting::Jits(JitsConfig {
-        s_max: 0.0,
-        ..JitsConfig::default()
-    }));
+/// The quarantine round trip needs statements, the fault plane, the archive
+/// and the flight ring: the same on both stores.
+trait Front {
+    fn exec(&mut self, sql: &str) -> QueryResult;
+    fn plane(&mut self, plane: FaultPlane);
+    fn archive<R>(&self, f: impl FnOnce(&QssArchive) -> R) -> R;
+    fn flight(&self) -> String;
+}
+
+impl Front for Database {
+    fn exec(&mut self, sql: &str) -> QueryResult {
+        self.execute(sql).unwrap()
+    }
+    fn plane(&mut self, plane: FaultPlane) {
+        self.set_fault_plane(plane)
+    }
+    fn archive<R>(&self, f: impl FnOnce(&QssArchive) -> R) -> R {
+        f(Database::archive(self))
+    }
+    fn flight(&self) -> String {
+        self.obs().flight.to_json(true)
+    }
+}
+
+impl Front for (SharedDatabase, Session) {
+    fn exec(&mut self, sql: &str) -> QueryResult {
+        self.1.execute(sql).unwrap()
+    }
+    fn plane(&mut self, plane: FaultPlane) {
+        self.0.set_fault_plane(plane)
+    }
+    fn archive<R>(&self, f: impl FnOnce(&QssArchive) -> R) -> R {
+        self.0.with_archive(f)
+    }
+    fn flight(&self) -> String {
+        self.0.obs().flight.to_json(true)
+    }
+}
+
+fn quarantine_round_trip(db: &mut impl Front) {
     let q = "SELECT COUNT(*) FROM car WHERE year > 1990";
 
     // 1. clean statement materializes the predicate group
-    db.execute(q).unwrap();
-    let before = archive_stats(&db);
+    db.exec(q);
+    let before = db.archive(archive_stats);
     assert!(!before.is_empty(), "the query must materialize a group");
-    let groups: Vec<jits_common::ColGroup> = db.archive().iter().map(|(g, _)| g.clone()).collect();
+    let groups: Vec<ColGroup> = db.archive(|a| a.iter().map(|(g, _)| g.clone()).collect());
 
     // 2. a persistent read fault quarantines every candidate group
-    db.set_fault_plane(FaultPlane::from_spec(9, "archive.read=after:0:inf").unwrap());
-    let r = db.execute(q).unwrap();
+    db.plane(FaultPlane::from_spec(9, "archive.read=after:0:inf").unwrap());
+    let r = db.exec(q);
     assert!(r.metrics.degraded, "the read fault must degrade the query");
     assert!(
         r.metrics
@@ -296,17 +328,17 @@ fn quarantine_and_rebuild_round_trip_restores_archive_stats() {
     );
     for g in &groups {
         assert!(
-            db.archive().histogram(g).is_none(),
+            db.archive(|a| a.histogram(g).is_none()),
             "quarantine must drop the bucket set"
         );
         assert!(
-            db.archive().pending_rebuild(g),
+            db.archive(|a| a.pending_rebuild(g)),
             "quarantine must schedule a rebuild"
         );
     }
     // the flight recorder names the quarantined group and its checksum
     // pair, so a --dump-flight after the fact explains the rebuild
-    let flight = db.obs().flight.to_json(true);
+    let flight = db.flight();
     assert!(
         flight.contains("quarantine"),
         "quarantine must be flight-noted: {flight}"
@@ -317,17 +349,42 @@ fn quarantine_and_rebuild_round_trip_restores_archive_stats() {
     );
 
     // 3. with the plane gone, the next collection rebuilds the group from
-    //    the (unchanged) table and the stats come back bit-identical
-    db.set_fault_plane(FaultPlane::disabled());
-    db.execute(q).unwrap();
+    //    the (unchanged) table and the stats come back bit-identical — even
+    //    when nothing else materializes, the pending rebuild opens the
+    //    refine window
+    db.plane(FaultPlane::disabled());
+    db.exec(q);
     for g in &groups {
-        assert!(db.archive().histogram(g).is_some(), "rebuild must land");
-        assert!(db.archive().validate(g), "rebuilt entry must checksum");
-        assert!(!db.archive().pending_rebuild(g), "rebuild flag must clear");
+        assert!(
+            db.archive(|a| a.histogram(g).is_some()),
+            "rebuild must land"
+        );
+        assert!(db.archive(|a| a.validate(g)), "rebuilt entry must checksum");
+        assert!(
+            !db.archive(|a| a.pending_rebuild(g)),
+            "rebuild flag must clear"
+        );
     }
     assert_eq!(
-        archive_stats(&db),
+        db.archive(archive_stats),
         before,
         "rebuilt statistics must match the pre-quarantine statistics"
     );
+}
+
+#[test]
+fn quarantine_and_rebuild_round_trip_restores_archive_stats() {
+    let (dg, _) = tiny(1);
+    let setup = || {
+        let mut db = setup_database(&dg).unwrap();
+        db.set_setting(StatsSetting::Jits(JitsConfig {
+            s_max: 0.0,
+            ..JitsConfig::default()
+        }));
+        db
+    };
+    quarantine_round_trip(&mut setup());
+    let shared = setup().into_shared();
+    let session = shared.session();
+    quarantine_round_trip(&mut (shared, session));
 }

@@ -167,7 +167,8 @@ fn crash_matrix_recovers_bit_identical_state() {
                 "{point}: crash must surface as a typed Recovery error, got {err:?}"
             );
             // the poisoned log fails all further durable statements fast
-            let (again, err2) = run_ops(&mut db, failed_at).expect("poisoned log must keep failing");
+            let (again, err2) =
+                run_ops(&mut db, failed_at).expect("poisoned log must keep failing");
             assert_eq!(again, failed_at);
             assert!(matches!(err2, JitsError::Recovery(_)));
             drop(db); // the simulated crash
@@ -264,7 +265,10 @@ fn restart_answers_first_query_from_warm_statistics() {
             }
         }
         warm_rows = warmed.expect("the workload must warm up within a few repetitions");
-        assert!(!db.archive().is_empty(), "warm state must include archive groups");
+        assert!(
+            !db.archive().is_empty(),
+            "warm state must include archive groups"
+        );
     } // drop = clean shutdown; state lives in the checkpoint + log
 
     let mut db = Database::open(SEED, dir.path()).unwrap();
@@ -294,7 +298,9 @@ fn wal_prefix_cut_at_every_byte_recovers_or_errors_typed() {
     for sql in &OPS[..4] {
         db.execute(sql).unwrap();
     }
-    db.checkpoint().unwrap().expect("durable databases checkpoint");
+    db.checkpoint()
+        .unwrap()
+        .expect("durable databases checkpoint");
     for sql in &OPS[4..8] {
         db.execute(sql).unwrap();
     }
@@ -311,7 +317,10 @@ fn wal_prefix_cut_at_every_byte_recovers_or_errors_typed() {
                 .then(|| (name.clone(), std::fs::read(e.path()).unwrap()))
         })
         .collect();
-    assert!(!segs.is_empty(), "the manual checkpoint must leave a segment");
+    assert!(
+        !segs.is_empty(),
+        "the manual checkpoint must leave a segment"
+    );
 
     let cuts = TestDir::new("recovery-prefix-cut-cuts");
     let mut clean_recoveries = 0usize;
@@ -374,4 +383,27 @@ fn shared_database_durability_round_trips() {
         &digest(&control),
         "shared durable run vs single-owner control",
     );
+}
+
+/// A checkpoint segment in the version-1 format (which still carried the
+/// engine's executor, skipping and profiling flags) is refused with a typed
+/// error on both front-ends, never decoded as the current format.
+#[test]
+fn version_one_checkpoint_is_refused_with_a_typed_error() {
+    let dir = TestDir::new("recovery-version-one-checkpoint");
+    let mut opened = jits_wal::Wal::open(dir.path()).unwrap();
+    opened
+        .wal
+        .checkpoint(&[1, 0, 0, 0], &FaultPlane::disabled(), 0)
+        .unwrap();
+    drop(opened);
+    for err in [
+        Database::open(SEED, dir.path()).err(),
+        jits_engine::SharedDatabase::open(SEED, dir.path()).err(),
+    ] {
+        match err {
+            Some(JitsError::Recovery(m)) => assert!(m.contains("version 1"), "{m}"),
+            other => panic!("expected a Recovery error, got {other:?}"),
+        }
+    }
 }
