@@ -18,6 +18,7 @@
 pub mod colgroup;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod ids;
 pub mod interval;
 pub mod rng;
@@ -28,6 +29,7 @@ pub mod value;
 pub use colgroup::ColGroup;
 pub use error::{JitsError, Result};
 pub use fault::{fault_key, FaultPlane, FaultSchedule, FaultSpec};
+pub use hash::{fast_hash, ChainTable, FastHasher, FastMap, FastState};
 pub use ids::{ColumnId, TableId};
 pub use interval::{Bound, Interval};
 pub use rng::SplitMix64;

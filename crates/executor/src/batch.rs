@@ -10,11 +10,17 @@
 //!   tuple vectors;
 //! * scan predicates evaluate as **bitsets**: each predicate ANDs its
 //!   verdicts into a `Vec<bool>`, integer intervals over a typed dense
-//!   gather of their column ([`FrameColumn`], PR 4's collection-path
-//!   layout, reused here against live tables) — the filter is
+//!   gather of their column ([`FrameColumn`], the collection-path layout,
+//!   reused here against live tables), string predicates by one lookup per
+//!   row into a verdict table over the column's dictionary — the filter is
 //!   [`crate::locate`]'s, shared with UPDATE and DELETE;
 //! * joins gather their key columns once per side and probe/build over the
-//!   dense slices; aggregation accumulates over gathered slices.
+//!   dense slices; a single `Int` key goes through the integer hash kernel
+//!   ([`ChainTable`], shared with the string dictionaries: a head map plus
+//!   `next` links, chains in insertion order) instead of a `Vec` per key;
+//! * GROUP BY on `Int`/`Str` keys hashes per-row tuples of `i64` values and
+//!   dictionary codes through the same kernel instead of building a
+//!   `Vec<Value>` per row; aggregation accumulates over gathered slices.
 //!
 //! **Bit-identity contract.** For every plan the batch executor produces the
 //! same result rows (values and order), the same `ExecStats.work` (same
@@ -23,9 +29,12 @@
 //! executor. The argument: `FrameColumn::value(i)` is defined to equal
 //! `Table::value(rows[i], c)`, predicates and key comparisons run the same
 //! `Value` operations (or a typed integer fast path whose outcome equals
-//! `Interval::contains` exactly), hash-join output order is probe-order ×
-//! build-insertion-order in both paths, and ORDER BY uses the same stable
-//! comparator. The contract is enforced by `tests/batch_executor.rs`.
+//! `Interval::contains` exactly, or a per-entry verdict that *is*
+//! `LocalPredicate::matches` on the entry), hash-join output order is
+//! probe-order × build-insertion-order in both paths, groups appear in
+//! first-seen order whatever their keys hash to, and ORDER BY uses the
+//! same stable comparator. The contract is enforced by
+//! `tests/batch_executor.rs`.
 
 use crate::exec::{
     accumulate, finish_groups, index_interval, matches_preds, position_in, record_scan, scan_preds,
@@ -33,10 +42,11 @@ use crate::exec::{
 };
 use crate::locate::{filter_rows, probe_index, surviving_rows, zone_constraints};
 use crate::monitor::{ExecStats, NodeKind, NodeObservation};
-use jits_common::{ColumnId, JitsError, Result, Value};
+use jits_common::{ChainTable, ColumnId, FastHasher, FastMap, JitsError, Result, Value};
 use jits_optimizer::{CostModel, PhysicalPlan};
 use jits_query::{Projection, QueryBlock};
 use jits_storage::{FrameColumn, FrameValues, Row, RowId, Table};
+use std::hash::Hasher;
 
 /// A batch in struct-of-arrays form: `sel[i]` is the selection vector of
 /// quantifier `quns[i]`, and all selection vectors share length `len`
@@ -576,33 +586,25 @@ fn hash_join_pairs(
     probe_len: usize,
 ) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
-    // single-Int-key fast path: hash raw i64s, no Value materialization.
-    // Output order is unaffected by the hash function (entries keep build
-    // insertion order; probes run in probe order).
+    // single-Int-key fast path: raw i64s into the chained integer table,
+    // no Value materialization; its chains walk in build-insertion order
     if let ([b], [p]) = (build_cols, probe_cols) {
         if let (FrameValues::Int(bv), FrameValues::Int(pv)) = (&b.values, &p.values) {
-            let mut ht: std::collections::HashMap<i64, Vec<usize>> =
-                std::collections::HashMap::new();
+            let mut ht = ChainTable::with_entries(build_len);
             for (t, &v) in bv.iter().enumerate().take(build_len) {
                 if b.validity[t] {
-                    ht.entry(v).or_default().push(t);
+                    ht.append(v as u64, t);
                 }
             }
-            for (t, v) in pv.iter().enumerate().take(probe_len) {
-                if !p.validity[t] {
-                    continue;
-                }
-                if let Some(matches) = ht.get(v) {
-                    for &bi in matches {
-                        pairs.push((bi, t));
-                    }
+            for (t, &v) in pv.iter().enumerate().take(probe_len) {
+                if p.validity[t] {
+                    pairs.extend(ht.chain(v as u64).map(|bi| (bi, t)));
                 }
             }
             return pairs;
         }
     }
-    let mut ht: std::collections::HashMap<Vec<Value>, Vec<usize>> =
-        std::collections::HashMap::new();
+    let mut ht: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
     for t in 0..build_len {
         if build_cols.iter().any(|fc| !fc.validity[t]) {
             continue;
@@ -702,6 +704,10 @@ fn eval_aggregate_batch(
 
 /// Hash aggregation over gathered key/input columns, one output row per
 /// distinct key combination in first-seen order (same as the row path).
+/// Rows are first assigned group ids — typed when every key is an Int or
+/// Str column ([`group_rows_typed`]), through `Value` tuples otherwise —
+/// then each group's accumulators take its rows in input order, and a
+/// group's output key is read from its first row.
 fn eval_group_by_batch(
     keys: &[(usize, ColumnId)],
     items: &[jits_query::qgm::GroupItem],
@@ -710,13 +716,10 @@ fn eval_group_by_batch(
     tables: &[Table],
 ) -> Result<Vec<Row>> {
     use jits_query::qgm::GroupItem;
-    let key_cols: Vec<FrameColumn> = keys
-        .iter()
-        .map(|(q, c)| {
-            let t = table_of(tables, block, *q)?;
-            Ok(t.gather_column(*c, batch.sel_of(*q)?))
-        })
-        .collect::<Result<_>>()?;
+    let grouped = match group_rows_typed(keys, batch, block, tables)? {
+        Some(g) => g,
+        None => group_rows_values(keys, batch, block, tables)?,
+    };
     // per-item aggregate input columns, gathered once; None for COUNT(*)
     // and for items whose table is missing (mirroring the row path's `.ok()`)
     let agg_cols: Vec<Option<FrameColumn>> = items
@@ -735,20 +738,10 @@ fn eval_group_by_batch(
         })
         .collect::<Result<_>>()?;
 
-    // key -> group index; only probed, never iterated (first-seen `order`
-    // carries the output order)
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut accs: Vec<(Vec<AggAcc>, i64)> = Vec::new();
-    let mut groups: std::collections::HashMap<Vec<Value>, usize> = std::collections::HashMap::new();
-    for t in 0..batch.len {
-        let key: Vec<Value> = key_cols.iter().map(|fc| fc.value(t)).collect();
-        let n_items = items.len();
-        let gi = *groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            accs.push((vec![AggAcc::new(); n_items], 0));
-            accs.len() - 1
-        });
-        let entry = &mut accs[gi];
+    let mut accs: Vec<(Vec<AggAcc>, i64)> =
+        vec![(vec![AggAcc::new(); items.len()], 0); grouped.firsts.len()];
+    for (t, &g) in grouped.group_of.iter().enumerate() {
+        let entry = &mut accs[g as usize];
         entry.1 += 1;
         for (i, item) in items.iter().enumerate() {
             if let GroupItem::Agg(_) = item {
@@ -758,5 +751,147 @@ fn eval_group_by_batch(
             }
         }
     }
+    let key_sources: Vec<(&Table, &[RowId], ColumnId)> = keys
+        .iter()
+        .map(|&(q, c)| Ok((table_of(tables, block, q)?, batch.sel_of(q)?, c)))
+        .collect::<Result<_>>()?;
+    let order: Vec<Vec<Value>> = grouped
+        .firsts
+        .iter()
+        .map(|&f| {
+            key_sources
+                .iter()
+                .map(|(table, sel, c)| table.value(sel[f], *c))
+                .collect()
+        })
+        .collect();
     Ok(finish_groups(items, order, accs))
+}
+
+/// Rows assigned to groups: `group_of[t]` is row `t`'s group, and groups
+/// are numbered in first-seen order, `firsts[g]` being group `g`'s first
+/// row.
+struct Grouping {
+    group_of: Vec<u32>,
+    firsts: Vec<usize>,
+}
+
+impl Grouping {
+    fn new(len: usize) -> Self {
+        Grouping {
+            group_of: Vec::with_capacity(len),
+            firsts: Vec::new(),
+        }
+    }
+
+    /// Opens a new group whose first row is `t` and assigns `t` to it.
+    fn open(&mut self, t: usize) -> u32 {
+        let g = self.firsts.len() as u32;
+        self.firsts.push(t);
+        self.group_of.push(g);
+        g
+    }
+}
+
+/// Typed grouping for keys that are all Int or Str columns: each key
+/// contributes one `i64` per row — the value, or the string's dictionary
+/// code — and a per-row bitmask flags NULL parts, so NULL is its own key
+/// and never equal to a value. Tuples hash into the [`ChainTable`] kernel;
+/// a chain holds the groups whose tuples share a hash, compared part by
+/// part against each group's first row. Codes decide equality only (one
+/// dictionary per column, so equal strings share a code); group order is
+/// first-seen. `None` when some key is a Float column (where `-0.0` and
+/// `0.0` are one `Value`) or there are more keys than mask bits.
+fn group_rows_typed(
+    keys: &[(usize, ColumnId)],
+    batch: &ColumnBatch,
+    block: &QueryBlock,
+    tables: &[Table],
+) -> Result<Option<Grouping>> {
+    if keys.len() > u64::BITS as usize {
+        return Ok(None);
+    }
+    let n = batch.len;
+    let mut nulls = vec![0u64; n];
+    let mut parts: Vec<Vec<i64>> = Vec::with_capacity(keys.len());
+    for (j, &(q, c)) in keys.iter().enumerate() {
+        let table = table_of(tables, block, q)?;
+        let sel = batch.sel_of(q)?;
+        let mut part = Vec::with_capacity(n);
+        if let Some(dict) = table.str_codes(c) {
+            let codes = dict.codes;
+            debug_assert!(sel.iter().all(|&r| (r as usize) < codes.len()));
+            for (t, &r) in sel.iter().enumerate() {
+                let code = codes[r as usize];
+                if code == 0 {
+                    nulls[t] |= 1 << j;
+                }
+                part.push(i64::from(code));
+            }
+        } else {
+            let fc = table.gather_column(c, sel);
+            let FrameValues::Int(vals) = &fc.values else {
+                return Ok(None);
+            };
+            for t in 0..n {
+                if fc.validity[t] {
+                    part.push(vals[t]);
+                } else {
+                    nulls[t] |= 1 << j;
+                    part.push(0);
+                }
+            }
+        }
+        parts.push(part);
+    }
+    let mut grouping = Grouping::new(n);
+    let mut ht = ChainTable::with_entries(0);
+    for t in 0..n {
+        let mut h = FastHasher::default();
+        for part in &parts {
+            h.write_i64(part[t]);
+        }
+        h.write_u64(nulls[t]);
+        let hash = h.finish();
+        let same = |f: usize| nulls[f] == nulls[t] && parts.iter().all(|p| p[f] == p[t]);
+        let found = ht.chain(hash).find(|&g| same(grouping.firsts[g]));
+        match found {
+            Some(g) => grouping.group_of.push(g as u32),
+            None => {
+                let g = grouping.open(t);
+                ht.append(hash, g as usize);
+            }
+        }
+    }
+    Ok(Some(grouping))
+}
+
+/// Grouping through `Value` tuples, for keys the typed path does not take.
+fn group_rows_values(
+    keys: &[(usize, ColumnId)],
+    batch: &ColumnBatch,
+    block: &QueryBlock,
+    tables: &[Table],
+) -> Result<Grouping> {
+    let key_cols: Vec<FrameColumn> = keys
+        .iter()
+        .map(|(q, c)| {
+            let t = table_of(tables, block, *q)?;
+            Ok(t.gather_column(*c, batch.sel_of(*q)?))
+        })
+        .collect::<Result<_>>()?;
+    // key -> group id; only probed, never iterated
+    let mut groups: FastMap<Vec<Value>, u32> = FastMap::default();
+    let mut grouping = Grouping::new(batch.len);
+    for t in 0..batch.len {
+        let key: Vec<Value> = key_cols.iter().map(|fc| fc.value(t)).collect();
+        match groups.get(&key) {
+            Some(&g) => grouping.group_of.push(g),
+            None => {
+                let g = grouping.open(t);
+                groups.insert(key, g);
+            }
+        }
+    }
+    Ok(grouping)
 }

@@ -3,7 +3,10 @@
 //!
 //! Three access paths reach the candidates — an index probe (hash twin for
 //! points, B-tree for ranges), a zone-map-pruned scan, a full scan — and
-//! one columnar filter ([`filter_rows`]) applies the predicates to them.
+//! one columnar filter ([`filter_rows`]) applies the predicates to them:
+//! integer intervals over a typed gather, string predicates through a
+//! verdict per dictionary entry looked up by each row's code, everything
+//! else cell by cell.
 //! The batch executor's scan operators run the path their plan node names;
 //! [`locate_rows`], the entry point of UPDATE and DELETE, picks the path
 //! itself by *exact* cost: posting-list lengths and per-block live counts
@@ -15,8 +18,11 @@ use crate::monitor::NodeKind;
 use jits_common::{Bound, ColumnId, DataType, Interval, Value};
 use jits_optimizer::CostModel;
 use jits_query::{LocalPredicate, PredKind};
-use jits_storage::{BlockSkipList, FrameColumn, FrameValues, RowId, SecondaryIndex, Table};
+use jits_storage::{
+    BlockSkipList, FrameColumn, FrameValues, RowId, SecondaryIndex, StrCodes, Table,
+};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The rows a DML statement acts on, and how they were found.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,10 +176,14 @@ pub(crate) fn zone_constraints<'a>(
 
 /// Keeps the rows passing all predicates (bitset AND), preserving input
 /// order. Integer intervals — the shape with a typed fast path — evaluate
-/// over a dense gather of their column, made once per column; every other
-/// shape reads the cell of each still-surviving row and asks
-/// [`LocalPredicate::matches`], exactly as the row executor does, so a
-/// string or float column is never copied just to be compared.
+/// over a dense gather of their column, made once per column. Any predicate
+/// on a string column is decided once per dictionary entry (and once for
+/// NULL) into a verdict table, after which each row costs one lookup by its
+/// code ([`eval_code_verdicts`]) — unless the dictionary outnumbers the
+/// candidates, as for a high-cardinality column behind an index probe. Every
+/// other shape reads the cell of each still-surviving row and asks
+/// [`LocalPredicate::matches`], exactly as the row executor does. Every
+/// verdict is `matches` on the cell's value, so all paths agree bit for bit.
 pub(crate) fn filter_rows<'a>(
     table: &Table,
     rows: Vec<RowId>,
@@ -192,6 +202,12 @@ pub(crate) fn filter_rows<'a>(
                 continue;
             }
         }
+        if let Some(dict) = table.str_codes(p.column) {
+            if dict.entries.len() <= rows.len() {
+                eval_code_verdicts(p, dict, &rows, keep);
+                continue;
+            }
+        }
         for (k, &r) in keep.iter_mut().zip(&rows) {
             if *k {
                 *k = p.matches(&table.value(r, p.column));
@@ -205,6 +221,28 @@ pub(crate) fn filter_rows<'a>(
             .zip(keep)
             .filter_map(|(r, k)| k.then_some(r))
             .collect(),
+    }
+}
+
+/// ANDs a predicate on a string column into `keep` through the column's
+/// dictionary: `verdict[c]` is `p.matches` on the value code `c` stands for
+/// (code 0 = NULL), so `verdict[codes[r]]` is exactly the per-cell verdict.
+fn eval_code_verdicts(p: &LocalPredicate, dict: StrCodes<'_>, rows: &[RowId], keep: &mut [bool]) {
+    let verdict: Vec<bool> = std::iter::once(p.matches(&Value::Null))
+        .chain(
+            dict.entries
+                .iter()
+                .map(|s| p.matches(&Value::Str(Arc::clone(s)))),
+        )
+        .collect();
+    let codes = dict.codes;
+    debug_assert!(rows.iter().all(|&r| codes
+        .get(r as usize)
+        .is_some_and(|&c| (c as usize) < verdict.len())));
+    for (k, &r) in keep.iter_mut().zip(rows) {
+        if *k {
+            *k = verdict[codes[r as usize] as usize];
+        }
     }
 }
 

@@ -22,3 +22,10 @@ fn gather_values(values: &FrameValues, positions: &[usize]) -> Vec<i64> {
         _ => Vec::new(),
     }
 }
+
+fn filter_by_code(dict: StrCodes<'_>, verdict: &[bool], rows: &[u32], keep: &mut [bool]) {
+    for (k, &r) in keep.iter_mut().zip(rows) {
+        // BAD: row ids index the codes, codes index the verdicts, unchecked
+        *k = verdict[dict.codes[r as usize] as usize];
+    }
+}

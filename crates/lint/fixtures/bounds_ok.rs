@@ -33,3 +33,14 @@ fn gather_values(values: &FrameValues, n: usize) -> Vec<i64> {
     }
     out
 }
+
+fn filter_by_code(dict: StrCodes<'_>, verdict: &[bool], rows: &[u32], keep: &mut [bool]) {
+    let codes = dict.codes;
+    // every candidate row has a code, and every code a verdict
+    debug_assert!(rows
+        .iter()
+        .all(|&r| codes.get(r as usize).is_some_and(|&c| (c as usize) < verdict.len())));
+    for (k, &r) in keep.iter_mut().zip(rows) {
+        *k = verdict[codes[r as usize] as usize];
+    }
+}

@@ -17,8 +17,10 @@
 //! - an earlier `idx < …` / `idx >= …` comparison guards the path.
 //!
 //! Suspicious buffers are: identifiers destructured from `FrameValues::`
-//! patterns, loop variables iterating `…sel` collections, and `.vals` /
-//! `.validity` / `.sel` field accesses.
+//! patterns, loop variables iterating `…sel` collections, `.vals` /
+//! `.validity` / `.sel` field accesses, and — as locals or fields — the
+//! dictionary `codes` of a string column and the `verdict` tables indexed
+//! by them (a code is as far from its table as a join's pair position).
 //!
 //! Waive with `// jits-lint: allow(batch-bounds)`.
 
@@ -31,6 +33,11 @@ pub const RULE: &str = "batch-bounds";
 
 /// Field names that are FrameColumn buffers / selection vectors.
 const BUFFER_FIELDS: &[&str] = &["validity", "sel", "vals"];
+
+/// Names that are suspicious as locals and as fields alike: a string
+/// column's dictionary `codes` (indexed by row id) and the per-entry
+/// `verdict` tables filters index with those codes.
+const CODE_BUFFERS: &[&str] = &["codes", "verdict"];
 
 /// Runs the pass. `scope` restricts findings to the given repo-relative
 /// paths (`None` checks every file — fixture mode). Returns every finding,
@@ -87,7 +94,8 @@ pub fn run(ws: &Workspace, scope: Option<&[&str]>) -> Vec<Violation> {
                     continue; // a nested fn owns this site
                 }
                 let suspicious = buffers.contains(&site.base)
-                    || (site.base_is_field && BUFFER_FIELDS.contains(&site.base.as_str()));
+                    || (site.base_is_field && BUFFER_FIELDS.contains(&site.base.as_str()))
+                    || CODE_BUFFERS.contains(&site.base.as_str());
                 if !suspicious {
                     continue;
                 }
@@ -286,6 +294,37 @@ mod tests {
             "fn read(fc: &FrameColumn, t: usize) -> bool {\n\
              if t >= fc.len() { return false; }\n\
              fc.validity[t]\n}\n",
+        );
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn code_lookups_fire_as_locals_and_fields() {
+        let v = lint(
+            "fn filter(dict: &Dict, verdict: &[bool], rows: &[u32], keep: &mut [bool]) {\n\
+             let codes = dict.codes;\n\
+             for (k, &r) in keep.iter_mut().zip(rows) {\n\
+             *k = verdict[codes[r as usize] as usize] && dict.codes[r as usize] > 0;\n\
+             }\n\
+             }\n",
+        );
+        let bases: Vec<&str> = v
+            .iter()
+            .filter_map(|x| x.message.split('`').nth(1))
+            .collect();
+        assert_eq!(bases, ["verdict[…]", "codes[…]", "codes[…]"], "{v:?}");
+    }
+
+    #[test]
+    fn code_lookups_accept_a_row_bound_assert() {
+        let v = lint(
+            "fn filter(codes: &[u32], verdict: &[bool], rows: &[u32], keep: &mut [bool]) {\n\
+             debug_assert!(rows.iter().all(|&r| codes\n\
+             .get(r as usize).is_some_and(|&c| (c as usize) < verdict.len())));\n\
+             for (k, &r) in keep.iter_mut().zip(rows) {\n\
+             *k = verdict[codes[r as usize] as usize];\n\
+             }\n\
+             }\n",
         );
         assert!(v.is_empty(), "{v:?}");
     }

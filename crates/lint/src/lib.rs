@@ -25,8 +25,9 @@
 //!    or order-sensitive float accumulation over unordered containers in
 //!    stats-bearing crates.
 //! 7. **batch-bounds** ([`bounds`]): unchecked indexing into FrameColumn
-//!    buffers / selection vectors in the batch executor must be dominated
-//!    by a validity or length guard.
+//!    buffers / selection vectors in the batch executor, and into string
+//!    dictionary codes and the verdict tables they index, must be
+//!    dominated by a validity or length guard.
 //! 8. **wal-ordering** ([`wal_ordering`]): durable engine mutators must
 //!    append their write-ahead-log record before the first in-memory
 //!    mutation, so a crash between the two never loses a logged change.
@@ -187,10 +188,11 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         slug: "batch-bounds",
         summary: "unchecked indexing into FrameColumn buffers / selection \
-                  vectors in the batch executor",
-        rationale: "join pair lists and sort permutations index buffers \
-                    computed far away; a guard (validity probe, length \
-                    assert, bounded loop) must dominate every such index",
+                  vectors / dictionary codes in the batch executor",
+        rationale: "join pair lists, sort permutations and dictionary codes \
+                    index buffers computed far away; a guard (validity \
+                    probe, length assert, bounded loop) must dominate every \
+                    such index",
     },
     RuleInfo {
         slug: "wal-ordering",
@@ -273,11 +275,13 @@ pub const CHARGING_SCOPE: &[&str] = &[
     "crates/executor/src/locate.rs",
 ];
 
-/// Files the batch-bounds pass reports on in repo mode: the batch executor
-/// and the columnar filter it shares with DML row location.
+/// Files the batch-bounds pass reports on in repo mode: the batch executor,
+/// the columnar filter it shares with DML row location, and the column
+/// store whose dictionary codes both index.
 pub const BOUNDS_SCOPE: &[&str] = &[
     "crates/executor/src/batch.rs",
     "crates/executor/src/locate.rs",
+    "crates/storage/src/column.rs",
 ];
 
 /// Files the wal-ordering pass reports on in repo mode: the crate that owns

@@ -353,9 +353,18 @@ fn bounds_fixture_is_flagged() {
         .iter()
         .filter(|v| v.rule == bounds::RULE)
         .collect();
-    // a selection vector indexed by join pairs, a bare validity probe, and
-    // a destructured vals buffer indexed by far-away positions
-    assert_eq!(bd.len(), 3, "expected 3 bounds findings: {bd:#?}");
+    // a selection vector indexed by join pairs, a bare validity probe, a
+    // destructured vals buffer indexed by far-away positions, and a verdict
+    // table indexed by dictionary codes indexed by row ids
+    assert_eq!(bd.len(), 5, "expected 5 bounds findings: {bd:#?}");
+    assert!(
+        bd.iter().any(|v| v.message.contains("`verdict[…]`")),
+        "{bd:#?}"
+    );
+    assert!(
+        bd.iter().any(|v| v.message.contains("`codes[…]`")),
+        "{bd:#?}"
+    );
     assert!(bd.iter().any(|v| v.message.contains("`s[…]`")), "{bd:#?}");
     assert!(
         bd.iter().any(|v| v.message.contains("`validity[…]`")),

@@ -22,7 +22,7 @@ pub mod table;
 pub mod udi;
 pub mod zonemap;
 
-pub use column::Column;
+pub use column::{Column, StrCodes};
 pub use frame::{FrameColumn, FrameValues, SampleFrame};
 pub use index::{HashIndex, SecondaryIndex};
 pub use row::{Row, RowId};

@@ -19,8 +19,16 @@ use jits_repro::optimizer::{
 use jits_repro::query::{bind_statement, parse, BoundStatement};
 use jits_repro::storage::Table;
 
+/// Car models, one per `i % 8`; `model` is NULL on every seventh row.
+const MODELS: &[&str] = &[
+    "Civic", "Corolla", "Model S", "Mustang", "Prius", "Q5", "RAV4", "A4",
+];
+
 /// car(1200, some NULL join keys) joins owner(100) on `ownerid = id` and —
-/// for the multi-key corpus entries — additionally on `year`.
+/// for the multi-key corpus entries — additionally on `year`. `car.model`
+/// holds NULLs and a value (`Roadster`) first written by UPDATE after the
+/// load; `car.price` holds NULLs and both zeros; `owner.name` is unique and
+/// indexed, so its dictionary outnumbers any index probe's candidates.
 fn setup() -> (Catalog, Vec<Table>) {
     let mut catalog = Catalog::new();
     let car_schema = Schema::from_pairs(&[
@@ -28,6 +36,8 @@ fn setup() -> (Catalog, Vec<Table>) {
         ("ownerid", DataType::Int),
         ("make", DataType::Str),
         ("year", DataType::Int),
+        ("model", DataType::Str),
+        ("price", DataType::Float),
     ]);
     let owner_schema = Schema::from_pairs(&[
         ("id", DataType::Int),
@@ -48,13 +58,29 @@ fn setup() -> (Catalog, Vec<Table>) {
             Value::Int(i % 100)
         };
         let make = ["Toyota", "Honda", "Audi"][(i % 3) as usize];
+        let model = if i % 7 == 0 {
+            Value::Null
+        } else {
+            Value::str(MODELS[(i % 8) as usize])
+        };
+        let price = match i % 5 {
+            0 => Value::Null,
+            1 => Value::Float(-0.0),
+            2 => Value::Float(0.0),
+            _ => Value::Float((i % 13) as f64 * 1.5),
+        };
         car.insert(vec![
             Value::Int(i),
             owner,
             Value::str(make),
             Value::Int(1990 + i % 17),
+            model,
+            price,
         ])
         .unwrap();
+    }
+    for r in (5..1200).step_by(97) {
+        car.update(r, ColumnId(4), Value::str("Roadster")).unwrap();
     }
     let mut owner = Table::new("owner", owner_schema);
     for i in 0..100i64 {
@@ -69,6 +95,8 @@ fn setup() -> (Catalog, Vec<Table>) {
     }
     owner.create_index(ColumnId(0)).unwrap();
     catalog.add_index(owner_id, ColumnId(0)).unwrap();
+    owner.create_index(ColumnId(1)).unwrap();
+    catalog.add_index(owner_id, ColumnId(1)).unwrap();
     car.create_index(ColumnId(0)).unwrap();
     catalog.add_index(car_id, ColumnId(0)).unwrap();
 
@@ -94,9 +122,10 @@ fn plan_of(
     (block, plan, cost)
 }
 
-/// Every plan shape the optimizer can emit, plus the epilogue combinations
-/// the issue calls out: ORDER BY + LIMIT, GROUP BY, NULL join keys, and a
-/// multi-key join.
+/// Every plan shape the optimizer can emit, plus the epilogue combinations:
+/// ORDER BY + LIMIT, GROUP BY, NULL join keys, and a multi-key join; and
+/// every string-predicate kind the dictionary verdicts decide, and GROUP BY
+/// on Str, (Str, Int) and Float keys.
 const CORPUS: &[&str] = &[
     "SELECT id FROM car WHERE make = 'Toyota'",
     "SELECT id, year FROM car WHERE id >= 100 AND id < 300 ORDER BY year DESC LIMIT 7",
@@ -114,6 +143,19 @@ const CORPUS: &[&str] = &[
      GROUP BY c.make LIMIT 2",
     "SELECT o.name FROM car c, owner o WHERE c.ownerid = o.id AND c.year > 2002 \
      ORDER BY o.name LIMIT 9",
+    "SELECT id FROM car WHERE make <> 'Audi' AND year = 1995",
+    "SELECT id, make FROM car WHERE make IN ('Honda', 'Tesla') AND year < 1993",
+    "SELECT COUNT(*) FROM car WHERE make IN ('Tesla', 'Lada')",
+    "SELECT id, model FROM car WHERE model >= 'M' AND model < 'R'",
+    "SELECT COUNT(*) FROM car WHERE model IS NULL",
+    "SELECT id FROM car WHERE model IS NOT NULL AND year = 2001",
+    "SELECT id, model FROM car WHERE model = 'Roadster'",
+    "SELECT COUNT(*) FROM car WHERE model <> 'Civic'",
+    "SELECT id, salary FROM owner WHERE name = 'owner7'",
+    "SELECT model, COUNT(*), MIN(id) FROM car GROUP BY model",
+    "SELECT model, ownerid, COUNT(*), SUM(year) FROM car WHERE year > 2000 \
+     GROUP BY model, ownerid",
+    "SELECT price, COUNT(*), MAX(id) FROM car GROUP BY price",
 ];
 
 /// The core contract: for the optimizer's chosen plan, the batch executor
@@ -127,6 +169,12 @@ fn batch_matches_row_bit_for_bit_across_corpus() {
         let row = execute_with(ExecutorKind::Row, &plan, &block, &tables, &cost).unwrap();
         let batch = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
         assert_eq!(row.rows, batch.rows, "rows diverged: {sql}");
+        // `Value` equality calls -0.0 and 0.0 equal; the rendering does not
+        assert_eq!(
+            format!("{:?}", row.rows),
+            format!("{:?}", batch.rows),
+            "row rendering diverged: {sql}"
+        );
         assert_eq!(
             row.stats.work.to_bits(),
             batch.stats.work.to_bits(),
@@ -179,6 +227,112 @@ fn per_node_charged_work_matches_across_executors() {
             node_sum <= row.stats.work * (1.0 + 1e-12) + 1e-9,
             "node work slices exceed the total: {sql} ({node_sum} > {})",
             row.stats.work
+        );
+    }
+}
+
+/// The corpus holds the string cases the dictionary path must get right,
+/// and they are not vacuous on this data.
+#[test]
+fn string_corpus_cases_select_rows() {
+    let (catalog, tables) = setup();
+    let count = |sql: &str| {
+        let (block, plan, cost) = plan_of(&catalog, sql);
+        let out = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
+        out.rows.len()
+    };
+    assert!(count("SELECT id, model FROM car WHERE model = 'Roadster'") > 0);
+    assert!(count("SELECT id, model FROM car WHERE model >= 'M' AND model < 'R'") > 0);
+    assert!(count("SELECT id FROM car WHERE model IS NOT NULL AND year = 2001") > 0);
+    // NULL is its own group; -0.0 and 0.0 are one
+    let groups = count("SELECT model, COUNT(*), MIN(id) FROM car GROUP BY model");
+    assert_eq!(groups, MODELS.len() + 2, "models, Roadster, NULL");
+    assert_eq!(
+        count("SELECT price, COUNT(*), MAX(id) FROM car GROUP BY price"),
+        14,
+        "NULL, one group for both zeros, twelve nonzero multiples of 1.5"
+    );
+}
+
+/// `owner.name` is unique, so its 100-entry dictionary outnumbers the one
+/// candidate of an index probe (the filter decides that row cell by cell)
+/// but not a full scan's 100 rows (the filter decides by code). Both plans
+/// return the same row on both executors.
+#[test]
+fn string_equality_agrees_on_scan_and_index_paths() {
+    let (catalog, tables) = setup();
+    let (block, chosen, cost) =
+        plan_of(&catalog, "SELECT id, name FROM owner WHERE name = 'owner7'");
+    let PhysicalPlan::IndexScan { scan, est, .. } = &chosen else {
+        panic!("expected an index scan on owner.name, got {chosen:?}")
+    };
+    let seq = PhysicalPlan::SeqScan {
+        scan: scan.clone(),
+        est: *est,
+    };
+    for plan in [&chosen, &seq] {
+        for kind in [ExecutorKind::Row, ExecutorKind::Batch] {
+            let out = execute_with(kind, plan, &block, &tables, &cost).unwrap();
+            assert_eq!(
+                out.rows,
+                vec![vec![Value::Int(7), Value::str("owner7")]],
+                "{kind:?} on {plan:?}"
+            );
+        }
+    }
+}
+
+/// A hash join whose build side repeats every key (car builds on
+/// `ownerid`, about twelve cars per owner) emits probe order × build
+/// insertion order: within one owner, car ids ascend. A chain walked in
+/// reverse would emit them descending.
+#[test]
+fn hash_join_walks_duplicate_build_keys_in_insertion_order() {
+    let (catalog, tables) = setup();
+    let (block, _, cost) = plan_of(
+        &catalog,
+        "SELECT o.id, c.id FROM car c, owner o WHERE c.ownerid = o.id AND o.salary < 5000",
+    );
+    let scan = |qun: usize, table: u32, base_rows: f64| ScanGroupEstimate {
+        qun,
+        table: TableId(table),
+        pred_indices: block.local_predicates_of(qun),
+        selectivity: 1.0,
+        base_rows,
+        statlist: vec![],
+        source: StatSource::Default,
+    };
+    let est = NodeEst {
+        rows: 60.0,
+        cost: 1.0,
+    };
+    let plan = PhysicalPlan::HashJoin {
+        build: Box::new(PhysicalPlan::SeqScan {
+            scan: scan(0, 0, 1200.0),
+            est,
+        }),
+        probe: Box::new(PhysicalPlan::SeqScan {
+            scan: scan(1, 1, 100.0),
+            est,
+        }),
+        keys: vec![((0, ColumnId(1)), (1, ColumnId(0)))],
+        est,
+    };
+    let row = execute_with(ExecutorKind::Row, &plan, &block, &tables, &cost).unwrap();
+    let batch = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
+    assert_eq!(row.rows, batch.rows);
+    assert_eq!(row.stats.work.to_bits(), batch.stats.work.to_bits());
+    let pairs: Vec<(i64, i64)> = batch
+        .rows
+        .iter()
+        .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
+        .collect();
+    let repeats = pairs.windows(2).filter(|w| w[0].0 == w[1].0).count();
+    assert!(repeats > 10, "build keys must repeat: {pairs:?}");
+    for w in pairs.windows(2) {
+        assert!(
+            w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1),
+            "owners in probe order, each owner's cars in insertion order: {w:?}"
         );
     }
 }

@@ -385,6 +385,65 @@ fn shared_database_durability_round_trips() {
     );
 }
 
+/// String columns are dictionary-encoded, and recovery re-interns them in
+/// slot order, so after a restart the same strings carry other codes — and
+/// strings that only dead dictionary entries held are gone. None of that may
+/// show: a GROUP BY on a string, an `IN` list and a string range answer the
+/// same rows in the same order, with the same `exec_work` bits, before the
+/// drop and after `Database::open`.
+#[test]
+fn string_codes_are_not_observable_across_restart() {
+    const QUERIES: &[&str] = &[
+        "SELECT make, COUNT(*), MIN(id), MAX(year) FROM car GROUP BY make",
+        "SELECT id, make FROM car WHERE make IN ('Zephyr', 'Honda', 'Lada') AND year > 2003",
+        "SELECT id, make FROM car WHERE make >= 'H' AND make < 'W'",
+    ];
+    type Answers = Vec<(Vec<Vec<Value>>, u64)>;
+    fn answer(db: &mut Database) -> Answers {
+        QUERIES
+            .iter()
+            .map(|q| {
+                let r = db.execute(q).unwrap();
+                assert!(!r.rows.is_empty(), "vacuous query: {q}");
+                (r.rows, r.metrics.exec_work.to_bits())
+            })
+            .collect()
+    }
+    let codes = |db: &Database| -> Vec<u32> {
+        db.tables()[0]
+            .str_codes(jits_common::ColumnId(1))
+            .expect("make is a string column")
+            .codes
+            .to_vec()
+    };
+    let dir = TestDir::new("recovery-string-codes");
+    let (before, codes_before) = {
+        let mut db = Database::open(SEED, dir.path()).unwrap();
+        setup(&mut db, 1);
+        // values first written by UPDATE, and one ("Toyota") that then
+        // survives only as a dead dictionary entry
+        for sql in [
+            "UPDATE car SET make = 'Zephyr' WHERE id < 40",
+            "UPDATE car SET make = 'Audi' WHERE make = 'Toyota'",
+            "UPDATE car SET make = 'Volvo' WHERE year = 2004",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        db.runstats_all().unwrap();
+        db.set_setting(StatsSetting::CatalogOnly);
+        assert!(db.checkpoint().unwrap().is_some());
+        (answer(&mut db), codes(&db))
+    };
+    let mut db = Database::open(SEED, dir.path()).unwrap();
+    db.set_setting(StatsSetting::CatalogOnly);
+    assert_ne!(
+        codes(&db),
+        codes_before,
+        "recovery must have renumbered the dictionary"
+    );
+    assert_eq!(answer(&mut db), before);
+}
+
 /// A checkpoint segment in the version-1 format (which still carried the
 /// engine's executor, skipping and profiling flags) is refused with a typed
 /// error on both front-ends, never decoded as the current format.
