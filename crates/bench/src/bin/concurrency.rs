@@ -17,6 +17,7 @@ use jits::{collect_for_tables_parallel, query_analysis, JitsConfig};
 use jits_bench::{print_markdown_table, BenchArgs};
 use jits_common::SplitMix64;
 use jits_engine::Database;
+use jits_obs::Volatility;
 use jits_query::{bind_statement, parse, BoundStatement};
 use jits_storage::SampleSpec;
 use jits_workload::{
@@ -55,8 +56,7 @@ fn collection_speedup(args: &BenchArgs) {
     else {
         unreachable!("a SELECT statement");
     };
-    let cfg = JitsConfig::default();
-    let candidates = query_analysis(&block, cfg.max_group_enumeration);
+    let candidates = query_analysis(&block);
     let sample_quns: Vec<usize> = (0..block.quns.len())
         .filter(|&q| candidates.iter().any(|c| c.qun == q))
         .collect();
@@ -181,13 +181,22 @@ fn workload_concurrent_sessions(args: &BenchArgs) {
         let records = run_workload_concurrent(&shared, &ops, threads).expect("workload runs");
         let wall = t0.elapsed();
         assert_eq!(records.len(), ops.len());
-        let snap = shared.counters();
+        let engine = |name| {
+            shared
+                .obs()
+                .registry
+                .counter(name, Volatility::Volatile)
+                .get()
+        };
         rows.push(vec![
             threads.to_string(),
             format!("{:.0} ms", wall.as_secs_f64() * 1e3),
-            format!("{:.2} ms", snap.lock_wait.as_secs_f64() * 1e3),
-            snap.contended_acquisitions.to_string(),
-            snap.statements.to_string(),
+            format!(
+                "{:.2} ms",
+                engine("jits.engine.lock_wait_nanos") as f64 / 1e6
+            ),
+            engine("jits.engine.contended_acquisitions").to_string(),
+            records.len().to_string(),
         ]);
     }
     print_markdown_table(

@@ -34,10 +34,10 @@
 //! analyze, sensitivity, collect, refine, optimize, execute, feedback)
 //! to stderr; `--metrics` dumps the registry as JSON on exit.
 //!
-//! `--dump-flight <path>` writes the flight-recorder ring (the last
-//! [`jits_obs::FLIGHT_CAPACITY`] query profiles, degradations, and anomaly
-//! markers) to `<path>` as JSON on exit, and also arms anomaly auto-dump:
-//! any statement whose max q-error crosses the configured threshold, or
+//! `--dump-flight <path>` writes the flight-recorder ring (the last 256
+//! query profiles, degradations, and anomaly markers, `FLIGHT_CAPACITY` in
+//! `jits-obs`) to `<path>` as JSON on exit, and also arms anomaly auto-dump:
+//! any statement whose max q-error crosses `jits::QERROR_THRESHOLD`, or
 //! that degrades, rewrites the dump immediately — so the black box survives
 //! even a crash later in the session.
 //!

@@ -96,10 +96,6 @@ impl Store for Owned {
         Duration::ZERO
     }
 
-    fn note_statement(&mut self) {}
-
-    fn note_collection(&mut self, _threads: usize, _tables: usize) {}
-
     fn with_catalog<R>(&mut self, f: impl FnOnce(&Catalog) -> R) -> R {
         f(&self.state.catalog)
     }
@@ -155,12 +151,8 @@ impl Store for Owned {
         f(&mut self.state.archive, &mut self.state.predcache)
     }
 
-    fn with_feedback<R>(
-        &mut self,
-        f: impl FnOnce(&Catalog, &mut QssArchive, &mut StatHistory) -> R,
-    ) -> R {
-        let s = &mut self.state;
-        f(&s.catalog, &mut s.archive, &mut s.history)
+    fn with_feedback<R>(&mut self, f: impl FnOnce(&mut StatHistory) -> R) -> R {
+        f(&mut self.state.history)
     }
 
     fn with_migrate<R>(&mut self, f: impl FnOnce(&mut Catalog, &QssArchive) -> R) -> R {

@@ -118,7 +118,7 @@ pub(crate) fn explain_block(
     }
     out.enabled = true;
     out.s_max = cfg.s_max;
-    let candidates = query_analysis(block, cfg.max_group_enumeration);
+    let candidates = query_analysis(block);
     out.candidate_groups = candidates.len();
     // the same q-error feedback `execute` applies, so the preview stays
     // bit-for-bit what the next execution would decide

@@ -51,7 +51,7 @@ pub mod views;
 
 pub use database::{Database, DEFAULT_CHECKPOINT_EVERY};
 pub use explain::{JitsExplain, MaterializeExplain};
-pub use metrics::{CountersSnapshot, EngineCounters, QueryMetrics, StageWalls};
+pub use metrics::{QueryMetrics, StageWalls};
 pub use persist::RecoveryReport;
 pub use pipeline::QueryResult;
 pub use session::{Session, SharedDatabase};

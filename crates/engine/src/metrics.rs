@@ -1,8 +1,7 @@
-//! Per-query timing and diagnostics, plus engine-wide concurrency counters.
+//! Per-query timing and diagnostics.
 
 use jits::TableScore;
 use jits_optimizer::PlanSummary;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Wall-clock elapsed since a [`jits_obs::clock::now_nanos`] reading.
@@ -120,74 +119,9 @@ impl QueryMetrics {
     }
 }
 
-/// Engine-wide concurrency counters, shared by every session of a
-/// [`crate::SharedDatabase`]. All counters are monotone atomics so readers
-/// never need a lock to observe them.
-#[derive(Debug, Default)]
-pub struct EngineCounters {
-    /// Total nanoseconds sessions spent blocked acquiring engine locks
-    /// (only acquisitions that actually had to wait are charged).
-    pub lock_wait_nanos: AtomicU64,
-    /// Lock acquisitions that had to block.
-    pub contended_acquisitions: AtomicU64,
-    /// Statistics-collection passes that fanned out over >1 worker thread.
-    pub parallel_collections: AtomicU64,
-    /// Tables sampled by collection passes, across all sessions.
-    pub tables_sampled: AtomicU64,
-    /// Statements executed, across all sessions.
-    pub statements: AtomicU64,
-}
-
-impl EngineCounters {
-    /// Charges one blocked lock acquisition of `nanos` wall-clock.
-    pub fn charge_lock_wait(&self, nanos: u64) {
-        self.lock_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.contended_acquisitions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A coherent point-in-time copy for reports and assertions.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            lock_wait: Duration::from_nanos(self.lock_wait_nanos.load(Ordering::Relaxed)),
-            contended_acquisitions: self.contended_acquisitions.load(Ordering::Relaxed),
-            parallel_collections: self.parallel_collections.load(Ordering::Relaxed),
-            tables_sampled: self.tables_sampled.load(Ordering::Relaxed),
-            statements: self.statements.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-value copy of [`EngineCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    /// Total time spent blocked on engine locks.
-    pub lock_wait: Duration,
-    /// Lock acquisitions that had to block.
-    pub contended_acquisitions: u64,
-    /// Collection passes that used >1 worker.
-    pub parallel_collections: u64,
-    /// Tables sampled across all sessions.
-    pub tables_sampled: u64,
-    /// Statements executed across all sessions.
-    pub statements: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let c = EngineCounters::default();
-        c.charge_lock_wait(1_500);
-        c.charge_lock_wait(500);
-        c.statements.fetch_add(3, Ordering::Relaxed);
-        let s = c.snapshot();
-        assert_eq!(s.lock_wait, Duration::from_nanos(2_000));
-        assert_eq!(s.contended_acquisitions, 2);
-        assert_eq!(s.statements, 3);
-        assert_eq!(s.parallel_collections, 0);
-    }
 
     #[test]
     fn derived_times() {

@@ -11,8 +11,9 @@
 //! The obs registry lock ranks *above* every engine lock, so calling these
 //! helpers while holding engine guards is always rank-safe.
 
-use crate::metrics::CountersSnapshot;
-use jits::{CollectTiming, JitsConfig, MaterializeDecision, SampleOrigin, TableScore};
+use jits::{
+    CollectTiming, JitsConfig, MaterializeDecision, SampleOrigin, TableScore, QERROR_THRESHOLD,
+};
 use jits_catalog::Catalog;
 use jits_common::{ColGroup, TableId};
 use jits_obs::{
@@ -338,11 +339,11 @@ fn qerror_milli(q: f64) -> u64 {
 /// Records one statement's operator profile: the `jits.qerror.*` accuracy
 /// metrics, the per-table q-error aggregates the sensitivity loop reads,
 /// the flight-recorder event, and — on a misprediction above
-/// `qerror_threshold` or a degraded statement — the anomaly marker that
+/// [`QERROR_THRESHOLD`] or a degraded statement — the anomaly marker that
 /// triggers an automatic flight dump. Everything recorded here derives
 /// from estimated vs. actual row counts, never timing, so the metrics are
 /// deterministic at any `collect_threads`.
-pub(crate) fn note_profile(obs: &Observability, profile: &QueryProfile, qerror_threshold: f64) {
+pub(crate) fn note_profile(obs: &Observability, profile: &QueryProfile) {
     let reg = &obs.registry;
     reg.counter("jits.profile.statements", Volatility::Deterministic)
         .inc();
@@ -354,10 +355,10 @@ pub(crate) fn note_profile(obs: &Observability, profile: &QueryProfile, qerror_t
         if !is_scan || n.table.is_empty() {
             continue;
         }
-        obs.record_qerror(&n.table, n.q_error, qerror_threshold);
+        obs.record_qerror(&n.table, n.q_error, QERROR_THRESHOLD);
         qhist.observe(qerror_milli(n.q_error));
         scans += 1;
-        if n.q_error > qerror_threshold {
+        if n.q_error > QERROR_THRESHOLD {
             mispredicted += 1;
         }
     }
@@ -370,10 +371,10 @@ pub(crate) fn note_profile(obs: &Observability, profile: &QueryProfile, qerror_t
     let max_q = profile.max_q_error;
     let (clock, degraded) = (profile.clock, profile.degraded);
     obs.flight.record(FlightEvent::Profile(profile.clone()));
-    if max_q > qerror_threshold {
+    if max_q > QERROR_THRESHOLD {
         obs.flight.record_anomaly(
             clock,
-            format!("q-error {:.3} above threshold {qerror_threshold:.3}", max_q),
+            format!("q-error {:.3} above threshold {QERROR_THRESHOLD:.3}", max_q),
         );
     } else if degraded {
         obs.flight
@@ -461,20 +462,23 @@ pub(crate) fn note_statement(obs: &Observability, entry: QueryLogEntry) {
     obs.log_query(entry);
 }
 
-/// Mirrors the engine-wide [`crate::EngineCounters`] into registry gauges
-/// (called before exporting a snapshot, so the two surfaces agree).
-pub(crate) fn sync_engine_counters(obs: &Observability, snap: &CountersSnapshot) {
+/// Charges one lock acquisition that blocked for `nanos` of wall-clock. A
+/// shared database calls this on the contended branch only, so an
+/// uncontended acquisition — and every [`crate::Database`] statement —
+/// touches no `jits.engine.*` counter.
+pub(crate) fn note_lock_wait(obs: &Observability, nanos: u64) {
     let reg = &obs.registry;
-    reg.gauge("jits.engine.statements", Volatility::Deterministic)
-        .set(snap.statements);
-    reg.gauge("jits.engine.tables_sampled", Volatility::Deterministic)
-        .set(snap.tables_sampled);
-    reg.gauge("jits.engine.lock_wait_nanos", Volatility::Volatile)
-        .set(snap.lock_wait.as_nanos() as u64);
-    reg.gauge("jits.engine.contended_acquisitions", Volatility::Volatile)
-        .set(snap.contended_acquisitions);
-    reg.gauge("jits.engine.parallel_collections", Volatility::Volatile)
-        .set(snap.parallel_collections);
+    reg.counter("jits.engine.lock_wait_nanos", Volatility::Volatile)
+        .add(nanos);
+    reg.counter("jits.engine.contended_acquisitions", Volatility::Volatile)
+        .inc();
+}
+
+/// Counts one collection pass that fanned out over more than one worker.
+pub(crate) fn note_parallel_collection(obs: &Observability) {
+    obs.registry
+        .counter("jits.engine.parallel_collections", Volatility::Volatile)
+        .inc();
 }
 
 /// Records one WAL append: kind-tagged count plus the running byte total.

@@ -25,9 +25,8 @@
 use crate::settings::StatsSetting;
 use crate::store::EngineState;
 use jits::{
-    AggregateFn, ArchiveSnapshot, CachedSelectivity, EpsilonConfig, HistEntry, HistorySnapshot,
-    JitsConfig, PredicateCache, PredicateCacheSnapshot, QssArchive, SensitivityStrategy,
-    StatHistory,
+    ArchiveSnapshot, CachedSelectivity, EpsilonConfig, HistEntry, HistorySnapshot, JitsConfig,
+    PredicateCache, PredicateCacheSnapshot, QssArchive, SensitivityStrategy, StatHistory,
 };
 use jits_catalog::{Catalog, ColumnStats, TableStats};
 use jits_common::{ColGroup, ColumnId, JitsError, Result, SplitMix64, TableId, Value};
@@ -40,8 +39,19 @@ use jits_wal::{Decoder, Encoder};
 use std::sync::Arc;
 
 /// Checkpoint payload format version. Version 1 also carried three engine
-/// flags that no longer exist; its segments are refused, not reinterpreted.
-const STATE_VERSION: u8 = 2;
+/// flags that no longer exist; version 2 wrote the JITS setting in its
+/// 19-field layout (see [`RETIRED_JITS_TAG`]). Segments of either are
+/// refused, not reinterpreted.
+const STATE_VERSION: u8 = 3;
+
+/// Setting tag of the retired 19-field `JitsConfig` layout. A payload
+/// carrying it (a version-2 checkpoint, or a `SetSetting` record logged
+/// before the cut) is refused with a typed error: the nine-field layout
+/// under [`JITS_TAG`] would misread it.
+const RETIRED_JITS_TAG: u8 = 3;
+
+/// Setting tag of a [`StatsSetting::Jits`] in the nine-field layout.
+const JITS_TAG: u8 = 4;
 
 /// What recovery did, surfaced through `Database::recovery_report` and the
 /// `jits.recovery.*` metrics.
@@ -187,7 +197,7 @@ fn put_setting(e: &mut Encoder, s: &StatsSetting) {
         StatsSetting::CatalogOnly => e.put_u8(1),
         StatsSetting::ArchiveReadOnly => e.put_u8(2),
         StatsSetting::Jits(cfg) => {
-            e.put_u8(3);
+            e.put_u8(JITS_TAG);
             put_jits_config(e, cfg);
         }
     }
@@ -198,7 +208,12 @@ fn setting(d: &mut Decoder) -> Result<StatsSetting> {
         0 => StatsSetting::NoStatistics,
         1 => StatsSetting::CatalogOnly,
         2 => StatsSetting::ArchiveReadOnly,
-        3 => StatsSetting::Jits(jits_config(d)?),
+        JITS_TAG => StatsSetting::Jits(jits_config(d)?),
+        RETIRED_JITS_TAG => {
+            return Err(JitsError::Recovery(
+                "checkpoint: retired 19-field JITS setting layout".to_string(),
+            ))
+        }
         t => {
             return Err(JitsError::Recovery(format!(
                 "checkpoint: bad setting tag {t}"
@@ -218,27 +233,13 @@ fn put_jits_config(e: &mut Encoder, c: &JitsConfig) {
         }
     }
     e.put_f64(c.s_max);
-    e.put_u8(match c.aggregate {
-        AggregateFn::Average => 0,
-        AggregateFn::Max => 1,
-        AggregateFn::Min => 2,
-    });
     e.put_u64(c.sample.size as u64);
     e.put_bool(c.sample_cache);
-    e.put_f64(c.sample_cache_staleness);
     e.put_u64(c.collect_budget);
     e.put_u64(c.collect_threads as u64);
-    e.put_u64(c.max_group_enumeration as u64);
     e.put_u64(c.archive_bucket_budget as u64);
     e.put_f64(c.eviction_uniformity);
-    e.put_u64(c.history_entries_per_key as u64);
-    e.put_f64(c.history_ewma);
-    e.put_f64(c.archive_accuracy_gate);
-    e.put_bool(c.infer_from_supersets);
-    e.put_u64(c.predicate_cache_capacity as u64);
     e.put_u64(c.migrate_every);
-    e.put_bool(c.feedback_to_archive);
-    e.put_f64(c.qerror_threshold);
 }
 
 fn jits_config(d: &mut Decoder) -> Result<JitsConfig> {
@@ -258,34 +259,15 @@ fn jits_config(d: &mut Decoder) -> Result<JitsConfig> {
     Ok(JitsConfig {
         strategy,
         s_max: d.f64()?,
-        aggregate: match d.u8()? {
-            0 => AggregateFn::Average,
-            1 => AggregateFn::Max,
-            2 => AggregateFn::Min,
-            t => {
-                return Err(JitsError::Recovery(format!(
-                    "checkpoint: bad aggregate tag {t}"
-                )))
-            }
-        },
         sample: SampleSpec {
             size: d.u64()? as usize,
         },
         sample_cache: d.bool()?,
-        sample_cache_staleness: d.f64()?,
         collect_budget: d.u64()?,
         collect_threads: d.u64()? as usize,
-        max_group_enumeration: d.u64()? as usize,
         archive_bucket_budget: d.u64()? as usize,
         eviction_uniformity: d.f64()?,
-        history_entries_per_key: d.u64()? as usize,
-        history_ewma: d.f64()?,
-        archive_accuracy_gate: d.f64()?,
-        infer_from_supersets: d.bool()?,
-        predicate_cache_capacity: d.u64()? as usize,
         migrate_every: d.u64()?,
-        feedback_to_archive: d.bool()?,
-        qerror_threshold: d.f64()?,
     })
 }
 
@@ -1021,23 +1003,76 @@ mod tests {
         assert_eq!(metrics, det);
     }
 
+    /// Every `JitsConfig` field is set away from its default (and
+    /// `EpsilonPlanning` away from its default config), so a field the codec
+    /// drops or misorders fails the comparison.
     #[test]
     fn setting_payload_roundtrips() {
+        let d = JitsConfig::default();
+        let every_field = JitsConfig {
+            strategy: SensitivityStrategy::EpsilonPlanning(EpsilonConfig {
+                epsilon: 0.02,
+                threshold: 0.4,
+                max_iterations: 3,
+            }),
+            s_max: 0.25,
+            sample: SampleSpec { size: 777 },
+            sample_cache: false,
+            collect_budget: 12_345,
+            collect_threads: 8,
+            archive_bucket_budget: 99,
+            eviction_uniformity: 0.75,
+            migrate_every: 7,
+        };
+        assert_ne!(format!("{every_field:?}"), format!("{d:?}"));
         for setting in [
             StatsSetting::NoStatistics,
             StatsSetting::CatalogOnly,
             StatsSetting::ArchiveReadOnly,
-            StatsSetting::Jits(JitsConfig {
-                strategy: SensitivityStrategy::EpsilonPlanning(EpsilonConfig::default()),
-                s_max: 0.25,
-                aggregate: AggregateFn::Max,
-                collect_threads: 8,
-                ..JitsConfig::default()
-            }),
+            StatsSetting::Jits(d),
+            StatsSetting::Jits(every_field),
         ] {
             let bytes = encode_setting(&setting);
             let back = decode_setting(&bytes).unwrap();
             assert_eq!(format!("{back:?}"), format!("{setting:?}"));
+        }
+    }
+
+    /// The default `JitsConfig` in the retired 19-field layout, byte for
+    /// byte as the version-2 codec wrote it.
+    fn retired_jits_setting() -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u8(RETIRED_JITS_TAG);
+        e.put_u8(0); // strategy: paper heuristic
+        e.put_f64(0.5); // s_max
+        e.put_u8(0); // aggregate: average
+        e.put_u64(SampleSpec::default().size as u64);
+        e.put_bool(true); // sample_cache
+        e.put_f64(0.1); // sample_cache_staleness
+        e.put_u64(0); // collect_budget
+        e.put_u64(1); // collect_threads
+        e.put_u64(6); // max_group_enumeration
+        e.put_u64(4096); // archive_bucket_budget
+        e.put_f64(0.9); // eviction_uniformity
+        e.put_u64(8); // history_entries_per_key
+        e.put_f64(0.5); // history_ewma
+        e.put_f64(0.3); // archive_accuracy_gate
+        e.put_bool(true); // infer_from_supersets
+        e.put_u64(256); // predicate_cache_capacity
+        e.put_u64(25); // migrate_every
+        e.put_bool(false); // feedback_to_archive
+        e.put_f64(2.0); // qerror_threshold
+        e.into_bytes()
+    }
+
+    /// A `SetSetting` payload logged in the retired layout is refused with
+    /// a typed error, never read as the nine-field layout.
+    #[test]
+    fn retired_setting_payload_is_a_typed_recovery_error() {
+        match decode_setting(&retired_jits_setting()) {
+            Err(JitsError::Recovery(m)) => assert!(m.contains("retired"), "{m}"),
+            Err(other) => panic!("expected Recovery error, got {other:?}"),
+            Ok(s) => panic!("expected Recovery error, got {s:?}"),
         }
     }
 
@@ -1059,7 +1094,7 @@ mod tests {
     }
 
     /// A version-1 segment (which carried three engine flags after the RNG
-    /// state) is refused with a typed error, never decoded as version 2.
+    /// state) is refused with a typed error, never decoded as version 3.
     #[test]
     fn version_one_segment_is_a_typed_recovery_error() {
         let db = crate::Database::new(1);
@@ -1071,5 +1106,29 @@ mod tests {
             Err(other) => panic!("expected Recovery error, got {other:?}"),
             Ok(_) => panic!("expected Recovery error, got Ok"),
         }
+    }
+
+    /// A version-2 segment (the JITS setting in its 19-field layout) is
+    /// refused with a typed error, never decoded as version 3.
+    #[test]
+    fn version_two_segment_is_a_typed_recovery_error() {
+        let mut db = crate::Database::new(1);
+        db.set_setting(StatsSetting::Jits(JitsConfig::default()));
+        let bytes = encode_state(&db.state().refs(), db.obs());
+        // header: version, clock, RNG state; then the setting
+        let setting_at = 17;
+        let new_len = encode_setting(db.setting()).len();
+        let mut v2 = bytes.clone();
+        v2[0] = 2;
+        v2.splice(setting_at..setting_at + new_len, retired_jits_setting());
+        match decode_state(&v2) {
+            Err(JitsError::Recovery(m)) => assert!(m.contains("version 2"), "{m}"),
+            Err(other) => panic!("expected Recovery error, got {other:?}"),
+            Ok(_) => panic!("expected Recovery error, got Ok"),
+        }
+        // even under the current version byte, the retired setting is refused
+        v2[0] = STATE_VERSION;
+        assert!(matches!(decode_state(&v2), Err(JitsError::Recovery(_))));
+        assert!(decode_state(&bytes).is_ok());
     }
 }

@@ -57,7 +57,6 @@ const OPTIMIZER_CALL_WORK: f64 = 2_000.0;
 /// Parses, optimizes and executes one SQL statement.
 pub(crate) fn execute<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<QueryResult> {
     let t0 = now_nanos();
-    s.note_statement();
     let stmt = parse(sql)?;
     if let Some(rows) = system_view_rows(env, s, &stmt) {
         return Ok(QueryResult {
@@ -285,7 +284,7 @@ fn run_select<S: Store>(
         exec_wall_nanos: exec_nanos,
     };
     let profile = s.with_catalog(|catalog| build_profile(&plan, &out.stats, catalog, &ctx));
-    observe::note_profile(obs, &profile, cfg.qerror_threshold);
+    observe::note_profile(obs, &profile);
     metrics.profile = Some(profile);
     observe::note_stage_latencies(
         obs,
@@ -297,17 +296,7 @@ fn run_select<S: Store>(
     // -- feedback (LEO) --
     tb.begin("feedback");
     let tf = now_nanos();
-    s.with_feedback(|catalog, archive, history| {
-        ingest(
-            &block,
-            &out.stats.scans,
-            history,
-            archive,
-            catalog,
-            &cfg,
-            clock,
-        )
-    });
+    s.with_feedback(|history| ingest(&block, &out.stats.scans, history));
     observe::note_feedback(obs, &mut tb, out.stats.scans.len());
     tb.end(now_nanos().saturating_sub(tf));
 
@@ -381,7 +370,7 @@ fn compile_phase<S: Store>(
     // -- query analysis (Algorithm 1) --
     tb.begin("analyze");
     let t = now_nanos();
-    let candidates = query_analysis(block, cfg.max_group_enumeration);
+    let candidates = query_analysis(block);
     walls.analyze = wall_since(t);
     observe::note_analysis(obs, tb, block.quns.len(), candidates.len());
     tb.end(walls.analyze.as_nanos() as u64);
@@ -547,7 +536,9 @@ fn compile_phase<S: Store>(
                 cand_tables,
             )
         });
-    s.note_collection(collected.collect_threads, sample_quns.len());
+    if collected.collect_threads > 1 {
+        observe::note_parallel_collection(obs);
+    }
     if !sample_quns.is_empty() {
         s.with_tables_mut(|tables| {
             for &qun in &sample_quns {
@@ -653,8 +644,7 @@ fn plan_for<S: Store>(
     stmt: &Stmt,
 ) -> Result<PhysicalPlan> {
     let (cost, defaults, clock) = (&env.cost, env.defaults, stmt.clock);
-    let read_only;
-    let cfg = match &stmt.setting {
+    match &stmt.setting {
         StatsSetting::NoStatistics => {
             return s.with_reads(|r| {
                 let provider = PhysicalMetadataProvider { tables: r.tables };
@@ -669,17 +659,11 @@ fn plan_for<S: Store>(
                 optimize(block, &est, cost, catalog)
             })
         }
-        StatsSetting::ArchiveReadOnly => {
-            read_only = JitsConfig::default();
-            &read_only
-        }
-        StatsSetting::Jits(cfg) => cfg,
-    };
+        StatsSetting::ArchiveReadOnly | StatsSetting::Jits(_) => {}
+    }
     let (plan, used, used_cache) = s.with_reads(|r| {
         let provider = JitsStatisticsProvider::new(collected, r.archive, r.catalog, r.tables)
-            .with_accuracy_gate(cfg.archive_accuracy_gate)
-            .with_predicate_cache(r.predcache)
-            .with_superset_inference(cfg.infer_from_supersets);
+            .with_predicate_cache(r.predcache);
         let est = CardinalityEstimator::new(&provider, defaults);
         let plan = optimize(block, &est, cost, r.catalog)?;
         Ok::<_, JitsError>((
@@ -894,7 +878,7 @@ pub(crate) fn precollect_query_stats<S: Store>(env: &Env, s: &mut S, sql: &str) 
     };
     let clock = s.tick();
     let cfg = JitsConfig::default();
-    let candidates = query_analysis(&block, cfg.max_group_enumeration);
+    let candidates = query_analysis(&block);
     let all_quns: Vec<usize> = (0..block.quns.len())
         .filter(|&q| candidates.iter().any(|c| c.qun == q))
         .collect();
@@ -935,8 +919,8 @@ pub(crate) fn clear_statistics<S: Store>(env: &Env, s: &mut S) {
 }
 
 /// Selects the statistics setting for subsequent statements. Accumulated
-/// statistics survive the switch; the archive limits and cache capacities
-/// follow the new JITS config.
+/// statistics survive the switch; the archive limits follow the new JITS
+/// config, and turning the sample cache off clears it.
 pub(crate) fn set_setting<S: Store>(env: &Env, s: &mut S, setting: StatsSetting) {
     wal_append_lossy(
         env,
@@ -949,7 +933,6 @@ pub(crate) fn set_setting<S: Store>(env: &Env, s: &mut S, setting: StatsSetting)
         if let StatsSetting::Jits(cfg) = &setting {
             a.archive
                 .set_limits(cfg.archive_bucket_budget, cfg.eviction_uniformity);
-            a.predcache.set_capacity(cfg.predicate_cache_capacity);
             if !cfg.sample_cache {
                 a.samplecache.clear();
             }

@@ -46,13 +46,13 @@
 //! of `collect_threads` (see `jits::collect`), so concurrency knobs never
 //! change *what* is computed — only wall-clock time.
 //!
-//! Every acquisition that actually blocks is charged to
-//! [`EngineCounters::lock_wait_nanos`] and to the statement's
+//! Every acquisition that actually blocks is charged to the volatile
+//! registry counters `jits.engine.lock_wait_nanos` and
+//! `jits.engine.contended_acquisitions`, and to the statement's
 //! [`QueryMetrics::lock_wait`](crate::QueryMetrics::lock_wait).
 
 use crate::database::Owned;
 use crate::explain::JitsExplain;
-use crate::metrics::{CountersSnapshot, EngineCounters};
 use crate::persist::{RecoveryReport, StateRefs};
 use crate::pipeline::{self, QueryResult};
 use crate::settings::StatsSetting;
@@ -111,7 +111,6 @@ struct Shared {
     rng_source: Mutex<SplitMix64>,
     /// Sessions handed out so far.
     sessions: AtomicU64,
-    counters: EngineCounters,
     /// Deterministic fault-injection plane. Like `rng_source`, guarded by a
     /// plain mutex outside the ranked hierarchy: a statement clones the
     /// handle (an `Arc` bump) before taking any engine lock.
@@ -159,11 +158,11 @@ pub struct Session {
     id: u64,
 }
 
-/// Reads a lock, charging any blocked time to the counters and the
+/// Reads a lock, charging any blocked time to the registry and the
 /// statement's running wait tally (uncontended acquisitions cost nothing).
 pub(crate) fn timed_read<'a, T: ?Sized>(
     lock: &'a RwLock<T>,
-    counters: &EngineCounters,
+    obs: &Observability,
     waited: &mut u64,
 ) -> RwLockReadGuard<'a, T> {
     if let Some(g) = lock.try_read() {
@@ -172,7 +171,7 @@ pub(crate) fn timed_read<'a, T: ?Sized>(
     let t = now_nanos();
     let g = lock.read();
     let ns = now_nanos().saturating_sub(t);
-    counters.charge_lock_wait(ns);
+    observe::note_lock_wait(obs, ns);
     *waited += ns;
     g
 }
@@ -180,7 +179,7 @@ pub(crate) fn timed_read<'a, T: ?Sized>(
 /// Write-lock counterpart of [`timed_read`].
 pub(crate) fn timed_write<'a, T: ?Sized>(
     lock: &'a RwLock<T>,
-    counters: &EngineCounters,
+    obs: &Observability,
     waited: &mut u64,
 ) -> RwLockWriteGuard<'a, T> {
     if let Some(g) = lock.try_write() {
@@ -189,7 +188,7 @@ pub(crate) fn timed_write<'a, T: ?Sized>(
     let t = now_nanos();
     let g = lock.write();
     let ns = now_nanos().saturating_sub(t);
-    counters.charge_lock_wait(ns);
+    observe::note_lock_wait(obs, ns);
     *waited += ns;
     g
 }
@@ -219,7 +218,7 @@ impl Store for Locked<'_> {
     }
 
     fn setting(&mut self) -> StatsSetting {
-        timed_read(&self.sh.setting, &self.sh.counters, &mut self.waited).clone()
+        timed_read(&self.sh.setting, &self.sh.env.obs, &mut self.waited).clone()
     }
 
     fn clock(&mut self) -> u64 {
@@ -234,37 +233,25 @@ impl Store for Locked<'_> {
         Duration::from_nanos(self.waited)
     }
 
-    fn note_statement(&mut self) {
-        self.sh.counters.statements.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_collection(&mut self, threads: usize, tables: usize) {
-        let c = &self.sh.counters;
-        if threads > 1 {
-            c.parallel_collections.fetch_add(1, Ordering::Relaxed);
-        }
-        c.tables_sampled.fetch_add(tables as u64, Ordering::Relaxed);
-    }
-
     fn with_catalog<R>(&mut self, f: impl FnOnce(&Catalog) -> R) -> R {
         let sh = self.sh;
-        let catalog = timed_read(&sh.catalog, &sh.counters, &mut self.waited);
+        let catalog = timed_read(&sh.catalog, &sh.env.obs, &mut self.waited);
         f(&catalog)
     }
 
     fn with_tables<R>(&mut self, f: impl FnOnce(&[Table]) -> R) -> R {
         let sh = self.sh;
-        let tables = timed_read(&sh.tables, &sh.counters, &mut self.waited);
+        let tables = timed_read(&sh.tables, &sh.env.obs, &mut self.waited);
         f(&tables)
     }
 
     fn with_reads<R>(&mut self, f: impl FnOnce(Reads<'_>) -> R) -> R {
         let (sh, w) = (self.sh, &mut self.waited);
-        let catalog = timed_read(&sh.catalog, &sh.counters, w);
-        let tables = timed_read(&sh.tables, &sh.counters, w);
-        let archive = timed_read(&sh.archive, &sh.counters, w);
-        let history = timed_read(&sh.history, &sh.counters, w);
-        let predcache = timed_read(&sh.predcache, &sh.counters, w);
+        let catalog = timed_read(&sh.catalog, &sh.env.obs, w);
+        let tables = timed_read(&sh.tables, &sh.env.obs, w);
+        let archive = timed_read(&sh.archive, &sh.env.obs, w);
+        let history = timed_read(&sh.history, &sh.env.obs, w);
+        let predcache = timed_read(&sh.predcache, &sh.env.obs, w);
         f(Reads {
             catalog: &catalog,
             tables: &tables,
@@ -279,11 +266,11 @@ impl Store for Locked<'_> {
             sh, rng, waited, ..
         } = self;
         let sh: &Shared = sh;
-        let catalog = timed_read(&sh.catalog, &sh.counters, waited);
-        let tables = timed_read(&sh.tables, &sh.counters, waited);
-        let archive = timed_read(&sh.archive, &sh.counters, waited);
-        let history = timed_read(&sh.history, &sh.counters, waited);
-        let predcache = timed_read(&sh.predcache, &sh.counters, waited);
+        let catalog = timed_read(&sh.catalog, &sh.env.obs, waited);
+        let tables = timed_read(&sh.tables, &sh.env.obs, waited);
+        let archive = timed_read(&sh.archive, &sh.env.obs, waited);
+        let history = timed_read(&sh.history, &sh.env.obs, waited);
+        let predcache = timed_read(&sh.predcache, &sh.env.obs, waited);
         let mut master = None;
         let stream = match rng {
             Some(r) => &mut **r,
@@ -300,7 +287,7 @@ impl Store for Locked<'_> {
             Collect {
                 samplecache: CacheWindow::Locked {
                     samplecache: &sh.samplecache,
-                    counters: &sh.counters,
+                    obs: &sh.env.obs,
                     waited,
                 },
                 rng: stream,
@@ -310,15 +297,15 @@ impl Store for Locked<'_> {
 
     fn with_views<R>(&mut self, f: impl FnOnce(&Catalog, &QssArchive, &SampleCache) -> R) -> R {
         let (sh, w) = (self.sh, &mut self.waited);
-        let catalog = timed_read(&sh.catalog, &sh.counters, w);
-        let archive = timed_read(&sh.archive, &sh.counters, w);
-        let samplecache = timed_read(&sh.samplecache, &sh.counters, w);
+        let catalog = timed_read(&sh.catalog, &sh.env.obs, w);
+        let archive = timed_read(&sh.archive, &sh.env.obs, w);
+        let samplecache = timed_read(&sh.samplecache, &sh.env.obs, w);
         f(&catalog, &archive, &samplecache)
     }
 
     fn with_tables_mut<R>(&mut self, f: impl FnOnce(&mut [Table]) -> R) -> R {
         let sh = self.sh;
-        let mut tables = timed_write(&sh.tables, &sh.counters, &mut self.waited);
+        let mut tables = timed_write(&sh.tables, &sh.env.obs, &mut self.waited);
         f(&mut tables)
     }
 
@@ -327,26 +314,21 @@ impl Store for Locked<'_> {
         f: impl FnOnce(&mut QssArchive, &mut PredicateCache) -> R,
     ) -> R {
         let (sh, w) = (self.sh, &mut self.waited);
-        let mut archive = timed_write(&sh.archive, &sh.counters, w);
-        let mut predcache = timed_write(&sh.predcache, &sh.counters, w);
+        let mut archive = timed_write(&sh.archive, &sh.env.obs, w);
+        let mut predcache = timed_write(&sh.predcache, &sh.env.obs, w);
         f(&mut archive, &mut predcache)
     }
 
-    fn with_feedback<R>(
-        &mut self,
-        f: impl FnOnce(&Catalog, &mut QssArchive, &mut StatHistory) -> R,
-    ) -> R {
-        let (sh, w) = (self.sh, &mut self.waited);
-        let catalog = timed_read(&sh.catalog, &sh.counters, w);
-        let mut archive = timed_write(&sh.archive, &sh.counters, w);
-        let mut history = timed_write(&sh.history, &sh.counters, w);
-        f(&catalog, &mut archive, &mut history)
+    fn with_feedback<R>(&mut self, f: impl FnOnce(&mut StatHistory) -> R) -> R {
+        let sh = self.sh;
+        let mut history = timed_write(&sh.history, &sh.env.obs, &mut self.waited);
+        f(&mut history)
     }
 
     fn with_migrate<R>(&mut self, f: impl FnOnce(&mut Catalog, &QssArchive) -> R) -> R {
         let (sh, w) = (self.sh, &mut self.waited);
-        let mut catalog = timed_write(&sh.catalog, &sh.counters, w);
-        let archive = timed_read(&sh.archive, &sh.counters, w);
+        let mut catalog = timed_write(&sh.catalog, &sh.env.obs, w);
+        let archive = timed_read(&sh.archive, &sh.env.obs, w);
         f(&mut catalog, &archive)
     }
 
@@ -356,9 +338,9 @@ impl Store for Locked<'_> {
     ) -> R {
         let (sh, w) = (self.sh, &mut self.waited);
         let fault = sh.fault.lock().clone();
-        let mut catalog = timed_write(&sh.catalog, &sh.counters, w);
-        let mut tables = timed_write(&sh.tables, &sh.counters, w);
-        let mut wal = timed_write(&sh.wal, &sh.counters, w);
+        let mut catalog = timed_write(&sh.catalog, &sh.env.obs, w);
+        let mut tables = timed_write(&sh.tables, &sh.env.obs, w);
+        let mut wal = timed_write(&sh.wal, &sh.env.obs, w);
         let slot = WalSlot {
             wal: wal.as_mut(),
             fault: &fault,
@@ -369,12 +351,12 @@ impl Store for Locked<'_> {
 
     fn with_admin<R>(&mut self, f: impl FnOnce(Admin<'_>) -> R) -> R {
         let (sh, w) = (self.sh, &mut self.waited);
-        let mut catalog = timed_write(&sh.catalog, &sh.counters, w);
-        let mut archive = timed_write(&sh.archive, &sh.counters, w);
-        let mut history = timed_write(&sh.history, &sh.counters, w);
-        let mut predcache = timed_write(&sh.predcache, &sh.counters, w);
-        let mut samplecache = timed_write(&sh.samplecache, &sh.counters, w);
-        let mut setting = timed_write(&sh.setting, &sh.counters, w);
+        let mut catalog = timed_write(&sh.catalog, &sh.env.obs, w);
+        let mut archive = timed_write(&sh.archive, &sh.env.obs, w);
+        let mut history = timed_write(&sh.history, &sh.env.obs, w);
+        let mut predcache = timed_write(&sh.predcache, &sh.env.obs, w);
+        let mut samplecache = timed_write(&sh.samplecache, &sh.env.obs, w);
+        let mut setting = timed_write(&sh.setting, &sh.env.obs, w);
         f(Admin {
             catalog: &mut catalog,
             archive: &mut archive,
@@ -389,7 +371,7 @@ impl Store for Locked<'_> {
         let sh = self.sh;
         let fault = sh.fault.lock().clone();
         let clock = sh.clock.load(Ordering::SeqCst);
-        let mut wal = timed_write(&sh.wal, &sh.counters, &mut self.waited);
+        let mut wal = timed_write(&sh.wal, &sh.env.obs, &mut self.waited);
         f(WalSlot {
             wal: wal.as_mut(),
             fault: &fault,
@@ -402,14 +384,14 @@ impl Store for Locked<'_> {
         // un-ranked snapshots first, then guards in rank order 1..=8
         let fault = sh.fault.lock().clone();
         let rng_state = sh.rng_source.lock().state();
-        let catalog = timed_read(&sh.catalog, &sh.counters, w);
-        let tables = timed_read(&sh.tables, &sh.counters, w);
-        let archive = timed_read(&sh.archive, &sh.counters, w);
-        let history = timed_read(&sh.history, &sh.counters, w);
-        let predcache = timed_read(&sh.predcache, &sh.counters, w);
-        let samplecache = timed_read(&sh.samplecache, &sh.counters, w);
-        let setting = timed_read(&sh.setting, &sh.counters, w);
-        let mut wal = timed_write(&sh.wal, &sh.counters, w);
+        let catalog = timed_read(&sh.catalog, &sh.env.obs, w);
+        let tables = timed_read(&sh.tables, &sh.env.obs, w);
+        let archive = timed_read(&sh.archive, &sh.env.obs, w);
+        let history = timed_read(&sh.history, &sh.env.obs, w);
+        let predcache = timed_read(&sh.predcache, &sh.env.obs, w);
+        let samplecache = timed_read(&sh.samplecache, &sh.env.obs, w);
+        let setting = timed_read(&sh.setting, &sh.env.obs, w);
+        let mut wal = timed_write(&sh.wal, &sh.env.obs, w);
         let clock = sh.clock.load(Ordering::SeqCst);
         f(
             StateRefs {
@@ -479,7 +461,6 @@ impl SharedDatabase {
                 clock: AtomicU64::new(clock),
                 rng_source: Mutex::new(rng),
                 sessions: AtomicU64::new(0),
-                counters: EngineCounters::default(),
                 fault: Mutex::new(fault),
                 wal: RwLock::with_rank(wal, RANK_WAL),
                 checkpoint_every: AtomicU64::new(checkpoint_every),
@@ -525,7 +506,7 @@ impl SharedDatabase {
     /// Whether a WAL is attached (durable mode).
     pub fn is_durable(&self) -> bool {
         let mut w = 0u64;
-        timed_read(&self.shared.wal, &self.shared.counters, &mut w).is_some()
+        timed_read(&self.shared.wal, &self.shared.env.obs, &mut w).is_some()
     }
 
     /// Installs the deterministic fault-injection plane for every session
@@ -617,19 +598,14 @@ impl SharedDatabase {
         self.shared.clock.load(Ordering::SeqCst)
     }
 
-    /// Point-in-time copy of the engine-wide concurrency counters.
-    pub fn counters(&self) -> CountersSnapshot {
-        self.shared.counters.snapshot()
-    }
-
     /// The observability state: tracer, metrics registry, and query log
     /// (shared by every session).
     pub fn obs(&self) -> &Arc<Observability> {
         &self.shared.env.obs
     }
 
-    /// Exports the metrics registry as JSON, after mirroring the engine
-    /// counters and archive gauges into it. Pass `include_volatile =
+    /// Exports the metrics registry as JSON, after mirroring the archive
+    /// gauges into it. Pass `include_volatile =
     /// false` for the deterministic subset, which is byte-identical for
     /// equal workloads and seeds at any `collect_threads`.
     pub fn metrics_json(&self, include_volatile: bool) -> String {
@@ -643,10 +619,9 @@ impl SharedDatabase {
         self.obs().metrics_prometheus(true)
     }
 
-    /// Mirrors point-in-time engine state (counters, archive size) into
-    /// the registry so exports are coherent.
+    /// Mirrors point-in-time archive size into the registry so exports are
+    /// coherent.
     fn sync_observability(&self) {
-        observe::sync_engine_counters(self.obs(), &self.shared.counters.snapshot());
         self.with_archive(|archive| observe::note_archive_gauges(self.obs(), archive));
     }
 
@@ -655,7 +630,7 @@ impl SharedDatabase {
         let mut w = 0u64;
         f(&timed_read(
             &self.shared.catalog,
-            &self.shared.counters,
+            &self.shared.env.obs,
             &mut w,
         ))
     }
@@ -665,7 +640,7 @@ impl SharedDatabase {
         let mut w = 0u64;
         f(&timed_read(
             &self.shared.tables,
-            &self.shared.counters,
+            &self.shared.env.obs,
             &mut w,
         ))
     }
@@ -675,7 +650,7 @@ impl SharedDatabase {
         let mut w = 0u64;
         f(&timed_read(
             &self.shared.archive,
-            &self.shared.counters,
+            &self.shared.env.obs,
             &mut w,
         ))
     }
@@ -685,7 +660,7 @@ impl SharedDatabase {
         let mut w = 0u64;
         f(&timed_read(
             &self.shared.history,
-            &self.shared.counters,
+            &self.shared.env.obs,
             &mut w,
         ))
     }
@@ -787,9 +762,12 @@ mod tests {
         let r = s.execute("SELECT id FROM car WHERE year > 2004").unwrap();
         holder.join().unwrap();
         assert!(r.metrics.lock_wait > Duration::ZERO);
-        let snap = shared.counters();
-        assert!(snap.contended_acquisitions >= 1);
-        assert!(snap.lock_wait > Duration::ZERO);
+        let reg = &shared.obs().registry;
+        let counter = |name| reg.counter(name, jits_obs::Volatility::Volatile).get();
+        assert!(counter("jits.engine.contended_acquisitions") >= 1);
+        assert!(counter("jits.engine.lock_wait_nanos") > 0);
+        // volatile: the deterministic export never shows them
+        assert!(!shared.metrics_json(false).contains("jits.engine."));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! pipeline ([`crate::pipeline`]) reaches it.
 //!
 //! A statement's phases each need a fixed bundle of components — sensitivity
-//! and sampling read five of them, feedback writes two, DDL writes catalog
+//! and sampling read five of them, feedback writes one, DDL writes catalog
 //! and tables under the log. A `Store` hands out one bundle at a time as the
 //! argument of a closure:
 //!
@@ -15,7 +15,6 @@
 //! bundles at once: lock ordering reduces to the acquisition order inside
 //! each bundle method, which `jits-lint`'s lock-order pass checks.
 
-use crate::metrics::EngineCounters;
 use crate::persist::StateRefs;
 use crate::session::{timed_read, timed_write};
 use crate::settings::StatsSetting;
@@ -124,7 +123,7 @@ pub(crate) enum CacheWindow<'a> {
     Owned(&'a mut SampleCache),
     Locked {
         samplecache: &'a RwLock<SampleCache>,
-        counters: &'a EngineCounters,
+        obs: &'a Observability,
         waited: &'a mut u64,
     },
 }
@@ -136,9 +135,9 @@ impl CacheWindow<'_> {
             CacheWindow::Owned(cache) => f(cache),
             CacheWindow::Locked {
                 samplecache,
-                counters,
+                obs,
                 waited,
-            } => f(&mut timed_write(samplecache, counters, waited)),
+            } => f(&mut timed_write(samplecache, obs, waited)),
         }
     }
 
@@ -148,9 +147,9 @@ impl CacheWindow<'_> {
             CacheWindow::Owned(cache) => f(cache),
             CacheWindow::Locked {
                 samplecache,
-                counters,
+                obs,
                 waited,
-            } => f(&timed_read(samplecache, counters, waited)),
+            } => f(&timed_read(samplecache, obs, waited)),
         }
     }
 }
@@ -203,10 +202,6 @@ pub(crate) trait Store {
     fn tick(&mut self) -> u64;
     /// Time this statement has spent blocked on engine locks.
     fn lock_wait(&self) -> Duration;
-    /// Counts one statement in the engine-wide counters.
-    fn note_statement(&mut self);
-    /// Counts one collection pass in the engine-wide counters.
-    fn note_collection(&mut self, threads: usize, tables: usize);
 
     /// Catalog read (bind, profiles, plans on catalog statistics).
     fn with_catalog<R>(&mut self, f: impl FnOnce(&Catalog) -> R) -> R;
@@ -224,11 +219,8 @@ pub(crate) trait Store {
     /// touches).
     fn with_stats_mut<R>(&mut self, f: impl FnOnce(&mut QssArchive, &mut PredicateCache) -> R)
         -> R;
-    /// Catalog read with archive and history writes (LEO feedback).
-    fn with_feedback<R>(
-        &mut self,
-        f: impl FnOnce(&Catalog, &mut QssArchive, &mut StatHistory) -> R,
-    ) -> R;
+    /// History write (LEO feedback).
+    fn with_feedback<R>(&mut self, f: impl FnOnce(&mut StatHistory) -> R) -> R;
     /// Catalog write with an archive read (migration).
     fn with_migrate<R>(&mut self, f: impl FnOnce(&mut Catalog, &QssArchive) -> R) -> R;
     /// Catalog and tables writes with the log, so DDL appends under its

@@ -3,7 +3,7 @@
 //!
 //! Three access paths reach the candidates — an index probe (hash twin for
 //! points, B-tree for ranges), a zone-map-pruned scan, a full scan — and
-//! one columnar filter ([`filter_rows`]) applies the predicates to them:
+//! one columnar filter (`filter_rows`) applies the predicates to them:
 //! integer intervals over a typed gather, string predicates through a
 //! verdict per dictionary entry looked up by each row's code, everything
 //! else cell by cell.

@@ -7,10 +7,10 @@
 //! would ideally know.
 //!
 //! The enumeration is exponential in `|P_t|`; real queries rarely have more
-//! than a handful of local predicates per table, and beyond the configured
-//! cap the enumeration degrades gracefully to singletons, pairs, and the
-//! full group (the groups the estimator and the sensitivity analysis
-//! actually consume).
+//! than a handful of local predicates per table, and beyond
+//! [`MAX_GROUP_ENUMERATION`] the enumeration degrades gracefully to
+//! singletons, pairs, and the full group (the groups the estimator and the
+//! sensitivity analysis actually consume).
 
 use jits_common::ColGroup;
 use jits_query::QueryBlock;
@@ -29,18 +29,23 @@ pub struct CandidateGroup {
     pub is_region: bool,
 }
 
+/// Local predicates per table up to which Algorithm 1 enumerates the full
+/// power set (63 groups); beyond it only singletons, pairs, and the full
+/// group are enumerated, bounding the candidate count.
+pub const MAX_GROUP_ENUMERATION: usize = 6;
+
 /// Algorithm 1: enumerate candidate predicate groups for a block.
 ///
 /// Groups are returned in (quantifier, size, lexicographic) order, so output
 /// is deterministic.
-pub fn query_analysis(block: &QueryBlock, max_enumeration: usize) -> Vec<CandidateGroup> {
+pub fn query_analysis(block: &QueryBlock) -> Vec<CandidateGroup> {
     let mut out = Vec::new();
     for qun in 0..block.quns.len() {
         let preds = block.local_predicates_of(qun);
         if preds.is_empty() {
             continue;
         }
-        let subsets = if preds.len() <= max_enumeration {
+        let subsets = if preds.len() <= MAX_GROUP_ENUMERATION {
             power_set(&preds)
         } else {
             capped_subsets(&preds)
@@ -127,7 +132,7 @@ mod tests {
         // §3.2: make/model/year on car -> 3 singletons + 3 pairs + 1 triple
         let b =
             block("SELECT * FROM car WHERE make = 'Toyota' AND model = 'Corolla' AND year > 2000");
-        let groups = query_analysis(&b, 6);
+        let groups = query_analysis(&b);
         assert_eq!(groups.len(), 7);
         assert_eq!(
             groups.iter().filter(|g| g.pred_indices.len() == 1).count(),
@@ -150,7 +155,7 @@ mod tests {
             "SELECT * FROM car c, owner o WHERE c.id = o.id \
              AND make = 'Toyota' AND year > 2000 AND salary > 5000",
         );
-        let groups = query_analysis(&b, 6);
+        let groups = query_analysis(&b);
         // car: 2 preds -> 3 groups; owner: 1 pred -> 1 group
         assert_eq!(groups.len(), 4);
         assert_eq!(groups.iter().filter(|g| g.qun == 0).count(), 3);
@@ -161,13 +166,13 @@ mod tests {
     #[test]
     fn tables_without_local_predicates_skipped() {
         let b = block("SELECT * FROM car c, owner o WHERE c.id = o.id");
-        assert!(query_analysis(&b, 6).is_empty());
+        assert!(query_analysis(&b).is_empty());
     }
 
     #[test]
     fn noteq_groups_flagged_as_non_region() {
         let b = block("SELECT * FROM car WHERE make <> 'Toyota' AND year > 2000");
-        let groups = query_analysis(&b, 6);
+        let groups = query_analysis(&b);
         let full = groups.iter().find(|g| g.pred_indices.len() == 2).unwrap();
         assert!(!full.is_region);
         let year_only = groups.iter().find(|g| g.pred_indices == vec![1]).unwrap();
@@ -180,21 +185,25 @@ mod tests {
             "SELECT * FROM car WHERE id > 0 AND id < 100 AND make = 'a' AND model = 'b' \
              AND year > 1 AND year < 9 AND id <> 5 AND make <> 'c'",
         );
-        // 8 predicates: full power set would be 255 groups
-        let groups = query_analysis(&b, 6);
-        // capped: 8 singles + 28 pairs + 1 full = 37
-        assert_eq!(groups.len(), 37);
-        // uncapped for comparison
-        let groups = query_analysis(&b, 8);
-        assert_eq!(groups.len(), 255);
+        // 8 predicates, past the cap: 8 singles + 28 pairs + 1 full = 37,
+        // where the full power set would be 255 groups
+        const { assert!(8 > MAX_GROUP_ENUMERATION) };
+        assert_eq!(query_analysis(&b).len(), 37);
+        assert_eq!(power_set(&(0..8).collect::<Vec<_>>()).len(), 255);
+        // at the cap the power set is still enumerated in full
+        let b = block(
+            "SELECT * FROM car WHERE id > 0 AND id < 100 AND make = 'a' AND model = 'b' \
+             AND year > 1 AND year < 9",
+        );
+        assert_eq!(query_analysis(&b).len(), (1 << MAX_GROUP_ENUMERATION) - 1);
     }
 
     #[test]
     fn deterministic_ordering() {
         let b =
             block("SELECT * FROM car WHERE make = 'Toyota' AND model = 'Corolla' AND year > 2000");
-        let a = query_analysis(&b, 6);
-        let c = query_analysis(&b, 6);
+        let a = query_analysis(&b);
+        let c = query_analysis(&b);
         assert_eq!(a, c);
         // sizes non-decreasing within a quantifier
         for w in a.windows(2) {

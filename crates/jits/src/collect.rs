@@ -914,7 +914,7 @@ pub fn collect_for_tables_parallel(
     rng: &mut SplitMix64,
     threads: usize,
 ) -> CollectedStats {
-    collect_for_tables_traced(
+    collect_for_tables_sourced(
         block,
         sample_quns,
         candidates,
@@ -923,47 +923,22 @@ pub fn collect_for_tables_parallel(
         rng,
         threads,
         None,
-    )
-    .0
-}
-
-/// [`collect_for_tables_parallel`] plus per-table [`CollectTiming`]
-/// telemetry for tracing. `clock` supplies monotonic nanoseconds (pass
-/// `None` when not tracing — timings then carry zero wall time but still
-/// report deterministic row/probe counts). The statistics returned are
-/// identical whether or not a clock is supplied.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_for_tables_traced(
-    block: &QueryBlock,
-    sample_quns: &[usize],
-    candidates: &[CandidateGroup],
-    tables: &[Table],
-    spec: SampleSpec,
-    rng: &mut SplitMix64,
-    threads: usize,
-    clock: Option<&(dyn Fn() -> u64 + Sync)>,
-) -> (CollectedStats, Vec<CollectTiming>) {
-    let (stats, timings, _drawn) = collect_for_tables_sourced(
-        block,
-        sample_quns,
-        candidates,
-        tables,
-        spec,
-        rng,
-        threads,
-        clock,
         &BTreeMap::new(),
         0,
         &FaultPlane::disabled(),
         0,
-    );
-    (stats, timings)
+    )
+    .0
 }
 
-/// [`collect_for_tables_traced`] with per-quantifier [`SampleSource`]s from
-/// the engine's sample-cache resolution. Quantifiers absent from `sources`
-/// draw fresh (so an empty map is exactly the cold path). Returns every
-/// cache deposit — fresh draws plus columns gathered on top of served
+/// [`collect_for_tables_parallel`] with per-table [`CollectTiming`]
+/// telemetry and per-quantifier [`SampleSource`]s from the engine's
+/// sample-cache resolution. `clock` supplies monotonic nanoseconds (pass
+/// `None` when not tracing — timings then carry zero wall time but still
+/// report deterministic row/probe counts); the statistics returned are
+/// identical whether or not a clock is supplied. Quantifiers absent from
+/// `sources` draw fresh (so an empty map is exactly the cold path). Returns
+/// every cache deposit — fresh draws plus columns gathered on top of served
 /// samples — as [`DrawnSample`]s (in quantifier order) for the caller to
 /// commit back to its cache.
 ///
@@ -1149,7 +1124,7 @@ mod tests {
     #[test]
     fn joint_selectivities_measured_exactly_on_full_sample() {
         let (_, tables, block) = setup();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let mut rng = SplitMix64::new(1);
         // sample larger than the table: all rows examined
         let stats = collect_for_tables(
@@ -1173,7 +1148,7 @@ mod tests {
     #[test]
     fn sampled_selectivities_approximate() {
         let (_, tables, block) = setup();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let mut rng = SplitMix64::new(7);
         let stats = collect_for_tables(
             &block,
@@ -1195,7 +1170,7 @@ mod tests {
     #[test]
     fn regions_and_frames_produced() {
         let (_, tables, block) = setup();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let mut rng = SplitMix64::new(1);
         let stats = collect_for_tables(
             &block,
@@ -1262,7 +1237,7 @@ mod tests {
     #[test]
     fn parallel_collection_is_bit_identical_to_sequential() {
         let (_, tables, block) = setup_join();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let seq = collect_for_tables(
             &block,
             &[0, 1],
@@ -1298,7 +1273,7 @@ mod tests {
         // sampling table B alone must give the same rows for B as sampling
         // A and B together — streams derive from identity, not draw order
         let (_, tables, block) = setup_join();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let both = collect_for_tables(
             &block,
             &[0, 1],
@@ -1337,7 +1312,7 @@ mod tests {
     #[test]
     fn unmarked_tables_not_sampled() {
         let (_, tables, block) = setup();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let mut rng = SplitMix64::new(1);
         let stats = collect_for_tables(
             &block,
@@ -1398,7 +1373,7 @@ mod tests {
         // full-table sample: every group's matches must equal a row-by-row
         // reference evaluation through LocalPredicate::matches + Table::value
         let (_, tables, block) = setup_mixed();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let stats = collect_for_tables(
             &block,
             &[0],
@@ -1429,7 +1404,7 @@ mod tests {
 
     #[test]
     fn capped_enumeration_falls_back_to_full_and() {
-        // 8 predicates with max_group_enumeration 6: candidates are capped
+        // 8 predicates past MAX_GROUP_ENUMERATION: candidates are capped
         // to singletons + pairs + the full 8-group, whose 7-parent is never
         // enumerated — the full-AND fallback must agree with the reference
         let mut catalog = Catalog::new();
@@ -1461,7 +1436,7 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         assert!(candidates.iter().any(|c| c.pred_indices.len() == 8));
         let stats = collect_for_tables(
             &block,
@@ -1512,7 +1487,7 @@ mod tests {
         // produced must yield bit-identical group statistics, and mark the
         // timing as cache-served
         let (_, tables, block) = setup();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let spec = SampleSpec::fixed(400);
         let (cold, cold_timings, drawn) = collect_for_tables_sourced(
             &block,
@@ -1619,7 +1594,7 @@ mod tests {
         // the stream base must be drawn from the session RNG whether or not
         // samples are served, so RNG evolution is cache-independent
         let (_, tables, block) = setup();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let spec = SampleSpec::fixed(100);
         let mut rng_cold = SplitMix64::new(9);
         let _ = collect_for_tables(&block, &[0], &candidates, &tables, spec, &mut rng_cold);
@@ -1681,7 +1656,7 @@ mod tests {
     #[test]
     fn persistent_draw_fault_degrades_only_its_table() {
         let (_, tables, block) = setup_join();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         // key = clock*1024 + qun: arm qun 0 of statement 1 persistently
         let fault = FaultPlane::from_spec(5, "sample.draw=once:1024:inf").unwrap();
         let stats = collect_faulted(&block, &tables, &candidates, 1, 0, &fault, 1);
@@ -1700,7 +1675,7 @@ mod tests {
     #[test]
     fn transient_draw_fault_retries_and_charges_backoff() {
         let (_, tables, block) = setup_join();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let clean = collect_faulted(
             &block,
             &tables,
@@ -1722,7 +1697,7 @@ mod tests {
     #[test]
     fn worker_fault_and_degradation_replay_identically_across_threads() {
         let (_, tables, block) = setup_join();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let fault = FaultPlane::from_spec(77, "collect.worker=once:2049:inf").unwrap();
         let one = collect_faulted(&block, &tables, &candidates, 1, 0, &fault, 2);
         assert_eq!(one.degraded.len(), 1);
@@ -1743,7 +1718,7 @@ mod tests {
     #[test]
     fn budget_degrades_deterministically_at_any_thread_count() {
         let (_, tables, block) = setup_join();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         // a tight budget binds on both tables' draws
         let one = collect_faulted(
             &block,

@@ -1,32 +1,10 @@
 //! JITS tuning knobs.
+//!
+//! Only what a caller varies is a field; every other constant of the
+//! pipeline is a named `const` beside the code that reads it.
 
 use crate::epsilon::EpsilonConfig;
 use jits_storage::SampleSpec;
-
-/// How the two sensitivity scores are combined (paper §3.3.2: "The total
-/// score of the table is computed as an aggregate function of the two
-/// metric values ... In our implemented prototype, the aggregate function is
-/// the average of the two scores").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregateFn {
-    /// `(s1 + s2) / 2` — the paper's prototype choice.
-    Average,
-    /// `max(s1, s2)` — collect if *either* signal fires.
-    Max,
-    /// `min(s1, s2)` — collect only if *both* signals fire.
-    Min,
-}
-
-impl AggregateFn {
-    /// Combines the accuracy score `s1` and activity score `s2`.
-    pub fn combine(self, s1: f64, s2: f64) -> f64 {
-        match self {
-            AggregateFn::Average => (s1 + s2) / 2.0,
-            AggregateFn::Max => s1.max(s2),
-            AggregateFn::Min => s1.min(s2),
-        }
-    }
-}
 
 /// Which sensitivity analysis decides what to collect.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,28 +22,23 @@ pub enum SensitivityStrategy {
 #[derive(Debug, Clone)]
 pub struct JitsConfig {
     /// Which sensitivity analysis runs (the paper's heuristic by default).
+    /// The `ablations` bin varies it.
     pub strategy: SensitivityStrategy,
     /// The sensitivity threshold `s_max` (paper §3.3.2 and Figure 6):
     /// statistics are collected/materialized when a score **≥ s_max**.
     /// `0.0` collects everything ("no actual sensitivity analysis");
-    /// `>= 1.0` never collects.
+    /// `>= 1.0` never collects. The Figure 6 bin, the benchmark and the
+    /// examples vary it.
     pub s_max: f64,
-    /// How `s1` and `s2` combine.
-    pub aggregate: AggregateFn,
     /// Fixed sample size per table (independent of table size, per the
-    /// paper's citations [1, 8, 12]).
+    /// paper's citations [1, 8, 12]). The `ablations` bin varies it.
     pub sample: SampleSpec,
     /// Reuse memoized per-table samples across queries when the table has
     /// barely mutated since the draw (the versioned sample cache). Purely a
     /// wall-clock optimization on unmutated tables; on mutated tables it
-    /// trades the bounded staleness below for skipping the re-draw.
+    /// trades bounded staleness for skipping the re-draw. Off is the
+    /// reference path `tests/sample_cache.rs` replays the cache against.
     pub sample_cache: bool,
-    /// Staleness limit for serving a cached sample: mutations since the
-    /// draw over cardinality at the draw (the Algorithm 3 `s2` shape) must
-    /// be **strictly below** this to serve. `0.0` disables serving (every
-    /// lookup re-draws); `1.0` serves until the table has churned through
-    /// its own cardinality.
-    pub sample_cache_staleness: f64,
     /// Per-table work-unit budget for one collection pass (slot probes for
     /// the draw plus row×group evaluations), `0` = unlimited. When the
     /// budget binds mid-draw the partial probe-phase sample is kept if it
@@ -73,57 +46,30 @@ pub struct JitsConfig {
     /// remaining budget) the table degrades to archive/catalog statistics.
     /// The budget is counted in deterministic work units — never wall
     /// clock — so budgeted runs replay bit-identically at any thread count.
+    /// Only tests set it: it is the one way into the budget-degradation
+    /// path they cover.
     pub collect_budget: u64,
     /// Worker threads for per-table statistics collection (1 = sequential).
     /// Any value yields bit-identical statistics — per-table RNG streams
     /// derive from (seed, table, quantifier), not from a shared sequence —
-    /// so this is purely a wall-clock knob.
+    /// so this is purely a wall-clock knob. The `concurrency` bin and the
+    /// workload driver vary it.
     pub collect_threads: usize,
-    /// Cap on local predicates per table fed to the power-set enumeration of
-    /// Algorithm 1; beyond it only singletons, pairs, and the full group are
-    /// enumerated to bound the candidate count.
-    pub max_group_enumeration: usize,
-    /// QSS archive space budget: total buckets across all histograms.
+    /// QSS archive space budget: total buckets across all histograms. The
+    /// `ablations` bin varies it.
     pub archive_bucket_budget: usize,
     /// Uniformity above which a histogram is an eviction candidate before
     /// LRU kicks in (paper §3.4: evict "histograms that are almost uniformly
     /// distributed ... as they are close to the optimizer's assumptions").
+    /// The `ablations` bin varies it.
     pub eviction_uniformity: f64,
-    /// Maximum StatHistory entries per (table, column-group) key.
-    pub history_entries_per_key: usize,
-    /// EWMA weight of the newest errorFactor observation when merging into
-    /// an existing history entry.
-    pub history_ewma: f64,
-    /// Minimum boundary accuracy (the paper's §3.3.2 metric) an archive
-    /// histogram must score on a query region before its estimate is used.
-    /// Guards against volume-interpolating equality predicates on
-    /// categorical axes far from any observed boundary, where interpolation
-    /// is meaningless.
-    pub archive_accuracy_gate: f64,
-    /// Answer a predicate group from a *superset* group's histogram when no
-    /// exact histogram exists (marginalizing the extra dimensions) — the
-    /// paper's future-work idea of "inferring some of the absent
-    /// statistics".
-    pub infer_from_supersets: bool,
-    /// Capacity of the auxiliary predicate cache (paper §3.4 footnote 1) for
-    /// groups with no histogram-region form.
-    pub predicate_cache_capacity: usize,
     /// Run the statistics-migration module every this many statements,
     /// folding one-dimensional QSS histograms into the catalog's general
     /// statistics (paper §3.1: "the information in the QSS archive can be
-    /// used to periodically update the system catalog"). 0 disables.
+    /// used to periodically update the system catalog"). 0 disables. Only
+    /// tests vary it: it is the one way to move or disable the cadence they
+    /// cover.
     pub migrate_every: u64,
-    /// Route execution-time actual counts into the archive as max-entropy
-    /// constraints (an extension beyond the paper, off by default — the
-    /// paper updates the archive from compile-time samples only).
-    pub feedback_to_archive: bool,
-    /// Scan-level q-error above which a table counts as *mispredicted*.
-    /// Feeds two places: the `jits.qerror.*` misprediction metrics, and the
-    /// sensitivity boost in [`crate::sensitivity_analysis_with_feedback`],
-    /// where a table whose last observed q-error `q` exceeds this threshold
-    /// has `s1` floored at `1 − 1/q` so re-collection targets tables the
-    /// optimizer actually mispredicted.
-    pub qerror_threshold: f64,
 }
 
 impl Default for JitsConfig {
@@ -131,23 +77,13 @@ impl Default for JitsConfig {
         JitsConfig {
             strategy: SensitivityStrategy::PaperHeuristic,
             s_max: 0.5,
-            aggregate: AggregateFn::Average,
             sample: SampleSpec::default(),
             sample_cache: true,
-            sample_cache_staleness: 0.1,
             collect_budget: 0,
             collect_threads: 1,
-            max_group_enumeration: 6,
             archive_bucket_budget: 4096,
             eviction_uniformity: 0.9,
-            history_entries_per_key: 8,
-            history_ewma: 0.5,
-            archive_accuracy_gate: 0.3,
-            infer_from_supersets: true,
-            predicate_cache_capacity: 256,
             migrate_every: 25,
-            feedback_to_archive: false,
-            qerror_threshold: 2.0,
         }
     }
 }
@@ -167,13 +103,6 @@ impl JitsConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn aggregate_functions() {
-        assert_eq!(AggregateFn::Average.combine(1.0, 0.0), 0.5);
-        assert_eq!(AggregateFn::Max.combine(1.0, 0.0), 1.0);
-        assert_eq!(AggregateFn::Min.combine(1.0, 0.0), 0.0);
-    }
 
     #[test]
     fn threshold_extremes() {

@@ -5,28 +5,19 @@
 //! `errorFactor = estimated / actual selectivity`. These entries are what
 //! Algorithm 3 reads to judge whether existing statistics estimate a group
 //! accurately, and what Algorithm 4 reads to judge whether a statistic has
-//! been useful.
+//! been useful. The QSS archive is updated from compile-time samples only,
+//! as in the paper.
 
-use crate::archive::QssArchive;
-use crate::collect::group_region;
-use crate::config::JitsConfig;
 use crate::history::StatHistory;
-use jits_catalog::Catalog;
-use jits_common::{ColumnId, DataType};
 use jits_executor::ScanObservation;
 use jits_query::QueryBlock;
 
-/// Ingests one query's scan observations into the StatHistory (and,
-/// optionally, the QSS archive — an extension the paper leaves to LEO).
-pub fn ingest(
-    block: &QueryBlock,
-    observations: &[ScanObservation],
-    history: &mut StatHistory,
-    archive: &mut QssArchive,
-    catalog: &Catalog,
-    config: &JitsConfig,
-    clock: u64,
-) {
+/// Maximum StatHistory entries (distinct statlists) per (table,
+/// column-group) key; past it the least-used entry is evicted.
+const HISTORY_ENTRIES_PER_KEY: usize = 8;
+
+/// Ingests one query's scan observations into the StatHistory.
+pub fn ingest(block: &QueryBlock, observations: &[ScanObservation], history: &mut StatHistory) {
     for obs in observations {
         if obs.pred_indices.is_empty() {
             continue;
@@ -38,49 +29,25 @@ pub fn ingest(
         if obs.statlist.is_empty() {
             continue;
         }
-        let colgrp = block.colgroup_of(&obs.pred_indices);
         history.record(
             obs.table,
-            colgrp.clone(),
+            block.colgroup_of(&obs.pred_indices),
             obs.statlist.clone(),
             obs.error_factor(),
-            config.history_entries_per_key,
+            HISTORY_ENTRIES_PER_KEY,
         );
-        if config.feedback_to_archive && archive.histogram(&colgrp).is_some() {
-            let types = |c: ColumnId| {
-                catalog
-                    .table(obs.table)
-                    .and_then(|t| t.schema.column(c))
-                    .map(|cd| cd.dtype)
-                    .unwrap_or(DataType::Float)
-            };
-            if let Some(region) = group_region(block, obs.qun, &obs.pred_indices, &types) {
-                let frame = archive
-                    .histogram(&colgrp)
-                    .map(|h| h.frame())
-                    .expect("histogram checked above");
-                archive.apply_observation(
-                    colgrp,
-                    &frame,
-                    &region,
-                    obs.actual_rows,
-                    obs.table_rows,
-                    clock,
-                );
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jits_common::{Schema, TableId};
-    use jits_histogram::Region;
+    use jits_catalog::Catalog;
+    use jits_common::{DataType, Schema, TableId};
     use jits_optimizer::StatSource;
     use jits_query::{bind_statement, parse, BoundStatement};
 
-    fn setup() -> (Catalog, QueryBlock) {
+    fn setup() -> QueryBlock {
         let mut catalog = Catalog::new();
         catalog
             .register_table(
@@ -99,7 +66,7 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        (catalog, block)
+        block
     }
 
     fn obs(block: &QueryBlock, est: f64, actual: f64) -> ScanObservation {
@@ -117,79 +84,24 @@ mod tests {
 
     #[test]
     fn observations_become_history_entries() {
-        let (catalog, block) = setup();
+        let block = setup();
         let mut history = StatHistory::new();
-        let mut archive = QssArchive::default();
         let o = obs(&block, 0.2, 0.5);
-        ingest(
-            &block,
-            &[o],
-            &mut history,
-            &mut archive,
-            &catalog,
-            &JitsConfig::default(),
-            1,
-        );
+        ingest(&block, &[o], &mut history);
         let colgrp = block.colgroup_of(&[0, 1]);
         let entries = history.entries_for(TableId(0), &colgrp);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].statlist.len(), 2);
         assert!((entries[0].error_factor - 0.4).abs() < 1e-9);
-        // archive untouched by default
-        assert!(archive.is_empty());
-    }
-
-    #[test]
-    fn feedback_to_archive_updates_existing_histograms() {
-        let (catalog, block) = setup();
-        let mut history = StatHistory::new();
-        let mut archive = QssArchive::default();
-        let colgrp = block.colgroup_of(&[0, 1]);
-        // seed a histogram over (make, year)
-        archive.apply_observation(
-            colgrp.clone(),
-            &Region::new(vec![(0.0, 1e19), (1990.0, 2010.0)]),
-            &Region::new(vec![(0.0, 1e18), (1990.0, 2000.0)]),
-            100.0,
-            1000.0,
-            1,
-        );
-        let cfg = JitsConfig {
-            feedback_to_archive: true,
-            ..JitsConfig::default()
-        };
-        ingest(
-            &block,
-            &[obs(&block, 0.2, 0.5)],
-            &mut history,
-            &mut archive,
-            &catalog,
-            &cfg,
-            2,
-        );
-        // the actual count (500 of 1000) is now a constraint on the region
-        let types = |_c: ColumnId| DataType::Int;
-        let _ = types;
-        let hist = archive.histogram(&colgrp).unwrap();
-        assert!(hist.constraint_count() >= 2);
     }
 
     #[test]
     fn empty_pred_groups_skipped() {
-        let (catalog, block) = setup();
+        let block = setup();
         let mut history = StatHistory::new();
-        let mut archive = QssArchive::default();
         let mut o = obs(&block, 0.2, 0.5);
         o.pred_indices.clear();
-        ingest(
-            &block,
-            &[o],
-            &mut history,
-            &mut archive,
-            &catalog,
-            &JitsConfig::default(),
-            1,
-        );
+        ingest(&block, &[o], &mut history);
         assert!(history.is_empty());
     }
 
@@ -197,21 +109,12 @@ mod tests {
     fn default_estimates_not_recorded() {
         // an estimate from pure defaults used no statistic -> no entry,
         // so the sensitivity analysis keeps s1 = 1 and samples the table
-        let (catalog, block) = setup();
+        let block = setup();
         let mut history = StatHistory::new();
-        let mut archive = QssArchive::default();
         let mut o = obs(&block, 0.0333, 0.0333);
         o.statlist.clear();
         o.source = StatSource::Default;
-        ingest(
-            &block,
-            &[o],
-            &mut history,
-            &mut archive,
-            &catalog,
-            &JitsConfig::default(),
-            1,
-        );
+        ingest(&block, &[o], &mut history);
         assert!(history.is_empty());
     }
 }

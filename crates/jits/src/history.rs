@@ -73,6 +73,10 @@ pub struct StatHistory {
 const EF_MIN: f64 = 1e-4;
 const EF_MAX: f64 = 1e4;
 
+/// EWMA weight of the newest errorFactor observation when it merges into
+/// an existing entry.
+const ERROR_FACTOR_EWMA: f64 = 0.5;
+
 impl StatHistory {
     /// An empty history.
     pub fn new() -> Self {
@@ -99,7 +103,7 @@ impl StatHistory {
         let entries = self.entries.entry((table, colgrp)).or_default();
         if let Some(e) = entries.iter_mut().find(|e| e.statlist == statlist) {
             e.count += 1;
-            e.error_factor = 0.5 * e.error_factor + 0.5 * ef;
+            e.error_factor = (1.0 - ERROR_FACTOR_EWMA) * e.error_factor + ERROR_FACTOR_EWMA * ef;
             return;
         }
         entries.push(HistEntry {

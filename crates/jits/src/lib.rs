@@ -50,11 +50,11 @@ pub mod sensitivity;
 pub use analysis::{query_analysis, CandidateGroup};
 pub use archive::{ArchiveSnapshot, QssArchive, RefineOutcome};
 pub use collect::{
-    collect_for_tables, collect_for_tables_parallel, collect_for_tables_sourced,
-    collect_for_tables_traced, CollectTiming, CollectedStats, DegradedTable, DrawnSample,
-    SampleOrigin, SampleSource, FB_ARCHIVE_STATS, FB_PARTIAL_SAMPLE, FP_COLLECT_BUDGET,
+    collect_for_tables, collect_for_tables_parallel, collect_for_tables_sourced, CollectTiming,
+    CollectedStats, DegradedTable, DrawnSample, SampleOrigin, SampleSource, FB_ARCHIVE_STATS,
+    FB_PARTIAL_SAMPLE, FP_COLLECT_BUDGET,
 };
-pub use config::{AggregateFn, JitsConfig, SensitivityStrategy};
+pub use config::{JitsConfig, SensitivityStrategy};
 pub use epsilon::{epsilon_sensitivity, EpsilonConfig, EpsilonOutcome};
 pub use feedback::ingest;
 pub use history::{HistEntry, HistorySnapshot, StatHistory};
@@ -65,5 +65,5 @@ pub use predcache::{fingerprint, CachedSelectivity, PredicateCache, PredicateCac
 pub use provider::{JitsStatisticsProvider, PhysicalMetadataProvider};
 pub use sensitivity::{
     sensitivity_analysis, sensitivity_analysis_with_feedback, MaterializeDecision,
-    MaterializeReason, SensitivityDecision, TableScore,
+    MaterializeReason, SensitivityDecision, TableScore, QERROR_THRESHOLD,
 };

@@ -14,6 +14,11 @@ use jits_storage::{CacheLookup, CachedSample, SampleCache, Table};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+/// Staleness limit for serving a cached sample: mutations since the draw
+/// over cardinality at the draw (the Algorithm 3 `s2` shape) must be
+/// **strictly below** this to serve; past it the caller redraws.
+pub const SAMPLE_CACHE_STALENESS: f64 = 0.1;
+
 /// What [`materialize_group`] did with one collected group.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MaterializeOutcome {
@@ -92,7 +97,7 @@ pub fn resolve_sample_sources(
         };
         let epoch = table.mutation_epoch();
         draw_meta.insert(tid, (epoch, table.row_count() as u64));
-        let source = match cache.lookup(tid, cfg.sample, epoch, cfg.sample_cache_staleness) {
+        let source = match cache.lookup(tid, cfg.sample, epoch, SAMPLE_CACHE_STALENESS) {
             CacheLookup::Hit {
                 rows,
                 probes,

@@ -12,6 +12,9 @@ use jits_common::TableId;
 use jits_query::{PredKind, QueryBlock};
 use std::collections::BTreeMap;
 
+/// Predicates the engine's cache holds before LRU pruning.
+const DEFAULT_CAPACITY: usize = 256;
+
 /// A cached selectivity for one exact predicate group.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedSelectivity {
@@ -45,18 +48,9 @@ impl PredicateCache {
         }
     }
 
-    /// Adjusts the capacity in place, pruning LRU entries if the new
-    /// capacity is tighter.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        self.evict_to_capacity();
-    }
-
     /// Evicts the least-recently-used entries (ties broken by key, so
-    /// eviction is deterministic) until the cache fits its capacity. All
-    /// victims are selected in one ranking pass — O(n log n) for any number
-    /// of evictions, where the old scan-per-victim loop was O(n) *per*
-    /// victim (quadratic when the capacity shrinks across a large cache).
+    /// eviction is deterministic) until the cache fits its capacity, all
+    /// victims selected in one ranking pass.
     fn evict_to_capacity(&mut self) {
         let overflow = self.entries.len().saturating_sub(self.capacity);
         if overflow == 0 {
@@ -146,7 +140,7 @@ impl PredicateCache {
 
 impl Default for PredicateCache {
     fn default() -> Self {
-        PredicateCache::new(256)
+        PredicateCache::new(DEFAULT_CAPACITY)
     }
 }
 
@@ -241,21 +235,6 @@ mod tests {
         assert!(c.get(TableId(0), "b").is_none());
         assert!(c.get(TableId(0), "a").is_some());
         assert!(c.get(TableId(0), "c").is_some());
-    }
-
-    #[test]
-    fn set_capacity_prunes_in_lru_order() {
-        let mut c = PredicateCache::new(64);
-        for i in 0..64u64 {
-            c.insert(TableId(0), format!("f{i:02}"), 0.5, i);
-        }
-        c.set_capacity(3);
-        assert_eq!(c.len(), 3);
-        // the three most recently used survive the mass eviction
-        for f in ["f61", "f62", "f63"] {
-            assert!(c.get(TableId(0), f).is_some(), "{f} should survive");
-        }
-        assert!(c.get(TableId(0), "f60").is_none());
     }
 
     #[test]

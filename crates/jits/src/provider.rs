@@ -10,6 +10,13 @@ use jits_query::QueryBlock;
 use jits_storage::Table;
 use std::cell::RefCell;
 
+/// Minimum boundary accuracy (the paper's §3.3.2 metric) an archive
+/// histogram must score on a query region before its estimate is used.
+/// Guards against volume-interpolating equality predicates on categorical
+/// axes far from any observed boundary, where interpolation is
+/// meaningless.
+pub const ARCHIVE_ACCURACY_GATE: f64 = 0.3;
+
 /// Layers query-specific statistics over the general catalog:
 ///
 /// 1. **fresh** — selectivities measured on this query's compile-time
@@ -32,8 +39,6 @@ pub struct JitsStatisticsProvider<'a> {
     fallback: CatalogStatisticsProvider<'a>,
     used_archive: RefCell<Vec<ColGroup>>,
     used_cache: RefCell<Vec<(TableId, String)>>,
-    accuracy_gate: f64,
-    infer_from_supersets: bool,
 }
 
 impl<'a> JitsStatisticsProvider<'a> {
@@ -54,27 +59,12 @@ impl<'a> JitsStatisticsProvider<'a> {
             fallback: CatalogStatisticsProvider::new(catalog),
             used_archive: RefCell::new(Vec::new()),
             used_cache: RefCell::new(Vec::new()),
-            accuracy_gate: 0.3,
-            infer_from_supersets: true,
         }
     }
 
     /// Attaches the auxiliary predicate cache (paper §3.4 footnote 1).
     pub fn with_predicate_cache(mut self, cache: &'a PredicateCache) -> Self {
         self.predcache = cache;
-        self
-    }
-
-    /// Enables/disables answering groups from superset histograms.
-    pub fn with_superset_inference(mut self, on: bool) -> Self {
-        self.infer_from_supersets = on;
-        self
-    }
-
-    /// Sets the minimum archive accuracy (see
-    /// [`crate::JitsConfig::archive_accuracy_gate`]).
-    pub fn with_accuracy_gate(mut self, gate: f64) -> Self {
-        self.accuracy_gate = gate;
         self
     }
 
@@ -128,7 +118,7 @@ impl<'a> JitsStatisticsProvider<'a> {
                 candidate,
                 &types,
             );
-            if acc.is_some_and(|a| a >= self.accuracy_gate) {
+            if acc.is_some_and(|a| a >= ARCHIVE_ACCURACY_GATE) {
                 best = Some(candidate);
             }
         }
@@ -203,7 +193,7 @@ impl StatisticsProvider for JitsStatisticsProvider<'_> {
             &colgroup,
             &types,
         )
-        .is_some_and(|a| a >= self.accuracy_gate);
+        .is_some_and(|a| a >= ARCHIVE_ACCURACY_GATE);
         if usable {
             if let Some(region) = group_region(block, qun, pred_indices, &types) {
                 if let Some(sel) = self.archive.selectivity(&colgroup, &region) {
@@ -216,7 +206,7 @@ impl StatisticsProvider for JitsStatisticsProvider<'_> {
         // 4. superset inference (future-work extension): a histogram over a
         // superset of the group's columns answers the group by
         // marginalizing the unconstrained dimensions
-        if self.infer_from_supersets && block.group_is_region(pred_indices) {
+        if block.group_is_region(pred_indices) {
             if let Some(est) = self.infer_from_superset(block, qun, pred_indices, &colgroup) {
                 return Some(est);
             }
@@ -321,7 +311,7 @@ mod tests {
     #[test]
     fn fresh_stats_take_priority() {
         let (catalog, tables, block) = setup();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         let mut rng = SplitMix64::new(1);
         let fresh = collect_for_tables(
             &block,
@@ -343,7 +333,7 @@ mod tests {
     #[test]
     fn archive_answers_when_no_fresh_stats() {
         let (catalog, tables, block) = setup();
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         // build the archive from a previous "collection"
         let mut rng = SplitMix64::new(1);
         let collected = collect_for_tables(

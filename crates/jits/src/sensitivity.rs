@@ -9,10 +9,11 @@
 //!   statistic it used;
 //! * `s2 = min(UDI / cardinality, 1)` — the data-activity signal.
 //!
-//! If `f(s1, s2) ≥ s_max` the table is marked for sampling; Algorithm 4 then
-//! decides, per collected group, whether to materialize it into the QSS
-//! archive: existing histograms always update; otherwise the group's
-//! usage-weighted historical usefulness must clear `s_max`.
+//! If `f(s1, s2) ≥ s_max` the table is marked for sampling, with `f` the
+//! average of the two scores, as in the paper's prototype (§3.3.2).
+//! Algorithm 4 then decides, per collected group, whether to materialize it
+//! into the QSS archive: existing histograms always update; otherwise the
+//! group's usage-weighted historical usefulness must clear `s_max`.
 
 use crate::analysis::CandidateGroup;
 use crate::archive::QssArchive;
@@ -25,6 +26,12 @@ use jits_query::QueryBlock;
 use jits_storage::Table;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Scan-level q-error above which a table counts as *mispredicted*. Feeds
+/// two places: the engine's `jits.qerror.*` misprediction metrics and
+/// anomaly marker, and the `s1` floor of
+/// [`sensitivity_analysis_with_feedback`].
+pub const QERROR_THRESHOLD: f64 = 2.0;
 
 /// Diagnostic scores for one quantifier's table.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,7 +137,7 @@ pub fn sensitivity_analysis(
 /// [`sensitivity_analysis`] with execution-time estimation-quality feedback:
 /// `qerror` maps tables to the last scan-level q-error observed when
 /// executing a query over them. A table whose q-error exceeds
-/// `config.qerror_threshold` has its accuracy score `s1` floored at
+/// [`QERROR_THRESHOLD`] has its accuracy score `s1` floored at
 /// `1 − 1/q` — StatHistory may believe its statistics are fine, but the
 /// executor just proved otherwise, so re-collection is prioritized for
 /// tables that are *actually* mispredicted. Q-errors derive purely from
@@ -241,7 +248,7 @@ fn should_collect_stats(
     // happened, whatever the bookkeeping says. `1 − 1/q` maps q=2 to a 0.5
     // floor and grows toward 1 as mispredictions worsen.
     let s1 = match qerror.get(&table_id) {
-        Some(&q) if q > config.qerror_threshold && q > 1.0 => s1.max(1.0 - 1.0 / q),
+        Some(&q) if q > QERROR_THRESHOLD => s1.max(1.0 - 1.0 / q),
         _ => s1,
     };
 
@@ -250,7 +257,9 @@ fn should_collect_stats(
         .map(|t| t.udi().activity_ratio(t.row_count() as u64))
         .unwrap_or(1.0);
 
-    let score = config.aggregate.combine(s1, s2);
+    // paper §3.3.2: "In our implemented prototype, the aggregate function
+    // is the average of the two scores"
+    let score = (s1 + s2) / 2.0;
     let collect = config.always_collects() || score >= config.s_max;
     TableScore {
         qun,
@@ -405,7 +414,7 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        let candidates = query_analysis(&block, 6);
+        let candidates = query_analysis(&block);
         (catalog, vec![t], block, candidates)
     }
 

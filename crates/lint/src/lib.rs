@@ -222,8 +222,8 @@ pub fn rule_info(slug: &str) -> Option<&'static RuleInfo> {
 
 /// Library crates whose source the determinism and panic passes cover.
 /// `bench` and `cli` are measurement/driver binaries (wall-clock timing and
-/// `main`-adjacent exits are their job); `proptest`, `criterion` and
-/// `parking_lot` are vendored third-party shims; `lint` is this tool.
+/// `main`-adjacent exits are their job); `proptest` and `parking_lot` are
+/// vendored third-party shims; `lint` is this tool.
 pub const PRODUCT_CRATES: &[&str] = &[
     "catalog",
     "common",

@@ -26,7 +26,7 @@ fn section_3_2_group_enumeration() {
     let BoundStatement::Select(block) = bind_statement(&stmt, db.catalog()).unwrap() else {
         panic!("expected a SELECT");
     };
-    let groups = query_analysis(&block, 6);
+    let groups = query_analysis(&block);
     assert_eq!(groups.len(), 7);
     let sizes: Vec<usize> = groups.iter().map(|g| g.pred_indices.len()).collect();
     assert_eq!(sizes, vec![1, 1, 1, 2, 2, 2, 3]);
