@@ -12,6 +12,7 @@
 use jits::{EpsilonConfig, JitsConfig, SensitivityStrategy};
 use jits_bench::{print_markdown_table, secs, BenchArgs};
 use jits_histogram::{GridHistogram, Region};
+use jits_obs::clock::now_nanos;
 use jits_storage::SampleSpec;
 use jits_workload::{generate_workload, prepare, run_workload, setup_database, Setting};
 
@@ -48,9 +49,9 @@ fn strategy_ablation(args: &BenchArgs) {
             ..JitsConfig::default()
         });
         prepare(&mut db, &setting, &ops).expect("prepare");
-        let t0 = std::time::Instant::now();
+        let t0 = now_nanos();
         let records = run_workload(&mut db, &ops).expect("run");
-        let wall = t0.elapsed().as_secs_f64();
+        let wall = now_nanos().saturating_sub(t0) as f64 / 1e9;
         let queries: Vec<_> = records.iter().filter(|r| r.is_query).collect();
         let compile: f64 = queries.iter().map(|r| r.metrics.compile_sim()).sum();
         let exec: f64 = queries.iter().map(|r| r.metrics.exec_sim()).sum();

@@ -17,6 +17,7 @@ use jits::{collect_for_tables_parallel, query_analysis, JitsConfig};
 use jits_bench::{print_markdown_table, BenchArgs};
 use jits_common::SplitMix64;
 use jits_engine::Database;
+use jits_obs::clock::now_nanos;
 use jits_obs::Volatility;
 use jits_query::{bind_statement, parse, BoundStatement};
 use jits_storage::SampleSpec;
@@ -24,7 +25,7 @@ use jits_workload::{
     generate_workload, prepare, run_workload_concurrent, run_workload_session, setup_database,
     Setting,
 };
-use std::time::Instant;
+use std::time::Duration;
 
 /// Two tables of equal size (OWNER, DEMOGRAPHICS), one local predicate on
 /// each, so `s_max = 0` marks exactly two tables for sampling.
@@ -66,15 +67,15 @@ fn collection_speedup(args: &BenchArgs) {
     let reps = 20;
 
     let mut rows = Vec::new();
-    let mut baseline_ns = 0u128;
+    let mut baseline_ns = 0u64;
     let mut baseline_bits = 0u64;
     for threads in THREAD_COUNTS {
-        let mut best_ns = u128::MAX;
+        let mut best_ns = u64::MAX;
         let mut work_bits = 0u64;
         for _ in 0..reps {
             // identical RNG every rep and thread count => identical stats
             let mut rng = SplitMix64::new(args.seed ^ 0x5EED);
-            let t0 = Instant::now();
+            let t0 = now_nanos();
             let collected = collect_for_tables_parallel(
                 &block,
                 &sample_quns,
@@ -84,7 +85,7 @@ fn collection_speedup(args: &BenchArgs) {
                 &mut rng,
                 threads,
             );
-            best_ns = best_ns.min(t0.elapsed().as_nanos());
+            best_ns = best_ns.min(now_nanos().saturating_sub(t0));
             work_bits = collected.work.to_bits();
         }
         if threads == 1 {
@@ -137,9 +138,9 @@ fn workload_collect_threads(args: &BenchArgs) {
         prepare(&mut db, &Setting::Jits(cfg), &ops).expect("prepare");
         let shared = db.into_shared();
         let mut session = shared.session();
-        let t0 = Instant::now();
+        let t0 = now_nanos();
         let records = run_workload_session(&mut session, &ops).expect("workload runs");
-        let wall = t0.elapsed();
+        let wall = Duration::from_nanos(now_nanos().saturating_sub(t0));
         let mut digest = shared.with_archive(|a| {
             a.iter()
                 .map(|(g, h)| format!("{g:?}={h:?}"))
@@ -177,9 +178,9 @@ fn workload_concurrent_sessions(args: &BenchArgs) {
         let mut db = setup_database(&args.datagen()).expect("database builds");
         prepare(&mut db, &Setting::Jits(JitsConfig::default()), &ops).expect("prepare");
         let shared = db.into_shared();
-        let t0 = Instant::now();
+        let t0 = now_nanos();
         let records = run_workload_concurrent(&shared, &ops, threads).expect("workload runs");
-        let wall = t0.elapsed();
+        let wall = Duration::from_nanos(now_nanos().saturating_sub(t0));
         assert_eq!(records.len(), ops.len());
         let engine = |name| {
             shared

@@ -35,7 +35,7 @@ fn main() {
             ..JitsConfig::default()
         }),
     ] {
-        let t0 = std::time::Instant::now();
+        let t0 = jits_obs::clock::now_nanos();
         let mut db = setup_database(&dg).unwrap();
         prepare(&mut db, &setting, &ops).unwrap();
         let recs = run_workload(&mut db, &ops).unwrap();
@@ -46,7 +46,7 @@ fn main() {
         let sampled: usize = q.iter().map(|r| r.metrics.sampled_tables).sum();
         println!(
             "{:<22} exec_work={:>12.0} compile_work={:>10.0} total={:>12.0} wall={:>6.2}s sampled={} total_runtime={:.1}s",
-            setting.label(), exec, comp, exec + comp, wall, sampled, t0.elapsed().as_secs_f64()
+            setting.label(), exec, comp, exec + comp, wall, sampled, jits_obs::clock::now_nanos().saturating_sub(t0) as f64 / 1e9
         );
     }
 }

@@ -80,6 +80,14 @@ impl Catalog {
         self.tables.get(id.index())
     }
 
+    /// Column layout of `id`; a miss is an internal error (ids come from
+    /// [`Catalog::require`] or a bound quantifier).
+    pub fn schema(&self, id: TableId) -> Result<&Schema> {
+        self.table(id)
+            .map(|t| &t.schema)
+            .ok_or_else(|| JitsError::internal(format!("catalog entry missing for {id:?}")))
+    }
+
     /// Mutable catalog entry for `id`.
     pub fn table_mut(&mut self, id: TableId) -> Option<&mut CatalogTable> {
         self.tables.get_mut(id.index())

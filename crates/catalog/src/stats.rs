@@ -68,11 +68,7 @@ impl ColumnStats {
         if self.row_count <= 0.0 {
             return Some(0.0);
         }
-        if interval.is_point() {
-            let v = match &interval.low {
-                Bound::Inclusive(v) => v,
-                _ => unreachable!("point intervals have inclusive bounds"),
-            };
+        if let (true, Bound::Inclusive(v)) = (interval.is_point(), &interval.low) {
             // exact answer from the MCV list when present
             for (mv, count) in &self.mcv {
                 if mv == v {

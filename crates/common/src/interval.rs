@@ -124,48 +124,24 @@ impl Interval {
     /// Intersects with another interval on the same column (conjunction of
     /// two predicates); returns the tighter combined interval.
     pub fn intersect(&self, other: &Interval) -> Interval {
-        fn tighter_low(a: &Bound, b: &Bound) -> Bound {
-            match (a, b) {
-                (Bound::Unbounded, x) | (x, Bound::Unbounded) => x.clone(),
-                _ => {
-                    let (va, vb) = (a.value().unwrap(), b.value().unwrap());
-                    match va.try_cmp(vb) {
-                        Some(std::cmp::Ordering::Greater) => a.clone(),
-                        Some(std::cmp::Ordering::Less) => b.clone(),
-                        _ => {
-                            // equal endpoints: exclusive wins (tighter)
-                            if matches!(a, Bound::Exclusive(_)) {
-                                a.clone()
-                            } else {
-                                b.clone()
-                            }
-                        }
+        /// The tighter of two bounds on one side: `a` when it compares
+        /// `keep_a` against `b`; on equal endpoints an exclusive `a`.
+        fn tighter(a: &Bound, b: &Bound, keep_a: std::cmp::Ordering) -> Bound {
+            match (a.value(), b.value()) {
+                (None, _) => b.clone(),
+                (_, None) => a.clone(),
+                (Some(va), Some(vb)) => match va.try_cmp(vb) {
+                    Some(o) if o == keep_a => a.clone(),
+                    Some(std::cmp::Ordering::Equal) | None if matches!(a, Bound::Exclusive(_)) => {
+                        a.clone()
                     }
-                }
-            }
-        }
-        fn tighter_high(a: &Bound, b: &Bound) -> Bound {
-            match (a, b) {
-                (Bound::Unbounded, x) | (x, Bound::Unbounded) => x.clone(),
-                _ => {
-                    let (va, vb) = (a.value().unwrap(), b.value().unwrap());
-                    match va.try_cmp(vb) {
-                        Some(std::cmp::Ordering::Less) => a.clone(),
-                        Some(std::cmp::Ordering::Greater) => b.clone(),
-                        _ => {
-                            if matches!(a, Bound::Exclusive(_)) {
-                                a.clone()
-                            } else {
-                                b.clone()
-                            }
-                        }
-                    }
-                }
+                    _ => b.clone(),
+                },
             }
         }
         Interval {
-            low: tighter_low(&self.low, &other.low),
-            high: tighter_high(&self.high, &other.high),
+            low: tighter(&self.low, &other.low, std::cmp::Ordering::Greater),
+            high: tighter(&self.high, &other.high, std::cmp::Ordering::Less),
         }
     }
 

@@ -44,6 +44,10 @@ impl Schema {
     }
 
     /// Convenience constructor from `(name, type)` pairs.
+    #[expect(
+        clippy::expect_used,
+        reason = "callers pass literal column lists; a duplicate is a typo to fail on at once"
+    )]
     pub fn from_pairs(pairs: &[(&str, DataType)]) -> Self {
         Schema::new(pairs.iter().map(|(n, t)| ColumnDef::new(*n, *t)).collect())
             .expect("static schema must not contain duplicates")

@@ -50,9 +50,10 @@ impl TestDir {
         // Start from a clean slate: a previous crashed run may have left
         // debris behind (that is the point of deterministic names).
         let _ = std::fs::remove_dir_all(&path);
-        // test scaffolding: an unusable scratch directory must fail the
-        // test loudly, not limp on
-        // jits-lint: allow(panic-surface)
+        #[expect(
+            clippy::expect_used,
+            reason = "test scaffolding: an unusable scratch directory must fail the test loudly"
+        )]
         std::fs::create_dir_all(&path).expect("create test scratch directory");
         TestDir { path, keep: false }
     }

@@ -6,7 +6,7 @@ use crate::observe;
 use crate::persist::{self, RecoveryReport, RestoredState, StateRefs};
 use crate::pipeline::{self, QueryResult};
 use crate::settings::StatsSetting;
-use crate::store::{Admin, CacheWindow, Collect, EngineState, Env, Reads, Store, WalSlot};
+use crate::store::{Admin, CacheWindow, Collect, EngineState, Env, Logged, Reads, Store, WalSlot};
 use jits::{PredicateCache, QssArchive, StatHistory};
 use jits_catalog::Catalog;
 use jits_common::{ColumnId, FaultPlane, Result, Schema, TableId, Value};
@@ -87,7 +87,7 @@ impl Store for Owned {
         self.state.clock
     }
 
-    fn tick(&mut self) -> u64 {
+    fn tick(&mut self, _: &Logged) -> u64 {
         self.state.clock += 1;
         self.state.clock
     }
@@ -115,7 +115,7 @@ impl Store for Owned {
         })
     }
 
-    fn with_collect<R>(&mut self, f: impl FnOnce(Reads<'_>, Collect<'_>) -> R) -> R {
+    fn with_collect<R>(&mut self, _: &Logged, f: impl FnOnce(Reads<'_>, Collect<'_>) -> R) -> R {
         let s = &mut self.state;
         f(
             Reads {
@@ -140,45 +140,41 @@ impl Store for Owned {
         )
     }
 
-    fn with_tables_mut<R>(&mut self, f: impl FnOnce(&mut [Table]) -> R) -> R {
+    fn with_tables_mut<R>(&mut self, _: &Logged, f: impl FnOnce(&mut [Table]) -> R) -> R {
         f(&mut self.state.tables)
     }
 
     fn with_stats_mut<R>(
         &mut self,
+        _: &Logged,
         f: impl FnOnce(&mut QssArchive, &mut PredicateCache) -> R,
     ) -> R {
         f(&mut self.state.archive, &mut self.state.predcache)
     }
 
-    fn with_feedback<R>(&mut self, f: impl FnOnce(&mut StatHistory) -> R) -> R {
+    fn with_feedback<R>(&mut self, _: &Logged, f: impl FnOnce(&mut StatHistory) -> R) -> R {
         f(&mut self.state.history)
     }
 
-    fn with_migrate<R>(&mut self, f: impl FnOnce(&mut Catalog, &QssArchive) -> R) -> R {
+    fn with_migrate<R>(&mut self, _: &Logged, f: impl FnOnce(&mut Catalog, &QssArchive) -> R) -> R {
         f(&mut self.state.catalog, &self.state.archive)
     }
 
     fn with_ddl<R>(
         &mut self,
-        f: impl FnOnce(&mut Catalog, &mut Vec<Table>, WalSlot<'_>) -> R,
-    ) -> R {
-        let clock = self.state.clock;
-        f(
-            &mut self.state.catalog,
-            &mut self.state.tables,
-            WalSlot {
-                wal: self.wal.as_mut(),
-                fault: &self.fault,
-                clock,
-            },
-        )
+        obs: &Observability,
+        rec: WalRecord,
+        f: impl FnOnce(&mut Catalog, &mut Vec<Table>, WalRecord) -> Result<R>,
+    ) -> Result<R> {
+        self.with_wal(|mut wal| wal.append(obs, &rec))?;
+        f(&mut self.state.catalog, &mut self.state.tables, rec)
     }
 
-    fn with_admin<R>(&mut self, f: impl FnOnce(Admin<'_>) -> R) -> R {
+    fn with_admin<R>(&mut self, _: &Logged, f: impl FnOnce(Admin<'_>) -> R) -> R {
         let s = &mut self.state;
         f(Admin {
             catalog: &mut s.catalog,
+            tables: &mut s.tables,
             archive: &mut s.archive,
             history: &mut s.history,
             predcache: &mut s.predcache,

@@ -337,9 +337,7 @@ fn column_stats(d: &mut Decoder) -> Result<ColumnStats> {
 
 fn put_catalog(e: &mut Encoder, c: &Catalog) {
     e.put_u32(c.len() as u32);
-    for id in c.table_ids() {
-        // jits-lint: allow(panic-surface) -- table_ids only yields live ids
-        let t = c.table(id).expect("table_ids yields live ids");
+    for t in c.table_ids().filter_map(|id| c.table(id)) {
         e.put_str(&t.name);
         e.put_schema(&t.schema);
         put_opt_u32(e, t.primary_key.map(|c| c.0));

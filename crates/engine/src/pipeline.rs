@@ -4,8 +4,8 @@
 //! query analysis (Alg. 1) → sensitivity (Alg. 2–4) → one sample per marked
 //! table → QSS archive refinement → optimize → execute → LEO feedback →
 //! periodic migration. The functions here run that loop, the DML arms, the
-//! explain trio, the system views, DDL and the admin calls, the WAL append
-//! and the checkpoint — each generic over a [`Store`], which is how
+//! explain trio, the system views, DDL and the admin calls, and the
+//! checkpoint — each generic over a [`Store`], which is how
 //! [`crate::Database`] (split borrows) and [`crate::Session`] (ranked
 //! guards) differ and the only way they do.
 
@@ -15,7 +15,7 @@ use crate::metrics::{wall_since, QueryMetrics, StageWalls};
 use crate::persist;
 use crate::profile::{build_profile, render_profile, ProfileContext};
 use crate::settings::StatsSetting;
-use crate::store::{Env, Store};
+use crate::store::{wal_append, wal_append_lossy, Env, Logged, Store};
 use crate::{observe, views};
 use jits::{
     collect_for_tables, collect_for_tables_sourced, commit_drawn_samples, ingest,
@@ -74,7 +74,7 @@ pub(crate) fn execute<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<Query
     // identical error without ticking the clock. Checkpoint first, so this
     // statement lands in the fresh log generation.
     maybe_checkpoint(env, s)?;
-    wal_append(
+    let logged = wal_append(
         env,
         s,
         &WalRecord::Statement {
@@ -82,9 +82,9 @@ pub(crate) fn execute<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<Query
         },
     )?;
     match s.with_catalog(|catalog| bind_statement(&stmt, catalog))? {
-        BoundStatement::Select(block) => run_select(env, s, block, t0, sql),
+        BoundStatement::Select(block) => run_select(env, s, logged, block, t0, sql),
         BoundStatement::Explain(block) => {
-            let (plan, collected) = compile_and_plan(env, s, &block)?;
+            let (plan, collected) = compile_and_plan(env, s, logged, &block)?;
             let metrics = QueryMetrics {
                 compile_wall: wall_since(t0),
                 compile_work: collected.work,
@@ -100,11 +100,11 @@ pub(crate) fn execute<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<Query
                 .collect();
             Ok(QueryResult { rows, metrics })
         }
-        BoundStatement::Insert(ins) => run_insert(s, ins, t0),
-        BoundStatement::Update(upd) => run_dml(env, s, t0, sql, |tables, cost| {
+        BoundStatement::Insert(ins) => run_insert(s, &logged, ins, t0),
+        BoundStatement::Update(upd) => run_dml(env, s, &logged, t0, sql, |tables, cost| {
             dml::update(&mut tables[upd.table.index()], &upd, cost)
         }),
-        BoundStatement::Delete(del) => run_dml(env, s, t0, sql, |tables, cost| {
+        BoundStatement::Delete(del) => run_dml(env, s, &logged, t0, sql, |tables, cost| {
             Ok(dml::delete(&mut tables[del.table.index()], &del, cost))
         }),
     }
@@ -116,7 +116,7 @@ pub(crate) fn execute<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<Query
 pub(crate) fn explain<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<String> {
     let stmt = parse(sql)?;
     maybe_checkpoint(env, s)?;
-    wal_append(
+    let logged = wal_append(
         env,
         s,
         &WalRecord::Explain {
@@ -128,7 +128,7 @@ pub(crate) fn explain<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<Strin
     else {
         return Err(JitsError::Plan("EXPLAIN supports SELECT only".into()));
     };
-    Ok(compile_and_plan(env, s, &block)?.0.explain())
+    Ok(compile_and_plan(env, s, logged, &block)?.0.explain())
 }
 
 /// Replays the JITS compile-phase decisions for `sql` without executing
@@ -190,9 +190,10 @@ fn system_view_rows<S: Store>(env: &Env, s: &mut S, stmt: &Statement) -> Option<
     })
 }
 
-/// What one compiling statement runs under: its clock tick and snapshots
-/// of the setting and the fault plane.
+/// What one compiling statement runs under: its logged record, its clock
+/// tick and snapshots of the setting and the fault plane.
 struct Stmt {
+    logged: Logged,
     clock: u64,
     setting: StatsSetting,
     fault: FaultPlane,
@@ -200,9 +201,10 @@ struct Stmt {
 
 impl Stmt {
     /// Ticks the clock and takes the snapshots.
-    fn begin<S: Store>(s: &mut S) -> Stmt {
+    fn begin<S: Store>(s: &mut S, logged: Logged) -> Stmt {
         Stmt {
-            clock: s.tick(),
+            clock: s.tick(&logged),
+            logged,
             setting: s.setting(),
             fault: s.fault(),
         }
@@ -213,9 +215,10 @@ impl Stmt {
 fn compile_and_plan<S: Store>(
     env: &Env,
     s: &mut S,
+    logged: Logged,
     block: &QueryBlock,
 ) -> Result<(PhysicalPlan, CollectedStats)> {
-    let stmt = Stmt::begin(s);
+    let stmt = Stmt::begin(s, logged);
     let compiled = compile_phase(
         env,
         s,
@@ -231,12 +234,13 @@ fn compile_and_plan<S: Store>(
 fn run_select<S: Store>(
     env: &Env,
     s: &mut S,
+    logged: Logged,
     block: QueryBlock,
     t0: u64,
     sql: &str,
 ) -> Result<QueryResult> {
     let obs = &env.obs;
-    let stmt = Stmt::begin(s);
+    let stmt = Stmt::begin(s, logged);
     let (clock, setting) = (stmt.clock, &stmt.setting);
     let session = s.session_id();
     let mut tb = obs.tracer.start(sql, clock, session);
@@ -296,7 +300,9 @@ fn run_select<S: Store>(
     // -- feedback (LEO) --
     tb.begin("feedback");
     let tf = now_nanos();
-    s.with_feedback(|history| ingest(&block, &out.stats.scans, history));
+    s.with_feedback(&stmt.logged, |history| {
+        ingest(&block, &out.stats.scans, history)
+    });
     observe::note_feedback(obs, &mut tb, out.stats.scans.len());
     tb.end(now_nanos().saturating_sub(tf));
 
@@ -305,7 +311,9 @@ fn run_select<S: Store>(
         && cfg.migrate_every > 0
         && clock.is_multiple_of(cfg.migrate_every)
     {
-        s.with_migrate(|catalog, archive| jits::migrate::migrate(archive, catalog, clock));
+        s.with_migrate(&stmt.logged, |catalog, archive| {
+            jits::migrate::migrate(archive, catalog, clock)
+        });
     }
 
     metrics.lock_wait = s.lock_wait();
@@ -376,7 +384,7 @@ fn compile_phase<S: Store>(
     tb.end(walls.analyze.as_nanos() as u64);
 
     let (sample_quns, materialize, scores, collected, rebuild_due, cand_tables) =
-        s.with_collect(|r, mut c| {
+        s.with_collect(&stmt.logged, |r, mut c| {
             // -- sensitivity analysis (Algorithms 2-4) --
             tb.begin("sensitivity");
             let t = now_nanos();
@@ -540,7 +548,7 @@ fn compile_phase<S: Store>(
         observe::note_parallel_collection(obs);
     }
     if !sample_quns.is_empty() {
-        s.with_tables_mut(|tables| {
+        s.with_tables_mut(&stmt.logged, |tables| {
             for &qun in &sample_quns {
                 tables[block.quns[qun].table.index()].reset_udi();
             }
@@ -556,7 +564,7 @@ fn compile_phase<S: Store>(
     // stored checksum verifies, so verification could change nothing.
     let mut materialized = 0;
     if !materialize.is_empty() || rebuild_due || (fault.is_enabled() && !candidates.is_empty()) {
-        s.with_stats_mut(|archive, predcache| {
+        s.with_stats_mut(&stmt.logged, |archive, predcache| {
             // Quarantined groups rebuild on the next collection that covers
             // them, regardless of the sensitivity verdict (the verdict may
             // be "skip" precisely because the group *was* archived).
@@ -673,7 +681,7 @@ fn plan_for<S: Store>(
         ))
     })?;
     if !used.is_empty() || !used_cache.is_empty() {
-        s.with_stats_mut(|archive, predcache| {
+        s.with_stats_mut(&stmt.logged, |archive, predcache| {
             for g in used {
                 archive.touch(&g, clock);
             }
@@ -685,12 +693,17 @@ fn plan_for<S: Store>(
     Ok(plan)
 }
 
-fn run_insert<S: Store>(s: &mut S, ins: BoundInsert, t0: u64) -> Result<QueryResult> {
-    s.tick();
+fn run_insert<S: Store>(
+    s: &mut S,
+    logged: &Logged,
+    ins: BoundInsert,
+    t0: u64,
+) -> Result<QueryResult> {
+    s.tick(logged);
     let compile_wall = wall_since(t0);
     let t1 = now_nanos();
     let n = ins.rows.len();
-    s.with_tables_mut(|tables| {
+    s.with_tables_mut(logged, |tables| {
         let t = &mut tables[ins.table.index()];
         for row in ins.rows {
             t.insert(row)?;
@@ -715,14 +728,15 @@ fn run_insert<S: Store>(s: &mut S, ins: BoundInsert, t0: u64) -> Result<QueryRes
 fn run_dml<S: Store>(
     env: &Env,
     s: &mut S,
+    logged: &Logged,
     t0: u64,
     sql: &str,
     apply: impl FnOnce(&mut [Table], &CostModel) -> Result<ProfileNodeRow>,
 ) -> Result<QueryResult> {
-    let clock = s.tick();
+    let clock = s.tick(logged);
     let compile_wall = wall_since(t0);
     let t1 = now_nanos();
-    let node = s.with_tables_mut(|tables| apply(tables, &env.cost))?;
+    let node = s.with_tables_mut(logged, |tables| apply(tables, &env.cost))?;
     let ctx = DmlContext {
         clock,
         session: s.session_id(),
@@ -747,10 +761,7 @@ pub(crate) fn create_table<S: Store>(
         name: name.to_string(),
         schema: schema.clone(),
     };
-    s.with_ddl(|catalog, tables, mut wal| {
-        // appended under the write guards: log order matches mutation
-        // order, and a failed append aborts before any mutation
-        wal.append(&env.obs, &rec)?;
+    s.with_ddl(&env.obs, rec, |catalog, tables, _| {
         let id = catalog.register_table(name, schema.clone())?;
         debug_assert_eq!(id.index(), tables.len());
         tables.push(Table::new(name, schema));
@@ -769,8 +780,7 @@ pub(crate) fn create_index<S: Store>(
         table: table.to_string(),
         column: column.to_string(),
     };
-    s.with_ddl(|catalog, tables, mut wal| {
-        wal.append(&env.obs, &rec)?;
+    s.with_ddl(&env.obs, rec, |catalog, tables, _| {
         let (tid, col) = resolve_column(catalog, table, column)?;
         tables[tid.index()].create_index(col)?;
         catalog.add_index(tid, col)
@@ -788,8 +798,7 @@ pub(crate) fn set_primary_key<S: Store>(
         table: table.to_string(),
         column: column.to_string(),
     };
-    s.with_ddl(|catalog, tables, mut wal| {
-        wal.append(&env.obs, &rec)?;
+    s.with_ddl(&env.obs, rec, |catalog, tables, _| {
         let (tid, col) = resolve_column(catalog, table, column)?;
         catalog.set_primary_key(tid, col)?;
         tables[tid.index()].create_index(col)?;
@@ -799,11 +808,7 @@ pub(crate) fn set_primary_key<S: Store>(
 
 fn resolve_column(catalog: &Catalog, table: &str, column: &str) -> Result<(TableId, ColumnId)> {
     let tid = catalog.require(table)?;
-    let col = catalog
-        .table(tid)
-        .ok_or_else(|| JitsError::internal(format!("catalog entry missing for {tid:?}")))?
-        .schema
-        .require_column(column)?;
+    let col = catalog.schema(tid)?.require_column(column)?;
     Ok((tid, col))
 }
 
@@ -820,11 +825,9 @@ pub(crate) fn load_rows<S: Store>(
         table: table.to_string(),
         rows,
     };
-    s.with_ddl(|catalog, tables, mut wal| {
-        wal.append(&env.obs, &rec)?;
+    s.with_ddl(&env.obs, rec, |catalog, tables, rec| {
         let WalRecord::LoadRows { rows, .. } = rec else {
-            // jits-lint: allow(panic-surface) -- variant constructed above
-            unreachable!("constructed above")
+            return Err(JitsError::internal("with_ddl returned a different record"));
         };
         let t = &mut tables[catalog.require(table)?.index()];
         let n = rows.len();
@@ -837,8 +840,8 @@ pub(crate) fn load_rows<S: Store>(
 
 /// Resets a table's UDI counter (bulk loads are initial state, not churn).
 pub(crate) fn reset_udi<S: Store>(env: &Env, s: &mut S, id: TableId) {
-    wal_append_lossy(env, s, &WalRecord::ResetUdi { table: id.0 });
-    s.with_tables_mut(|tables| {
+    let logged = wal_append_lossy(env, s, &WalRecord::ResetUdi { table: id.0 });
+    s.with_tables_mut(&logged, |tables| {
         if let Some(t) = tables.get_mut(id.index()) {
             t.reset_udi();
         }
@@ -848,12 +851,12 @@ pub(crate) fn reset_udi<S: Store>(env: &Env, s: &mut S, id: TableId) {
 /// Runs RUNSTATS over every table: populates the catalog's general
 /// statistics and resets UDI counters.
 pub(crate) fn runstats_all<S: Store>(env: &Env, s: &mut S) -> Result<()> {
-    wal_append(env, s, &WalRecord::RunstatsAll)?;
-    let clock = s.tick();
-    s.with_ddl(|catalog, tables, _| {
-        for (i, t) in tables.iter_mut().enumerate() {
+    let logged = wal_append(env, s, &WalRecord::RunstatsAll)?;
+    let clock = s.tick(&logged);
+    s.with_admin(&logged, |a| {
+        for (i, t) in a.tables.iter_mut().enumerate() {
             let (ts, cs) = runstats(t, env.runstats_opts, clock);
-            catalog.set_stats(TableId(i as u32), ts, cs)?;
+            a.catalog.set_stats(TableId(i as u32), ts, cs)?;
             t.reset_udi();
         }
         Ok(())
@@ -865,7 +868,7 @@ pub(crate) fn runstats_all<S: Store>(env: &Env, s: &mut S) -> Result<()> {
 /// count toward any query's compile time.
 pub(crate) fn precollect_query_stats<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<()> {
     let stmt = parse(sql)?;
-    wal_append(
+    let logged = wal_append(
         env,
         s,
         &WalRecord::Precollect {
@@ -876,16 +879,16 @@ pub(crate) fn precollect_query_stats<S: Store>(env: &Env, s: &mut S, sql: &str) 
     else {
         return Ok(()); // only SELECTs carry predicate groups
     };
-    let clock = s.tick();
+    let clock = s.tick(&logged);
     let cfg = JitsConfig::default();
     let candidates = query_analysis(&block);
     let all_quns: Vec<usize> = (0..block.quns.len())
         .filter(|&q| candidates.iter().any(|c| c.qun == q))
         .collect();
-    let collected = s.with_collect(|r, c| {
+    let collected = s.with_collect(&logged, |r, c| {
         collect_for_tables(&block, &all_quns, &candidates, r.tables, cfg.sample, c.rng)
     });
-    s.with_stats_mut(|archive, predcache| {
+    s.with_stats_mut(&logged, |archive, predcache| {
         for cand in &candidates {
             let outcome = materialize_group(&block, cand, &collected, clock, archive, predcache);
             observe::note_materialize_outcome(
@@ -901,15 +904,17 @@ pub(crate) fn precollect_query_stats<S: Store>(env: &Env, s: &mut S, sql: &str) 
 
 /// Migrates one-dimensional QSS histograms into the catalog.
 pub(crate) fn migrate_statistics<S: Store>(env: &Env, s: &mut S) -> usize {
-    wal_append_lossy(env, s, &WalRecord::MigrateStats);
-    let clock = s.tick();
-    s.with_migrate(|catalog, archive| jits::migrate::migrate(archive, catalog, clock))
+    let logged = wal_append_lossy(env, s, &WalRecord::MigrateStats);
+    let clock = s.tick(&logged);
+    s.with_migrate(&logged, |catalog, archive| {
+        jits::migrate::migrate(archive, catalog, clock)
+    })
 }
 
 /// Drops catalog statistics, the archive, the history and both caches.
 pub(crate) fn clear_statistics<S: Store>(env: &Env, s: &mut S) {
-    wal_append_lossy(env, s, &WalRecord::ClearStats);
-    s.with_admin(|a| {
+    let logged = wal_append_lossy(env, s, &WalRecord::ClearStats);
+    s.with_admin(&logged, |a| {
         a.catalog.clear_stats();
         a.archive.clear();
         a.history.clear();
@@ -922,14 +927,14 @@ pub(crate) fn clear_statistics<S: Store>(env: &Env, s: &mut S) {
 /// statistics survive the switch; the archive limits follow the new JITS
 /// config, and turning the sample cache off clears it.
 pub(crate) fn set_setting<S: Store>(env: &Env, s: &mut S, setting: StatsSetting) {
-    wal_append_lossy(
+    let logged = wal_append_lossy(
         env,
         s,
         &WalRecord::SetSetting {
             payload: persist::encode_setting(&setting),
         },
     );
-    s.with_admin(|a| {
+    s.with_admin(&logged, |a| {
         if let StatsSetting::Jits(cfg) = &setting {
             a.archive
                 .set_limits(cfg.archive_bucket_budget, cfg.eviction_uniformity);
@@ -941,26 +946,7 @@ pub(crate) fn set_setting<S: Store>(env: &Env, s: &mut S, setting: StatsSetting)
     });
 }
 
-// ---- write-ahead log and checkpoints ---------------------------------------
-
-/// Appends one record to the WAL, if one is attached. Errors poison the
-/// log (no further durable operations succeed), so a caller that
-/// propagates this error fails the triggering operation before any
-/// in-memory mutation happens — write-ahead in the strict sense.
-fn wal_append<S: Store>(env: &Env, s: &mut S, rec: &WalRecord) -> Result<()> {
-    s.with_wal(|mut wal| wal.append(&env.obs, rec))
-}
-
-/// [`wal_append`] for infallible-signature admin calls: a failure is
-/// counted and flight-noted instead of propagated. The log has poisoned
-/// itself, so the very next fallible durable operation errors loudly — the
-/// call's effect is never silently lost past that point (DESIGN.md §14).
-fn wal_append_lossy<S: Store>(env: &Env, s: &mut S, rec: &WalRecord) {
-    if let Err(e) = wal_append(env, s, rec) {
-        let clock = s.clock();
-        observe::note_wal_append_error(&env.obs, clock, rec.kind(), &e.to_string());
-    }
-}
+// ---- checkpoints -----------------------------------------------------------
 
 /// Folds the entire engine state into a new checkpoint segment and
 /// truncates the log. Returns the covered LSN, or `None` without a log.

@@ -28,12 +28,13 @@
 //! guard.) A phase holds one bundle at a time (see `store.rs`), so
 //! the order reduces to the order inside each bundle method below.
 //!
-//! The order is load-bearing and enforced twice: statically by
-//! `jits-lint`'s lock-order pass over this crate's source, and dynamically
-//! by the rank tracker in the `parking_lot` shim — every component lock is
-//! built with [`parking_lot::RwLock::with_rank`] using the `RANK_*`
-//! constants below, so in debug/test builds any out-of-order acquisition
-//! panics with both lock names instead of deadlocking.
+//! The order is load-bearing and enforced by the rank tracker in the
+//! `parking_lot` shim — every component lock is built with
+//! [`parking_lot::RwLock::with_rank`] using the `RANK_*` constants below,
+//! so in debug/test builds any out-of-order acquisition panics with both
+//! lock names instead of deadlocking. No bundle method branches, so the
+//! test `every_bundle_acquires_in_rank_order`, which calls each one,
+//! exercises every order there is.
 //!
 //! # Determinism
 //!
@@ -56,7 +57,7 @@ use crate::explain::JitsExplain;
 use crate::persist::{RecoveryReport, StateRefs};
 use crate::pipeline::{self, QueryResult};
 use crate::settings::StatsSetting;
-use crate::store::{Admin, CacheWindow, Collect, EngineState, Env, Reads, Store, WalSlot};
+use crate::store::{Admin, CacheWindow, Collect, EngineState, Env, Logged, Reads, Store, WalSlot};
 use crate::{observe, Database};
 use jits::{PredicateCache, QssArchive, StatHistory};
 use jits_catalog::Catalog;
@@ -64,7 +65,7 @@ use jits_common::{FaultPlane, Result, Schema, SplitMix64, TableId, Value};
 use jits_obs::clock::now_nanos;
 use jits_obs::Observability;
 use jits_storage::{SampleCache, Table};
-use jits_wal::Wal;
+use jits_wal::{Wal, WalRecord};
 use parking_lot::rank::LockRank;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::path::Path;
@@ -225,7 +226,7 @@ impl Store for Locked<'_> {
         self.sh.clock.load(Ordering::SeqCst)
     }
 
-    fn tick(&mut self) -> u64 {
+    fn tick(&mut self, _: &Logged) -> u64 {
         self.sh.clock.fetch_add(1, Ordering::SeqCst) + 1
     }
 
@@ -261,7 +262,7 @@ impl Store for Locked<'_> {
         })
     }
 
-    fn with_collect<R>(&mut self, f: impl FnOnce(Reads<'_>, Collect<'_>) -> R) -> R {
+    fn with_collect<R>(&mut self, _: &Logged, f: impl FnOnce(Reads<'_>, Collect<'_>) -> R) -> R {
         let Locked {
             sh, rng, waited, ..
         } = self;
@@ -303,7 +304,7 @@ impl Store for Locked<'_> {
         f(&catalog, &archive, &samplecache)
     }
 
-    fn with_tables_mut<R>(&mut self, f: impl FnOnce(&mut [Table]) -> R) -> R {
+    fn with_tables_mut<R>(&mut self, _: &Logged, f: impl FnOnce(&mut [Table]) -> R) -> R {
         let sh = self.sh;
         let mut tables = timed_write(&sh.tables, &sh.env.obs, &mut self.waited);
         f(&mut tables)
@@ -311,6 +312,7 @@ impl Store for Locked<'_> {
 
     fn with_stats_mut<R>(
         &mut self,
+        _: &Logged,
         f: impl FnOnce(&mut QssArchive, &mut PredicateCache) -> R,
     ) -> R {
         let (sh, w) = (self.sh, &mut self.waited);
@@ -319,13 +321,13 @@ impl Store for Locked<'_> {
         f(&mut archive, &mut predcache)
     }
 
-    fn with_feedback<R>(&mut self, f: impl FnOnce(&mut StatHistory) -> R) -> R {
+    fn with_feedback<R>(&mut self, _: &Logged, f: impl FnOnce(&mut StatHistory) -> R) -> R {
         let sh = self.sh;
         let mut history = timed_write(&sh.history, &sh.env.obs, &mut self.waited);
         f(&mut history)
     }
 
-    fn with_migrate<R>(&mut self, f: impl FnOnce(&mut Catalog, &QssArchive) -> R) -> R {
+    fn with_migrate<R>(&mut self, _: &Logged, f: impl FnOnce(&mut Catalog, &QssArchive) -> R) -> R {
         let (sh, w) = (self.sh, &mut self.waited);
         let mut catalog = timed_write(&sh.catalog, &sh.env.obs, w);
         let archive = timed_read(&sh.archive, &sh.env.obs, w);
@@ -334,24 +336,28 @@ impl Store for Locked<'_> {
 
     fn with_ddl<R>(
         &mut self,
-        f: impl FnOnce(&mut Catalog, &mut Vec<Table>, WalSlot<'_>) -> R,
-    ) -> R {
+        obs: &Observability,
+        rec: WalRecord,
+        f: impl FnOnce(&mut Catalog, &mut Vec<Table>, WalRecord) -> Result<R>,
+    ) -> Result<R> {
         let (sh, w) = (self.sh, &mut self.waited);
         let fault = sh.fault.lock().clone();
         let mut catalog = timed_write(&sh.catalog, &sh.env.obs, w);
         let mut tables = timed_write(&sh.tables, &sh.env.obs, w);
         let mut wal = timed_write(&sh.wal, &sh.env.obs, w);
-        let slot = WalSlot {
+        WalSlot {
             wal: wal.as_mut(),
             fault: &fault,
             clock: sh.clock.load(Ordering::SeqCst),
-        };
-        f(&mut catalog, &mut tables, slot)
+        }
+        .append(obs, &rec)?;
+        f(&mut catalog, &mut tables, rec)
     }
 
-    fn with_admin<R>(&mut self, f: impl FnOnce(Admin<'_>) -> R) -> R {
+    fn with_admin<R>(&mut self, _: &Logged, f: impl FnOnce(Admin<'_>) -> R) -> R {
         let (sh, w) = (self.sh, &mut self.waited);
         let mut catalog = timed_write(&sh.catalog, &sh.env.obs, w);
+        let mut tables = timed_write(&sh.tables, &sh.env.obs, w);
         let mut archive = timed_write(&sh.archive, &sh.env.obs, w);
         let mut history = timed_write(&sh.history, &sh.env.obs, w);
         let mut predcache = timed_write(&sh.predcache, &sh.env.obs, w);
@@ -359,6 +365,7 @@ impl Store for Locked<'_> {
         let mut setting = timed_write(&sh.setting, &sh.env.obs, w);
         f(Admin {
             catalog: &mut catalog,
+            tables: &mut tables,
             archive: &mut archive,
             history: &mut history,
             predcache: &mut predcache,
@@ -721,7 +728,9 @@ impl Session {
 mod tests {
     use super::*;
 
-    use jits_common::DataType;
+    use crate::store::wal_append;
+    use jits_common::{DataType, TestDir};
+    use jits_obs::{FlightEvent, Volatility};
 
     fn seed_shared(seed: u64) -> SharedDatabase {
         let db = SharedDatabase::new(seed);
@@ -790,6 +799,74 @@ mod tests {
         drop(_tables);
         let _catalog = inner.catalog.read();
         let _tables = inner.tables.read();
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "rank tracker compiles out in release")]
+    fn every_bundle_acquires_in_rank_order() {
+        // Every ranked engine lock is taken inside one of these bundle
+        // methods and none of them branches, so one call of each under the
+        // rank tracker checks every acquisition order the engine has. The
+        // database is durable, so `wal` is among the locks; every closure
+        // also takes the registry and flight locks, which rank above all.
+        let dir = TestDir::new("session::every_bundle_acquires_in_rank_order");
+        let shared = SharedDatabase::open(5, dir.path()).unwrap();
+        assert!(shared.is_durable());
+        let note = |obs: &Observability| {
+            obs.registry
+                .counter("test.bundle_calls", Volatility::Volatile)
+                .inc();
+            obs.flight.record(FlightEvent::Note {
+                clock: 0,
+                label: "bundle".into(),
+                detail: String::new(),
+            });
+        };
+        // session 0 samples from the master stream, session 1 from a fork
+        for mut session in [shared.session(), shared.session()] {
+            let (env, mut s) = session.store();
+            let obs = &*env.obs;
+            let logged = wal_append(env, &mut s, &WalRecord::MigrateStats).unwrap();
+            s.setting();
+            s.tick(&logged);
+            s.with_catalog(|_| note(obs));
+            s.with_tables(|_| note(obs));
+            s.with_reads(|_| note(obs));
+            s.with_collect(&logged, |_, mut c| {
+                note(obs);
+                c.samplecache.write(|_| note(obs));
+                c.samplecache.read(|_| note(obs));
+            });
+            s.with_views(|_, _, _| note(obs));
+            s.with_tables_mut(&logged, |_| note(obs));
+            s.with_stats_mut(&logged, |_, _| note(obs));
+            s.with_feedback(&logged, |_| note(obs));
+            s.with_migrate(&logged, |_, _| note(obs));
+            s.with_ddl(obs, WalRecord::MigrateStats, |_, _, _| {
+                note(obs);
+                Ok(())
+            })
+            .unwrap();
+            s.with_admin(&logged, |_| note(obs));
+            s.with_wal(|_| note(obs));
+            s.with_snapshot(|_, _| note(obs));
+        }
+        let calls = shared
+            .obs()
+            .registry
+            .counter("test.bundle_calls", Volatility::Volatile)
+            .get();
+        assert_eq!(calls, 2 * 15);
+
+        // and the tracker does fire on the log taken before the catalog
+        let inner = Arc::clone(&shared.shared);
+        let _wal = inner.wal.read();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _catalog = inner.catalog.read();
+        }))
+        .expect_err("catalog after wal must violate the rank order");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("`catalog`") && msg.contains("`wal`"), "{msg}");
     }
 
     #[test]

@@ -13,8 +13,15 @@
 //!
 //! Every bundle method takes `&mut self`, so a phase can never hold two
 //! bundles at once: lock ordering reduces to the acquisition order inside
-//! each bundle method, which `jits-lint`'s lock-order pass checks.
+//! each bundle method. None of them branches, so the debug-build rank
+//! tracker sees every order there is when a test calls each one
+//! (`session::tests::every_bundle_acquires_in_rank_order`).
+//!
+//! Write-ahead logging is a type: [`Store::tick`] and every bundle that
+//! mutates take a [`Logged`], which only appending a record makes, so a
+//! mutation that runs before its record is appended does not compile.
 
+use crate::observe;
 use crate::persist::StateRefs;
 use crate::session::{timed_read, timed_write};
 use crate::settings::StatsSetting;
@@ -154,10 +161,11 @@ impl CacheWindow<'_> {
     }
 }
 
-/// Every statistics component plus the setting, for the admin calls that
-/// reconfigure or wipe them.
+/// Every statistics component, the tables and the setting, for the admin
+/// calls that recompute, reconfigure or wipe statistics.
 pub(crate) struct Admin<'a> {
     pub catalog: &'a mut Catalog,
+    pub tables: &'a mut [Table],
     pub archive: &'a mut QssArchive,
     pub history: &'a mut StatHistory,
     pub predcache: &'a mut PredicateCache,
@@ -176,14 +184,39 @@ pub(crate) struct WalSlot<'a> {
 impl WalSlot<'_> {
     /// Appends one record, if a log is attached. An error poisons the log,
     /// so a caller that propagates it fails before mutating anything.
-    pub fn append(&mut self, obs: &Observability, rec: &WalRecord) -> Result<()> {
-        let Some(wal) = self.wal.as_deref_mut() else {
-            return Ok(());
-        };
-        wal.append(rec, self.fault, self.clock)?;
-        crate::observe::note_wal_append(obs, rec.kind(), wal.bytes_appended());
-        Ok(())
+    pub fn append(&mut self, obs: &Observability, rec: &WalRecord) -> Result<Logged> {
+        if let Some(wal) = self.wal.as_deref_mut() {
+            wal.append(rec, self.fault, self.clock)?;
+            observe::note_wal_append(obs, rec.kind(), wal.bytes_appended());
+        }
+        Ok(Logged(()))
     }
+}
+
+/// Proof that an operation's write-ahead-log record is appended, or that no
+/// log is attached (an in-memory database, or recovery replay, which must
+/// not re-append). [`Store::tick`] and every bundle that mutates take one;
+/// only [`WalSlot::append`] and [`wal_append_lossy`] make one.
+pub(crate) struct Logged(());
+
+/// Appends one record to the WAL, if one is attached. Errors poison the
+/// log (no further durable operations succeed), so a caller that
+/// propagates this error fails the triggering operation before any
+/// in-memory mutation happens — write-ahead in the strict sense.
+pub(crate) fn wal_append<S: Store>(env: &Env, s: &mut S, rec: &WalRecord) -> Result<Logged> {
+    s.with_wal(|mut wal| wal.append(&env.obs, rec))
+}
+
+/// [`wal_append`] for infallible-signature admin calls: a failure is
+/// counted and flight-noted instead of propagated. The log has poisoned
+/// itself, so the very next fallible durable operation errors loudly — the
+/// call's effect is never silently lost past that point (DESIGN.md §14).
+pub(crate) fn wal_append_lossy<S: Store>(env: &Env, s: &mut S, rec: &WalRecord) -> Logged {
+    wal_append(env, s, rec).unwrap_or_else(|e| {
+        let clock = s.clock();
+        observe::note_wal_append_error(&env.obs, clock, rec.kind(), &e.to_string());
+        Logged(())
+    })
 }
 
 /// How the pipeline reaches engine state (see the module docs).
@@ -199,7 +232,7 @@ pub(crate) trait Store {
     /// The logical clock.
     fn clock(&mut self) -> u64;
     /// Advances the logical clock and returns the new value.
-    fn tick(&mut self) -> u64;
+    fn tick(&mut self, logged: &Logged) -> u64;
     /// Time this statement has spent blocked on engine locks.
     fn lock_wait(&self) -> Duration;
 
@@ -210,25 +243,43 @@ pub(crate) trait Store {
     /// The [`Reads`] (planning, `explain_jits`).
     fn with_reads<R>(&mut self, f: impl FnOnce(Reads<'_>) -> R) -> R;
     /// The [`Reads`] plus the sampling writes (sensitivity and collection).
-    fn with_collect<R>(&mut self, f: impl FnOnce(Reads<'_>, Collect<'_>) -> R) -> R;
+    fn with_collect<R>(
+        &mut self,
+        logged: &Logged,
+        f: impl FnOnce(Reads<'_>, Collect<'_>) -> R,
+    ) -> R;
     /// Catalog, archive and sample-cache reads (system views).
     fn with_views<R>(&mut self, f: impl FnOnce(&Catalog, &QssArchive, &SampleCache) -> R) -> R;
     /// Tables write (UDI reset, INSERT, UPDATE, DELETE).
-    fn with_tables_mut<R>(&mut self, f: impl FnOnce(&mut [Table]) -> R) -> R;
+    fn with_tables_mut<R>(&mut self, logged: &Logged, f: impl FnOnce(&mut [Table]) -> R) -> R;
     /// Archive and predicate-cache writes (materialization, plan-time
     /// touches).
-    fn with_stats_mut<R>(&mut self, f: impl FnOnce(&mut QssArchive, &mut PredicateCache) -> R)
-        -> R;
+    fn with_stats_mut<R>(
+        &mut self,
+        logged: &Logged,
+        f: impl FnOnce(&mut QssArchive, &mut PredicateCache) -> R,
+    ) -> R;
     /// History write (LEO feedback).
-    fn with_feedback<R>(&mut self, f: impl FnOnce(&mut StatHistory) -> R) -> R;
+    fn with_feedback<R>(&mut self, logged: &Logged, f: impl FnOnce(&mut StatHistory) -> R) -> R;
     /// Catalog write with an archive read (migration).
-    fn with_migrate<R>(&mut self, f: impl FnOnce(&mut Catalog, &QssArchive) -> R) -> R;
-    /// Catalog and tables writes with the log, so DDL appends under its
-    /// guards and log order matches mutation order.
-    fn with_ddl<R>(&mut self, f: impl FnOnce(&mut Catalog, &mut Vec<Table>, WalSlot<'_>) -> R)
-        -> R;
-    /// Every statistics component and the setting, written (admin calls).
-    fn with_admin<R>(&mut self, f: impl FnOnce(Admin<'_>) -> R) -> R;
+    fn with_migrate<R>(
+        &mut self,
+        logged: &Logged,
+        f: impl FnOnce(&mut Catalog, &QssArchive) -> R,
+    ) -> R;
+    /// Catalog and tables writes for DDL: appends `rec` under the write
+    /// guards, so log order matches mutation order, then hands the record
+    /// back to `f` (a bulk load moves its rows out of it). A failed append
+    /// returns before `f` runs.
+    fn with_ddl<R>(
+        &mut self,
+        obs: &Observability,
+        rec: WalRecord,
+        f: impl FnOnce(&mut Catalog, &mut Vec<Table>, WalRecord) -> Result<R>,
+    ) -> Result<R>;
+    /// Every statistics component, the tables and the setting, written
+    /// (admin calls).
+    fn with_admin<R>(&mut self, logged: &Logged, f: impl FnOnce(Admin<'_>) -> R) -> R;
     /// The log alone.
     fn with_wal<R>(&mut self, f: impl FnOnce(WalSlot<'_>) -> R) -> R;
     /// A consistent view of the whole state plus the log (checkpoint).

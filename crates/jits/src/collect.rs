@@ -186,7 +186,6 @@ impl CollectedStats {
 /// `None` if any predicate lacks an interval form.
 pub fn group_region(
     block: &QueryBlock,
-    qun: usize,
     pred_indices: &[usize],
     schema_types: &dyn Fn(ColumnId) -> DataType,
 ) -> Option<Region> {
@@ -203,7 +202,6 @@ pub fn group_region(
             .map(|(_, iv)| iv)?;
         ranges.push(iv.to_axis_range_typed(schema_types(col)));
     }
-    let _ = qun;
     Some(Region::new(ranges))
 }
 
@@ -853,7 +851,7 @@ fn collect_one_table(
         };
         out.work += words as f64 / 8.0;
 
-        let region = group_region(block, qun, &cand.pred_indices, &types);
+        let region = group_region(block, &cand.pred_indices, &types);
         let mut key = cand.pred_indices.clone();
         key.sort_unstable();
         out.groups.push((

@@ -22,13 +22,12 @@ use crate::collect::group_region;
 use jits_common::{ColGroup, ColumnId, DataType};
 use jits_query::QueryBlock;
 
-/// Accuracy the archive offers for `pred_indices` (all on `qun`), projected
+/// Accuracy the archive offers for `pred_indices` (all on one quantifier), projected
 /// onto the statistic `stat` (pass the group's own colgroup to rate the full
 /// group). `types` maps columns to their data types.
 pub fn archive_accuracy_for(
     archive: &QssArchive,
     block: &QueryBlock,
-    qun: usize,
     pred_indices: &[usize],
     stat: &ColGroup,
     types: &dyn Fn(ColumnId) -> DataType,
@@ -63,7 +62,7 @@ pub fn archive_accuracy_for(
         }
     }
     // otherwise: the paper's region accuracy, over the statistic's dims
-    let region = project_onto(block, qun, &restricted, stat, types)?;
+    let region = project_onto(block, &restricted, stat, types)?;
     Some(jits_histogram::region_accuracy(hist.boundaries(), &region))
 }
 
@@ -71,12 +70,11 @@ pub fn archive_accuracy_for(
 /// become unbounded dimensions.
 pub fn project_onto(
     block: &QueryBlock,
-    qun: usize,
     restricted: &[usize],
     stat: &ColGroup,
     types: &dyn Fn(ColumnId) -> DataType,
 ) -> Option<jits_histogram::Region> {
-    let sub = group_region(block, qun, restricted, types)?;
+    let sub = group_region(block, restricted, types)?;
     let sub_group = block.colgroup_of(restricted);
     let mut ranges = Vec::with_capacity(stat.arity());
     for col in stat.columns() {
@@ -125,7 +123,7 @@ mod tests {
         let archive = QssArchive::default();
         let g = block.colgroup_of(&[0]);
         assert_eq!(
-            archive_accuracy_for(&archive, &block, 0, &[0], &g, &types),
+            archive_accuracy_for(&archive, &block, &[0], &g, &types),
             None
         );
     }
@@ -145,7 +143,7 @@ mod tests {
             100.0,
             1,
         );
-        let acc = archive_accuracy_for(&archive, &block, 0, &[0], &g, &types).unwrap();
+        let acc = archive_accuracy_for(&archive, &block, &[0], &g, &types).unwrap();
         assert_eq!(acc, 0.0, "Toyota was never observed");
     }
 
@@ -164,7 +162,7 @@ mod tests {
             100.0,
             1,
         );
-        let acc = archive_accuracy_for(&archive, &block, 0, &[0], &g, &types).unwrap();
+        let acc = archive_accuracy_for(&archive, &block, &[0], &g, &types).unwrap();
         assert_eq!(acc, 1.0, "exact boundary hit");
         let _ = TableId(0);
     }
@@ -183,7 +181,7 @@ mod tests {
             1,
         );
         let int_types = |_c: ColumnId| DataType::Int;
-        let acc = archive_accuracy_for(&archive, &block, 0, &[0], &g, &int_types).unwrap();
+        let acc = archive_accuracy_for(&archive, &block, &[0], &g, &int_types).unwrap();
         assert!(acc > 0.3, "numeric interpolation stays usable: {acc}");
     }
 }

@@ -113,7 +113,7 @@ impl StatHistory {
         });
         if entries.len() > per_key_cap.max(1) {
             // evict the least-used (ties: worst accuracy) entry
-            let victim = entries
+            if let Some(victim) = entries
                 .iter()
                 .enumerate()
                 .min_by(|(_, a), (_, b)| {
@@ -122,8 +122,9 @@ impl StatHistory {
                         .then(a.accuracy().total_cmp(&b.accuracy()))
                 })
                 .map(|(i, _)| i)
-                .expect("entries is non-empty");
-            entries.swap_remove(victim);
+            {
+                entries.swap_remove(victim);
+            }
         }
     }
 

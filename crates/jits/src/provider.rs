@@ -113,7 +113,6 @@ impl<'a> JitsStatisticsProvider<'a> {
             let acc = crate::gate::archive_accuracy_for(
                 self.archive,
                 block,
-                qun,
                 pred_indices,
                 candidate,
                 &types,
@@ -123,7 +122,7 @@ impl<'a> JitsStatisticsProvider<'a> {
             }
         }
         let superset = best?;
-        let region = crate::gate::project_onto(block, qun, pred_indices, superset, &types)?;
+        let region = crate::gate::project_onto(block, pred_indices, superset, &types)?;
         let sel = self.archive.selectivity(superset, &region)?;
         self.used_archive.borrow_mut().push(superset.clone());
         Some(SelEstimate::from_stat(
@@ -185,17 +184,11 @@ impl StatisticsProvider for JitsStatisticsProvider<'_> {
 
         // 3. the QSS archive — only where the shared usability gate says the
         // histogram can actually answer the region (see [`crate::gate`])
-        let usable = crate::gate::archive_accuracy_for(
-            self.archive,
-            block,
-            qun,
-            pred_indices,
-            &colgroup,
-            &types,
-        )
-        .is_some_and(|a| a >= ARCHIVE_ACCURACY_GATE);
+        let usable =
+            crate::gate::archive_accuracy_for(self.archive, block, pred_indices, &colgroup, &types)
+                .is_some_and(|a| a >= ARCHIVE_ACCURACY_GATE);
         if usable {
-            if let Some(region) = group_region(block, qun, pred_indices, &types) {
+            if let Some(region) = group_region(block, pred_indices, &types) {
                 if let Some(sel) = self.archive.selectivity(&colgroup, &region) {
                     self.used_archive.borrow_mut().push(colgroup.clone());
                     return Some(SelEstimate::from_stat(sel, colgroup, StatSource::Qss));

@@ -167,20 +167,16 @@ pub fn sensitivity_analysis_with_feedback(
     for qun in 0..block.quns.len() {
         let quns_candidates: Vec<&CandidateGroup> =
             candidates.iter().filter(|c| c.qun == qun).collect();
-        if quns_candidates.is_empty() {
+        // g <- the group with the maximum number of predicates
+        let Some(full) = quns_candidates
+            .iter()
+            .copied()
+            .max_by_key(|c| c.pred_indices.len())
+        else {
             continue;
-        }
+        };
         let score = should_collect_stats(
-            block,
-            qun,
-            &quns_candidates,
-            history,
-            archive,
-            predcache,
-            catalog,
-            tables,
-            config,
-            qerror,
+            block, qun, full, history, archive, predcache, catalog, tables, config, qerror,
         );
         let collect = score.collect;
         decision.table_scores.push(score);
@@ -210,7 +206,7 @@ pub fn sensitivity_analysis_with_feedback(
 fn should_collect_stats(
     block: &QueryBlock,
     qun: usize,
-    candidates: &[&CandidateGroup],
+    full: &CandidateGroup,
     history: &StatHistory,
     archive: &QssArchive,
     predcache: &PredicateCache,
@@ -220,11 +216,6 @@ fn should_collect_stats(
     qerror: &BTreeMap<TableId, f64>,
 ) -> TableScore {
     let table_id = block.quns[qun].table;
-    // g <- the group with the maximum number of predicates
-    let full = candidates
-        .iter()
-        .max_by_key(|c| c.pred_indices.len())
-        .expect("candidates is non-empty");
 
     let mut max_acc = 0.0f64;
     for h in history.entries_for(table_id, &full.colgroup) {
@@ -309,7 +300,7 @@ fn statistic_accuracy(
                 .unwrap_or(DataType::Float)
         };
         if let Some(acc) =
-            crate::gate::archive_accuracy_for(archive, block, qun, group_preds, stat, &types)
+            crate::gate::archive_accuracy_for(archive, block, group_preds, stat, &types)
         {
             return acc;
         }
@@ -504,7 +495,7 @@ mod tests {
                 .unwrap()
                 .dtype
         };
-        let region = group_region(&block, 0, &full.pred_indices, &types).unwrap();
+        let region = group_region(&block, &full.pred_indices, &types).unwrap();
         let frame = Region::new(
             region
                 .ranges()

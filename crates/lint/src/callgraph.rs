@@ -1,4 +1,4 @@
-//! Workspace call graph with transitive closure.
+//! Workspace call graph with reachability.
 //!
 //! Nodes are every `fn` parsed from the in-scope files; edges are resolved
 //! *by name*, split into two namespaces so that a method named like a free
@@ -10,9 +10,7 @@
 //!
 //! That over-approximates (any receiver matches any impl), which is the
 //! right direction for the passes built on it: reachability-based scopes
-//! can only grow, never silently miss a path. Callers that need a stricter
-//! policy (the lock-order pass only trusts `self.name(…)` receivers) filter
-//! edges through [`EdgeFilter`].
+//! can only grow, never silently miss a path.
 //!
 //! Closures are attributed to their enclosing `fn` (see [`crate::parse`]),
 //! so "propagation through helpers and closures" falls out of the body
@@ -34,13 +32,7 @@ pub struct Node {
     pub name: String,
     /// Declared with a `self` receiver.
     pub is_method: bool,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
 }
-
-/// Decides whether a call site may resolve to candidate callees at all.
-/// Receives the site's [`CallKind`]; returning `false` drops the edge.
-pub type EdgeFilter = fn(&CallKind) -> bool;
 
 /// The workspace call graph.
 #[derive(Debug)]
@@ -55,15 +47,6 @@ impl CallGraph {
     /// Builds the graph over `files` (with `parsed[i]` the parse of
     /// `files[i]`), admitting every call form.
     pub fn build(files: &[&SourceFile], parsed: &[ParsedFile]) -> CallGraph {
-        CallGraph::build_filtered(files, parsed, |_| true)
-    }
-
-    /// Builds the graph, dropping call sites the filter rejects.
-    pub fn build_filtered(
-        files: &[&SourceFile],
-        parsed: &[ParsedFile],
-        admit: EdgeFilter,
-    ) -> CallGraph {
         let mut nodes = Vec::new();
         let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -75,7 +58,6 @@ impl CallGraph {
                     fn_idx: gi,
                     name: f.name.clone(),
                     is_method: f.is_method,
-                    line: f.line,
                 });
                 if f.is_method {
                     methods.entry(f.name.as_str()).or_default().push(id);
@@ -93,9 +75,6 @@ impl CallGraph {
                 continue;
             };
             for call in pf.call_sites(src, open, close) {
-                if !admit(&call.kind) {
-                    continue;
-                }
                 // calls inside a *nested* fn belong to that fn, not to us
                 if pf.enclosing_fn(call.tok) != Some(fn_idx) {
                     continue;
@@ -129,13 +108,6 @@ impl CallGraph {
         CallGraph { nodes, edges }
     }
 
-    /// Node id for `(file, fn_idx)`.
-    pub fn node_of(&self, file: usize, fn_idx: usize) -> Option<usize> {
-        self.nodes
-            .iter()
-            .position(|n| n.file == file && n.fn_idx == fn_idx)
-    }
-
     /// Reverse edges: `callers[n]` = node ids that call `n`.
     pub fn callers(&self) -> Vec<Vec<usize>> {
         let mut rev = vec![Vec::new(); self.nodes.len()];
@@ -163,46 +135,6 @@ impl CallGraph {
             }
         }
         seen
-    }
-
-    /// Transitive closure of per-node facts: starting from `direct[n]`,
-    /// unions every callee's set into its callers until a fixed point.
-    /// Cycles converge because the union is monotone. Returns, per node,
-    /// the set of `(fact, origin_node)` pairs, so callers can name the
-    /// function a transitive fact came from.
-    pub fn propagate<T: Clone + Ord>(
-        &self,
-        direct: &[Vec<T>],
-    ) -> Vec<std::collections::BTreeSet<(T, usize)>> {
-        use std::collections::BTreeSet;
-        let mut sets: Vec<BTreeSet<(T, usize)>> = direct
-            .iter()
-            .enumerate()
-            .map(|(n, facts)| facts.iter().map(|f| (f.clone(), n)).collect())
-            .collect();
-        loop {
-            let mut changed = false;
-            for n in 0..self.nodes.len() {
-                for ci in 0..self.edges[n].len() {
-                    let callee = self.edges[n][ci];
-                    if callee == n {
-                        continue;
-                    }
-                    let add: Vec<(T, usize)> = sets[callee]
-                        .iter()
-                        .filter(|f| !sets[n].contains(f))
-                        .cloned()
-                        .collect();
-                    if !add.is_empty() {
-                        sets[n].extend(add);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                return sets;
-            }
-        }
     }
 }
 
@@ -232,29 +164,16 @@ mod tests {
             "fn a() { b(); }\nfn b() { c(); }\n",
             "fn c() { leaf_fact(); }\nfn leaf_fact() {}\n",
         ]);
-        let (a, c) = (id(&g, "a"), id(&g, "c"));
-        let reach = g.reachable([a]);
-        assert!(reach[c], "a reaches c across files");
-        let mut direct = vec![Vec::new(); g.nodes.len()];
-        direct[c] = vec!["locks"];
-        let sets = g.propagate(&direct);
-        assert!(
-            sets[a]
-                .iter()
-                .any(|(f, origin)| *f == "locks" && *origin == c),
-            "{:?}",
-            sets[a]
-        );
+        let reach = g.reachable([id(&g, "a")]);
+        assert!(reach[id(&g, "c")], "a reaches c across files");
+        assert!(reach[id(&g, "leaf_fact")], "and c's callee");
     }
 
     #[test]
     fn recursion_converges() {
         let (_, _, g) = graph(&["fn x() { y(); }\nfn y() { x(); base(); }\nfn base() {}\n"]);
-        let mut direct = vec![Vec::new(); g.nodes.len()];
-        direct[id(&g, "base")] = vec![1u8];
-        let sets = g.propagate(&direct);
-        assert!(!sets[id(&g, "x")].is_empty());
-        assert!(!sets[id(&g, "y")].is_empty());
+        let reach = g.reachable([id(&g, "x")]);
+        assert!(reach[id(&g, "y")] && reach[id(&g, "base")]);
     }
 
     #[test]

@@ -1,243 +1,46 @@
-//! Determinism pass.
+//! Determinism pass: hash-order iteration.
 //!
 //! The paper's premise is that statistics collected just-in-time make plans
 //! *reproducible*: the same workload against the same data must collect the
-//! same statistics and pick the same plans. Three rules guard that:
+//! same statistics and pick the same plans. Iterating a `HashMap`/`HashSet`
+//! in stats-bearing crates leaks hash order into statistics. Lookups
+//! (`get`/`contains_key`/`entry`) are fine; `iter`/`keys`/`values`/`drain`/
+//! `retain`/`for … in` are not. Stats containers use `BTreeMap`, or sort
+//! before iterating (with a waiver).
 //!
-//! - **wall-clock**: `Instant::now()` / `SystemTime::now()` are forbidden
-//!   everywhere except `crates/obs/src/clock.rs`. All engine timing flows
-//!   through `jits_obs::clock::now_nanos`, and all statistics logic uses
-//!   the logical clock (`stamp`) — so OS-clock reads live in exactly one
-//!   audited file.
-//! - **hash-iteration**: iterating a `HashMap`/`HashSet` in stats-bearing
-//!   crates leaks hash order into statistics. Lookups (`get`/`contains_key`/
-//!   `entry`) are fine; `iter`/`keys`/`values`/`drain`/`retain`/`for … in`
-//!   are not. Stats containers use `BTreeMap`, or sort before iterating
-//!   (with a waiver).
-//! - **unseeded-rng**: `thread_rng` / `from_entropy` / `OsRng` /
-//!   `rand::random` / `RandomState` seed from the environment; all
-//!   randomness must flow through `jits_common::rng` with explicit seeds.
-//! - **timed-budget**: functions whose names mention `budget`, `retry`, or
-//!   `backoff` must not read wall time (`Instant::now`, `SystemTime::now`,
-//!   `.elapsed(`, `Duration::from_*`) — budgets and backoff are counted in
-//!   deterministic work units / attempt counters so faulted and budgeted
-//!   runs replay bit-identically at any thread count. This rule applies
-//!   even inside the wall-clock whitelist (those files time *metrics*, but
-//!   their budget/retry logic still must not).
+//! The other determinism guarantees are clippy's: `clippy.toml` disallows
+//! wall-clock reads (`Instant::now`, `SystemTime::now`) and the
+//! entropy-seeded `RandomState`.
 //!
-//! Waive with `// jits-lint: allow(wall-clock)` (or `hash-iteration`,
-//! `unseeded-rng`, `timed-budget`).
+//! Waive with `// jits-lint: allow(hash-iteration)`.
 
 use crate::source::SourceFile;
 use crate::{Severity, Violation};
 use std::collections::BTreeSet;
 
-/// Rule slugs.
-pub const RULE_WALL_CLOCK: &str = "wall-clock";
-/// See module docs.
+/// Rule slug.
 pub const RULE_HASH_ITERATION: &str = "hash-iteration";
-/// See module docs.
-pub const RULE_UNSEEDED_RNG: &str = "unseeded-rng";
-/// See module docs.
-pub const RULE_TIMED_BUDGET: &str = "timed-budget";
 
-/// Pass configuration: whitelists for repo mode, nothing for fixture mode.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Files (repo-relative) allowed to read wall clocks.
-    pub wall_clock_whitelist: &'static [&'static str],
-    /// Files allowed to seed RNGs from the environment.
-    pub rng_whitelist: &'static [&'static str],
-    /// Restrict hash-iteration to these crates (`None` = every file given).
-    pub hash_crates: Option<&'static [&'static str]>,
-}
-
-impl Config {
-    /// Repo mode: the checked-in whitelists apply.
-    pub fn repo() -> Config {
-        Config {
-            wall_clock_whitelist: crate::WALL_CLOCK_WHITELIST,
-            rng_whitelist: crate::RNG_WHITELIST,
-            hash_crates: Some(crate::HASH_ORDER_CRATES),
-        }
-    }
-
-    /// Fixture mode: every rule applies to every file, no whitelists.
-    pub fn strict() -> Config {
-        Config {
-            wall_clock_whitelist: &[],
-            rng_whitelist: &[],
-            hash_crates: None,
-        }
-    }
-}
-
-/// Runs the pass. Returns every finding, including waived ones (flagged
-/// `waived: true`).
-pub fn run(files: &[&SourceFile], cfg: Config) -> Vec<Violation> {
+/// Runs the pass over the files under `crates/<k>/src` for one of
+/// `hash_crates` (`None`: every file given). Returns every finding,
+/// including waived ones (flagged `waived: true`).
+pub fn run(files: &[&SourceFile], hash_crates: Option<&[&str]>) -> Vec<Violation> {
     let mut out = Vec::new();
     for file in files {
-        if !cfg.wall_clock_whitelist.contains(&file.path.as_str()) {
-            scan_tokens(
-                file,
-                &["Instant::now", "SystemTime::now"],
-                RULE_WALL_CLOCK,
-                "wall-clock read in deterministic code; use the logical clock (`stamp`) \
-                 or move the timing into the metrics whitelist",
-                &mut out,
-            );
-        }
-        if !cfg.rng_whitelist.contains(&file.path.as_str()) {
-            scan_tokens(
-                file,
-                &[
-                    "thread_rng",
-                    "from_entropy",
-                    "OsRng",
-                    "rand::random",
-                    "getrandom",
-                    "RandomState",
-                    "SystemRandom",
-                ],
-                RULE_UNSEEDED_RNG,
-                "environment-seeded randomness; route through `jits_common::rng` with an \
-                 explicit seed",
-                &mut out,
-            );
-        }
-        let in_hash_scope = match cfg.hash_crates {
-            None => true,
-            Some(crates) => crates
+        let in_scope = hash_crates.is_none_or(|crates| {
+            crates
                 .iter()
-                .any(|k| file.path.starts_with(&format!("crates/{k}/src"))),
-        };
-        if in_hash_scope {
+                .any(|k| file.path.starts_with(&format!("crates/{k}/src")))
+        });
+        if in_scope {
             hash_iteration(file, &mut out);
         }
-        // applies everywhere, including the wall-clock whitelist
-        timed_budget(file, &mut out);
     }
     out
 }
 
 fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// Flags every ident-boundary occurrence of any token.
-fn scan_tokens(
-    file: &SourceFile,
-    tokens: &[&str],
-    rule: &'static str,
-    what: &str,
-    out: &mut Vec<Violation>,
-) {
-    let code = &file.code;
-    let b = code.as_bytes();
-    for token in tokens {
-        let mut search = 0usize;
-        while let Some(rel) = code[search..].find(token) {
-            let at = search + rel;
-            search = at + token.len();
-            let before_ok = at == 0 || (!is_ident(b[at - 1]) && b[at - 1] != b':');
-            let after = at + token.len();
-            let after_ok = after >= b.len() || !is_ident(b[after]);
-            if !before_ok || !after_ok {
-                continue;
-            }
-            let line = file.line_of(at);
-            if file.is_test_line(line) {
-                continue;
-            }
-            out.push(Violation {
-                rule,
-                path: file.path.clone(),
-                line,
-                message: format!("`{token}`: {what}"),
-                severity: Severity::Error,
-                waived: file.is_waived(line, rule),
-            });
-        }
-    }
-}
-
-/// Wall-time reads forbidden inside budget/retry/backoff functions.
-const TIMED_BUDGET_TOKENS: &[&str] = &[
-    "Instant::now",
-    "SystemTime::now",
-    ".elapsed(",
-    "Duration::from_",
-];
-
-/// Flags wall-time reads inside any function whose name mentions `budget`,
-/// `retry`, or `backoff`: those code paths must count deterministic work
-/// units or attempt counters, never elapsed time, or budgeted/faulted runs
-/// stop replaying bit-identically.
-fn timed_budget(file: &SourceFile, out: &mut Vec<Violation>) {
-    let code = &file.code;
-    let b = code.as_bytes();
-    let mut search = 0usize;
-    while let Some(rel) = code[search..].find("fn ") {
-        let at = search + rel;
-        search = at + 3;
-        if at > 0 && is_ident(b[at - 1]) {
-            continue;
-        }
-        let name: String = code[at + 3..]
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        let lname = name.to_ascii_lowercase();
-        if !(lname.contains("budget") || lname.contains("retry") || lname.contains("backoff")) {
-            continue;
-        }
-        // brace-matched body scan, starting at the first `{` after the
-        // signature (heuristic: braces in strings/comments count, like the
-        // rest of this analyzer)
-        let Some(open_rel) = code[at..].find('{') else {
-            continue;
-        };
-        let open = at + open_rel;
-        let mut depth = 0i32;
-        let mut end = open;
-        while end < b.len() {
-            match b[end] {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            end += 1;
-        }
-        let body = &code[open..end.min(code.len())];
-        for token in TIMED_BUDGET_TOKENS {
-            let mut s = 0usize;
-            while let Some(r) = body[s..].find(token) {
-                let p = s + r;
-                s = p + token.len();
-                let line = file.line_of(open + p);
-                if file.is_test_line(line) {
-                    continue;
-                }
-                out.push(Violation {
-                    rule: RULE_TIMED_BUDGET,
-                    path: file.path.clone(),
-                    line,
-                    message: format!(
-                        "`{token}` inside `{name}`: budget/retry/backoff logic must count \
-                         deterministic work units or attempts, never wall time"
-                    ),
-                    severity: Severity::Error,
-                    waived: file.is_waived(line, RULE_TIMED_BUDGET),
-                });
-            }
-        }
-    }
 }
 
 /// Methods whose results depend on hash iteration order.
@@ -406,85 +209,17 @@ pub(crate) fn hash_typed_names(code: &str) -> BTreeSet<String> {
 mod tests {
     use super::*;
 
-    fn lint(src: &str, cfg: Config) -> Vec<Violation> {
+    fn lint(src: &str) -> Vec<Violation> {
         let f = SourceFile::from_source("crates/jits/src/t.rs".into(), src.into());
-        run(&[&f], cfg).into_iter().filter(|v| !v.waived).collect()
+        run(&[&f], None).into_iter().filter(|v| !v.waived).collect()
     }
 
-    fn run_unwaived(f: &SourceFile, cfg: Config) -> Vec<Violation> {
-        run(&[f], cfg).into_iter().filter(|v| !v.waived).collect()
-    }
-
-    #[test]
-    fn wall_clock_flagged() {
-        let v = lint("fn f() { let t = Instant::now(); }\n", Config::strict());
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, RULE_WALL_CLOCK);
-    }
-
-    #[test]
-    fn wall_clock_whitelist_respected() {
-        let f = SourceFile::from_source(
-            "crates/obs/src/clock.rs".into(),
-            "fn f() { let t = Instant::now(); }\n".into(),
-        );
-        let v = run_unwaived(&f, Config::repo());
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn wall_clock_flagged_in_engine_files() {
-        // the engine is no longer whitelisted: every wall read must route
-        // through jits_obs::clock::now_nanos
-        let f = SourceFile::from_source(
-            "crates/engine/src/session.rs".into(),
-            "fn f() { let t = Instant::now(); let s = SystemTime::now(); }\n".into(),
-        );
-        let v = run_unwaived(&f, Config::repo());
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().all(|x| x.rule == RULE_WALL_CLOCK), "{v:?}");
-    }
-
-    #[test]
-    fn timed_budget_flagged_even_in_whitelisted_file() {
-        // clock.rs is on the wall-clock whitelist, but budget/retry logic
-        // inside it must still never read wall time.
-        let f = SourceFile::from_source(
-            "crates/obs/src/clock.rs".into(),
-            "fn enforce_retry_budget() { let t = Instant::now(); let _ = t.elapsed(); }\n".into(),
-        );
-        let v = run_unwaived(&f, Config::repo());
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().all(|x| x.rule == RULE_TIMED_BUDGET), "{v:?}");
-    }
-
-    #[test]
-    fn timed_budget_ignores_unrelated_functions() {
-        let v = lint(
-            "fn budget_free_path() -> u64 { work_units() }\n\
-             fn with_backoff(attempt: u32) -> u64 { 1u64 << attempt }\n",
-            Config::strict(),
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn timed_budget_respects_waiver() {
-        let v = lint(
-            "fn retry_loop() {\n\
-             // jits-lint: allow(timed-budget) — metrics only\n\
-             let t = Instant::now();\n\
-             }\n",
-            Config::strict(),
-        );
-        assert!(v.iter().all(|x| x.rule != RULE_TIMED_BUDGET), "{v:?}");
-    }
-
-    #[test]
-    fn unseeded_rng_flagged() {
-        let v = lint("fn f() { let mut rng = thread_rng(); }\n", Config::strict());
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, RULE_UNSEEDED_RNG);
+    fn run_repo_scope(path: &str, src: &str) -> Vec<Violation> {
+        let f = SourceFile::from_source(path.into(), src.into());
+        run(&[&f], Some(crate::HASH_ORDER_CRATES))
+            .into_iter()
+            .filter(|v| !v.waived)
+            .collect()
     }
 
     #[test]
@@ -493,7 +228,6 @@ mod tests {
             "struct S { counts: HashMap<u32, f64> }\n\
              fn f(s: &S) { for (k, c) in s.counts.iter() { use_(k, c); } }\n\
              fn g() { let mut m = HashMap::new(); m.insert(1, 2); for k in m.keys() {} }\n",
-            Config::strict(),
         );
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.rule == RULE_HASH_ITERATION));
@@ -504,17 +238,13 @@ mod tests {
         let v = lint(
             "fn f() { let mut m: HashMap<u32, u32> = HashMap::new(); m.insert(1, 2); \
              let _ = m.get(&1); let _ = m.entry(3).or_default(); }\n",
-            Config::strict(),
         );
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn for_in_with_reference_flagged() {
-        let v = lint(
-            "fn f(m: &HashMap<u32, u32>) { for (k, v) in m { use_(k, v); } }\n",
-            Config::strict(),
-        );
+        let v = lint("fn f(m: &HashMap<u32, u32>) { for (k, v) in m { use_(k, v); } }\n");
         assert_eq!(v.len(), 1, "{v:?}");
     }
 
@@ -523,7 +253,6 @@ mod tests {
         let v = lint(
             "fn f(freq: &[HashMap<u32, f64>], c: usize) { let freq = freq; \
              for e in freq[c].iter() { use_(e); } }\n",
-            Config::strict(),
         );
         // `freq` is declared via the parameter annotation
         assert_eq!(v.len(), 1, "{v:?}");
@@ -537,37 +266,31 @@ mod tests {
              let mut v: Vec<_> = m.iter().collect();\n\
              v.sort();\n\
              }\n",
-            Config::strict(),
         );
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn btreemap_is_not_flagged() {
-        let v = lint(
-            "fn f(m: &BTreeMap<u32, u32>) { for (k, v) in m.iter() { use_(k, v); } }\n",
-            Config::strict(),
-        );
+        let v = lint("fn f(m: &BTreeMap<u32, u32>) { for (k, v) in m.iter() { use_(k, v); } }\n");
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn hash_scope_limits_to_crates() {
-        let f = SourceFile::from_source(
-            "crates/query/src/parse.rs".into(),
-            "fn f(m: &HashMap<u32, u32>) { for k in m.keys() {} }\n".into(),
+        let v = run_repo_scope(
+            "crates/query/src/parse.rs",
+            "fn f(m: &HashMap<u32, u32>) { for k in m.keys() {} }\n",
         );
-        let v = run_unwaived(&f, Config::repo());
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn hash_scope_covers_executor() {
-        let f = SourceFile::from_source(
-            "crates/executor/src/batch.rs".into(),
-            "fn f(m: &HashMap<u32, u32>) { for k in m.keys() {} }\n".into(),
+        let v = run_repo_scope(
+            "crates/executor/src/batch.rs",
+            "fn f(m: &HashMap<u32, u32>) { for k in m.keys() {} }\n",
         );
-        let v = run_unwaived(&f, Config::repo());
         assert_eq!(v.len(), 1, "{v:?}");
     }
 }

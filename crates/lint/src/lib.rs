@@ -3,34 +3,30 @@
 //! The analyzer is built on a real (if deliberately small) analysis core:
 //! a hand-rolled Rust tokenizer ([`tokens`]), a lightweight item/expression
 //! parser ([`parse`]) producing per-function summaries, and a workspace
-//! call graph with transitive closure ([`callgraph`]). The passes enforce
-//! the contracts `cargo test` can only probe:
+//! call graph with reachability ([`callgraph`]). The passes enforce the
+//! contracts neither `cargo test` nor the compiler can state:
 //!
-//! 1. **lock-order** ([`lock_order`]): `SharedDatabase` components acquire
-//!    in rank order, no guard held across a call that re-acquires the same
-//!    component — propagated *interprocedurally* through helpers and
-//!    closures via the call graph.
-//! 2. **determinism** ([`determinism`]): no wall clocks, hash-order
-//!    iteration, unseeded randomness, or wall-time budgets in
-//!    statistics-bearing code.
-//! 3. **panic-surface** ([`panics`]): `unwrap()`/`expect(`/`panic!` sites
-//!    ratcheted against a checked-in allowlist.
-//! 4. **epoch-safety** ([`epoch`]): SampleCache-derived artifacts (frame
+//! 1. **hash-iteration** ([`determinism`]): no hash-order iteration in
+//!    statistics-bearing crates.
+//! 2. **epoch-safety** ([`epoch`]): SampleCache-derived artifacts (frame
 //!    gathers, predicate bitsets) never deposited or merged without an
 //!    exact `mutation_epoch` comparison dominating the site.
-//! 5. **work-charging** ([`charging`]): every sampled-row loop reachable
+//! 3. **work-charging** ([`charging`]): every sampled-row loop reachable
 //!    from a collection root charges the collect budget, locally or via
 //!    all callers.
-//! 6. **float-determinism** ([`float_det`]): no `partial_cmp` comparators
+//! 4. **float-determinism** ([`float_det`]): no `partial_cmp` comparators
 //!    or order-sensitive float accumulation over unordered containers in
 //!    stats-bearing crates.
-//! 7. **batch-bounds** ([`bounds`]): unchecked indexing into FrameColumn
+//! 5. **batch-bounds** ([`bounds`]): unchecked indexing into FrameColumn
 //!    buffers / selection vectors in the batch executor, and into string
 //!    dictionary codes and the verdict tables they index, must be
 //!    dominated by a validity or length guard.
-//! 8. **wal-ordering** ([`wal_ordering`]): durable engine mutators must
-//!    append their write-ahead-log record before the first in-memory
-//!    mutation, so a crash between the two never loses a logged change.
+//!
+//! The rest of the workspace's invariants live in mechanisms that already
+//! run: wall clocks and entropy-seeded hashing in `clippy.toml`, the panic
+//! surface in `[workspace.lints.clippy]`, write-ahead ordering in the
+//! engine's `Logged` proof type, and lock order in the `parking_lot` rank
+//! tracker.
 //!
 //! Individual findings can be waived with an inline comment on the same or
 //! previous line: `// jits-lint: allow(rule-name) -- justification`. Every
@@ -45,12 +41,9 @@ pub mod charging;
 pub mod determinism;
 pub mod epoch;
 pub mod float_det;
-pub mod lock_order;
-pub mod panics;
 pub mod parse;
 pub mod source;
 pub mod tokens;
-pub mod wal_ordering;
 
 use callgraph::CallGraph;
 use parse::ParsedFile;
@@ -114,49 +107,10 @@ pub struct RuleInfo {
 /// Every rule the analyzer can emit, in stable order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        slug: "lock-order",
-        summary: "SharedDatabase components must lock in rank order, and no \
-                  guard may be held across a call that re-acquires the same \
-                  component (interprocedural, via the call graph)",
-        rationale: "two threads acquiring `catalog` and `tables` in opposite \
-                    orders deadlock; the runtime rank tracker only catches \
-                    orders that tests actually execute, the static pass \
-                    catches the rest — including acquisitions reached through \
-                    helpers and closures",
-    },
-    RuleInfo {
-        slug: "wall-clock",
-        summary: "`Instant::now` / `SystemTime::now` outside the metrics \
-                  whitelist",
-        rationale: "statistics and plan choices must replay bit-identically; \
-                    wall time differs per run, so it may only feed volatile \
-                    metrics, never statistics",
-    },
-    RuleInfo {
         slug: "hash-iteration",
         summary: "iterating a HashMap/HashSet in statistics-bearing crates",
         rationale: "hash iteration order varies per process; any stat or \
                     output derived from it stops being reproducible",
-    },
-    RuleInfo {
-        slug: "unseeded-rng",
-        summary: "environment-seeded randomness (thread_rng, OsRng, …)",
-        rationale: "sampling must replay exactly from an explicit seed; \
-                    entropy-seeded RNGs make every run unique",
-    },
-    RuleInfo {
-        slug: "timed-budget",
-        summary: "wall-time reads inside budget/retry/backoff functions",
-        rationale: "budgets counted in elapsed time abort at different points \
-                    on different machines; counting deterministic work units \
-                    keeps budgeted runs replayable",
-    },
-    RuleInfo {
-        slug: "panic-surface",
-        summary: "unwrap/expect/panic sites ratcheted against \
-                  crates/lint/panic_allowlist.txt",
-        rationale: "library crates surface errors as `Result`; the allowlist \
-                    freezes the legacy surface so it can only shrink",
     },
     RuleInfo {
         slug: "epoch-safety",
@@ -195,23 +149,11 @@ pub const RULES: &[RuleInfo] = &[
                     such index",
     },
     RuleInfo {
-        slug: "wal-ordering",
-        summary: "durable engine mutators (execute, DDL, bulk load, stats \
-                  admin) must append their WAL record before the first \
-                  in-memory mutation",
-        rationale: "write-ahead means *ahead*: a mutation applied before its \
-                    record is durable vanishes on crash while the engine \
-                    believed it was logged; recovery then replays to a state \
-                    that never existed — the crash matrix probes injected \
-                    points, the static pass proves the ordering everywhere",
-    },
-    RuleInfo {
         slug: "unused-waiver",
         summary: "a `jits-lint: allow(…)` comment that suppresses nothing",
         rationale: "stale waivers hide future violations at their site; the \
-                    audit ratchets the waiver surface the way the panic \
-                    allowlist ratchets panic sites (`--prune-waivers` lists \
-                    them)",
+                    audit keeps the waiver surface from growing past what \
+                    the code needs (`--prune-waivers` lists them)",
     },
 ];
 
@@ -220,9 +162,8 @@ pub fn rule_info(slug: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.slug == slug)
 }
 
-/// Library crates whose source the determinism and panic passes cover.
-/// `bench` and `cli` are measurement/driver binaries (wall-clock timing and
-/// `main`-adjacent exits are their job); `proptest` and `parking_lot` are
+/// Library crates whose source the analyzer loads in repo mode. `bench` and
+/// `cli` are measurement/driver binaries; `proptest` and `parking_lot` are
 /// vendored third-party shims; `lint` is this tool.
 pub const PRODUCT_CRATES: &[&str] = &[
     "catalog",
@@ -259,12 +200,6 @@ pub const FLOAT_ORDER_CRATES: &[&str] = &[
     "workload",
 ];
 
-/// The lock-order pass covers the crate that owns `SharedDatabase` plus the
-/// observability crate, whose `registry` lock ranks above every engine
-/// component (it may be taken while any engine guard is held, never the
-/// reverse).
-pub const LOCK_ORDER_CRATES: &[&str] = &["engine", "obs"];
-
 /// Files the work-charging pass reports on in repo mode: the collection
 /// driver, the budgeted sampler, and the row-location core whose charge
 /// is DML's `exec_work` (the call graph still spans the whole workspace,
@@ -283,20 +218,6 @@ pub const BOUNDS_SCOPE: &[&str] = &[
     "crates/executor/src/locate.rs",
     "crates/storage/src/column.rs",
 ];
-
-/// Files the wal-ordering pass reports on in repo mode: the crate that owns
-/// the durable mutator surface.
-pub const WAL_ORDER_SCOPE: &[&str] = &["crates/engine/src"];
-
-/// Files allowed to read wall clocks: only the observability clock. Every
-/// other wall measurement (lock waits, stage latencies, span durations)
-/// goes through `jits_obs::clock::now_nanos`, so OS-clock reads are pinned
-/// to a single audited file and can never leak into statistics or plans.
-pub const WALL_CLOCK_WHITELIST: &[&str] = &["crates/obs/src/clock.rs"];
-
-/// Files allowed to seed randomness from the environment (none currently:
-/// all RNG flows through `jits_common::rng` with explicit seeds).
-pub const RNG_WHITELIST: &[&str] = &["crates/common/src/rng.rs"];
 
 /// Shared analysis state for the call-graph passes: the files, their
 /// parses, and the workspace call graph — built once per run so every pass
@@ -434,7 +355,7 @@ fn load_crate_sources(root: &Path, crates: &[&str]) -> Vec<SourceFile> {
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            // binaries may time and exit as they please
+            // binaries are drivers, not library code
             if display.contains("/src/bin/") || display.ends_with("/main.rs") {
                 continue;
             }
@@ -446,50 +367,25 @@ fn load_crate_sources(root: &Path, crates: &[&str]) -> Vec<SourceFile> {
     files
 }
 
-/// Loads every in-scope product-crate source file (used by the CLI's
-/// `--update-allowlist` so the inventory matches exactly what the panic
-/// pass sees).
-pub fn product_sources(root: &Path) -> Vec<SourceFile> {
-    load_crate_sources(root, PRODUCT_CRATES)
-}
-
-/// True if `file` lives under `crates/<k>/src` for one of `crates`.
-fn in_crates(file: &SourceFile, crates: &[&str]) -> bool {
-    crates
-        .iter()
-        .any(|k| file.path.starts_with(&format!("crates/{k}/src")))
-}
-
-/// Runs all passes over the workspace at `root`.
-///
-/// `allowlist` is the parsed panic allowlist (path → permitted count); pass
-/// the result of [`panics::load_allowlist`]. All passes run over one shared
-/// set of [`SourceFile`] instances so waiver usage accumulates across them
-/// for the unused-waiver audit.
-pub fn run_repo(root: &Path, allowlist: &panics::Allowlist) -> Report {
-    let owned = product_sources(root);
+/// Runs all passes over the workspace at `root`. All passes run over one
+/// shared set of [`SourceFile`] instances so waiver usage accumulates
+/// across them for the unused-waiver audit.
+pub fn run_repo(root: &Path) -> Report {
+    let owned = load_crate_sources(root, PRODUCT_CRATES);
     let files: Vec<&SourceFile> = owned.iter().collect();
-    let lock_files: Vec<&SourceFile> = files
-        .iter()
-        .copied()
-        .filter(|f| in_crates(f, LOCK_ORDER_CRATES))
-        .collect();
     let ws = Workspace::new(&files);
 
     let mut raw = Vec::new();
-    raw.extend(lock_order::run(&lock_files));
-    raw.extend(determinism::run(&files, determinism::Config::repo()));
-    raw.extend(panics::run(&files, allowlist));
+    raw.extend(determinism::run(&files, Some(HASH_ORDER_CRATES)));
     raw.extend(epoch::run(&ws));
     raw.extend(charging::run(&ws, Some(CHARGING_SCOPE)));
     raw.extend(float_det::run(&ws, Some(FLOAT_ORDER_CRATES)));
     raw.extend(bounds::run(&ws, Some(BOUNDS_SCOPE)));
-    raw.extend(wal_ordering::run(&ws, Some(WAL_ORDER_SCOPE)));
     Report::finish(raw, &files)
 }
 
 /// Runs all passes over explicitly-given files (fixture mode): every rule
-/// applies with no whitelists or scopes, and the panic pass allows nothing.
+/// applies with no scopes.
 pub fn run_paths(paths: &[PathBuf]) -> Report {
     let mut io = Vec::new();
     let mut owned = Vec::new();
@@ -510,13 +406,10 @@ pub fn run_paths(paths: &[PathBuf]) -> Report {
     let ws = Workspace::new(&files);
 
     let mut raw = io;
-    raw.extend(lock_order::run(&files));
-    raw.extend(determinism::run(&files, determinism::Config::strict()));
-    raw.extend(panics::run(&files, &panics::Allowlist::default()));
+    raw.extend(determinism::run(&files, None));
     raw.extend(epoch::run(&ws));
     raw.extend(charging::run(&ws, None));
     raw.extend(float_det::run(&ws, None));
     raw.extend(bounds::run(&ws, None));
-    raw.extend(wal_ordering::run(&ws, None));
     Report::finish(raw, &files)
 }

@@ -7,7 +7,6 @@
 //! cargo run -p jits-lint -- --format github     # GitHub annotations (CI)
 //! cargo run -p jits-lint -- --explain RULE      # rule rationale + waiver
 //! cargo run -p jits-lint -- --prune-waivers     # list stale waivers
-//! cargo run -p jits-lint -- --update-allowlist  # regenerate panic allowlist
 //! cargo run -p jits-lint -- path/to/file.rs …   # strict mode on given files
 //! ```
 //!
@@ -15,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-use jits_lint::{panics, Report, Severity, Violation};
+use jits_lint::{Report, Severity, Violation};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -27,7 +26,6 @@ enum Format {
 
 fn main() -> ExitCode {
     let mut deny_all = false;
-    let mut update_allowlist = false;
     let mut prune_waivers = false;
     let mut format = Format::Text;
     let mut explain: Option<String> = None;
@@ -36,7 +34,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny-all" => deny_all = true,
-            "--update-allowlist" => update_allowlist = true,
             "--prune-waivers" => prune_waivers = true,
             "--format" => {
                 format = match args.next().as_deref() {
@@ -62,7 +59,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: jits-lint [--deny-all] [--format text|json|github] \
-                     [--explain RULE] [--prune-waivers] [--update-allowlist] [FILE.rs ...]"
+                     [--explain RULE] [--prune-waivers] [FILE.rs ...]"
                 );
                 eprintln!("rules:");
                 for r in jits_lint::RULES {
@@ -106,41 +103,8 @@ fn main() -> ExitCode {
         };
     }
 
-    if update_allowlist {
-        if !paths.is_empty() {
-            eprintln!("jits-lint: --update-allowlist takes no paths");
-            return ExitCode::from(2);
-        }
-        let root = jits_lint::repo_root();
-        let owned = jits_lint::product_sources(&root);
-        let files: Vec<&jits_lint::source::SourceFile> = owned.iter().collect();
-        let inv = panics::inventory(&files);
-        let text = panics::format_allowlist(&inv);
-        let dest = root.join("crates/lint/panic_allowlist.txt");
-        if let Err(e) = std::fs::write(&dest, text) {
-            eprintln!("jits-lint: cannot write {}: {e}", dest.display());
-            return ExitCode::from(2);
-        }
-        let total: usize = inv.values().map(Vec::len).sum();
-        println!(
-            "jits-lint: allowlist updated — {} panic site(s) across {} file(s)",
-            total,
-            inv.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
     let report = if paths.is_empty() {
-        let root = jits_lint::repo_root();
-        let allowlist_path = root.join("crates/lint/panic_allowlist.txt");
-        let allowlist = match panics::load_allowlist(&allowlist_path) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("jits-lint: cannot read {}: {e}", allowlist_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        jits_lint::run_repo(&root, &allowlist)
+        jits_lint::run_repo(&jits_lint::repo_root())
     } else {
         jits_lint::run_paths(&paths)
     };

@@ -126,11 +126,6 @@ impl ParsedFile {
             .is_some_and(|t| t.kind == TokKind::Punct && t.text(src) == p)
     }
 
-    /// Byte range of a body given its brace token range.
-    pub fn body_bytes(&self, body: (usize, usize)) -> (usize, usize) {
-        (self.toks[body.0].start, self.toks[body.1].end)
-    }
-
     /// The function (index into `fns`) whose body contains token `i`, if
     /// any; nested fns win over their enclosing fn.
     pub fn enclosing_fn(&self, i: usize) -> Option<usize> {

@@ -11,16 +11,15 @@
 //! The model also computes, per line:
 //!
 //! - whether the line sits inside a `#[cfg(test)] mod … { … }` region
-//!   (test code is exempt from every pass — tests deliberately hold raw
-//!   locks and unwrap), and
+//!   (test code is exempt from every pass), and
 //! - inline waivers: a *plain* (non-doc) comment `jits-lint: allow(rule)`
 //!   waives the named rule on its own line and the line below, mirroring
 //!   `#[allow(..)]` ergonomics. Doc comments never declare waivers — they
 //!   talk *about* the syntax too often.
 //!
 //! Waiver checks record which waivers actually suppressed something, so the
-//! unused-waiver audit ([`SourceFile::unused_waivers`]) can ratchet the waiver
-//! surface the same way the panic allowlist ratchets panic sites.
+//! unused-waiver audit ([`SourceFile::unused_waivers`]) can keep the waiver
+//! surface from outliving the code it excuses.
 
 use crate::tokens::{self, TokKind};
 use std::cell::RefCell;
@@ -302,24 +301,24 @@ mod tests {
         assert!(f.is_waived(1, "hash-iteration"));
         assert!(f.is_waived(2, "hash-iteration"));
         assert!(!f.is_waived(3, "hash-iteration"));
-        assert!(!f.is_waived(2, "wall-clock"));
+        assert!(!f.is_waived(2, "epoch-safety"));
     }
 
     #[test]
     fn doc_comments_do_not_declare_waivers() {
-        let src = "//! Waive with `jits-lint: allow(lock-order)`.\nfn f() {}\n";
+        let src = "//! Waive with `jits-lint: allow(epoch-safety)`.\nfn f() {}\n";
         let f = SourceFile::from_source("t.rs".into(), src.into());
-        assert!(!f.is_waived(1, "lock-order"));
-        assert!(!f.is_waived(2, "lock-order"));
+        assert!(!f.is_waived(1, "epoch-safety"));
+        assert!(!f.is_waived(2, "epoch-safety"));
         assert!(f.unused_waivers().is_empty());
     }
 
     #[test]
     fn waiver_usage_is_recorded_for_the_audit() {
-        let src = "// jits-lint: allow(wall-clock) -- used below\nInstant::now();\n// jits-lint: allow(unseeded-rng) -- stale\nlet x = 1;\n";
+        let src = "// jits-lint: allow(hash-iteration) -- used below\nm.iter();\n// jits-lint: allow(batch-bounds) -- stale\nlet x = 1;\n";
         let f = SourceFile::from_source("t.rs".into(), src.into());
-        assert!(f.is_waived(2, "wall-clock"));
+        assert!(f.is_waived(2, "hash-iteration"));
         let unused = f.unused_waivers();
-        assert_eq!(unused, vec![(3, "unseeded-rng".to_string())]);
+        assert_eq!(unused, vec![(3, "batch-bounds".to_string())]);
     }
 }

@@ -7,8 +7,7 @@
 #![forbid(unsafe_code)]
 
 use jits_lint::{
-    bounds, charging, epoch, float_det, lock_order, panics, repo_root, run_paths, run_repo,
-    wal_ordering, Report, Severity,
+    bounds, charging, epoch, float_det, repo_root, run_paths, run_repo, Report, Severity,
 };
 use std::path::PathBuf;
 
@@ -32,122 +31,6 @@ fn assert_totally_clean(report: &Report, name: &str) {
 }
 
 #[test]
-fn lock_order_fixture_is_flagged() {
-    let report = run_paths(&[fixture("lock_order_bad.rs")]);
-    let lock: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == lock_order::RULE)
-        .collect();
-    // out-of-order, re-acquire, direct-method out-of-order, and the
-    // interprocedural re-acquire
-    assert!(
-        lock.len() >= 4,
-        "expected >= 4 lock-order findings: {lock:#?}"
-    );
-    assert!(
-        lock.iter().any(|v| v.message.contains("re-acquires")),
-        "{lock:#?}"
-    );
-    assert!(lock.iter().any(|v| v.message.contains("rank")), "{lock:#?}");
-    assert!(
-        lock.iter().any(|v| v.message.contains("locks_predcache")),
-        "interprocedural finding missing: {lock:#?}"
-    );
-    assert!(report.failed(false));
-}
-
-#[test]
-fn lock_order_registry_fixture_is_flagged() {
-    let report = run_paths(&[fixture("lock_order_registry_bad.rs")]);
-    let lock: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == lock_order::RULE)
-        .collect();
-    // registry held across an engine acquisition + registry re-acquire;
-    // the metric-under-engine-guard function must stay clean
-    assert_eq!(lock.len(), 2, "expected 2 registry findings: {lock:#?}");
-    assert!(
-        lock.iter()
-            .any(|v| v.message.contains("`setting`") && v.message.contains("`registry`")),
-        "rank-order finding missing: {lock:#?}"
-    );
-    assert!(
-        lock.iter()
-            .any(|v| v.message.contains("re-acquires `registry`")),
-        "re-acquire finding missing: {lock:#?}"
-    );
-    assert!(report.failed(false));
-}
-
-#[test]
-fn lock_order_samplecache_fixture_is_flagged() {
-    let report = run_paths(&[fixture("lock_order_samplecache_bad.rs")]);
-    let lock: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == lock_order::RULE)
-        .collect();
-    // samplecache under a held setting guard + samplecache re-acquire; the
-    // resolve-window function (tables/history reads first) must stay clean
-    assert_eq!(lock.len(), 2, "expected 2 samplecache findings: {lock:#?}");
-    assert!(
-        lock.iter()
-            .any(|v| v.message.contains("`samplecache`") && v.message.contains("`setting`")),
-        "rank-order finding missing: {lock:#?}"
-    );
-    assert!(
-        lock.iter()
-            .any(|v| v.message.contains("re-acquires `samplecache`")),
-        "re-acquire finding missing: {lock:#?}"
-    );
-    assert!(report.failed(false));
-}
-
-#[test]
-fn determinism_fixture_is_flagged() {
-    let report = run_paths(&[fixture("determinism_bad.rs")]);
-    let rules: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
-    assert!(rules.contains(&"wall-clock"), "{:#?}", report.violations);
-    assert!(
-        rules.contains(&"hash-iteration"),
-        "{:#?}",
-        report.violations
-    );
-    assert!(rules.contains(&"unseeded-rng"), "{:#?}", report.violations);
-    assert!(report.failed(false));
-}
-
-#[test]
-fn wall_clock_fixture_is_flagged() {
-    let report = run_paths(&[fixture("wall_clock_bad.rs")]);
-    let wall: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == "wall-clock")
-        .collect();
-    // one Instant::now and one SystemTime::now, both outside the
-    // single-file obs clock whitelist
-    assert_eq!(wall.len(), 2, "{wall:#?}");
-    assert!(
-        wall.iter().any(|v| v.message.contains("Instant::now")),
-        "{wall:#?}"
-    );
-    assert!(
-        wall.iter().any(|v| v.message.contains("SystemTime::now")),
-        "{wall:#?}"
-    );
-    assert!(report.failed(false));
-}
-
-#[test]
-fn wall_clock_clean_twin_passes() {
-    let report = run_paths(&[fixture("wall_clock_ok.rs")]);
-    assert_totally_clean(&report, "wall_clock_ok.rs");
-}
-
-#[test]
 fn determinism_hash_executor_fixture_is_flagged() {
     let report = run_paths(&[fixture("determinism_hash_executor_bad.rs")]);
     let hash: Vec<_> = report
@@ -158,67 +41,6 @@ fn determinism_hash_executor_fixture_is_flagged() {
     // the group-by drain (`into_iter`) and the work accumulation (`values`)
     assert_eq!(hash.len(), 2, "{hash:#?}");
     assert!(report.failed(false));
-}
-
-#[test]
-fn timed_budget_fixture_is_flagged() {
-    let report = run_paths(&[fixture("budget_timer_bad.rs")]);
-    let timed: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == "timed-budget")
-        .collect();
-    // Instant::now + .elapsed( + Duration::from_ in charge_collect_budget,
-    // Duration::from_ in retry_with_backoff; SystemTime::now in
-    // unrelated_timing must NOT be flagged by this rule.
-    assert_eq!(timed.len(), 4, "{timed:#?}");
-    assert!(
-        timed
-            .iter()
-            .all(|v| v.message.contains("budget") || v.message.contains("backoff")),
-        "{timed:#?}"
-    );
-    assert!(report.failed(false));
-}
-
-#[test]
-fn panic_fixture_is_flagged() {
-    let report = run_paths(&[fixture("panic_bad.rs")]);
-    let sites: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == panics::RULE)
-        .collect();
-    assert_eq!(sites.len(), 1, "{sites:#?}"); // one per-file count violation
-    assert!(
-        sites[0].message.contains("3 panic site(s)"),
-        "unwrap + panic! + unimplemented!: {}",
-        sites[0].message
-    );
-    assert!(report.failed(false));
-}
-
-#[test]
-fn lock_order_transitive_fixture_is_flagged() {
-    let report = run_paths(&[fixture("lock_order_transitive_bad.rs")]);
-    let lock: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == lock_order::RULE)
-        .collect();
-    // the acquisition is two helpers and a closure away from the holder;
-    // the message names both the direct callee and the true origin
-    assert_eq!(lock.len(), 1, "expected 1 transitive finding: {lock:#?}");
-    assert!(lock[0].message.contains("`rebuild`"), "{lock:#?}");
-    assert!(lock[0].message.contains("via `locks_catalog`"), "{lock:#?}");
-    assert!(lock[0].message.contains("catalog"), "{lock:#?}");
-    assert!(report.failed(false));
-}
-
-#[test]
-fn lock_order_clean_twin_passes() {
-    let report = run_paths(&[fixture("lock_order_ok.rs")]);
-    assert_totally_clean(&report, "lock_order_ok.rs");
 }
 
 #[test]
@@ -384,46 +206,6 @@ fn bounds_clean_twin_passes() {
 }
 
 #[test]
-fn wal_ordering_fixture_is_flagged() {
-    let report = run_paths(&[fixture("wal_ordering_bad.rs")]);
-    let wo: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == wal_ordering::RULE)
-        .collect();
-    // mutate-then-log DDL, mutate-then-log bulk load, a statement path
-    // that never logs, and a clock bump and a store tick ahead of their
-    // records
-    assert_eq!(wo.len(), 5, "expected 5 wal-ordering findings: {wo:#?}");
-    assert!(
-        wo.iter()
-            .any(|v| v.message.contains("`create_table`") && v.message.contains("before")),
-        "{wo:#?}"
-    );
-    assert!(
-        wo.iter()
-            .any(|v| v.message.contains("`execute`") && v.message.contains("never appends")),
-        "{wo:#?}"
-    );
-    assert!(
-        wo.iter().any(|v| v.message.contains("`runstats_all`")),
-        "{wo:#?}"
-    );
-    assert!(
-        wo.iter()
-            .any(|v| v.message.contains("`migrate_statistics`") && v.message.contains("`tick`")),
-        "{wo:#?}"
-    );
-    assert!(report.failed(false));
-}
-
-#[test]
-fn wal_ordering_clean_twin_passes() {
-    let report = run_paths(&[fixture("wal_ordering_ok.rs")]);
-    assert_totally_clean(&report, "wal_ordering_ok.rs");
-}
-
-#[test]
 fn stale_waiver_fixture_is_flagged() {
     let report = run_paths(&[fixture("unused_waiver_bad.rs")]);
     let stale: Vec<_> = report
@@ -451,10 +233,7 @@ fn missing_fixture_path_is_an_io_error() {
 
 #[test]
 fn repository_lints_clean() {
-    let root = repo_root();
-    let allowlist = panics::load_allowlist(&root.join("crates/lint/panic_allowlist.txt"))
-        .expect("panic_allowlist.txt must exist and parse");
-    let report = run_repo(&root, &allowlist);
+    let report = run_repo(&repo_root());
     let errors: Vec<_> = report
         .violations
         .iter()
@@ -465,10 +244,10 @@ fn repository_lints_clean() {
         "the workspace must lint clean; fix the findings or waive them with \
          `// jits-lint: allow(rule)` and a justification:\n{errors:#?}"
     );
-    // warnings mean the allowlist is stale; keep it tight
+    // warnings are stale waivers; keep them out
     assert!(
         report.warnings() == 0,
-        "stale panic allowlist — run `cargo run -p jits-lint -- --update-allowlist`:\n{:#?}",
+        "stale waivers — run `cargo run -p jits-lint -- --prune-waivers`:\n{:#?}",
         report.violations
     );
 }

@@ -157,8 +157,7 @@ impl FlightEvent {
 /// The bounded flight ring plus its auto-dump configuration.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    /// Named `flight` so the static lock-order pass attributes acquisitions
-    /// to the rank-10 `flight` component.
+    /// Ranked [`RANK_FLIGHT`], above the registry.
     flight: RwLock<VecDeque<FlightEvent>>,
     /// Where anomaly-triggered dumps land (none = no automatic dumps). Held
     /// in its own small mutex, never while the ring is held.

@@ -196,8 +196,7 @@ pub fn histogram_quantile(buckets: &[(u64, u64)], count: u64, q: f64) -> u64 {
 /// The registry: name → instrument, deterministically ordered.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    /// Named `registry` so the static lock-order pass attributes
-    /// acquisitions to the rank-9 `registry` component.
+    /// Ranked [`RANK_REGISTRY`], above every engine lock.
     registry: RwLock<BTreeMap<String, Registered>>,
 }
 
@@ -371,7 +370,7 @@ mod tests {
                 // 1500 falls in [1024, 2048)
                 assert_eq!(buckets.as_slice(), &[(2048, 1)]);
             }
-            other => unreachable!("expected histogram, got {other:?}"),
+            other => panic!("expected histogram, got {other:?}"),
         }
     }
 

@@ -4,13 +4,13 @@
 //! [`Tracer`] is disabled the builder is [`TraceBuilder::Off`] — a niche-
 //! packed one-word enum whose methods are `#[inline]` early returns, so the
 //! disabled path costs one pointer-null test per call site and allocates
-//! nothing (event payloads are built inside closures that are never invoked;
-//! the `BENCH_trace_overhead.json` harness measures the residual cost).
+//! nothing (event payloads are built inside closures that are never
+//! invoked). Nothing measures the residual cost today: the benchmark runs
+//! with the tracer off.
 //! Finished traces land in a bounded ring buffer of the last N statements.
 //!
-//! Span wall times are *supplied by the caller* (from the engine's
-//! whitelisted timing sites or [`crate::clock`]); this module never reads a
-//! clock itself, which keeps every timestamp quarantined from
+//! Span wall times are *supplied by the caller* (read through
+//! [`crate::clock`]); this module never reads a clock itself, which keeps every timestamp quarantined from
 //! statistics-bearing state.
 
 use parking_lot::Mutex;

@@ -7,6 +7,9 @@
 //! p50/p99/p999 quantile gauges. Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p jits-obs --test exporter_golden`.
 
+// test code: the workspace's panic lints cover library code only
+#![allow(clippy::expect_used, clippy::panic)]
+
 use jits_obs::{
     to_json, to_prometheus, validate_json, validate_prometheus, MetricsRegistry, Volatility,
 };

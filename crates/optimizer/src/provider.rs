@@ -156,7 +156,7 @@ impl StatisticsProvider for CatalogStatisticsProvider<'_> {
                         1.0 - null_frac
                     };
                 }
-                PredKind::Interval(_) => unreachable!("intervals are folded above"),
+                PredKind::Interval(iv) => sel *= stats.selectivity(iv)?,
             }
         }
         Some(SelEstimate::from_stat(sel, group, StatSource::Catalog))

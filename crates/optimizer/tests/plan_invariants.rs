@@ -2,6 +2,9 @@
 //! say, the optimizer must produce a plan covering every quantifier with
 //! sane estimates.
 
+// test code: the workspace's panic lints cover library code only
+#![allow(clippy::unwrap_used)]
+
 use jits_catalog::{runstats, Catalog, RunstatsOptions};
 use jits_common::{ColumnId, DataType, Schema, SplitMix64, Value};
 use jits_optimizer::{

@@ -15,11 +15,11 @@
 //! In release builds (no `debug_assertions`) every function here compiles
 //! to nothing, so ranked locks cost the same as unranked ones.
 //!
-//! The checker validates exactly the invariant `jits-lint`'s static
-//! lock-order pass claims about the engine source: the static pass proves
-//! guard-acquisition sequences respect the documented rank order, and this
-//! tracker asserts the same order on every acquisition the process actually
-//! performs.
+//! The tracker only sees acquisitions a test performs. The engine takes
+//! every ranked lock inside branch-free bundle methods, so a test that calls
+//! each bundle once (`jits-engine`'s
+//! `session::tests::every_bundle_acquires_in_rank_order`) covers every
+//! acquisition order the engine has.
 
 /// A lock's position in the global acquisition order.
 ///

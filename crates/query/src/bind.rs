@@ -57,7 +57,7 @@ pub fn bind_statement(stmt: &Statement, catalog: &Catalog) -> Result<BoundStatem
         Statement::Explain(s) => bind_select(s, catalog).map(BoundStatement::Explain),
         Statement::Insert(i) => {
             let table = catalog.require(&i.table)?;
-            let schema = &catalog.table(table).unwrap().schema;
+            let schema = catalog.schema(table)?;
             // validate arity AND types up front so a multi-row INSERT is
             // all-or-nothing at execution
             let mut rows = Vec::with_capacity(i.rows.len());
@@ -89,7 +89,7 @@ pub fn bind_statement(stmt: &Statement, catalog: &Catalog) -> Result<BoundStatem
         }
         Statement::Update(u) => {
             let table = catalog.require(&u.table)?;
-            let schema = &catalog.table(table).unwrap().schema;
+            let schema = catalog.schema(table)?;
             // every SET value is typed against the schema here, before any
             // row is written: a bad value in the second assignment must not
             // leave the first one applied
@@ -374,13 +374,13 @@ impl Binder<'_> {
                         qn.alias == ql || self.catalog.table(qn.table).is_some_and(|t| t.name == ql)
                     })
                     .ok_or_else(|| JitsError::Binding(format!("unknown table qualifier '{q}'")))?;
-                let schema = &self.catalog.table(qun.table).unwrap().schema;
+                let schema = self.catalog.schema(qun.table)?;
                 Ok((qi, schema.require_column(&c.column)?))
             }
             None => {
                 let mut hit = None;
                 for (qi, qun) in self.quns.iter().enumerate() {
-                    let schema = &self.catalog.table(qun.table).unwrap().schema;
+                    let schema = self.catalog.schema(qun.table)?;
                     if let Some(cid) = schema.column_id(&c.column) {
                         if hit.is_some() {
                             return Err(JitsError::Binding(format!(
@@ -415,10 +415,10 @@ fn bind_in_list(values: &[Value]) -> Result<PredKind> {
             dedup.push(v.clone());
         }
     }
-    if dedup.len() == 1 {
-        return Ok(PredKind::Interval(Interval::point(dedup.pop().unwrap())));
-    }
-    Ok(PredKind::InList(dedup))
+    Ok(match <[Value; 1]>::try_from(dedup) {
+        Ok([v]) => PredKind::Interval(Interval::point(v)),
+        Err(dedup) => PredKind::InList(dedup),
+    })
 }
 
 fn single_table_binder<'a>(table: TableId, alias: &str, catalog: &'a Catalog) -> SingleBinder<'a> {
@@ -486,7 +486,7 @@ fn bind_local_predicates(
                     return Err(JitsError::Binding(format!("unknown table qualifier '{q}'")));
                 }
             }
-            let schema = &binder.catalog.table(binder.table).unwrap().schema;
+            let schema = binder.catalog.schema(binder.table)?;
             Ok(LocalPredicate {
                 qun: 0,
                 column: schema.require_column(&col.column)?,

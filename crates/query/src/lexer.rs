@@ -160,7 +160,9 @@ fn lex_string(input: &str, start: usize) -> Result<(String, usize)> {
             }
         } else {
             // multi-byte chars: advance over the full char
-            let ch = input[i..].chars().next().unwrap();
+            let Some(ch) = input[i..].chars().next() else {
+                break;
+            };
             out.push(ch);
             i += ch.len_utf8();
         }

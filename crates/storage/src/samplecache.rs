@@ -302,12 +302,12 @@ mod tests {
                 assert!((staleness - 0.05).abs() < 1e-12);
                 assert!(frames.is_empty(), "stale-but-served hits carry no frames");
             }
-            other => unreachable!("expected hit, got {other:?}"),
+            other => panic!("expected hit, got {other:?}"),
         }
         // 200 mutations = 20% staleness, past the limit
         match c.lookup(tid, SampleSpec::fixed(100), 1200, 0.1) {
             CacheLookup::Stale { staleness } => assert!((staleness - 0.2).abs() < 1e-12),
-            other => unreachable!("expected stale, got {other:?}"),
+            other => panic!("expected stale, got {other:?}"),
         }
         assert_eq!(
             c.counters(),
@@ -368,7 +368,7 @@ mod tests {
                 assert!(frames.contains_key(&ColumnId(2)));
                 assert_eq!(bitsets["p0"].as_slice(), &[0b101u64]);
             }
-            other => unreachable!("expected hit, got {other:?}"),
+            other => panic!("expected hit, got {other:?}"),
         }
         // one mutation later the rows still serve but the artifacts do not
         match c.lookup(tid, SampleSpec::fixed(100), 101, 0.1) {
@@ -378,7 +378,7 @@ mod tests {
                 assert!(frames.is_empty());
                 assert!(bitsets.is_empty());
             }
-            other => unreachable!("expected hit, got {other:?}"),
+            other => panic!("expected hit, got {other:?}"),
         }
     }
 
@@ -410,7 +410,7 @@ mod tests {
                 assert!(frames.is_empty());
                 assert!(bitsets.is_empty());
             }
-            other => unreachable!("expected hit, got {other:?}"),
+            other => panic!("expected hit, got {other:?}"),
         }
         // first-in wins: a re-merge of the same column is a no-op
         let first = int_frame(vec![7]);
@@ -435,7 +435,7 @@ mod tests {
                 };
                 assert_eq!(v, &[7]);
             }
-            other => unreachable!("expected hit, got {other:?}"),
+            other => panic!("expected hit, got {other:?}"),
         }
     }
 

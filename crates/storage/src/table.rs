@@ -154,6 +154,11 @@ impl Table {
                 *v = std::mem::replace(v, Value::Null).coerce(def.dtype)?;
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "every value was coerced to its column's type above; a failure \
+                      halfway would leave the columns misaligned"
+        )]
         for (col, v) in self.columns.iter_mut().zip(coerced.iter()) {
             col.push(v).expect("values were coerced to the column type");
         }

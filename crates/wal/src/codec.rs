@@ -141,6 +141,15 @@ fn truncated(what: &str) -> JitsError {
     JitsError::Recovery(format!("decode: truncated {what}"))
 }
 
+/// The `N` bytes of `b` at `at`, as the array `from_le_bytes` takes; a
+/// typed error when `b` ends first. The crate's one fixed-width read.
+pub(crate) fn array_at<const N: usize>(b: &[u8], at: usize, what: &str) -> Result<[u8; N]> {
+    b.get(at..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .ok_or_else(|| truncated(what))
+}
+
 impl<'a> Decoder<'a> {
     /// A decoder over `buf`, starting at offset 0.
     pub fn new(buf: &'a [u8]) -> Self {
@@ -179,16 +188,20 @@ impl<'a> Decoder<'a> {
         Ok(self.take(1, "u8")?[0])
     }
 
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        let a = array_at(self.buf, self.pos, what)?;
+        self.pos += N;
+        Ok(a)
+    }
+
     /// Little-endian u32.
     pub fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array("u32")?))
     }
 
     /// Little-endian u64.
     pub fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array("u64")?))
     }
 
     /// IEEE-754 bit pattern.

@@ -46,6 +46,7 @@
 //! process which cannot write its log must stop accepting writes — the
 //! caller reopens (recovering to the last durable state) to continue.
 
+use crate::codec::array_at;
 use crate::record::WalRecord;
 use jits_common::fault::{
     FaultPlane, FP_WAL_AFTER_APPEND, FP_WAL_BEFORE_APPEND, FP_WAL_MID_CHECKPOINT, FP_WAL_TORN_TAIL,
@@ -205,9 +206,8 @@ impl Wal {
                     torn_bytes = remaining as u64;
                     break;
                 }
-                let len =
-                    u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-                let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
+                let len = u32::from_le_bytes(array_at(&bytes, pos, "frame length")?) as usize;
+                let crc = u32::from_le_bytes(array_at(&bytes, pos + 4, "frame crc")?);
                 if remaining - FRAME_HEADER < len {
                     torn_bytes = remaining as u64;
                     break;
@@ -217,7 +217,7 @@ impl Wal {
                     torn_bytes = remaining as u64;
                     break;
                 }
-                let lsn = u64::from_le_bytes(lsn_and_payload[..8].try_into().expect("8 bytes"));
+                let lsn = u64::from_le_bytes(array_at(lsn_and_payload, 0, "frame lsn")?);
                 if lsn <= last_lsn {
                     return Err(JitsError::Recovery(format!(
                         "wal.log LSNs not strictly increasing ({last_lsn} then {lsn})"
@@ -489,11 +489,11 @@ fn read_segment(path: &Path, expect_lsn: u64) -> Result<Vec<u8>> {
         return Err(JitsError::Recovery("ckpt segment: bad header".into()));
     }
     let mut pos = CKPT_MAGIC.len();
-    let lsn = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
+    let lsn = u64::from_le_bytes(array_at(&bytes, pos, "ckpt lsn")?);
     pos += 8;
-    let crc = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(array_at(&bytes, pos, "ckpt crc")?);
     pos += 4;
-    let len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes")) as usize;
+    let len = u64::from_le_bytes(array_at(&bytes, pos, "ckpt length")?) as usize;
     pos += 8;
     if lsn != expect_lsn || bytes.len() - pos != len {
         return Err(JitsError::Recovery(
@@ -537,7 +537,7 @@ mod tests {
             .iter()
             .map(|(_, r)| match r {
                 WalRecord::Statement { sql } => sql.as_str(),
-                _ => unreachable!(),
+                other => panic!("expected a statement, got {other:?}"),
             })
             .collect();
         assert_eq!(sqls, vec!["a", "b"]);

@@ -102,9 +102,11 @@ impl ZipfSampler {
         ZipfSampler { cumulative }
     }
 
-    /// Draws a rank in `[0, n)`.
+    /// Draws a rank in `[0, n)` (0 when `n` is 0).
     pub fn sample(&self, rng: &mut SplitMix64) -> usize {
-        let total = *self.cumulative.last().expect("n >= 1");
+        let Some(&total) = self.cumulative.last() else {
+            return 0;
+        };
         let x = rng.next_f64() * total;
         self.cumulative
             .partition_point(|c| *c < x)
@@ -205,7 +207,7 @@ pub fn populate(db: &mut Database, cfg: &DataGenConfig) -> Result<[usize; 4]> {
 
     // bulk load is the database's initial state, not churn
     for name in crate::schema::TABLE_NAMES {
-        let tid = db.table_id(name).expect("table exists");
+        let tid = db.catalog().require(name)?;
         db.reset_udi(tid);
     }
     Ok(counts)

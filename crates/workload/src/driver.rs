@@ -215,7 +215,7 @@ pub fn run_workload_concurrent(
             })
             .collect();
         for h in handles {
-            outcomes.push(h.join().expect("workload session thread panicked"));
+            outcomes.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
     });
     let mut all = Vec::with_capacity(ops.len());
