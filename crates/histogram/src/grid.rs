@@ -6,11 +6,13 @@
 //! every observed predicate region inserts its endpoints as new boundaries
 //! (splitting bucket counts proportionally, i.e. assuming uniformity within
 //! the old bucket), and the observed count becomes a max-entropy constraint
-//! fitted by [`maxent::fit`]. Each bucket carries the **timestamp** of the
+//! fitted by iterative proportional fitting ([`maxent`]). Constraint regions
+//! and queries are walked per axis over the boundary lists, so no lookup
+//! allocates per bucket. Each bucket carries the **timestamp** of the
 //! last observation that touched it, which the sensitivity analysis uses to
 //! judge recentness.
 
-use crate::maxent::{self, Constraint, FitResult, IpfOptions, LoweredConstraint};
+use crate::maxent::{self, Constraint, FitResult, Lowered};
 use crate::region::Region;
 use std::collections::VecDeque;
 
@@ -191,12 +193,12 @@ impl GridHistogram {
     /// Newest per-bucket observation stamp inside `region` (clamped to the
     /// frame); `None` if the region misses the frame entirely.
     pub fn newest_stamp_in(&self, region: &Region) -> Option<u64> {
-        let clamped = region.clamp_to(&self.frame());
-        if clamped.is_empty() {
+        let clamped = |d| self.clamped_range(region, d);
+        if (0..self.dims()).any(|d| is_empty(clamped(d))) {
             return None;
         }
         let mut newest = None;
-        self.for_each_overlapping(&clamped, |flat, _| {
+        for_each_overlapping(&self.boundaries, &clamped, |flat, _| {
             newest = Some(newest.map_or(self.stamps[flat], |n: u64| n.max(self.stamps[flat])));
         });
         newest
@@ -208,12 +210,12 @@ impl GridHistogram {
         if self.total <= 0.0 {
             return 0.0;
         }
-        let clamped = region.clamp_to(&self.frame());
-        if clamped.is_empty() {
+        let clamped = |d| self.clamped_range(region, d);
+        if (0..self.dims()).any(|d| is_empty(clamped(d))) {
             return 0.0;
         }
         let mut rows = 0.0;
-        self.for_each_overlapping(&clamped, |flat, overlap| {
+        for_each_overlapping(&self.boundaries, &clamped, |flat, overlap| {
             rows += self.counts[flat] * overlap;
         });
         (rows / self.total).clamp(0.0, 1.0)
@@ -241,26 +243,34 @@ impl GridHistogram {
         // sides of every freshly inserted boundary (paper Figure 2: "the
         // time stamp of the 4 new buckets (on both sides of the dotted
         // line) is updated").
-        let mut touched = self.buckets_in(&clamped);
+        let (boundaries, stamps) = (&self.boundaries, &mut self.stamps);
+        let mut stamp_covered = |range: &dyn Fn(usize) -> (f64, f64)| {
+            for_each_overlapping(boundaries, range, |flat, overlap| {
+                if overlap > COVERED {
+                    stamps[flat] = stamps[flat].max(stamp);
+                }
+            });
+        };
+        stamp_covered(&|d| clamped.range(d));
         for (d, x) in inserted {
-            let b = &self.boundaries[d];
-            let (blo, bhi) = (b[0], b[b.len() - 1]);
-            let mut slab = Region::unbounded(self.dims()).clamp_to(&self.frame());
-            let mut ranges: Vec<(f64, f64)> = slab.ranges().to_vec();
+            let b = &boundaries[d];
             // the two slabs adjacent to x along dimension d
             // x now sits at index `pos`; the adjacent slabs span
             // [b[pos-1], x] and [x, b[pos+1]]
             let pos = b.partition_point(|p| *p < x);
-            let lo = if pos >= 1 { b[pos - 1] } else { blo };
-            let hi = if pos + 1 < b.len() { b[pos + 1] } else { bhi };
-            ranges[d] = (lo, hi);
-            slab = Region::new(ranges);
-            touched.extend(self.buckets_in(&slab));
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for &b in &touched {
-            self.stamps[b] = self.stamps[b].max(stamp);
+            let lo = if pos >= 1 { b[pos - 1] } else { b[0] };
+            let hi = if pos + 1 < b.len() {
+                b[pos + 1]
+            } else {
+                b[b.len() - 1]
+            };
+            stamp_covered(&|dd| {
+                if dd == d {
+                    (lo, hi)
+                } else {
+                    frame_range(&boundaries[dd])
+                }
+            });
         }
         // Replace any retained constraint over the same region.
         self.constraints.retain(|c| c.region != clamped);
@@ -285,13 +295,15 @@ impl GridHistogram {
             }
         } else if total > 0.0 {
             // was empty: spread uniformly by volume
-            let frame_vol = self.frame().volume().max(f64::MIN_POSITIVE);
-            let volumes: Vec<f64> = (0..self.counts.len())
-                .map(|i| self.bucket_region(i).volume())
-                .collect();
-            for (c, vol) in self.counts.iter_mut().zip(volumes) {
-                *c = total * vol / frame_vol;
-            }
+            let frame_vol = self.frame_volume().max(f64::MIN_POSITIVE);
+            let counts = &mut self.counts;
+            walk_buckets(
+                &self.boundaries,
+                &|d| frame_range(&self.boundaries[d]),
+                |flat, vol, _| {
+                    counts[flat] = total * vol / frame_vol;
+                },
+            );
         } else {
             for c in &mut self.counts {
                 *c = 0.0;
@@ -307,59 +319,42 @@ impl GridHistogram {
         if self.total <= 0.0 || self.counts.len() <= 1 {
             return 1.0;
         }
-        let frame_vol = self.frame().volume();
+        let frame_vol = self.frame_volume();
         if frame_vol <= 0.0 || frame_vol.is_nan() {
             return 1.0;
         }
         // total-variation distance between bucket-mass distribution and the
         // volume-proportional (uniform) distribution
         let mut tv = 0.0;
-        for (i, c) in self.counts.iter().enumerate() {
-            let mass = c / self.total;
-            let unif = self.bucket_region(i).volume() / frame_vol;
-            tv += (mass - unif).abs();
-        }
+        walk_buckets(
+            &self.boundaries,
+            &|d| frame_range(&self.boundaries[d]),
+            |flat, vol, _| {
+                let mass = self.counts[flat] / self.total;
+                let unif = vol / frame_vol;
+                tv += (mass - unif).abs();
+            },
+        );
         (1.0 - 0.5 * tv).clamp(0.0, 1.0)
     }
 
     /// Re-runs IPF over the retained constraint set.
+    ///
+    /// Each constraint is lowered once: constraints that no longer cover
+    /// any bucket (e.g. a boundary merge removed their sliver) are dropped
+    /// first, since fitting an orphaned constraint would only dilute mass.
     pub fn fit(&mut self) -> FitResult {
-        self.purge_orphaned_constraints();
-        let lowered: Vec<LoweredConstraint> = self
-            .constraints
-            .iter()
-            .map(|c| LoweredConstraint {
-                buckets: self.buckets_in(&c.region),
-                target: c.count,
-            })
-            .collect();
-        let result = maxent::fit(
-            &mut self.counts,
-            self.total,
-            &lowered,
-            IpfOptions::default(),
-        );
+        let mut lowered: Vec<Lowered> = self.constraints.iter().map(|c| self.lower(c)).collect();
+        let mut covers = lowered.iter().map(|l| l.len > 0);
+        self.constraints.retain(|_| covers.next().unwrap_or(false));
+        lowered.retain(|l| l.len > 0);
+        let result = maxent::fit(&mut self.counts, self.total, &lowered);
         if !result.converged && self.constraints.len() > 1 {
             // Inconsistent observations (data changed under us): drop the
             // oldest constraints and retry with the most recent half.
-            let keep = self.constraints.len().div_ceil(2);
-            while self.constraints.len() > keep {
-                self.constraints.pop_front();
-            }
-            let lowered: Vec<LoweredConstraint> = self
-                .constraints
-                .iter()
-                .map(|c| LoweredConstraint {
-                    buckets: self.buckets_in(&c.region),
-                    target: c.count,
-                })
-                .collect();
-            return maxent::fit(
-                &mut self.counts,
-                self.total,
-                &lowered,
-                IpfOptions::default(),
-            );
+            let dropped = self.constraints.len() / 2;
+            self.constraints.drain(..dropped);
+            return maxent::fit(&mut self.counts, self.total, &lowered[dropped..]);
         }
         result
     }
@@ -414,102 +409,51 @@ impl GridHistogram {
 
     // ---- geometry ----------------------------------------------------
 
-    fn bucket_counts_per_dim(&self) -> Vec<usize> {
-        self.boundaries.iter().map(|b| b.len() - 1).collect()
+    /// `region.clamp_to(&self.frame())` along dimension `d`, except that an
+    /// inverted range stays inverted (and so still empty).
+    fn clamped_range(&self, region: &Region, d: usize) -> (f64, f64) {
+        let (flo, fhi) = frame_range(&self.boundaries[d]);
+        let (lo, hi) = region.range(d);
+        (lo.max(flo), hi.min(fhi))
     }
 
-    fn strides(&self) -> Vec<usize> {
-        let nb = self.bucket_counts_per_dim();
-        let mut strides = vec![0usize; nb.len()];
-        let mut s = 1;
-        for d in (0..nb.len()).rev() {
-            strides[d] = s;
-            s *= nb[d];
-        }
-        strides
-    }
-
-    /// The axis region covered by flat bucket `flat`.
-    fn bucket_region(&self, flat: usize) -> Region {
-        let strides = self.strides();
-        let nb = self.bucket_counts_per_dim();
-        let mut ranges = Vec::with_capacity(self.dims());
-        let mut rest = flat;
-        for d in 0..self.dims() {
-            let i = rest / strides[d];
-            rest %= strides[d];
-            debug_assert!(i < nb[d]);
-            ranges.push((self.boundaries[d][i], self.boundaries[d][i + 1]));
-        }
-        Region::new(ranges)
-    }
-
-    /// Per-dimension index ranges `[lo, hi)` of buckets overlapping `region`
-    /// (which must be clamped to the frame).
-    fn index_ranges(&self, region: &Region) -> Vec<(usize, usize)> {
-        (0..self.dims())
-            .map(|d| {
-                let (lo, hi) = region.range(d);
-                let b = &self.boundaries[d];
-                // first bucket whose high boundary exceeds lo
-                let start = b[1..].partition_point(|x| *x <= lo);
-                // first bucket whose low boundary is >= hi
-                let end = b[..b.len() - 1].partition_point(|x| *x < hi);
-                (start.min(end), end)
+    /// `self.frame().volume()`.
+    fn frame_volume(&self) -> f64 {
+        self.boundaries
+            .iter()
+            .map(|b| {
+                let (lo, hi) = frame_range(b);
+                (hi - lo).max(0.0)
             })
-            .collect()
+            .product()
     }
 
-    /// Visits every bucket overlapping `region`, passing the flat index and
-    /// the fraction of the bucket's volume inside the region.
-    fn for_each_overlapping<F: FnMut(usize, f64)>(&self, region: &Region, mut f: F) {
-        let ranges = self.index_ranges(region);
-        if ranges.iter().any(|(lo, hi)| hi <= lo) {
-            return;
-        }
-        let strides = self.strides();
-        let mut idx: Vec<usize> = ranges.iter().map(|(lo, _)| *lo).collect();
-        loop {
-            let flat: usize = idx.iter().zip(&strides).map(|(i, s)| i * s).sum();
-            // build the bucket region from the odometer indices directly --
-            // bucket_region(flat) would redo the stride decode per bucket
-            let bucket = Region::new(
-                idx.iter()
-                    .enumerate()
-                    .map(|(d, &i)| (self.boundaries[d][i], self.boundaries[d][i + 1]))
-                    .collect(),
-            );
-            f(flat, bucket.overlap_fraction(region));
-            // odometer increment
-            let mut d = self.dims();
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < ranges[d].1 {
-                    break;
-                }
-                idx[d] = ranges[d].0;
-                if d == 0 {
-                    return;
-                }
-            }
-        }
+    /// `(outer, n, inner)`: the grid seen along dimension `d` as `outer`
+    /// slabs of `n` rows of `inner` contiguous buckets each.
+    fn split_at(&self, d: usize) -> (usize, usize, usize) {
+        let buckets = |b: &Vec<f64>| b.len() - 1;
+        (
+            self.boundaries[..d].iter().map(buckets).product(),
+            buckets(&self.boundaries[d]),
+            self.boundaries[d + 1..].iter().map(buckets).product(),
+        )
     }
 
-    /// Flat indices of buckets overlapping `region` at all. After
-    /// refinement, constraint regions align with boundaries, so overlap is
-    /// all-or-nothing (modulo frame clamping).
-    fn buckets_in(&self, region: &Region) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each_overlapping(region, |flat, overlap| {
-            if overlap > 1e-9 {
-                out.push(flat);
+    /// Lowers a retained constraint onto the grid: the row-major runs of the
+    /// buckets its region covers by more than [`COVERED`] of their volume.
+    /// After refinement constraint regions align with boundaries, so
+    /// overlap is all-or-nothing (modulo frame clamping).
+    fn lower(&self, c: &Constraint) -> Lowered {
+        let mut lowered = Lowered {
+            target: c.count,
+            ..Lowered::default()
+        };
+        for_each_overlapping(&self.boundaries, &|d| c.region.range(d), |flat, overlap| {
+            if overlap > COVERED {
+                lowered.push(flat);
             }
         });
-        out
+        lowered
     }
 
     // ---- refinement ----------------------------------------------------
@@ -569,74 +513,28 @@ impl GridHistogram {
         let (slab_lo, slab_hi) = (b[slab], b[pos]);
         let f_low = (x - slab_lo) / (slab_hi - slab_lo);
 
-        let old_nb = self.bucket_counts_per_dim();
-        let old_strides = self.strides();
-        let mut new_boundaries = self.boundaries.clone();
-        new_boundaries[d].insert(pos, x);
-
-        let new_nb: Vec<usize> = new_boundaries.iter().map(|bb| bb.len() - 1).collect();
-        let total_new: usize = new_nb.iter().product();
-        let mut new_counts = vec![0.0; total_new];
-        let mut new_stamps = vec![0u64; total_new];
-
-        // new strides
-        let mut new_strides = vec![0usize; new_nb.len()];
-        let mut s = 1;
-        for dd in (0..new_nb.len()).rev() {
-            new_strides[dd] = s;
-            s *= new_nb[dd];
-        }
-
-        for flat in 0..self.counts.len() {
-            // decode old index
-            let mut rest = flat;
-            let mut idx = Vec::with_capacity(old_nb.len());
-            for stride in &old_strides {
-                idx.push(rest / stride);
-                rest %= stride;
-            }
-            let old_i = idx[d];
-            if old_i < slab {
-                let nf: usize = idx
-                    .iter()
-                    .enumerate()
-                    .map(|(dd, i)| i * new_strides[dd])
-                    .sum();
-                new_counts[nf] = self.counts[flat];
-                new_stamps[nf] = self.stamps[flat];
-            } else if old_i > slab {
-                let mut nidx = idx.clone();
-                nidx[d] += 1;
-                let nf: usize = nidx
-                    .iter()
-                    .enumerate()
-                    .map(|(dd, i)| i * new_strides[dd])
-                    .sum();
-                new_counts[nf] = self.counts[flat];
-                new_stamps[nf] = self.stamps[flat];
-            } else {
-                // split proportionally (uniformity within the old bucket)
-                let lowf: usize = idx
-                    .iter()
-                    .enumerate()
-                    .map(|(dd, i)| i * new_strides[dd])
-                    .sum();
-                let mut hidx = idx.clone();
-                hidx[d] += 1;
-                let highf: usize = hidx
-                    .iter()
-                    .enumerate()
-                    .map(|(dd, i)| i * new_strides[dd])
-                    .sum();
-                new_counts[lowf] = self.counts[flat] * f_low;
-                new_counts[highf] = self.counts[flat] * (1.0 - f_low);
-                new_stamps[lowf] = self.stamps[flat];
-                new_stamps[highf] = self.stamps[flat];
+        // copy row by row in the new row-major order; the split row becomes
+        // two (uniformity within the old bucket)
+        let (outer, n, inner) = self.split_at(d);
+        let mut counts = Vec::with_capacity(outer * (n + 1) * inner);
+        let mut stamps = Vec::with_capacity(outer * (n + 1) * inner);
+        for o in 0..outer {
+            for i in 0..n {
+                let row = (o * n + i) * inner..(o * n + i + 1) * inner;
+                let (c, s) = (&self.counts[row.clone()], &self.stamps[row]);
+                if i == slab {
+                    counts.extend(c.iter().map(|v| v * f_low));
+                    stamps.extend_from_slice(s);
+                    counts.extend(c.iter().map(|v| v * (1.0 - f_low)));
+                } else {
+                    counts.extend_from_slice(c);
+                }
+                stamps.extend_from_slice(s);
             }
         }
-        self.boundaries = new_boundaries;
-        self.counts = new_counts;
-        self.stamps = new_stamps;
+        self.boundaries[d].insert(pos, x);
+        self.counts = counts;
+        self.stamps = stamps;
         true
     }
 
@@ -646,15 +544,17 @@ impl GridHistogram {
     /// constraints or equal to `protect` are kept.
     fn merge_least_informative_boundary(&mut self, d: usize, protect: f64) {
         let b = &self.boundaries[d];
-        let mut protected: Vec<f64> = vec![protect];
-        for c in &self.constraints {
-            let (lo, hi) = c.region.range(d);
-            protected.push(lo);
-            protected.push(hi);
-        }
+        let near = |p: f64, bi: f64| (p - bi).abs() < 1e-12;
+        let protected = |bi: f64| {
+            near(protect, bi)
+                || self.constraints.iter().any(|c| {
+                    let (lo, hi) = c.region.range(d);
+                    near(lo, bi) || near(hi, bi)
+                })
+        };
         let mut best: Option<(usize, f64)> = None;
         for (i, bi) in b.iter().enumerate().take(b.len() - 1).skip(1) {
-            if protected.iter().any(|p| (*p - bi).abs() < 1e-12) {
+            if protected(*bi) {
                 continue;
             }
             // density difference across the boundary, aggregated over the slab
@@ -671,20 +571,17 @@ impl GridHistogram {
     /// Aggregate |density_left − density_right| across the boundary at
     /// index `i` of dimension `d`.
     fn slab_density_discontinuity(&self, d: usize, i: usize) -> f64 {
-        let strides = self.strides();
-        let nb = self.bucket_counts_per_dim();
+        let (outer, n, inner) = self.split_at(d);
         let b = &self.boundaries[d];
         let w_left = b[i] - b[i - 1];
         let w_right = b[i + 1] - b[i];
         let mut score = 0.0;
-        let left_slab = i - 1;
-        // iterate all buckets in the left slab, compare with right neighbor
-        for flat in 0..self.counts.len() {
-            let idx_d = (flat / strides[d]) % nb[d];
-            if idx_d == left_slab {
-                let right = flat + strides[d];
+        // every bucket of the left slab against its right neighbour
+        for o in 0..outer {
+            let row = (o * n + i - 1) * inner;
+            for flat in row..row + inner {
                 let dl = self.counts[flat] / w_left.max(f64::MIN_POSITIVE);
-                let dr = self.counts[right] / w_right.max(f64::MIN_POSITIVE);
+                let dr = self.counts[flat + inner] / w_right.max(f64::MIN_POSITIVE);
                 score += (dl - dr).abs();
             }
         }
@@ -695,56 +592,118 @@ impl GridHistogram {
     /// adjacent slabs (counts summed, stamps maxed).
     fn remove_boundary(&mut self, d: usize, i: usize) {
         debug_assert!(i > 0 && i < self.boundaries[d].len() - 1);
-        let old_nb = self.bucket_counts_per_dim();
-        let old_strides = self.strides();
-        let mut new_boundaries = self.boundaries.clone();
-        new_boundaries[d].remove(i);
-        let new_nb: Vec<usize> = new_boundaries.iter().map(|bb| bb.len() - 1).collect();
-        let total_new: usize = new_nb.iter().product();
-        let mut new_counts = vec![0.0; total_new];
-        let mut new_stamps = vec![0u64; total_new];
-        let mut new_strides = vec![0usize; new_nb.len()];
-        let mut s = 1;
-        for dd in (0..new_nb.len()).rev() {
-            new_strides[dd] = s;
-            s *= new_nb[dd];
-        }
-        let merged_slab = i - 1;
-        for flat in 0..self.counts.len() {
-            let mut rest = flat;
-            let mut idx = Vec::with_capacity(old_nb.len());
-            for stride in &old_strides {
-                idx.push(rest / stride);
-                rest %= stride;
+        let (outer, n, inner) = self.split_at(d);
+        let mut counts = Vec::with_capacity(outer * (n - 1) * inner);
+        let mut stamps: Vec<u64> = Vec::with_capacity(outer * (n - 1) * inner);
+        for o in 0..outer {
+            for k in 0..n {
+                let row = (o * n + k) * inner..(o * n + k + 1) * inner;
+                let (c, s) = (&self.counts[row.clone()], &self.stamps[row]);
+                if k == i {
+                    // fold row `i` into row `i - 1`, pushed just before
+                    let merged = counts.len() - inner..counts.len();
+                    for ((acc, last), (v, t)) in counts[merged.clone()]
+                        .iter_mut()
+                        .zip(&mut stamps[merged])
+                        .zip(c.iter().zip(s))
+                    {
+                        *acc += v;
+                        *last = (*last).max(*t);
+                    }
+                } else {
+                    counts.extend_from_slice(c);
+                    stamps.extend_from_slice(s);
+                }
             }
-            let mut nidx = idx.clone();
-            if idx[d] > merged_slab {
-                nidx[d] -= 1;
-            }
-            let nf: usize = nidx
-                .iter()
-                .enumerate()
-                .map(|(dd, ii)| ii * new_strides[dd])
-                .sum();
-            new_counts[nf] += self.counts[flat];
-            new_stamps[nf] = new_stamps[nf].max(self.stamps[flat]);
         }
-        self.boundaries = new_boundaries;
-        self.counts = new_counts;
-        self.stamps = new_stamps;
+        self.boundaries[d].remove(i);
+        self.counts = counts;
+        self.stamps = stamps;
     }
+}
 
-    /// Drops retained constraints that no longer align with the grid (their
-    /// region covers no bucket, e.g. after a boundary merge removed their
-    /// sliver). Fitting an orphaned constraint would only dilute mass.
-    fn purge_orphaned_constraints(&mut self) {
-        let aligned: Vec<bool> = self
-            .constraints
-            .iter()
-            .map(|c| !self.buckets_in(&c.region).is_empty())
-            .collect();
-        let mut it = aligned.into_iter();
-        self.constraints.retain(|_| it.next().unwrap_or(false));
+/// Share of a bucket's volume a region must cover for the bucket to count
+/// as inside it (stamping, constraint lowering).
+const COVERED: f64 = 1e-9;
+
+/// The frame's extent along one dimension's boundary list.
+fn frame_range(b: &[f64]) -> (f64, f64) {
+    (b[0], b[b.len() - 1])
+}
+
+/// `Region::is_empty` along one dimension.
+fn is_empty((lo, hi): (f64, f64)) -> bool {
+    hi <= lo
+}
+
+/// Visits, in row-major order, every bucket of the grid `boundaries` whose
+/// index box meets the ranges `range(d)` (which must lie inside the frame),
+/// passing the flat index and the fraction of the bucket's volume inside —
+/// bit for bit `bucket.overlap_fraction(&region)`.
+fn for_each_overlapping<R, F>(boundaries: &[Vec<f64>], range: &R, mut f: F)
+where
+    R: Fn(usize) -> (f64, f64) + ?Sized,
+    F: FnMut(usize, f64),
+{
+    walk_buckets(boundaries, range, |flat, volume, inside| {
+        let overlap = if volume <= 0.0 || !volume.is_finite() {
+            0.0
+        } else {
+            inside / volume
+        };
+        f(flat, overlap);
+    });
+}
+
+/// Visits, in row-major order, every bucket of the grid `boundaries` whose
+/// index box meets the ranges `range(d)`, passing the flat index, the
+/// bucket's volume and the volume of its intersection with the ranges.
+/// Both volumes fold the per-dimension widths in dimension order from 1.0,
+/// as [`Region::volume`] does, so they equal the allocating
+/// `bucket.volume()` and `bucket.intersect(&region).volume()` to the bit.
+fn walk_buckets<R, F>(boundaries: &[Vec<f64>], range: &R, mut f: F)
+where
+    R: Fn(usize) -> (f64, f64) + ?Sized,
+    F: FnMut(usize, f64, f64),
+{
+    walk_dim(boundaries, range, &mut f, 0, 0, 1.0, 1.0);
+}
+
+fn walk_dim<R, F>(
+    boundaries: &[Vec<f64>],
+    range: &R,
+    f: &mut F,
+    d: usize,
+    flat: usize,
+    volume: f64,
+    inside: f64,
+) where
+    R: Fn(usize) -> (f64, f64) + ?Sized,
+    F: FnMut(usize, f64, f64),
+{
+    let Some(b) = boundaries.get(d) else {
+        f(flat, volume, inside);
+        return;
+    };
+    let (lo, hi) = range(d);
+    // buckets whose high boundary exceeds lo and whose low boundary is
+    // below hi
+    let end = b[..b.len() - 1].partition_point(|x| *x < hi);
+    let start = b[1..].partition_point(|x| *x <= lo).min(end);
+    let n = b.len() - 1;
+    for i in start..end {
+        let (blo, bhi) = (b[i], b[i + 1]);
+        // an inverted intersection has zero width, as `Region::new` makes it
+        let width = (bhi.min(hi) - blo.max(lo)).max(0.0);
+        walk_dim(
+            boundaries,
+            range,
+            f,
+            d + 1,
+            flat * n + i,
+            volume * (bhi - blo).max(0.0),
+            inside * width,
+        );
     }
 }
 
@@ -1031,6 +990,359 @@ mod proptests {
             let small = Region::new(vec![(alo, alo + 100.0), (blo, blo + 100.0)]);
             let big = Region::new(vec![(alo, alo + 400.0), (blo, blo + 400.0)]);
             prop_assert!(h.selectivity(&small) <= h.selectivity(&big) + 1e-9);
+        }
+    }
+}
+
+/// The allocating geometry the grid used before it walked per-axis
+/// boundaries — one `Region` per bucket, flat-index lists, strides decoded
+/// per bucket — kept as the oracle the walks must match to the bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use jits_common::SplitMix64;
+    use proptest::prelude::*;
+
+    fn shape(h: &GridHistogram) -> Vec<usize> {
+        h.boundaries.iter().map(|b| b.len() - 1).collect()
+    }
+
+    fn strides(nb: &[usize]) -> Vec<usize> {
+        let mut strides = vec![0usize; nb.len()];
+        let mut s = 1;
+        for d in (0..nb.len()).rev() {
+            strides[d] = s;
+            s *= nb[d];
+        }
+        strides
+    }
+
+    fn bucket_region(h: &GridHistogram, flat: usize) -> Region {
+        let strides = strides(&shape(h));
+        let mut rest = flat;
+        Region::new(
+            (0..h.dims())
+                .map(|d| {
+                    let i = rest / strides[d];
+                    rest %= strides[d];
+                    (h.boundaries[d][i], h.boundaries[d][i + 1])
+                })
+                .collect(),
+        )
+    }
+
+    fn for_each_overlapping<F: FnMut(usize, f64)>(h: &GridHistogram, region: &Region, mut f: F) {
+        let ranges: Vec<(usize, usize)> = (0..h.dims())
+            .map(|d| {
+                let (lo, hi) = region.range(d);
+                let b = &h.boundaries[d];
+                let start = b[1..].partition_point(|x| *x <= lo);
+                let end = b[..b.len() - 1].partition_point(|x| *x < hi);
+                (start.min(end), end)
+            })
+            .collect();
+        if ranges.iter().any(|(lo, hi)| hi <= lo) {
+            return;
+        }
+        let strides = strides(&shape(h));
+        let mut idx: Vec<usize> = ranges.iter().map(|(lo, _)| *lo).collect();
+        loop {
+            let flat: usize = idx.iter().zip(&strides).map(|(i, s)| i * s).sum();
+            let bucket = Region::new(
+                idx.iter()
+                    .enumerate()
+                    .map(|(d, &i)| (h.boundaries[d][i], h.boundaries[d][i + 1]))
+                    .collect(),
+            );
+            f(flat, bucket.overlap_fraction(region));
+            let mut d = h.dims();
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                idx[d] += 1;
+                if idx[d] < ranges[d].1 {
+                    break;
+                }
+                idx[d] = ranges[d].0;
+                if d == 0 {
+                    return;
+                }
+            }
+        }
+    }
+
+    fn buckets_in(h: &GridHistogram, region: &Region) -> Vec<usize> {
+        let mut out = Vec::new();
+        for_each_overlapping(h, region, |flat, overlap| {
+            if overlap > 1e-9 {
+                out.push(flat);
+            }
+        });
+        out
+    }
+
+    fn selectivity(h: &GridHistogram, region: &Region) -> f64 {
+        if h.total <= 0.0 {
+            return 0.0;
+        }
+        let clamped = region.clamp_to(&h.frame());
+        if clamped.is_empty() {
+            return 0.0;
+        }
+        let mut rows = 0.0;
+        for_each_overlapping(h, &clamped, |flat, overlap| {
+            rows += h.counts[flat] * overlap
+        });
+        (rows / h.total).clamp(0.0, 1.0)
+    }
+
+    fn newest_stamp_in(h: &GridHistogram, region: &Region) -> Option<u64> {
+        let clamped = region.clamp_to(&h.frame());
+        if clamped.is_empty() {
+            return None;
+        }
+        let mut newest = None;
+        for_each_overlapping(h, &clamped, |flat, _| {
+            newest = Some(newest.map_or(h.stamps[flat], |n: u64| n.max(h.stamps[flat])));
+        });
+        newest
+    }
+
+    fn uniformity(h: &GridHistogram) -> f64 {
+        if h.total <= 0.0 || h.counts.len() <= 1 {
+            return 1.0;
+        }
+        let frame_vol = h.frame().volume();
+        if frame_vol <= 0.0 || frame_vol.is_nan() {
+            return 1.0;
+        }
+        let mut tv = 0.0;
+        for (i, c) in h.counts.iter().enumerate() {
+            tv += (c / h.total - bucket_region(h, i).volume() / frame_vol).abs();
+        }
+        (1.0 - 0.5 * tv).clamp(0.0, 1.0)
+    }
+
+    /// Splits the slab of dimension `d` containing `x` (strictly inside the
+    /// frame, not a boundary), decoding every flat index.
+    fn split(h: &GridHistogram, d: usize, x: f64) -> (Vec<f64>, Vec<u64>) {
+        let b = &h.boundaries[d];
+        let pos = b.partition_point(|p| *p < x);
+        let slab = pos - 1;
+        let f_low = (x - b[slab]) / (b[pos] - b[slab]);
+        let old_strides = strides(&shape(h));
+        let mut nb = shape(h);
+        nb[d] += 1;
+        let new_strides = strides(&nb);
+        let n: usize = nb.iter().product();
+        let (mut counts, mut stamps) = (vec![0.0; n], vec![0u64; n]);
+        let at =
+            |idx: &[usize]| -> usize { idx.iter().zip(&new_strides).map(|(i, s)| i * s).sum() };
+        for flat in 0..h.counts.len() {
+            let mut rest = flat;
+            let mut idx: Vec<usize> = old_strides
+                .iter()
+                .map(|s| {
+                    let i = rest / s;
+                    rest %= s;
+                    i
+                })
+                .collect();
+            if idx[d] < slab {
+                counts[at(&idx)] = h.counts[flat];
+                stamps[at(&idx)] = h.stamps[flat];
+            } else if idx[d] > slab {
+                idx[d] += 1;
+                counts[at(&idx)] = h.counts[flat];
+                stamps[at(&idx)] = h.stamps[flat];
+            } else {
+                counts[at(&idx)] = h.counts[flat] * f_low;
+                stamps[at(&idx)] = h.stamps[flat];
+                idx[d] += 1;
+                counts[at(&idx)] = h.counts[flat] * (1.0 - f_low);
+                stamps[at(&idx)] = h.stamps[flat];
+            }
+        }
+        (counts, stamps)
+    }
+
+    /// Merges the slabs on both sides of interior boundary `i` of `d`.
+    fn merge(h: &GridHistogram, d: usize, i: usize) -> (Vec<f64>, Vec<u64>) {
+        let old_strides = strides(&shape(h));
+        let mut nb = shape(h);
+        nb[d] -= 1;
+        let new_strides = strides(&nb);
+        let n: usize = nb.iter().product();
+        let (mut counts, mut stamps) = (vec![0.0; n], vec![0u64; n]);
+        for flat in 0..h.counts.len() {
+            let mut rest = flat;
+            let mut nf = 0;
+            for (dd, s) in old_strides.iter().enumerate() {
+                let mut idx = rest / s;
+                rest %= s;
+                if dd == d && idx > i - 1 {
+                    idx -= 1;
+                }
+                nf += idx * new_strides[dd];
+            }
+            counts[nf] += h.counts[flat];
+            stamps[nf] = stamps[nf].max(h.stamps[flat]);
+        }
+        (counts, stamps)
+    }
+
+    fn slab_density_discontinuity(h: &GridHistogram, d: usize, i: usize) -> f64 {
+        let strides = strides(&shape(h));
+        let nb = shape(h);
+        let b = &h.boundaries[d];
+        let (w_left, w_right) = (b[i] - b[i - 1], b[i + 1] - b[i]);
+        let mut score = 0.0;
+        for flat in 0..h.counts.len() {
+            if (flat / strides[d]) % nb[d] == i - 1 {
+                let dl = h.counts[flat] / w_left.max(f64::MIN_POSITIVE);
+                let dr = h.counts[flat + strides[d]] / w_right.max(f64::MIN_POSITIVE);
+                score += (dl - dr).abs();
+            }
+        }
+        score
+    }
+
+    /// The stamps `apply_observation(region, _, _, stamp)` must leave: the
+    /// buckets the clamped region covers and both slabs beside every
+    /// inserted boundary, collected as flat-index lists.
+    fn stamps_after(h: &GridHistogram, region: &Region, stamp: u64) -> Vec<u64> {
+        let mut h = h.clone();
+        h.extend_frame(region);
+        let inserted = h.refine(region);
+        let frame = h.frame();
+        let mut touched = buckets_in(&h, &region.clamp_to(&frame));
+        for (d, x) in inserted {
+            let b = &h.boundaries[d];
+            let pos = b.partition_point(|p| *p < x);
+            let lo = if pos >= 1 { b[pos - 1] } else { b[0] };
+            let hi = if pos + 1 < b.len() {
+                b[pos + 1]
+            } else {
+                b[b.len() - 1]
+            };
+            let mut ranges = Region::unbounded(h.dims())
+                .clamp_to(&frame)
+                .ranges()
+                .to_vec();
+            ranges[d] = (lo, hi);
+            touched.extend(buckets_in(&h, &Region::new(ranges)));
+        }
+        for b in touched {
+            h.stamps[b] = h.stamps[b].max(stamp);
+        }
+        h.stamps
+    }
+
+    /// A random point or bound on one axis: mostly inside the starting
+    /// frame `[0, 100)`, sometimes outside it (frame extension), sometimes
+    /// an existing boundary (aligned regions), sometimes infinite.
+    fn coordinate(rng: &mut SplitMix64, h: &GridHistogram, d: usize) -> f64 {
+        let u = rng.next_f64();
+        if u < 0.2 {
+            let b = &h.boundaries[d];
+            b[(rng.next_f64() * b.len() as f64) as usize % b.len()]
+        } else if u < 0.3 {
+            rng.next_f64() * 300.0 - 100.0
+        } else {
+            rng.next_f64() * 100.0
+        }
+    }
+
+    fn random_region(rng: &mut SplitMix64, h: &GridHistogram) -> Region {
+        Region::new(
+            (0..h.dims())
+                .map(|d| {
+                    let (a, b) = (coordinate(rng, h, d), coordinate(rng, h, d));
+                    let (lo, hi) = (a.min(b), a.max(b));
+                    match (rng.next_f64() * 10.0) as usize {
+                        0 => (f64::NEG_INFINITY, hi),
+                        1 => (lo, f64::INFINITY),
+                        2 => (lo, lo), // zero width
+                        _ => (lo, hi),
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// Every geometry walk against its allocating original on `h`, with
+    /// `queries` random query regions.
+    fn check_geometry(rng: &mut SplitMix64, h: &GridHistogram, queries: usize) {
+        for c in &h.constraints {
+            let runs = h.lower(c).runs;
+            let flat: Vec<usize> = runs.into_iter().flatten().collect();
+            assert_eq!(flat, buckets_in(h, &c.region), "lowering of {}", c.region);
+        }
+        assert_eq!(h.uniformity().to_bits(), uniformity(h).to_bits());
+        for _ in 0..queries {
+            let q = random_region(rng, h);
+            assert_eq!(
+                h.selectivity(&q).to_bits(),
+                selectivity(h, &q).to_bits(),
+                "selectivity of {q}"
+            );
+            assert_eq!(
+                h.newest_stamp_in(&q),
+                newest_stamp_in(h, &q),
+                "stamp of {q}"
+            );
+        }
+        for d in 0..h.dims() {
+            let b = &h.boundaries[d];
+            for i in 1..b.len() - 1 {
+                assert_eq!(
+                    h.slab_density_discontinuity(d, i).to_bits(),
+                    slab_density_discontinuity(h, d, i).to_bits()
+                );
+                let mut merged = h.clone();
+                merged.remove_boundary(d, i);
+                let (counts, stamps) = merge(h, d, i);
+                assert_eq!((merged.counts, merged.stamps), (counts, stamps));
+            }
+            let x = b[0] + (b[b.len() - 1] - b[0]) * rng.next_f64();
+            if x > b[0] && b.binary_search_by(|p| p.total_cmp(&x)).is_err() {
+                let mut split_h = h.clone().with_limits(GridLimits {
+                    max_boundaries_per_dim: usize::MAX,
+                    ..h.limits
+                });
+                assert!(split_h.insert_boundary(d, x));
+                let (counts, stamps) = split(h, d, x);
+                assert_eq!((split_h.counts, split_h.stamps), (counts, stamps));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn walks_match_the_allocating_geometry(seed in any::<u64>(), n in 1usize..16) {
+            // 1–3 dimensions and a small boundary cap, so observations
+            // extend the frame, merge boundaries and leave constraints
+            // unaligned
+            let mut rng = SplitMix64::new(seed);
+            let dims = 1 + (rng.next_f64() * 3.0) as usize;
+            let limits = GridLimits {
+                max_boundaries_per_dim: 3 + (rng.next_f64() * 6.0) as usize,
+                max_constraints: 2 + (rng.next_f64() * 5.0) as usize,
+            };
+            let frame = Region::new(vec![(0.0, 100.0); dims]);
+            let mut h = GridHistogram::new(&frame, 1000.0, 0).with_limits(limits);
+            for t in 1..=n as u64 {
+                let region = random_region(&mut rng, &h);
+                let count = rng.next_f64() * 1000.0;
+                let stamps = stamps_after(&h, &region, t);
+                h.apply_observation(&region, count, 1000.0, t);
+                prop_assert_eq!(&h.stamps, &stamps);
+                check_geometry(&mut rng, &h, 8);
+            }
         }
     }
 }

@@ -34,5 +34,5 @@ pub mod region;
 pub use accuracy::{boundary_accuracy, region_accuracy};
 pub use equidepth::EquiDepth;
 pub use grid::{ConstraintSnapshot, GridHistogram, GridLimits, GridSnapshot};
-pub use maxent::{Constraint, FitResult, IpfOptions};
+pub use maxent::{Constraint, FitResult};
 pub use region::Region;

@@ -91,16 +91,19 @@ pub struct QssArchive {
     eviction_uniformity: f64,
 }
 
-/// Order-dependent FNV-1a over the histogram's full logical content
-/// (boundary and count f64 bits, total, bucket count). Dependency-free and
-/// platform-stable, which is all a torn-write detector needs.
+/// Order-dependent hash over the histogram's full logical content
+/// (boundary and count f64 bits, total, bucket count), one
+/// xor-multiply-rotate step per 64-bit word. For a fixed word a step is a
+/// bijection of the state, and for a fixed state a bijection of the word,
+/// so a change to any single word always changes the result.
+/// Dependency-free and platform-stable, which is all a torn-write detector
+/// needs.
 fn histogram_checksum(h: &GridHistogram) -> u64 {
     let mut sum: u64 = 0xCBF2_9CE4_8422_2325;
     let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            sum ^= b as u64;
-            sum = sum.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        sum = (sum ^ v)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29);
     };
     eat(h.n_buckets() as u64);
     eat(h.total().to_bits());
@@ -529,6 +532,46 @@ mod tests {
         assert_eq!(a.iter().count(), 0);
         assert!(a.pending_rebuild(&g));
         assert_eq!(a.pending_rebuilds().count(), 1);
+    }
+
+    #[test]
+    fn validate_catches_every_single_bit_flip() {
+        let mut a = QssArchive::default();
+        let g = group(0, &[1, 2]);
+        let frame = Region::new(vec![(0.0, 100.0), (0.0, 50.0)]);
+        a.apply_observation(
+            g.clone(),
+            &frame,
+            &Region::new(vec![(10.0, 30.0), (5.0, 20.0)]),
+            40.0,
+            100.0,
+            1,
+        );
+        let intact = a.histograms[&g].snapshot();
+        let mut flipped = 0;
+        let mut check = |flip: &dyn Fn(&mut GridSnapshot)| {
+            let mut s = intact.clone();
+            flip(&mut s);
+            a.histograms
+                .insert(g.clone(), GridHistogram::from_snapshot(s));
+            assert!(!a.validate(&g), "flip #{flipped} went unnoticed");
+            flipped += 1;
+        };
+        for bit in 0..64 {
+            let flip = |x: &mut f64| *x = f64::from_bits(x.to_bits() ^ (1 << bit));
+            for i in 0..intact.counts.len() {
+                check(&|s| flip(&mut s.counts[i]));
+            }
+            for (d, b) in intact.boundaries.iter().enumerate() {
+                for i in 0..b.len() {
+                    check(&|s| flip(&mut s.boundaries[d][i]));
+                }
+            }
+        }
+        assert_eq!(flipped, 64 * (9 + 4 + 4));
+        a.histograms
+            .insert(g.clone(), GridHistogram::from_snapshot(intact));
+        assert!(a.validate(&g));
     }
 
     #[test]
