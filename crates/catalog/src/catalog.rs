@@ -1,8 +1,8 @@
 //! The catalog proper: name resolution and statistics storage.
 
 use crate::stats::{ColumnStats, TableStats};
+use jits_common::hash::FastMap;
 use jits_common::{ColumnId, JitsError, Result, Schema, TableId};
-use std::collections::HashMap;
 
 /// Catalog entry for one table.
 #[derive(Debug, Clone)]
@@ -25,7 +25,8 @@ pub struct CatalogTable {
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: Vec<CatalogTable>,
-    by_name: HashMap<String, TableId>,
+    /// Probe-only, never iterated.
+    by_name: FastMap<String, TableId>,
 }
 
 impl Catalog {

@@ -5,9 +5,9 @@
 //! distinct count, null count, most-frequent values, equi-depth histogram).
 
 use crate::stats::{ColumnStats, TableStats};
+use jits_common::hash::FastMap;
 use jits_common::{ColumnId, Value};
 use jits_storage::Table;
-use std::collections::HashMap;
 
 /// Knobs for RUNSTATS collection.
 #[derive(Debug, Clone, Copy)]
@@ -35,7 +35,7 @@ pub fn runstats(
 ) -> (TableStats, Vec<ColumnStats>) {
     let n_cols = table.schema().len();
     let mut axis_values: Vec<Vec<f64>> = vec![Vec::with_capacity(table.row_count()); n_cols];
-    let mut freq: Vec<HashMap<Value, f64>> = vec![HashMap::new(); n_cols];
+    let mut freq: Vec<FastMap<Value, f64>> = vec![FastMap::default(); n_cols];
     let mut nulls = vec![0f64; n_cols];
     let mut mins: Vec<Option<Value>> = vec![None; n_cols];
     let mut maxs: Vec<Option<Value>> = vec![None; n_cols];
@@ -77,7 +77,6 @@ pub fn runstats(
             // `Value` has no `Ord` impl, so a BTreeMap is unavailable here; the
             // sort on the next line imposes a total order (count desc, then
             // `cmp_total`), which erases the hash order.
-            // jits-lint: allow(hash-iteration)
             let mut mcv: Vec<(Value, f64)> = freq[c].iter().map(|(v, n)| (v.clone(), *n)).collect();
             mcv.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp_total(&b.0)));
             let distinct = mcv.len() as f64;

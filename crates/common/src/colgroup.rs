@@ -8,13 +8,30 @@
 //! regardless of predicate order.
 
 use crate::ids::{ColumnId, TableId};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A table and a canonical (sorted, deduplicated) set of its columns.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColGroup {
     table: TableId,
     columns: Vec<ColumnId>,
+}
+
+// Written out, not derived: a derived `PartialOrd` calls `partial_cmp`,
+// which `clippy.toml` bans. By table, then column list — the derive's order.
+impl Ord for ColGroup {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.table
+            .cmp(&other.table)
+            .then_with(|| self.columns.cmp(&other.columns))
+    }
+}
+
+impl PartialOrd for ColGroup {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl ColGroup {

@@ -5,12 +5,21 @@
 //! engine's per-row tables can afford — a string column interns every cell
 //! it stores, a hash join hashes every build and probe key. [`FastHasher`]
 //! is a folded-multiply word hasher with a fixed seed, so the same keys
-//! always land in the same buckets. No caller may observe that: every table
-//! built on it is only probed, never iterated for output.
+//! always land in the same buckets, and a map's iteration order is a
+//! function of its insert/remove sequence alone. No result may depend on
+//! that order all the same: every table built on it is probed, or (RUNSTATS'
+//! value counts) sorted into a total order before anything reads it.
+//!
+//! [`FastMap`] is the workspace's one door to `std`'s `HashMap`:
+//! `clippy.toml` bans `HashMap`, `HashSet` and `RandomState` everywhere
+//! else, so no map can fall back to the per-process seed by naming the
+//! default hasher type.
 //!
 //! The trade-off is stated, not hidden: the keys are stored values, which
 //! SQL clients choose, and a client that crafts colliding strings or
-//! integers lengthens chains — slower statements, never wrong answers.
+//! integers lengthens chains — slower statements, never wrong answers. The
+//! string dictionaries, the hash indexes, the catalog's name map and the
+//! executors' join and GROUP BY tables all share it.
 //!
 //! [`ChainTable`] is the one integer hash kernel built on it: the string
 //! dictionaries of `jits-storage` index their entries by string hash with
@@ -18,7 +27,6 @@
 //! groups by integer key or tuple hash.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Odd multiplier with well-mixed bits (the fractional part of the golden
@@ -99,7 +107,11 @@ impl Hasher for FastHasher {
 pub type FastState = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` keyed through [`FastHasher`].
-pub type FastMap<K, V> = HashMap<K, V, FastState>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one door to `HashMap`: the fixed hasher makes iteration order a function of the insert/remove sequence alone"
+)]
+pub type FastMap<K, V> = std::collections::HashMap<K, V, FastState>;
 
 /// [`FastHasher`]'s hash of one value.
 pub fn fast_hash<T: Hash + ?Sized>(v: &T) -> u64 {

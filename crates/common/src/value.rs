@@ -140,6 +140,10 @@ impl Value {
             (_, Value::Null) => Some(Ordering::Greater),
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "SQL semantics: NaN compares with nothing, so `None` is the answer"
+            )]
             (a, b) => {
                 let (x, y) = (a.as_f64()?, b.as_f64()?);
                 x.partial_cmp(&y)

@@ -699,7 +699,7 @@ fn put_samplecache(e: &mut Encoder, c: &SampleCache) {
     for (tid, s) in entries {
         e.put_u32(tid.0);
         e.put_u64(s.spec.size as u64);
-        e.put_u64(s.epoch);
+        e.put_u64(s.epoch());
         e.put_u64(s.rows_at_draw);
         e.put_u32(s.rows.len() as u32);
         for &r in s.rows.iter() {
@@ -729,23 +729,20 @@ fn samplecache(d: &mut Decoder) -> Result<SampleCache> {
             rows.push(d.u32()?);
         }
         let probes = d.u64()? as usize;
-        let hits = d.u64()?;
-        cache.store(
-            tid,
-            CachedSample {
-                spec: SampleSpec { size },
-                epoch,
-                rows_at_draw,
-                rows: Arc::new(rows),
-                probes,
-                hits,
-                // columnar gathers and bitsets are rebuilt from fresh
-                // draws; they are served only on exact epoch matches, so
-                // recovery starting without them is behavior-identical
-                frames: Default::default(),
-                bitsets: Default::default(),
-            },
+        // columnar gathers and bitsets are rebuilt from fresh draws; they
+        // are served only on exact epoch matches, so recovery starting
+        // without them is behavior-identical
+        let mut sample = CachedSample::new(
+            SampleSpec { size },
+            epoch,
+            rows_at_draw,
+            Arc::new(rows),
+            probes,
+            Default::default(),
+            Default::default(),
         );
+        sample.hits = d.u64()?;
+        cache.store(tid, sample);
     }
     cache.restore_counters(counters);
     Ok(cache)
@@ -1089,6 +1086,116 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(matches!(decode_state(&padded), Err(JitsError::Recovery(_))));
+    }
+
+    /// A checkpoint of a populated engine: two tables with indexes and
+    /// several zone-map blocks, catalog statistics, archive histograms,
+    /// StatHistory, a predicate-cache entry and a sample cache whose
+    /// entries carry frames (which the codec drops). Encoded once.
+    fn populated_checkpoint() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let mut db = crate::Database::new(11);
+            db.create_table(
+                "car",
+                Schema::from_pairs(&[
+                    ("id", DataType::Int),
+                    ("make", DataType::Str),
+                    ("price", DataType::Float),
+                ]),
+            )
+            .unwrap();
+            db.create_table(
+                "owner",
+                Schema::from_pairs(&[("id", DataType::Int), ("car", DataType::Int)]),
+            )
+            .unwrap();
+            let makes = ["Toyota", "Honda", "Ford"];
+            db.load_rows(
+                "car",
+                (0..2500i64)
+                    .map(|i| {
+                        let price = if i % 50 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Float(i as f64 * 1.5)
+                        };
+                        vec![Value::Int(i), Value::str(makes[i as usize % 3]), price]
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            db.load_rows(
+                "owner",
+                (0..600i64)
+                    .map(|i| vec![Value::Int(i), Value::Int(i * 4 % 2500)])
+                    .collect(),
+            )
+            .unwrap();
+            db.create_index("car", "id").unwrap();
+            db.create_index("owner", "car").unwrap();
+            db.runstats_all().unwrap();
+            // s_max 0: every statement collects and materializes
+            db.set_setting(StatsSetting::Jits(JitsConfig {
+                s_max: 0.0,
+                ..JitsConfig::default()
+            }));
+            for sql in [
+                "SELECT COUNT(*) FROM car WHERE make <> 'Ford' AND price > 300",
+                "SELECT COUNT(*) FROM car WHERE make = 'Toyota' AND price < 900",
+                "SELECT COUNT(*) FROM car, owner WHERE car.id = owner.car AND car.make = 'Honda'",
+                "UPDATE car SET price = 1 WHERE id = 7",
+                "SELECT COUNT(*) FROM car WHERE make = 'Toyota' AND price < 900",
+            ] {
+                db.execute(sql).unwrap();
+            }
+            let state = db.state();
+            assert!(!state.archive.is_empty());
+            assert!(!state.history.snapshot().is_empty());
+            assert!(!state.predcache.snapshot().1.is_empty());
+            assert!(state
+                .samplecache
+                .entries()
+                .any(|(_, e)| !e.frames().is_empty()));
+            encode_state(&state.refs(), db.obs())
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Flipping 1–4 bytes of a populated checkpoint, or overwriting a
+        /// 4-byte word with a large length, decodes or fails typed: never
+        /// a panic, never another error kind.
+        #[test]
+        fn corrupted_checkpoint_decodes_or_fails_typed(
+            overwrite in proptest::prelude::any::<bool>(),
+            flips in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), 1u8..255),
+                1..5,
+            ),
+            word in proptest::prelude::any::<u32>(),
+        ) {
+            let mut bytes = populated_checkpoint().to_vec();
+            if overwrite {
+                let at = flips[0].0 % (bytes.len() - 3);
+                let len = match flips[0].1 % 3 {
+                    0 => u32::MAX,
+                    1 => word,
+                    _ => word % 4096,
+                };
+                bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            } else {
+                for &(at, mask) in &flips {
+                    let at = at % bytes.len();
+                    bytes[at] ^= mask;
+                }
+            }
+            match decode_state(&bytes) {
+                Ok(_) | Err(JitsError::Recovery(_)) => {}
+                Err(other) => panic!("expected Ok or a Recovery error, got {other:?}"),
+            }
+        }
     }
 
     /// A version-1 segment (which carried three engine flags after the RNG

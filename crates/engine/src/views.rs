@@ -111,12 +111,12 @@ pub(crate) fn sample_cache_rows(cache: &SampleCache, catalog: &Catalog) -> Vec<V
             vec![
                 Value::str(crate::observe::table_name(catalog, tid)),
                 Value::Int(e.spec.size as i64),
-                Value::Int(e.epoch as i64),
+                Value::Int(e.epoch() as i64),
                 Value::Int(e.rows_at_draw as i64),
                 Value::Int(e.rows.len() as i64),
                 Value::Int(e.probes as i64),
                 Value::Int(e.hits as i64),
-                Value::Int(e.frames.len() as i64),
+                Value::Int(e.frames().len() as i64),
             ]
         })
         .collect()

@@ -36,6 +36,8 @@
 //! same stable comparator. The contract is enforced by
 //! `tests/batch_executor.rs`.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::exec::{
     accumulate, finish_groups, index_interval, matches_preds, position_in, record_scan, scan_preds,
     table_of, AggAcc, ExecOutput,
@@ -71,12 +73,12 @@ impl ColumnBatch {
     }
 
     /// Reorders every selection vector by `perm` (ORDER BY).
-    fn permute(&mut self, perm: &[usize]) {
+    fn permute(&mut self, perm: &[usize]) -> Result<()> {
         debug_assert!(perm.iter().all(|&i| i < self.len));
         for s in &mut self.sel {
-            let reordered: Vec<RowId> = perm.iter().map(|&i| s[i]).collect();
-            *s = reordered;
+            *s = pick(s, perm.iter().copied())?;
         }
+        Ok(())
     }
 
     /// Truncates every selection vector (LIMIT on plain projections).
@@ -112,7 +114,7 @@ pub(crate) fn execute_batch(
                 ord
             }
         });
-        batch.permute(&perm);
+        batch.permute(&perm)?;
         stats.work += cost.sort(n);
     }
     let aggregating = matches!(
@@ -204,7 +206,7 @@ fn debug_validate_batch(
             // bitset filter and block skipping preserve it
             for (q, s) in batch.quns.iter().zip(&batch.sel) {
                 assert!(
-                    s.windows(2).all(|w| w[0] < w[1]),
+                    s.is_sorted_by(|a, b| a < b),
                     "batch executor: scan selection vector of qun {q} is not strictly \
                      increasing"
                 );
@@ -409,10 +411,10 @@ fn run_operator(
             quns.extend(probe_batch.quns);
             let mut sel = Vec::with_capacity(quns.len());
             for s in &build_batch.sel {
-                sel.push(pairs.iter().map(|&(b, _)| s[b]).collect());
+                sel.push(pick(s, pairs.iter().map(|&(b, _)| b))?);
             }
             for s in &probe_batch.sel {
-                sel.push(pairs.iter().map(|&(_, p)| s[p]).collect());
+                sel.push(pick(s, pairs.iter().map(|&(_, p)| p))?);
             }
             Ok(ColumnBatch {
                 quns,
@@ -446,8 +448,9 @@ fn run_operator(
             // as the B-tree, so the candidate stream is identical)
             let hash = inner_table.hash_index(*index_column);
             // residual outer key columns, gathered once before the probe loop
-            let residual: Vec<(FrameColumn, ColumnId)> = keys[1..]
+            let residual: Vec<(FrameColumn, ColumnId)> = keys
                 .iter()
+                .skip(1)
                 .map(|((oq, oc), (_, ic))| {
                     let t = table_of(tables, block, *oq)?;
                     Ok((t.gather_column(*oc, outer_batch.sel_of(*oq)?), *ic))
@@ -455,8 +458,8 @@ fn run_operator(
                 .collect::<Result<_>>()?;
             let mut pairs: Vec<(usize, RowId)> = Vec::new();
             let mut fetched_total = 0f64;
-            for t in 0..outer_batch.len {
-                if !drive_col.validity[t] {
+            for (t, &valid) in drive_col.validity.iter().enumerate() {
+                if !valid {
                     continue; // NULL keys never join
                 }
                 let key = drive_col.value(t);
@@ -499,7 +502,7 @@ fn run_operator(
             quns.push(inner.qun);
             let mut sel = Vec::with_capacity(quns.len());
             for s in &outer_batch.sel {
-                sel.push(pairs.iter().map(|&(t, _)| s[t]).collect());
+                sel.push(pick(s, pairs.iter().map(|&(t, _)| t))?);
             }
             sel.push(pairs.iter().map(|&(_, irow)| irow).collect());
             Ok(ColumnBatch {
@@ -520,13 +523,14 @@ fn run_operator(
             let inner_cols = gather_keys(&inner_batch, block, tables, keys.iter().map(|(_, i)| i))?;
             let mut pairs: Vec<(usize, usize)> = Vec::new();
             for o in 0..outer_batch.len {
-                'inner: for i in 0..inner_batch.len {
-                    for k in 0..outer_cols.len() {
-                        if !outer_cols[k].value(o).sql_eq(&inner_cols[k].value(i)) {
-                            continue 'inner;
-                        }
+                for i in 0..inner_batch.len {
+                    let joins = outer_cols
+                        .iter()
+                        .zip(&inner_cols)
+                        .all(|(oc, ic)| oc.value(o).sql_eq(&ic.value(i)));
+                    if joins {
+                        pairs.push((o, i));
                     }
-                    pairs.push((o, i));
                 }
             }
             let work = cost.nl_join(
@@ -548,10 +552,10 @@ fn run_operator(
             quns.extend(inner_batch.quns);
             let mut sel = Vec::with_capacity(quns.len());
             for s in &outer_batch.sel {
-                sel.push(pairs.iter().map(|&(o, _)| s[o]).collect());
+                sel.push(pick(s, pairs.iter().map(|&(o, _)| o))?);
             }
             for s in &inner_batch.sel {
-                sel.push(pairs.iter().map(|&(_, i)| s[i]).collect());
+                sel.push(pick(s, pairs.iter().map(|&(_, i)| i))?);
             }
             Ok(ColumnBatch {
                 quns,
@@ -560,6 +564,23 @@ fn run_operator(
             })
         }
     }
+}
+
+/// `s[i]` for every `i` of `picks`, in order. Join pairs and sort
+/// permutations index the batch they were built from, so an index past the
+/// end is an internal error, not a row.
+fn pick(s: &[RowId], picks: impl ExactSizeIterator<Item = usize>) -> Result<Vec<RowId>> {
+    let mut out = Vec::with_capacity(picks.len());
+    for i in picks {
+        let row = s.get(i).ok_or_else(|| {
+            JitsError::internal(format!(
+                "selection index {i} past a batch of {} rows",
+                s.len()
+            ))
+        })?;
+        out.push(*row);
+    }
+    Ok(out)
 }
 
 /// Gathers one key column per join key side, in key order.
@@ -591,13 +612,13 @@ fn hash_join_pairs(
     if let ([b], [p]) = (build_cols, probe_cols) {
         if let (FrameValues::Int(bv), FrameValues::Int(pv)) = (&b.values, &p.values) {
             let mut ht = ChainTable::with_entries(build_len);
-            for (t, &v) in bv.iter().enumerate().take(build_len) {
-                if b.validity[t] {
+            for (t, (&v, &valid)) in bv.iter().zip(&b.validity).enumerate().take(build_len) {
+                if valid {
                     ht.append(v as u64, t);
                 }
             }
-            for (t, &v) in pv.iter().enumerate().take(probe_len) {
-                if p.validity[t] {
+            for (t, (&v, &valid)) in pv.iter().zip(&p.validity).enumerate().take(probe_len) {
+                if valid {
                     pairs.extend(ht.chain(v as u64).map(|bi| (bi, t)));
                 }
             }
@@ -606,14 +627,20 @@ fn hash_join_pairs(
     }
     let mut ht: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
     for t in 0..build_len {
-        if build_cols.iter().any(|fc| !fc.validity[t]) {
+        if build_cols
+            .iter()
+            .any(|fc| fc.validity.get(t) != Some(&true))
+        {
             continue;
         }
         let key: Vec<Value> = build_cols.iter().map(|fc| fc.value(t)).collect();
         ht.entry(key).or_default().push(t);
     }
     for t in 0..probe_len {
-        if probe_cols.iter().any(|fc| !fc.validity[t]) {
+        if probe_cols
+            .iter()
+            .any(|fc| fc.validity.get(t) != Some(&true))
+        {
             continue;
         }
         let key: Vec<Value> = probe_cols.iter().map(|fc| fc.value(t)).collect();
@@ -741,13 +768,14 @@ fn eval_group_by_batch(
     let mut accs: Vec<(Vec<AggAcc>, i64)> =
         vec![(vec![AggAcc::new(); items.len()], 0); grouped.firsts.len()];
     for (t, &g) in grouped.group_of.iter().enumerate() {
-        let entry = &mut accs[g as usize];
+        let entry = accs
+            .get_mut(g as usize)
+            .ok_or_else(|| JitsError::internal(format!("group {g} of row {t} was never opened")))?;
         entry.1 += 1;
-        for (i, item) in items.iter().enumerate() {
-            if let GroupItem::Agg(_) = item {
-                if let Some(fc) = &agg_cols[i] {
-                    entry.0[i].push(fc.value(t));
-                }
+        // `agg_cols` is `None` for every key item
+        for (acc, fc) in entry.0.iter_mut().zip(&agg_cols) {
+            if let Some(fc) = fc {
+                acc.push(fc.value(t));
             }
         }
     }
@@ -761,10 +789,15 @@ fn eval_group_by_batch(
         .map(|&f| {
             key_sources
                 .iter()
-                .map(|(table, sel, c)| table.value(sel[f], *c))
+                .map(|(table, sel, c)| {
+                    let row = sel.get(f).ok_or_else(|| {
+                        JitsError::internal(format!("group's first row {f} is past the batch"))
+                    })?;
+                    Ok(table.value(*row, *c))
+                })
                 .collect()
         })
-        .collect();
+        .collect::<Result<_>>()?;
     Ok(finish_groups(items, order, accs))
 }
 
@@ -820,11 +853,12 @@ fn group_rows_typed(
         let mut part = Vec::with_capacity(n);
         if let Some(dict) = table.str_codes(c) {
             let codes = dict.codes;
-            debug_assert!(sel.iter().all(|&r| (r as usize) < codes.len()));
-            for (t, &r) in sel.iter().enumerate() {
-                let code = codes[r as usize];
+            for (&r, null) in sel.iter().zip(&mut nulls) {
+                let code = *codes.get(r as usize).ok_or_else(|| {
+                    JitsError::internal(format!("row {r} past a column of {}", codes.len()))
+                })?;
                 if code == 0 {
-                    nulls[t] |= 1 << j;
+                    *null |= 1 << j;
                 }
                 part.push(i64::from(code));
             }
@@ -833,28 +867,35 @@ fn group_rows_typed(
             let FrameValues::Int(vals) = &fc.values else {
                 return Ok(None);
             };
-            for t in 0..n {
-                if fc.validity[t] {
-                    part.push(vals[t]);
+            for ((&v, &valid), null) in vals.iter().zip(&fc.validity).zip(&mut nulls) {
+                if valid {
+                    part.push(v);
                 } else {
-                    nulls[t] |= 1 << j;
+                    *null |= 1 << j;
                     part.push(0);
                 }
             }
         }
         parts.push(part);
     }
+    // row hashes, one key part at a time: the same writes in the same order
+    // per row as hashing each row's tuple whole
+    let mut hashers = vec![FastHasher::default(); n];
+    for part in &parts {
+        for (h, &v) in hashers.iter_mut().zip(part) {
+            h.write_i64(v);
+        }
+    }
     let mut grouping = Grouping::new(n);
     let mut ht = ChainTable::with_entries(0);
-    for t in 0..n {
-        let mut h = FastHasher::default();
-        for part in &parts {
-            h.write_i64(part[t]);
-        }
-        h.write_u64(nulls[t]);
+    for (t, (h, &null)) in hashers.iter_mut().zip(&nulls).enumerate() {
+        h.write_u64(null);
         let hash = h.finish();
-        let same = |f: usize| nulls[f] == nulls[t] && parts.iter().all(|p| p[f] == p[t]);
-        let found = ht.chain(hash).find(|&g| same(grouping.firsts[g]));
+        let same =
+            |f: usize| nulls.get(f) == Some(&null) && parts.iter().all(|p| p.get(f) == p.get(t));
+        let found = ht
+            .chain(hash)
+            .find(|&g| grouping.firsts.get(g).is_some_and(|&f| same(f)));
         match found {
             Some(g) => grouping.group_of.push(g as u32),
             None => {

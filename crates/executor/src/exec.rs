@@ -2,6 +2,7 @@
 
 use crate::locate::zone_constraints;
 use crate::monitor::{ExecStats, NodeKind, NodeObservation, ScanObservation};
+use jits_common::hash::FastMap;
 use jits_common::{ColumnId, Interval, JitsError, Result, Value};
 use jits_optimizer::{CostModel, PhysicalPlan, ScanGroupEstimate};
 use jits_query::ast::AggFunc;
@@ -275,8 +276,7 @@ fn run(
                 return Err(JitsError::Execution("hash join without keys".into()));
             }
             // hash the build side
-            let mut ht: std::collections::HashMap<Vec<Value>, Vec<usize>> =
-                std::collections::HashMap::new();
+            let mut ht: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
             let build_positions: Vec<(usize, ColumnId)> = keys
                 .iter()
                 .map(|((bq, bc), _)| Ok((build_batch.position_of(*bq)?, *bc)))
@@ -709,7 +709,7 @@ fn eval_group_by(
     // hash order is observed
     let mut order: Vec<Vec<Value>> = Vec::new();
     let mut accs: Vec<(Vec<AggAcc>, i64)> = Vec::new();
-    let mut groups: std::collections::HashMap<Vec<Value>, usize> = std::collections::HashMap::new();
+    let mut groups: FastMap<Vec<Value>, usize> = FastMap::default();
     for tuple in &batch.tuples {
         let key: Vec<Value> = key_pos
             .iter()

@@ -14,6 +14,8 @@
 //! choice therefore needs no statistics, is the same under every statistics
 //! setting, and touches no archive, history or cache state.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::monitor::NodeKind;
 use jits_common::{Bound, ColumnId, DataType, Interval, Value};
 use jits_optimizer::CostModel;
@@ -241,7 +243,11 @@ fn eval_code_verdicts(p: &LocalPredicate, dict: StrCodes<'_>, rows: &[RowId], ke
         .is_some_and(|&c| (c as usize) < verdict.len())));
     for (k, &r) in keep.iter_mut().zip(rows) {
         if *k {
-            *k = verdict[codes[r as usize] as usize];
+            // a row or code out of range (the assertion above) matches nothing
+            *k = codes
+                .get(r as usize)
+                .and_then(|&c| verdict.get(c as usize))
+                .is_some_and(|&v| v);
         }
     }
 }
@@ -261,16 +267,16 @@ fn eval_int_interval((lo, hi): IntBounds, vals: &[i64], fc: &FrameColumn, keep: 
         // the gather proved the slice NULL-free (for pruned scans the zone
         // map's null count already knew), so the per-row validity re-check
         // is hoisted out of the inner loop
-        for (i, k) in keep.iter_mut().enumerate() {
+        for (k, &v) in keep.iter_mut().zip(vals) {
             if *k {
-                *k = in_bounds(vals[i]);
+                *k = in_bounds(v);
             }
         }
     } else {
-        for (i, k) in keep.iter_mut().enumerate() {
+        for ((k, &v), &valid) in keep.iter_mut().zip(vals).zip(&fc.validity) {
             if *k {
                 // NULL never matches an interval
-                *k = fc.validity[i] && in_bounds(vals[i]);
+                *k = valid && in_bounds(v);
             }
         }
     }

@@ -1062,7 +1062,6 @@ pub fn collect_for_tables_sourced(
             // merging worker partials of one collection call: every partial
             // gathered under this statement's guards at a single epoch, so
             // no boundary can be crossed here
-            // jits-lint: allow(epoch-safety)
             out.frames.entry(cg).or_insert(frame);
         }
         timings.push(p.timing);
@@ -1141,6 +1140,38 @@ mod tests {
         assert!((make.selectivity - 0.6).abs() < 1e-9);
         assert_eq!(stats.table_rows[&block.quns[0].table], 1000.0);
         assert!(stats.work > 0.0);
+    }
+
+    /// Collection charges closed-form amounts per phase, never per loop
+    /// iteration: two units per sampled row for the draw, one per row and
+    /// local predicate for evaluation, and `words / 8` per candidate group
+    /// for its bitset AND (`words` = 64-row words per bitset). Backoff is
+    /// zero without faults (`transient_draw_fault_retries_and_charges_backoff`).
+    #[test]
+    fn charged_work_is_the_per_phase_formula() {
+        let (_, tables, block) = setup();
+        let candidates = query_analysis(&block);
+        let stats = collect_for_tables(
+            &block,
+            &[0],
+            &candidates,
+            &tables,
+            SampleSpec::fixed(200),
+            &mut SplitMix64::new(3),
+        );
+        let n = stats.group(0, &[0]).unwrap().sample_size;
+        let local = block.local_predicates_of(0).len();
+        let groups = stats.groups.len();
+        assert_eq!((n, local, groups), (200, 2, 3));
+        let words = n.div_ceil(64);
+        let mut expect = 0.0;
+        expect += n as f64 * 2.0;
+        expect += (n * local) as f64;
+        for _ in 0..groups {
+            expect += words as f64 / 8.0;
+        }
+        assert_eq!(stats.work.to_bits(), expect.to_bits());
+        assert_eq!(stats.work, 801.5);
     }
 
     #[test]

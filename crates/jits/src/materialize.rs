@@ -54,7 +54,6 @@ pub fn materialize_group(
     // collected.frames is this statement's own draw (single epoch by
     // construction); the epoch comparison happens at SampleCache
     // commit/lookup, not at archive materialization
-    // jits-lint: allow(epoch-safety)
     let Some(frame) = collected.frames.get(&cand.colgroup) else {
         return MaterializeOutcome::Skipped;
     };
@@ -153,16 +152,15 @@ pub fn commit_drawn_samples(
         }
         cache.store(
             d.table,
-            CachedSample {
-                spec: cfg.sample,
+            CachedSample::new(
+                cfg.sample,
                 epoch,
                 rows_at_draw,
-                rows: Arc::clone(&d.rows),
-                probes: d.probes,
-                hits: 0,
-                frames: d.frames.iter().cloned().collect(),
-                bitsets: d.bitsets.iter().cloned().collect(),
-            },
+                Arc::clone(&d.rows),
+                d.probes,
+                d.frames.iter().cloned().collect(),
+                d.bitsets.iter().cloned().collect(),
+            ),
         );
     }
 }

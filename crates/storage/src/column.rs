@@ -18,6 +18,8 @@
 //! codes for equality and index tables with them, but no result order,
 //! charge, plan or statistic may depend on a code's value.
 
+#![deny(clippy::indexing_slicing)]
+
 use jits_common::{fast_hash, ChainTable, DataType, JitsError, Result, Value};
 use std::sync::Arc;
 
@@ -63,7 +65,11 @@ impl StrDict {
     /// The code of `s`, adding it (one `Arc` bump) if it is new.
     fn intern(&mut self, s: &Arc<str>) -> u32 {
         let h = fast_hash(&**s);
-        if let Some(e) = self.index.chain(h).find(|&e| self.entry_str(e) == &**s) {
+        if let Some(e) = self
+            .index
+            .chain(h)
+            .find(|&e| self.entry_str(e) == Some(&**s))
+        {
             return e as u32 + 1;
         }
         self.index.append(h, self.entries.len());
@@ -75,9 +81,19 @@ impl StrDict {
     }
 
     /// Entry `e`'s string, read from the dense copy.
-    fn entry_str(&self, e: usize) -> &str {
-        let start = e.checked_sub(1).map_or(0, |p| self.ends[p]);
-        &self.bytes[start..self.ends[e]]
+    fn entry_str(&self, e: usize) -> Option<&str> {
+        let start = match e.checked_sub(1) {
+            Some(p) => *self.ends.get(p)?,
+            None => 0,
+        };
+        self.bytes.get(start..*self.ends.get(e)?)
+    }
+
+    /// The string and cached `lex_code` that `code` names; `None` for
+    /// NULL (code 0).
+    fn entry(&self, code: u32) -> Option<(&Arc<str>, f64)> {
+        let e = (code as usize).checked_sub(1)?;
+        Some((self.entries.get(e)?, *self.lex.get(e)?))
     }
 }
 
@@ -169,47 +185,55 @@ impl Column {
         self.validity.push(false);
     }
 
-    /// Reads the value at `idx`; out-of-bounds is an internal error.
+    /// Reads the value at `idx`. Out of bounds is an internal error: it
+    /// fails the debug assertion and reads as NULL in release builds.
     pub fn get(&self, idx: usize) -> Value {
         debug_assert!(idx < self.len(), "column index {idx} out of bounds");
-        if !self.validity[idx] {
+        if !self.is_valid(idx) {
             return Value::Null;
         }
-        match &self.data {
-            ColumnData::Int(col) => Value::Int(col[idx]),
-            ColumnData::Float(col) => Value::Float(col[idx]),
-            ColumnData::Str { codes, dict } => {
-                Value::Str(Arc::clone(&dict.entries[codes[idx] as usize - 1]))
-            }
-        }
+        let v = match &self.data {
+            ColumnData::Int(col) => col.get(idx).map(|&i| Value::Int(i)),
+            ColumnData::Float(col) => col.get(idx).map(|&f| Value::Float(f)),
+            ColumnData::Str { codes, dict } => codes
+                .get(idx)
+                .and_then(|&c| dict.entry(c))
+                .map(|(s, _)| Value::Str(Arc::clone(s))),
+        };
+        v.unwrap_or(Value::Null)
     }
 
     /// Overwrites the value at `idx` (used by UPDATE), coercing like
     /// [`Column::push`]; a rejected value leaves the slot untouched.
     pub fn set(&mut self, idx: usize, v: &Value) -> Result<()> {
-        if idx >= self.len() {
-            return Err(JitsError::internal(format!(
-                "column set index {idx} out of bounds (len {})",
-                self.len()
-            )));
-        }
+        let len = self.len();
+        let out_of_bounds =
+            || JitsError::internal(format!("column set index {idx} out of bounds (len {len})"));
+        let valid = self.validity.get_mut(idx).ok_or_else(out_of_bounds)?;
         match (&mut self.data, v) {
             (data, Value::Null) => {
                 if let ColumnData::Str { codes, .. } = data {
-                    codes[idx] = 0;
+                    *codes.get_mut(idx).ok_or_else(out_of_bounds)? = 0;
                 }
-                self.validity[idx] = false;
+                *valid = false;
                 return Ok(());
             }
-            (ColumnData::Int(col), Value::Int(i)) => col[idx] = *i,
-            (ColumnData::Float(col), Value::Float(f)) => col[idx] = *f,
-            (ColumnData::Str { codes, dict }, Value::Str(s)) => codes[idx] = dict.intern(s),
+            (ColumnData::Int(col), Value::Int(i)) => {
+                *col.get_mut(idx).ok_or_else(out_of_bounds)? = *i;
+            }
+            (ColumnData::Float(col), Value::Float(f)) => {
+                *col.get_mut(idx).ok_or_else(out_of_bounds)? = *f;
+            }
+            (ColumnData::Str { codes, dict }, Value::Str(s)) => {
+                let slot = codes.get_mut(idx).ok_or_else(out_of_bounds)?;
+                *slot = dict.intern(s);
+            }
             (_, v) => {
                 let coerced = v.clone().coerce(self.dtype())?;
                 return self.set(idx, &coerced);
             }
         }
-        self.validity[idx] = true;
+        *valid = true;
         Ok(())
     }
 
@@ -218,20 +242,23 @@ impl Column {
     /// (strings read their dictionary entry's cached `lex_code`).
     pub fn axis_value(&self, idx: usize) -> Option<f64> {
         debug_assert!(idx < self.len(), "column index {idx} out of bounds");
-        if !self.validity[idx] {
+        if !self.is_valid(idx) {
             return None;
         }
         match &self.data {
-            ColumnData::Int(col) => Some(col[idx] as f64),
-            ColumnData::Float(col) => Some(col[idx]),
-            ColumnData::Str { codes, dict } => Some(dict.lex[codes[idx] as usize - 1]),
+            ColumnData::Int(col) => col.get(idx).map(|&i| i as f64),
+            ColumnData::Float(col) => col.get(idx).copied(),
+            ColumnData::Str { codes, dict } => codes
+                .get(idx)
+                .and_then(|&c| dict.entry(c))
+                .map(|(_, lex)| lex),
         }
     }
 
-    /// True if slot `idx` is non-NULL.
+    /// True if slot `idx` is non-NULL (false out of bounds).
     pub fn is_valid(&self, idx: usize) -> bool {
         debug_assert!(idx < self.len(), "column index {idx} out of bounds");
-        self.validity[idx]
+        self.validity.get(idx) == Some(&true)
     }
 
     /// The dictionary encoding, if this is a string column.
@@ -268,11 +295,15 @@ impl Column {
             }
         };
         let values = match &self.data {
+            // an out-of-bounds row (a debug-assertion failure above) gathers
+            // as NULL
             ColumnData::Int(col) => {
                 let mut out = Vec::with_capacity(rows.len());
                 for &r in rows {
-                    let valid = self.validity[r as usize];
-                    let v = col[r as usize];
+                    let (valid, v) = match col.get(r as usize) {
+                        Some(&v) => (self.is_valid(r as usize), v),
+                        None => (false, 0),
+                    };
                     validity.push(valid);
                     out.push(v);
                     fold(valid, v as f64);
@@ -282,8 +313,10 @@ impl Column {
             ColumnData::Float(col) => {
                 let mut out = Vec::with_capacity(rows.len());
                 for &r in rows {
-                    let valid = self.validity[r as usize];
-                    let v = col[r as usize];
+                    let (valid, v) = match col.get(r as usize) {
+                        Some(&v) => (self.is_valid(r as usize), v),
+                        None => (false, 0.0),
+                    };
                     validity.push(valid);
                     out.push(v);
                     fold(valid, v);
@@ -295,14 +328,16 @@ impl Column {
                 let null: Arc<str> = Arc::from("");
                 let mut out = Vec::with_capacity(rows.len());
                 for &r in rows {
-                    let code = codes[r as usize] as usize;
-                    if code == 0 {
-                        validity.push(false);
-                        out.push(Arc::clone(&null));
-                    } else {
-                        validity.push(true);
-                        out.push(Arc::clone(&dict.entries[code - 1]));
-                        fold(true, dict.lex[code - 1]);
+                    match codes.get(r as usize).and_then(|&c| dict.entry(c)) {
+                        Some((s, lex)) => {
+                            validity.push(true);
+                            out.push(Arc::clone(s));
+                            fold(true, lex);
+                        }
+                        None => {
+                            validity.push(false);
+                            out.push(Arc::clone(&null));
+                        }
                     }
                 }
                 FrameValues::Str(out)

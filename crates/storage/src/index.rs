@@ -14,10 +14,11 @@
 //! route a point probe to either without changing results.
 
 use crate::row::RowId;
+use jits_common::hash::FastMap;
 use jits_common::{Bound, Interval, Value};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound as RangeBound;
 use std::sync::Arc;
 
@@ -154,9 +155,6 @@ impl SecondaryIndex {
     /// an empty index (B-tree or hash) reproduces it bit-identically,
     /// because `insert` appends to the per-key vector.
     pub fn entries_in_order(&self) -> impl Iterator<Item = (&Value, &[RowId])> + '_ {
-        // `SecondaryIndex::map` is a BTreeMap (key order is deterministic);
-        // the HashMap also named `map` in this file is `HashIndex`'s
-        // jits-lint: allow(hash-iteration)
         self.map.iter().map(|(k, v)| (&k.0, v.as_slice()))
     }
 
@@ -238,10 +236,11 @@ impl HashKey {
 /// per-key row-vector discipline, so `lookup_eq` on either structure
 /// returns the same rows in the same order. The map is probe-only —
 /// never iterated — so hash order can't leak into any deterministic
-/// output.
+/// output; it keys through the fixed `FastHasher`, as the string
+/// dictionaries do.
 #[derive(Debug, Default)]
 pub struct HashIndex {
-    map: HashMap<HashKey, Vec<RowId>>,
+    map: FastMap<HashKey, Vec<RowId>>,
     entries: usize,
 }
 

@@ -44,12 +44,27 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One memoized draw.
+///
+/// The mutation epoch and the artifacts derived at it are private: a frame
+/// or bitset is valid only at `epoch` exactly, so outside this crate they
+/// can be attached only together with the epoch they were made at
+/// ([`CachedSample::new`], stored by [`SampleCache::store`]) or through the
+/// epoch-checked [`SampleCache::merge_artifacts`].
+///
+/// ```compile_fail,E0616
+/// use jits_storage::CachedSample;
+///
+/// fn graft(s: &mut CachedSample) {
+///     // artifacts from another epoch cannot be grafted onto an entry
+///     s.frames.clear();
+/// }
+/// ```
 #[derive(Debug, Clone)]
 pub struct CachedSample {
     /// The spec the sample was drawn under (spec mismatch = miss).
     pub spec: SampleSpec,
     /// Table mutation epoch at draw time.
-    pub epoch: u64,
+    epoch: u64,
     /// Live row count at draw time (the staleness denominator).
     pub rows_at_draw: u64,
     /// The drawn row ids, in draw order.
@@ -62,12 +77,52 @@ pub struct CachedSample {
     /// Columnar gathers of the sample, keyed by column. Valid only at
     /// `epoch` exactly: a gather snapshots cell values, and any mutation
     /// could have changed them even if the row ids still qualify.
-    pub frames: BTreeMap<ColumnId, Arc<FrameColumn>>,
+    frames: BTreeMap<ColumnId, Arc<FrameColumn>>,
     /// Predicate bitsets over the sample (bit `i` = slot `i` matches),
     /// keyed by an opaque predicate fingerprint chosen by the collection
     /// layer. Same exact-epoch validity as `frames`, from which they
     /// derive.
-    pub bitsets: BTreeMap<String, Arc<Vec<u64>>>,
+    bitsets: BTreeMap<String, Arc<Vec<u64>>>,
+}
+
+impl CachedSample {
+    /// A draw made at mutation epoch `epoch`, with the artifacts derived
+    /// from it at that same epoch; served zero times so far.
+    pub fn new(
+        spec: SampleSpec,
+        epoch: u64,
+        rows_at_draw: u64,
+        rows: Arc<Vec<RowId>>,
+        probes: usize,
+        frames: BTreeMap<ColumnId, Arc<FrameColumn>>,
+        bitsets: BTreeMap<String, Arc<Vec<u64>>>,
+    ) -> Self {
+        CachedSample {
+            spec,
+            epoch,
+            rows_at_draw,
+            rows,
+            probes,
+            hits: 0,
+            frames,
+            bitsets,
+        }
+    }
+
+    /// Table mutation epoch at draw time.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The memoized columnar gathers, valid at [`CachedSample::epoch`].
+    pub fn frames(&self) -> &BTreeMap<ColumnId, Arc<FrameColumn>> {
+        &self.frames
+    }
+
+    /// The memoized predicate bitsets, valid at [`CachedSample::epoch`].
+    pub fn bitsets(&self) -> &BTreeMap<String, Arc<Vec<u64>>> {
+        &self.bitsets
+    }
 }
 
 /// Outcome of a cache lookup.
@@ -251,16 +306,15 @@ mod tests {
     use super::*;
 
     fn cached(epoch: u64, rows_at_draw: u64) -> CachedSample {
-        CachedSample {
-            spec: SampleSpec::fixed(100),
+        CachedSample::new(
+            SampleSpec::fixed(100),
             epoch,
             rows_at_draw,
-            rows: Arc::new(vec![1, 2, 3]),
-            probes: 7,
-            hits: 0,
-            frames: BTreeMap::new(),
-            bitsets: BTreeMap::new(),
-        }
+            Arc::new(vec![1, 2, 3]),
+            7,
+            BTreeMap::new(),
+            BTreeMap::new(),
+        )
     }
 
     fn int_frame(vals: Vec<i64>) -> Arc<FrameColumn> {

@@ -245,7 +245,8 @@ mod tests {
         let (db, _) = small_db();
         let tid = db.table_id("car").unwrap();
         let t = db.table(tid).unwrap();
-        let mut seen: std::collections::HashMap<String, String> = std::collections::HashMap::new();
+        let mut seen: std::collections::BTreeMap<String, String> =
+            std::collections::BTreeMap::new();
         for r in t.scan() {
             let make = t.value(r, ColumnId(2)).as_str().unwrap().to_string();
             let model = t.value(r, ColumnId(3)).as_str().unwrap().to_string();

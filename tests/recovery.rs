@@ -128,7 +128,12 @@ fn digest(db: &Database) -> Vec<String> {
         .map(|(t, s)| {
             format!(
                 "sample {t:?}: spec={:?} epoch={} rows_at_draw={} rows={:?} probes={} hits={}",
-                s.spec, s.epoch, s.rows_at_draw, s.rows, s.probes, s.hits
+                s.spec,
+                s.epoch(),
+                s.rows_at_draw,
+                s.rows,
+                s.probes,
+                s.hits
             )
         })
         .collect();
