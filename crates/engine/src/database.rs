@@ -1,13 +1,15 @@
-//! The single-owner `Database` front-end: the statement pipeline
-//! (`pipeline.rs`) over engine state it owns outright.
+//! The single-owner `Database` front-end: engine state it owns outright,
+//! lent to session 0 of a stack `store::Shared` for each call that runs the
+//! statement pipeline (`pipeline.rs`).
 
 use crate::explain::JitsExplain;
 use crate::observe;
-use crate::persist::{self, RecoveryReport, RestoredState, StateRefs};
+use crate::persist::{self, RecoveryReport, RestoredState};
 use crate::pipeline::{self, QueryResult};
 use crate::settings::StatsSetting;
-use crate::store::{Admin, CacheWindow, Collect, EngineState, Env, Logged, Reads, Store, WalSlot};
-use jits::{PredicateCache, QssArchive, StatHistory};
+use crate::store::{EngineState, Env, Locked, Shared};
+use crate::SharedDatabase;
+use jits::{QssArchive, StatHistory};
 use jits_catalog::Catalog;
 use jits_common::{ColumnId, FaultPlane, Result, Schema, TableId, Value};
 use jits_obs::Observability;
@@ -15,7 +17,6 @@ use jits_storage::{SampleCache, Table};
 use jits_wal::{Wal, WalRecord};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Default number of WAL records between automatic fuzzy checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 512;
@@ -44,163 +45,20 @@ pub const DEFAULT_CHECKPOINT_EVERY: u64 = 512;
 /// ```
 pub struct Database {
     env: Env,
-    store: Owned,
-    /// What recovery did at the last [`Database::open`] (all zeros for a
-    /// fresh or in-memory database).
-    recovery: RecoveryReport,
-}
-
-/// The single-owner [`Store`]: every bundle is a split borrow of these
-/// fields, with no lock and no atomic on the way.
-pub(crate) struct Owned {
-    pub state: EngineState,
+    state: EngineState,
     /// Deterministic fault-injection plane (disabled by default: every
     /// check is a constant `false`).
-    pub fault: FaultPlane,
+    fault: FaultPlane,
     /// Write-ahead log when the database is durable ([`Database::open`]);
     /// `None` for in-memory databases and during recovery replay (replay
     /// must never re-append the records it is re-executing).
-    pub wal: Option<Wal>,
+    wal: Option<Wal>,
     /// WAL records between automatic fuzzy checkpoints (0 disables the
     /// automatic trigger; explicit [`Database::checkpoint`] still works).
-    pub checkpoint_every: u64,
-}
-
-impl Store for Owned {
-    fn session_id(&self) -> u64 {
-        0
-    }
-
-    fn checkpoint_every(&self) -> u64 {
-        self.checkpoint_every
-    }
-
-    fn fault(&mut self) -> FaultPlane {
-        self.fault.clone()
-    }
-
-    fn setting(&mut self) -> StatsSetting {
-        self.state.setting.clone()
-    }
-
-    fn clock(&mut self) -> u64 {
-        self.state.clock
-    }
-
-    fn tick(&mut self, _: &Logged) -> u64 {
-        self.state.clock += 1;
-        self.state.clock
-    }
-
-    fn lock_wait(&self) -> Duration {
-        Duration::ZERO
-    }
-
-    fn with_catalog<R>(&mut self, f: impl FnOnce(&Catalog) -> R) -> R {
-        f(&self.state.catalog)
-    }
-
-    fn with_tables<R>(&mut self, f: impl FnOnce(&[Table]) -> R) -> R {
-        f(&self.state.tables)
-    }
-
-    fn with_reads<R>(&mut self, f: impl FnOnce(Reads<'_>) -> R) -> R {
-        let s = &self.state;
-        f(Reads {
-            catalog: &s.catalog,
-            tables: &s.tables,
-            archive: &s.archive,
-            history: &s.history,
-            predcache: &s.predcache,
-        })
-    }
-
-    fn with_collect<R>(&mut self, _: &Logged, f: impl FnOnce(Reads<'_>, Collect<'_>) -> R) -> R {
-        let s = &mut self.state;
-        f(
-            Reads {
-                catalog: &s.catalog,
-                tables: &s.tables,
-                archive: &s.archive,
-                history: &s.history,
-                predcache: &s.predcache,
-            },
-            Collect {
-                samplecache: CacheWindow::Owned(&mut s.samplecache),
-                rng: &mut s.rng,
-            },
-        )
-    }
-
-    fn with_views<R>(&mut self, f: impl FnOnce(&Catalog, &QssArchive, &SampleCache) -> R) -> R {
-        f(
-            &self.state.catalog,
-            &self.state.archive,
-            &self.state.samplecache,
-        )
-    }
-
-    fn with_tables_mut<R>(&mut self, _: &Logged, f: impl FnOnce(&mut [Table]) -> R) -> R {
-        f(&mut self.state.tables)
-    }
-
-    fn with_stats_mut<R>(
-        &mut self,
-        _: &Logged,
-        f: impl FnOnce(&mut QssArchive, &mut PredicateCache) -> R,
-    ) -> R {
-        f(&mut self.state.archive, &mut self.state.predcache)
-    }
-
-    fn with_feedback<R>(&mut self, _: &Logged, f: impl FnOnce(&mut StatHistory) -> R) -> R {
-        f(&mut self.state.history)
-    }
-
-    fn with_migrate<R>(&mut self, _: &Logged, f: impl FnOnce(&mut Catalog, &QssArchive) -> R) -> R {
-        f(&mut self.state.catalog, &self.state.archive)
-    }
-
-    fn with_ddl<R>(
-        &mut self,
-        obs: &Observability,
-        rec: WalRecord,
-        f: impl FnOnce(&mut Catalog, &mut Vec<Table>, WalRecord) -> Result<R>,
-    ) -> Result<R> {
-        self.with_wal(|mut wal| wal.append(obs, &rec))?;
-        f(&mut self.state.catalog, &mut self.state.tables, rec)
-    }
-
-    fn with_admin<R>(&mut self, _: &Logged, f: impl FnOnce(Admin<'_>) -> R) -> R {
-        let s = &mut self.state;
-        f(Admin {
-            catalog: &mut s.catalog,
-            tables: &mut s.tables,
-            archive: &mut s.archive,
-            history: &mut s.history,
-            predcache: &mut s.predcache,
-            samplecache: &mut s.samplecache,
-            setting: &mut s.setting,
-        })
-    }
-
-    fn with_wal<R>(&mut self, f: impl FnOnce(WalSlot<'_>) -> R) -> R {
-        f(WalSlot {
-            wal: self.wal.as_mut(),
-            fault: &self.fault,
-            clock: self.state.clock,
-        })
-    }
-
-    fn with_snapshot<R>(&mut self, f: impl FnOnce(StateRefs<'_>, WalSlot<'_>) -> R) -> R {
-        f(
-            self.state.refs(),
-            WalSlot {
-                wal: self.wal.as_mut(),
-                fault: &self.fault,
-                clock: self.state.clock,
-            },
-        )
-    }
+    checkpoint_every: u64,
+    /// What recovery did at the last [`Database::open`] (all zeros for a
+    /// fresh or in-memory database).
+    recovery: RecoveryReport,
 }
 
 impl Database {
@@ -209,14 +67,30 @@ impl Database {
     pub fn new(seed: u64) -> Self {
         Database {
             env: Env::default(),
-            store: Owned {
-                state: EngineState::new(seed),
-                fault: FaultPlane::disabled(),
-                wal: None,
-                checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-            },
+            state: EngineState::new(seed),
+            fault: FaultPlane::disabled(),
+            wal: None,
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             recovery: RecoveryReport::default(),
         }
+    }
+
+    /// Runs `f` as session 0 (id 0, master RNG stream) over this
+    /// database's state: lends the state and the log to a stack
+    /// [`Shared`], so the pipeline takes the same ranked guards as on a
+    /// [`SharedDatabase`], then takes them back. Moving the state in and
+    /// out allocates nothing.
+    fn lend<R>(&mut self, f: impl FnOnce(&mut Locked<'_>) -> R) -> R {
+        let shared = Shared::from_parts(
+            self.env.clone(),
+            std::mem::replace(&mut self.state, EngineState::new(0)),
+            self.fault.clone(),
+            self.wal.take(),
+            self.checkpoint_every,
+        );
+        let out = f(&mut Locked::new(&shared, None, 0));
+        (self.state, self.wal) = shared.into_parts();
+        out
     }
 
     /// Opens (or creates) a durable database rooted at `dir`: restores the
@@ -250,7 +124,7 @@ impl Database {
                 report.replay_errors += 1;
             }
         }
-        db.store.wal = Some(opened.wal);
+        db.wal = Some(opened.wal);
         db.recovery = report.clone();
         observe::note_recovery(&db.env.obs, &report);
         Ok(db)
@@ -262,7 +136,7 @@ impl Database {
     /// inside the restored snapshots, and re-deriving them could clear a
     /// restored sample cache.
     fn restore(&mut self, s: RestoredState) {
-        self.store.state = s.state;
+        self.state = s.state;
         self.env.obs.registry.restore(&s.metrics);
         self.env.obs.restore_qerror(s.qerror);
     }
@@ -270,7 +144,7 @@ impl Database {
     /// Re-executes one WAL record through the normal engine path. Only
     /// called while no log is attached, so nothing re-appends.
     fn replay(&mut self, rec: &WalRecord) -> Result<()> {
-        debug_assert!(self.store.wal.is_none(), "replay must not re-append");
+        debug_assert!(self.wal.is_none(), "replay must not re-append");
         match rec {
             WalRecord::Statement { sql } => self.execute(sql).map(|_| ()),
             WalRecord::Explain { sql } => self.explain(sql).map(|_| ()),
@@ -305,13 +179,13 @@ impl Database {
     /// truncates the log. Returns the covered LSN, or `None` for an
     /// in-memory database.
     pub fn checkpoint(&mut self) -> Result<Option<u64>> {
-        pipeline::checkpoint(&self.env, &mut self.store)
+        self.lend(pipeline::checkpoint)
     }
 
     /// Sets the automatic checkpoint cadence (records since the last
     /// checkpoint; 0 disables the automatic trigger).
     pub fn set_checkpoint_every(&mut self, every: u64) {
-        self.store.checkpoint_every = every;
+        self.checkpoint_every = every;
     }
 
     /// What recovery did at the last [`Database::open`].
@@ -321,19 +195,19 @@ impl Database {
 
     /// Whether a WAL is attached (durable mode).
     pub fn is_durable(&self) -> bool {
-        self.store.wal.is_some()
+        self.wal.is_some()
     }
 
     /// RNG stream position (recovery tests compare it across crashes).
     #[doc(hidden)]
     pub fn rng_state_for_test(&self) -> u64 {
-        self.store.state.rng.state()
+        self.state.rng.state()
     }
 
     /// The whole engine state (codec tests snapshot it).
     #[cfg(test)]
     pub(crate) fn state(&self) -> &EngineState {
-        &self.store.state
+        &self.state
     }
 
     /// Installs the deterministic fault-injection plane (chaos testing).
@@ -342,7 +216,7 @@ impl Database {
     /// faulted run replays bit-identically at any `collect_threads`.
     /// [`FaultPlane::disabled`] (the default) restores normal operation.
     pub fn set_fault_plane(&mut self, fault: FaultPlane) {
-        self.store.fault = fault;
+        self.fault = fault;
     }
 
     /// The observability state: tracer, metrics registry, and query log.
@@ -355,13 +229,13 @@ impl Database {
     /// subset, which is byte-identical for equal workloads and seeds at
     /// any `collect_threads`.
     pub fn metrics_json(&self, include_volatile: bool) -> String {
-        observe::note_archive_gauges(&self.env.obs, &self.store.state.archive);
+        observe::note_archive_gauges(&self.env.obs, &self.state.archive);
         self.env.obs.metrics_json(include_volatile)
     }
 
     /// Exports the metrics registry in Prometheus text exposition format.
     pub fn metrics_prometheus(&self) -> String {
-        observe::note_archive_gauges(&self.env.obs, &self.store.state.archive);
+        observe::note_archive_gauges(&self.env.obs, &self.state.archive);
         self.env.obs.metrics_prometheus(true)
     }
 
@@ -371,56 +245,56 @@ impl Database {
     /// the switch — tuning `s_max` mid-session must not discard what JITS
     /// has learned. Use [`Database::clear_statistics`] for a clean slate.
     pub fn set_setting(&mut self, setting: StatsSetting) {
-        pipeline::set_setting(&self.env, &mut self.store, setting)
+        self.lend(|s| pipeline::set_setting(s, setting))
     }
 
     /// The current statistics setting.
     pub fn setting(&self) -> &StatsSetting {
-        &self.store.state.setting
+        &self.state.setting
     }
 
     // ---- DDL, bulk loading, direct access --------------------------------
 
     /// Creates a table.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<TableId> {
-        pipeline::create_table(&self.env, &mut self.store, name, schema)
+        self.lend(|s| pipeline::create_table(s, name, schema))
     }
 
     /// Creates a secondary index.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
-        pipeline::create_index(&self.env, &mut self.store, table, column)
+        self.lend(|s| pipeline::create_index(s, table, column))
     }
 
     /// Declares a primary key (also builds its index).
     pub fn set_primary_key(&mut self, table: &str, column: &str) -> Result<()> {
-        pipeline::set_primary_key(&self.env, &mut self.store, table, column)
+        self.lend(|s| pipeline::set_primary_key(s, table, column))
     }
 
     /// Bulk-loads rows (bypasses SQL parsing; used by data generators).
     pub fn load_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
-        pipeline::load_rows(&self.env, &mut self.store, table, rows)
+        self.lend(|s| pipeline::load_rows(s, table, rows))
     }
 
     /// Resets a table's UDI counter (bulk loads are initial state, not
     /// churn).
     pub fn reset_udi(&mut self, id: TableId) {
-        pipeline::reset_udi(&self.env, &mut self.store, id)
+        self.lend(|s| pipeline::reset_udi(s, id))
     }
 
     /// Storage handle of a table.
     pub fn table(&self, id: TableId) -> Option<&Table> {
-        self.store.state.tables.get(id.index())
+        self.state.tables.get(id.index())
     }
 
     /// All storage tables, indexed by `TableId` (read access — used by
     /// benchmarks and diagnostics that drive JITS components directly).
     pub fn tables(&self) -> &[Table] {
-        &self.store.state.tables
+        &self.state.tables
     }
 
     /// Resolves a table name.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.store.state.catalog.resolve(name)
+        self.state.catalog.resolve(name)
     }
 
     /// Columns of a table by name (test/diagnostic convenience).
@@ -432,27 +306,27 @@ impl Database {
 
     /// The catalog (read access).
     pub fn catalog(&self) -> &Catalog {
-        &self.store.state.catalog
+        &self.state.catalog
     }
 
     /// The QSS archive (read access, for diagnostics).
     pub fn archive(&self) -> &QssArchive {
-        &self.store.state.archive
+        &self.state.archive
     }
 
     /// The StatHistory (read access, for diagnostics).
     pub fn history(&self) -> &StatHistory {
-        &self.store.state.history
+        &self.state.history
     }
 
     /// The versioned sample cache (read access, for diagnostics).
     pub fn sample_cache(&self) -> &SampleCache {
-        &self.store.state.samplecache
+        &self.state.samplecache
     }
 
     /// The logical clock (statements executed).
     pub fn clock(&self) -> u64 {
-        self.store.state.clock
+        self.state.clock
     }
 
     // ---- statistics management -------------------------------------------
@@ -461,7 +335,7 @@ impl Database {
     /// statistics and resets UDI counters (the paper's "general (basic and
     /// distribution) statistics about all tables and columns").
     pub fn runstats_all(&mut self) -> Result<()> {
-        pipeline::runstats_all(&self.env, &mut self.store)
+        self.lend(pipeline::runstats_all)
     }
 
     /// Analyzes a query and collects *all* its candidate predicate groups
@@ -469,38 +343,45 @@ impl Database {
     /// "all column groups that occur in all the queries" collected
     /// beforehand). Does not count toward any query's compile time.
     pub fn precollect_query_stats(&mut self, sql: &str) -> Result<()> {
-        pipeline::precollect_query_stats(&self.env, &mut self.store, sql)
+        self.lend(|s| pipeline::precollect_query_stats(s, sql))
     }
 
     /// Migrates one-dimensional QSS histograms into the catalog.
     pub fn migrate_statistics(&mut self) -> usize {
-        pipeline::migrate_statistics(&self.env, &mut self.store)
+        self.lend(pipeline::migrate_statistics)
     }
 
     /// Drops catalog statistics, the archive, and the history (the paper's
     /// "no initial statistics" baseline).
     pub fn clear_statistics(&mut self) {
-        pipeline::clear_statistics(&self.env, &mut self.store)
+        self.lend(pipeline::clear_statistics)
     }
 
     /// Converts this single-owner database into a [`crate::SharedDatabase`]
     /// whose sessions can execute concurrently. The master RNG state moves
     /// over verbatim, so the first session replays exactly where this
     /// `Database` would have continued.
-    pub fn into_shared(self) -> crate::SharedDatabase {
-        crate::SharedDatabase::from_parts(self.env, self.store, self.recovery)
+    pub fn into_shared(self) -> SharedDatabase {
+        let shared = Shared::from_parts(
+            self.env,
+            self.state,
+            self.fault,
+            self.wal,
+            self.checkpoint_every,
+        );
+        SharedDatabase::from_parts(shared, self.recovery)
     }
 
     // ---- statements --------------------------------------------------------
 
     /// Parses, optimizes and executes one SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        pipeline::execute(&self.env, &mut self.store, sql)
+        self.lend(|s| pipeline::execute(s, sql))
     }
 
     /// Compiles a query and renders its plan (EXPLAIN).
     pub fn explain(&mut self, sql: &str) -> Result<String> {
-        pipeline::explain(&self.env, &mut self.store, sql)
+        self.lend(|s| pipeline::explain(s, sql))
     }
 
     /// Replays the JITS compile-phase decisions for `sql` without
@@ -508,7 +389,7 @@ impl Database {
     /// the reported scores and verdicts are bit-for-bit what the next
     /// [`Database::execute`] of the same statement would compute.
     pub fn explain_jits(&mut self, sql: &str) -> Result<JitsExplain> {
-        pipeline::explain_jits(&self.env, &mut self.store, sql)
+        self.lend(|s| pipeline::explain_jits(s, sql))
     }
 
     /// Executes `sql` and renders its per-operator profile tree: estimated
@@ -519,6 +400,6 @@ impl Database {
     /// located its rows. Errors for statements that execute no plan
     /// (INSERT, EXPLAIN, system views).
     pub fn explain_analyze(&mut self, sql: &str) -> Result<String> {
-        pipeline::explain_analyze(&self.env, &mut self.store, sql)
+        self.lend(|s| pipeline::explain_analyze(s, sql))
     }
 }

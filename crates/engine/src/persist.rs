@@ -39,19 +39,25 @@ use jits_wal::{Decoder, Encoder};
 use std::sync::Arc;
 
 /// Checkpoint payload format version. Version 1 also carried three engine
-/// flags that no longer exist; version 2 wrote the JITS setting in its
-/// 19-field layout (see [`RETIRED_JITS_TAG`]). Segments of either are
-/// refused, not reinterpreted.
-const STATE_VERSION: u8 = 3;
+/// flags that no longer exist; versions 2 and 3 wrote the JITS setting in
+/// its 19- and nine-field layouts (see [`RETIRED_19_FIELD_TAG`] and
+/// [`RETIRED_NINE_FIELD_TAG`]). Segments of any of them are refused, not
+/// reinterpreted.
+const STATE_VERSION: u8 = 4;
 
 /// Setting tag of the retired 19-field `JitsConfig` layout. A payload
 /// carrying it (a version-2 checkpoint, or a `SetSetting` record logged
-/// before the cut) is refused with a typed error: the nine-field layout
-/// under [`JITS_TAG`] would misread it.
-const RETIRED_JITS_TAG: u8 = 3;
+/// before the cut) is refused with a typed error: the layout under
+/// [`JITS_TAG`] would misread it.
+const RETIRED_19_FIELD_TAG: u8 = 3;
 
-/// Setting tag of a [`StatsSetting::Jits`] in the nine-field layout.
-const JITS_TAG: u8 = 4;
+/// Setting tag of the retired nine-field `JitsConfig` layout, which ended
+/// in `migrate_every` (now `jits::MIGRATE_EVERY`). Refused like
+/// [`RETIRED_19_FIELD_TAG`].
+const RETIRED_NINE_FIELD_TAG: u8 = 4;
+
+/// Setting tag of a [`StatsSetting::Jits`] in the eight-field layout.
+const JITS_TAG: u8 = 5;
 
 /// What recovery did, surfaced through `Database::recovery_report` and the
 /// `jits.recovery.*` metrics.
@@ -209,9 +215,14 @@ fn setting(d: &mut Decoder) -> Result<StatsSetting> {
         1 => StatsSetting::CatalogOnly,
         2 => StatsSetting::ArchiveReadOnly,
         JITS_TAG => StatsSetting::Jits(jits_config(d)?),
-        RETIRED_JITS_TAG => {
+        RETIRED_19_FIELD_TAG => {
             return Err(JitsError::Recovery(
                 "checkpoint: retired 19-field JITS setting layout".to_string(),
+            ))
+        }
+        RETIRED_NINE_FIELD_TAG => {
+            return Err(JitsError::Recovery(
+                "checkpoint: retired nine-field JITS setting layout".to_string(),
             ))
         }
         t => {
@@ -239,7 +250,6 @@ fn put_jits_config(e: &mut Encoder, c: &JitsConfig) {
     e.put_u64(c.collect_threads as u64);
     e.put_u64(c.archive_bucket_budget as u64);
     e.put_f64(c.eviction_uniformity);
-    e.put_u64(c.migrate_every);
 }
 
 fn jits_config(d: &mut Decoder) -> Result<JitsConfig> {
@@ -267,7 +277,6 @@ fn jits_config(d: &mut Decoder) -> Result<JitsConfig> {
         collect_threads: d.u64()? as usize,
         archive_bucket_budget: d.u64()? as usize,
         eviction_uniformity: d.f64()?,
-        migrate_every: d.u64()?,
     })
 }
 
@@ -998,13 +1007,10 @@ mod tests {
         assert_eq!(metrics, det);
     }
 
-    /// Every `JitsConfig` field is set away from its default (and
-    /// `EpsilonPlanning` away from its default config), so a field the codec
-    /// drops or misorders fails the comparison.
-    #[test]
-    fn setting_payload_roundtrips() {
-        let d = JitsConfig::default();
-        let every_field = JitsConfig {
+    /// A `JitsConfig` with every field set away from its default (and
+    /// `EpsilonPlanning` away from its default config).
+    fn every_field_jits() -> JitsConfig {
+        JitsConfig {
             strategy: SensitivityStrategy::EpsilonPlanning(EpsilonConfig {
                 epsilon: 0.02,
                 threshold: 0.4,
@@ -1017,8 +1023,15 @@ mod tests {
             collect_threads: 8,
             archive_bucket_budget: 99,
             eviction_uniformity: 0.75,
-            migrate_every: 7,
-        };
+        }
+    }
+
+    /// With every field away from its default, a field the codec drops or
+    /// misorders fails the comparison.
+    #[test]
+    fn setting_payload_roundtrips() {
+        let d = JitsConfig::default();
+        let every_field = every_field_jits();
         assert_ne!(format!("{every_field:?}"), format!("{d:?}"));
         for setting in [
             StatsSetting::NoStatistics,
@@ -1037,7 +1050,7 @@ mod tests {
     /// byte as the version-2 codec wrote it.
     fn retired_jits_setting() -> Vec<u8> {
         let mut e = Encoder::new();
-        e.put_u8(RETIRED_JITS_TAG);
+        e.put_u8(RETIRED_19_FIELD_TAG);
         e.put_u8(0); // strategy: paper heuristic
         e.put_f64(0.5); // s_max
         e.put_u8(0); // aggregate: average
@@ -1060,12 +1073,41 @@ mod tests {
         e.into_bytes()
     }
 
+    /// The default `JitsConfig` in the retired nine-field layout, byte for
+    /// byte as the version-3 codec wrote it.
+    fn nine_field_jits_setting() -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u8(RETIRED_NINE_FIELD_TAG);
+        e.put_u8(0); // strategy: paper heuristic
+        e.put_f64(0.5); // s_max
+        e.put_u64(SampleSpec::default().size as u64);
+        e.put_bool(true); // sample_cache
+        e.put_u64(0); // collect_budget
+        e.put_u64(1); // collect_threads
+        e.put_u64(4096); // archive_bucket_budget
+        e.put_f64(0.9); // eviction_uniformity
+        e.put_u64(25); // migrate_every
+        e.into_bytes()
+    }
+
     /// A `SetSetting` payload logged in the retired layout is refused with
-    /// a typed error, never read as the nine-field layout.
+    /// a typed error, never read as the current layout.
     #[test]
     fn retired_setting_payload_is_a_typed_recovery_error() {
         match decode_setting(&retired_jits_setting()) {
             Err(JitsError::Recovery(m)) => assert!(m.contains("retired"), "{m}"),
+            Err(other) => panic!("expected Recovery error, got {other:?}"),
+            Ok(s) => panic!("expected Recovery error, got {s:?}"),
+        }
+    }
+
+    /// Likewise a payload in the nine-field layout, which carried
+    /// `migrate_every`: read as the eight-field layout it would be one word
+    /// too long.
+    #[test]
+    fn nine_field_setting_payload_is_a_typed_recovery_error() {
+        match decode_setting(&nine_field_jits_setting()) {
+            Err(JitsError::Recovery(m)) => assert!(m.contains("nine-field"), "{m}"),
             Err(other) => panic!("expected Recovery error, got {other:?}"),
             Ok(s) => panic!("expected Recovery error, got {s:?}"),
         }
@@ -1196,10 +1238,55 @@ mod tests {
                 Err(other) => panic!("expected Ok or a Recovery error, got {other:?}"),
             }
         }
+
+        /// A `SetSetting` payload — the current layout with either strategy
+        /// or a retired one — with 1–4 bytes flipped, a 4-byte word
+        /// overwritten or a cut at a random offset decodes or fails typed.
+        #[test]
+        fn mutated_setting_payload_decodes_or_fails_typed(
+            which in 0usize..4,
+            mutation in 0u8..3,
+            flips in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), 1u8..255),
+                1..5,
+            ),
+            word in proptest::prelude::any::<u32>(),
+        ) {
+            let mut bytes = match which {
+                0 => encode_setting(&StatsSetting::Jits(JitsConfig::default())),
+                1 => encode_setting(&StatsSetting::Jits(every_field_jits())),
+                2 => nine_field_jits_setting(),
+                _ => retired_jits_setting(),
+            };
+            let (at, pick) = flips[0];
+            match mutation {
+                0 => {
+                    for &(at, mask) in &flips {
+                        let at = at % bytes.len();
+                        bytes[at] ^= mask;
+                    }
+                }
+                1 => {
+                    let at = at % (bytes.len() - 3);
+                    let w = match pick % 3 {
+                        0 => u32::MAX,
+                        1 => word,
+                        _ => word % 4096,
+                    };
+                    bytes[at..at + 4].copy_from_slice(&w.to_le_bytes());
+                }
+                _ => bytes.truncate(at % bytes.len()),
+            }
+            match decode_setting(&bytes) {
+                Ok(_) | Err(JitsError::Recovery(_)) => {}
+                Err(other) => panic!("expected Ok or a Recovery error, got {other:?}"),
+            }
+        }
     }
 
     /// A version-1 segment (which carried three engine flags after the RNG
-    /// state) is refused with a typed error, never decoded as version 3.
+    /// state) is refused with a typed error, never decoded as the current
+    /// version.
     #[test]
     fn version_one_segment_is_a_typed_recovery_error() {
         let db = crate::Database::new(1);
@@ -1213,27 +1300,43 @@ mod tests {
         }
     }
 
-    /// A version-2 segment (the JITS setting in its 19-field layout) is
-    /// refused with a typed error, never decoded as version 3.
-    #[test]
-    fn version_two_segment_is_a_typed_recovery_error() {
+    /// A segment of `version` whose JITS setting is `setting` (that
+    /// version's layout) is refused with a typed error naming the version,
+    /// and so is the same setting under the current version byte.
+    fn assert_old_segment_refused(version: u8, setting: Vec<u8>) {
         let mut db = crate::Database::new(1);
         db.set_setting(StatsSetting::Jits(JitsConfig::default()));
         let bytes = encode_state(&db.state().refs(), db.obs());
         // header: version, clock, RNG state; then the setting
         let setting_at = 17;
         let new_len = encode_setting(db.setting()).len();
-        let mut v2 = bytes.clone();
-        v2[0] = 2;
-        v2.splice(setting_at..setting_at + new_len, retired_jits_setting());
-        match decode_state(&v2) {
-            Err(JitsError::Recovery(m)) => assert!(m.contains("version 2"), "{m}"),
+        let mut old = bytes.clone();
+        old[0] = version;
+        old.splice(setting_at..setting_at + new_len, setting);
+        match decode_state(&old) {
+            Err(JitsError::Recovery(m)) => {
+                assert!(m.contains(&format!("version {version}")), "{m}")
+            }
             Err(other) => panic!("expected Recovery error, got {other:?}"),
             Ok(_) => panic!("expected Recovery error, got Ok"),
         }
         // even under the current version byte, the retired setting is refused
-        v2[0] = STATE_VERSION;
-        assert!(matches!(decode_state(&v2), Err(JitsError::Recovery(_))));
+        old[0] = STATE_VERSION;
+        assert!(matches!(decode_state(&old), Err(JitsError::Recovery(_))));
         assert!(decode_state(&bytes).is_ok());
+    }
+
+    /// A version-2 segment (the JITS setting in its 19-field layout) is
+    /// refused with a typed error, never decoded as the current version.
+    #[test]
+    fn version_two_segment_is_a_typed_recovery_error() {
+        assert_old_segment_refused(2, retired_jits_setting());
+    }
+
+    /// A version-3 segment (the JITS setting in its nine-field layout) is
+    /// refused with a typed error, never decoded as the current version.
+    #[test]
+    fn version_three_segment_is_a_typed_recovery_error() {
+        assert_old_segment_refused(3, nine_field_jits_setting());
     }
 }

@@ -1,13 +1,15 @@
-//! The statement pipeline, written once for both front-ends.
+//! The statement pipeline, written once for every front-end.
 //!
 //! Every statement follows the paper's compile-time loop (§1, Fig. 1):
 //! query analysis (Alg. 1) → sensitivity (Alg. 2–4) → one sample per marked
 //! table → QSS archive refinement → optimize → execute → LEO feedback →
 //! periodic migration. The functions here run that loop, the DML arms, the
 //! explain trio, the system views, DDL and the admin calls, and the
-//! checkpoint — each generic over a [`Store`], which is how
-//! [`crate::Database`] (split borrows) and [`crate::Session`] (ranked
-//! guards) differ and the only way they do.
+//! checkpoint — each over one statement's [`Locked`] store, which carries
+//! the engine configuration and hands out the ranked guards. A
+//! [`crate::Session`] and a [`crate::SharedDatabase`] admin call pass their
+//! own; a [`crate::Database`] passes session 0 of the stack `Shared` it
+//! lends its state to.
 
 use crate::dml::{self, DmlContext};
 use crate::explain::{explain_block, JitsExplain};
@@ -15,13 +17,13 @@ use crate::metrics::{wall_since, QueryMetrics, StageWalls};
 use crate::persist;
 use crate::profile::{build_profile, render_profile, ProfileContext};
 use crate::settings::StatsSetting;
-use crate::store::{wal_append, wal_append_lossy, Env, Logged, Store};
+use crate::store::{Locked, Logged};
 use crate::{observe, views};
 use jits::{
     collect_for_tables, collect_for_tables_sourced, commit_drawn_samples, ingest,
     materialize_group, query_analysis, resolve_sample_sources, sensitivity_analysis_with_feedback,
     CandidateGroup, CollectedStats, JitsConfig, JitsStatisticsProvider, MaterializeOutcome,
-    PhysicalMetadataProvider, SensitivityStrategy, StatHistory,
+    PhysicalMetadataProvider, SensitivityStrategy, StatHistory, MIGRATE_EVERY,
 };
 use jits_catalog::{runstats, Catalog};
 use jits_common::fault::{
@@ -55,10 +57,10 @@ const OPTIMIZER_CALL_WORK: f64 = 2_000.0;
 // ---- statements ------------------------------------------------------------
 
 /// Parses, optimizes and executes one SQL statement.
-pub(crate) fn execute<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<QueryResult> {
+pub(crate) fn execute(s: &mut Locked<'_>, sql: &str) -> Result<QueryResult> {
     let t0 = now_nanos();
     let stmt = parse(sql)?;
-    if let Some(rows) = system_view_rows(env, s, &stmt) {
+    if let Some(rows) = system_view_rows(s, &stmt) {
         return Ok(QueryResult {
             metrics: QueryMetrics {
                 compile_wall: wall_since(t0),
@@ -73,18 +75,14 @@ pub(crate) fn execute<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<Query
     // bind error happens after the record is durable, and replays to the
     // identical error without ticking the clock. Checkpoint first, so this
     // statement lands in the fresh log generation.
-    maybe_checkpoint(env, s)?;
-    let logged = wal_append(
-        env,
-        s,
-        &WalRecord::Statement {
-            sql: sql.to_string(),
-        },
-    )?;
+    maybe_checkpoint(s)?;
+    let logged = s.wal_append(&WalRecord::Statement {
+        sql: sql.to_string(),
+    })?;
     match s.with_catalog(|catalog| bind_statement(&stmt, catalog))? {
-        BoundStatement::Select(block) => run_select(env, s, logged, block, t0, sql),
+        BoundStatement::Select(block) => run_select(s, logged, block, t0, sql),
         BoundStatement::Explain(block) => {
-            let (plan, collected) = compile_and_plan(env, s, logged, &block)?;
+            let (plan, collected) = compile_and_plan(s, logged, &block)?;
             let metrics = QueryMetrics {
                 compile_wall: wall_since(t0),
                 compile_work: collected.work,
@@ -101,10 +99,10 @@ pub(crate) fn execute<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<Query
             Ok(QueryResult { rows, metrics })
         }
         BoundStatement::Insert(ins) => run_insert(s, &logged, ins, t0),
-        BoundStatement::Update(upd) => run_dml(env, s, &logged, t0, sql, |tables, cost| {
+        BoundStatement::Update(upd) => run_dml(s, &logged, t0, sql, |tables, cost| {
             dml::update(&mut tables[upd.table.index()], &upd, cost)
         }),
-        BoundStatement::Delete(del) => run_dml(env, s, &logged, t0, sql, |tables, cost| {
+        BoundStatement::Delete(del) => run_dml(s, &logged, t0, sql, |tables, cost| {
             Ok(dml::delete(&mut tables[del.table.index()], &del, cost))
         }),
     }
@@ -113,29 +111,26 @@ pub(crate) fn execute<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<Query
 /// Compiles a query and renders its plan (EXPLAIN). Logged like a
 /// statement: compiling ticks the clock and can draw samples and refine the
 /// archive.
-pub(crate) fn explain<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<String> {
+pub(crate) fn explain(s: &mut Locked<'_>, sql: &str) -> Result<String> {
     let stmt = parse(sql)?;
-    maybe_checkpoint(env, s)?;
-    let logged = wal_append(
-        env,
-        s,
-        &WalRecord::Explain {
-            sql: sql.to_string(),
-        },
-    )?;
+    maybe_checkpoint(s)?;
+    let logged = s.wal_append(&WalRecord::Explain {
+        sql: sql.to_string(),
+    })?;
     let (BoundStatement::Select(block) | BoundStatement::Explain(block)) =
         s.with_catalog(|catalog| bind_statement(&stmt, catalog))?
     else {
         return Err(JitsError::Plan("EXPLAIN supports SELECT only".into()));
     };
-    Ok(compile_and_plan(env, s, logged, &block)?.0.explain())
+    Ok(compile_and_plan(s, logged, &block)?.0.explain())
 }
 
 /// Replays the JITS compile-phase decisions for `sql` without executing
 /// it, bumping the clock, or drawing from the sampling RNG: the reported
 /// scores and verdicts are bit-for-bit what the next execution of the same
 /// statement would compute.
-pub(crate) fn explain_jits<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<JitsExplain> {
+pub(crate) fn explain_jits(s: &mut Locked<'_>, sql: &str) -> Result<JitsExplain> {
+    let env = s.env();
     let stmt = parse(sql)?;
     let setting = s.setting();
     s.with_reads(|r| {
@@ -161,8 +156,8 @@ pub(crate) fn explain_jits<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<
 /// Executes `sql` and renders its per-operator profile tree. The profile
 /// rides on the statement's own metrics, never on the shared flight ring,
 /// so concurrent sessions cannot swap profiles.
-pub(crate) fn explain_analyze<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<String> {
-    let profile = execute(env, s, sql)?.metrics.profile.ok_or_else(|| {
+pub(crate) fn explain_analyze(s: &mut Locked<'_>, sql: &str) -> Result<String> {
+    let profile = execute(s, sql)?.metrics.profile.ok_or_else(|| {
         JitsError::Plan("EXPLAIN ANALYZE supports SELECT, UPDATE and DELETE only".into())
     })?;
     Ok(render_profile(&profile))
@@ -170,7 +165,8 @@ pub(crate) fn explain_analyze<S: Store>(env: &Env, s: &mut S, sql: &str) -> Resu
 
 /// Answers a `SELECT` from one of the virtual system views, unless a user
 /// table shadows the name.
-fn system_view_rows<S: Store>(env: &Env, s: &mut S, stmt: &Statement) -> Option<Vec<Vec<Value>>> {
+fn system_view_rows(s: &mut Locked<'_>, stmt: &Statement) -> Option<Vec<Vec<Value>>> {
+    let env = s.env();
     let view = views::system_view_name(stmt)?;
     let obs = &env.obs;
     s.with_views(|catalog, archive, samplecache| {
@@ -201,7 +197,7 @@ struct Stmt {
 
 impl Stmt {
     /// Ticks the clock and takes the snapshots.
-    fn begin<S: Store>(s: &mut S, logged: Logged) -> Stmt {
+    fn begin(s: &mut Locked<'_>, logged: Logged) -> Stmt {
         Stmt {
             clock: s.tick(&logged),
             logged,
@@ -212,33 +208,31 @@ impl Stmt {
 }
 
 /// The compile half of EXPLAIN: tick, JITS compile phase, plan.
-fn compile_and_plan<S: Store>(
-    env: &Env,
-    s: &mut S,
+fn compile_and_plan(
+    s: &mut Locked<'_>,
     logged: Logged,
     block: &QueryBlock,
 ) -> Result<(PhysicalPlan, CollectedStats)> {
     let stmt = Stmt::begin(s, logged);
     let compiled = compile_phase(
-        env,
         s,
         block,
         &stmt,
         &mut TraceBuilder::off(),
         &mut QueryMetrics::default(),
     );
-    let plan = plan_for(env, s, block, &compiled.collected, &stmt)?;
+    let plan = plan_for(s, block, &compiled.collected, &stmt)?;
     Ok((plan, compiled.collected))
 }
 
-fn run_select<S: Store>(
-    env: &Env,
-    s: &mut S,
+fn run_select(
+    s: &mut Locked<'_>,
     logged: Logged,
     block: QueryBlock,
     t0: u64,
     sql: &str,
 ) -> Result<QueryResult> {
+    let env = s.env();
     let obs = &env.obs;
     let stmt = Stmt::begin(s, logged);
     let (clock, setting) = (stmt.clock, &stmt.setting);
@@ -246,11 +240,10 @@ fn run_select<S: Store>(
     let mut tb = obs.tracer.start(sql, clock, session);
     tb.begin("parse_bind");
     tb.end(now_nanos().saturating_sub(t0));
-    let cfg = setting.jits_config().cloned().unwrap_or_default();
     let mut metrics = QueryMetrics::default();
 
     // -- JITS compile-time pipeline --
-    let compiled = compile_phase(env, s, &block, &stmt, &mut tb, &mut metrics);
+    let compiled = compile_phase(s, &block, &stmt, &mut tb, &mut metrics);
     metrics.set_stage_walls(compiled.walls);
     metrics.compile_work = compiled.collected.work;
     metrics.sampled_tables = compiled.sampled;
@@ -261,7 +254,7 @@ fn run_select<S: Store>(
     // -- optimize --
     tb.begin("optimize");
     let topt = now_nanos();
-    let plan = plan_for(env, s, &block, &compiled.collected, &stmt)?;
+    let plan = plan_for(s, &block, &compiled.collected, &stmt)?;
     let plan_nanos = now_nanos().saturating_sub(topt);
     tb.end(plan_nanos);
     metrics.plan = Some(PlanSummary::from(&plan));
@@ -307,10 +300,7 @@ fn run_select<S: Store>(
     tb.end(now_nanos().saturating_sub(tf));
 
     // -- periodic statistics migration (paper Figure 1) --
-    if matches!(setting, StatsSetting::Jits(_))
-        && cfg.migrate_every > 0
-        && clock.is_multiple_of(cfg.migrate_every)
-    {
+    if matches!(setting, StatsSetting::Jits(_)) && clock.is_multiple_of(MIGRATE_EVERY) {
         s.with_migrate(&stmt.logged, |catalog, archive| {
             jits::migrate::migrate(archive, catalog, clock)
         });
@@ -357,14 +347,14 @@ struct Compiled {
 /// Degradations (fault-isolated tables, budget aborts, quarantined archive
 /// groups) are recorded onto `metrics` and the obs state as they happen;
 /// the statement always proceeds to planning.
-fn compile_phase<S: Store>(
-    env: &Env,
-    s: &mut S,
+fn compile_phase(
+    s: &mut Locked<'_>,
     block: &QueryBlock,
     stmt: &Stmt,
     tb: &mut TraceBuilder,
     metrics: &mut QueryMetrics,
 ) -> Compiled {
+    let env = s.env();
     let StatsSetting::Jits(cfg) = &stmt.setting else {
         return Compiled::default();
     };
@@ -644,13 +634,13 @@ fn compile_phase<S: Store>(
 }
 
 /// Optimizes a block under the statement's statistics setting.
-fn plan_for<S: Store>(
-    env: &Env,
-    s: &mut S,
+fn plan_for(
+    s: &mut Locked<'_>,
     block: &QueryBlock,
     collected: &CollectedStats,
     stmt: &Stmt,
 ) -> Result<PhysicalPlan> {
+    let env = s.env();
     let (cost, defaults, clock) = (&env.cost, env.defaults, stmt.clock);
     match &stmt.setting {
         StatsSetting::NoStatistics => {
@@ -693,8 +683,8 @@ fn plan_for<S: Store>(
     Ok(plan)
 }
 
-fn run_insert<S: Store>(
-    s: &mut S,
+fn run_insert(
+    s: &mut Locked<'_>,
     logged: &Logged,
     ins: BoundInsert,
     t0: u64,
@@ -725,14 +715,14 @@ fn run_insert<S: Store>(
 
 /// UPDATE or DELETE: `apply` locates and mutates the rows under the tables
 /// write and reports the one profile node.
-fn run_dml<S: Store>(
-    env: &Env,
-    s: &mut S,
+fn run_dml(
+    s: &mut Locked<'_>,
     logged: &Logged,
     t0: u64,
     sql: &str,
     apply: impl FnOnce(&mut [Table], &CostModel) -> Result<ProfileNodeRow>,
 ) -> Result<QueryResult> {
+    let env = s.env();
     let clock = s.tick(logged);
     let compile_wall = wall_since(t0);
     let t1 = now_nanos();
@@ -751,17 +741,12 @@ fn run_dml<S: Store>(
 // ---- DDL, bulk loading, statistics administration --------------------------
 
 /// Creates a table.
-pub(crate) fn create_table<S: Store>(
-    env: &Env,
-    s: &mut S,
-    name: &str,
-    schema: Schema,
-) -> Result<TableId> {
+pub(crate) fn create_table(s: &mut Locked<'_>, name: &str, schema: Schema) -> Result<TableId> {
     let rec = WalRecord::CreateTable {
         name: name.to_string(),
         schema: schema.clone(),
     };
-    s.with_ddl(&env.obs, rec, |catalog, tables, _| {
+    s.with_ddl(rec, |catalog, tables, _| {
         let id = catalog.register_table(name, schema.clone())?;
         debug_assert_eq!(id.index(), tables.len());
         tables.push(Table::new(name, schema));
@@ -770,17 +755,12 @@ pub(crate) fn create_table<S: Store>(
 }
 
 /// Creates a secondary index.
-pub(crate) fn create_index<S: Store>(
-    env: &Env,
-    s: &mut S,
-    table: &str,
-    column: &str,
-) -> Result<()> {
+pub(crate) fn create_index(s: &mut Locked<'_>, table: &str, column: &str) -> Result<()> {
     let rec = WalRecord::CreateIndex {
         table: table.to_string(),
         column: column.to_string(),
     };
-    s.with_ddl(&env.obs, rec, |catalog, tables, _| {
+    s.with_ddl(rec, |catalog, tables, _| {
         let (tid, col) = resolve_column(catalog, table, column)?;
         tables[tid.index()].create_index(col)?;
         catalog.add_index(tid, col)
@@ -788,17 +768,12 @@ pub(crate) fn create_index<S: Store>(
 }
 
 /// Declares a primary key (also builds its index).
-pub(crate) fn set_primary_key<S: Store>(
-    env: &Env,
-    s: &mut S,
-    table: &str,
-    column: &str,
-) -> Result<()> {
+pub(crate) fn set_primary_key(s: &mut Locked<'_>, table: &str, column: &str) -> Result<()> {
     let rec = WalRecord::SetPrimaryKey {
         table: table.to_string(),
         column: column.to_string(),
     };
-    s.with_ddl(&env.obs, rec, |catalog, tables, _| {
+    s.with_ddl(rec, |catalog, tables, _| {
         let (tid, col) = resolve_column(catalog, table, column)?;
         catalog.set_primary_key(tid, col)?;
         tables[tid.index()].create_index(col)?;
@@ -813,19 +788,14 @@ fn resolve_column(catalog: &Catalog, table: &str, column: &str) -> Result<(Table
 }
 
 /// Bulk-loads rows (bypasses SQL parsing; used by data generators).
-pub(crate) fn load_rows<S: Store>(
-    env: &Env,
-    s: &mut S,
-    table: &str,
-    rows: Vec<Vec<Value>>,
-) -> Result<usize> {
+pub(crate) fn load_rows(s: &mut Locked<'_>, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
     // encode into the record, append, then take the rows back — the append
     // borrows them, so bulk loads cost no extra copy
     let rec = WalRecord::LoadRows {
         table: table.to_string(),
         rows,
     };
-    s.with_ddl(&env.obs, rec, |catalog, tables, rec| {
+    s.with_ddl(rec, |catalog, tables, rec| {
         let WalRecord::LoadRows { rows, .. } = rec else {
             return Err(JitsError::internal("with_ddl returned a different record"));
         };
@@ -839,8 +809,8 @@ pub(crate) fn load_rows<S: Store>(
 }
 
 /// Resets a table's UDI counter (bulk loads are initial state, not churn).
-pub(crate) fn reset_udi<S: Store>(env: &Env, s: &mut S, id: TableId) {
-    let logged = wal_append_lossy(env, s, &WalRecord::ResetUdi { table: id.0 });
+pub(crate) fn reset_udi(s: &mut Locked<'_>, id: TableId) {
+    let logged = s.wal_append_lossy(&WalRecord::ResetUdi { table: id.0 });
     s.with_tables_mut(&logged, |tables| {
         if let Some(t) = tables.get_mut(id.index()) {
             t.reset_udi();
@@ -850,8 +820,9 @@ pub(crate) fn reset_udi<S: Store>(env: &Env, s: &mut S, id: TableId) {
 
 /// Runs RUNSTATS over every table: populates the catalog's general
 /// statistics and resets UDI counters.
-pub(crate) fn runstats_all<S: Store>(env: &Env, s: &mut S) -> Result<()> {
-    let logged = wal_append(env, s, &WalRecord::RunstatsAll)?;
+pub(crate) fn runstats_all(s: &mut Locked<'_>) -> Result<()> {
+    let env = s.env();
+    let logged = s.wal_append(&WalRecord::RunstatsAll)?;
     let clock = s.tick(&logged);
     s.with_admin(&logged, |a| {
         for (i, t) in a.tables.iter_mut().enumerate() {
@@ -866,15 +837,12 @@ pub(crate) fn runstats_all<S: Store>(env: &Env, s: &mut S) -> Result<()> {
 /// Analyzes a query and collects *all* its candidate predicate groups into
 /// the QSS archive (the paper's "workload statistics" preparation). Does not
 /// count toward any query's compile time.
-pub(crate) fn precollect_query_stats<S: Store>(env: &Env, s: &mut S, sql: &str) -> Result<()> {
+pub(crate) fn precollect_query_stats(s: &mut Locked<'_>, sql: &str) -> Result<()> {
+    let env = s.env();
     let stmt = parse(sql)?;
-    let logged = wal_append(
-        env,
-        s,
-        &WalRecord::Precollect {
-            sql: sql.to_string(),
-        },
-    )?;
+    let logged = s.wal_append(&WalRecord::Precollect {
+        sql: sql.to_string(),
+    })?;
     let BoundStatement::Select(block) = s.with_catalog(|catalog| bind_statement(&stmt, catalog))?
     else {
         return Ok(()); // only SELECTs carry predicate groups
@@ -903,8 +871,8 @@ pub(crate) fn precollect_query_stats<S: Store>(env: &Env, s: &mut S, sql: &str) 
 }
 
 /// Migrates one-dimensional QSS histograms into the catalog.
-pub(crate) fn migrate_statistics<S: Store>(env: &Env, s: &mut S) -> usize {
-    let logged = wal_append_lossy(env, s, &WalRecord::MigrateStats);
+pub(crate) fn migrate_statistics(s: &mut Locked<'_>) -> usize {
+    let logged = s.wal_append_lossy(&WalRecord::MigrateStats);
     let clock = s.tick(&logged);
     s.with_migrate(&logged, |catalog, archive| {
         jits::migrate::migrate(archive, catalog, clock)
@@ -912,8 +880,8 @@ pub(crate) fn migrate_statistics<S: Store>(env: &Env, s: &mut S) -> usize {
 }
 
 /// Drops catalog statistics, the archive, the history and both caches.
-pub(crate) fn clear_statistics<S: Store>(env: &Env, s: &mut S) {
-    let logged = wal_append_lossy(env, s, &WalRecord::ClearStats);
+pub(crate) fn clear_statistics(s: &mut Locked<'_>) {
+    let logged = s.wal_append_lossy(&WalRecord::ClearStats);
     s.with_admin(&logged, |a| {
         a.catalog.clear_stats();
         a.archive.clear();
@@ -926,14 +894,10 @@ pub(crate) fn clear_statistics<S: Store>(env: &Env, s: &mut S) {
 /// Selects the statistics setting for subsequent statements. Accumulated
 /// statistics survive the switch; the archive limits follow the new JITS
 /// config, and turning the sample cache off clears it.
-pub(crate) fn set_setting<S: Store>(env: &Env, s: &mut S, setting: StatsSetting) {
-    let logged = wal_append_lossy(
-        env,
-        s,
-        &WalRecord::SetSetting {
-            payload: persist::encode_setting(&setting),
-        },
-    );
+pub(crate) fn set_setting(s: &mut Locked<'_>, setting: StatsSetting) {
+    let logged = s.wal_append_lossy(&WalRecord::SetSetting {
+        payload: persist::encode_setting(&setting),
+    });
     s.with_admin(&logged, |a| {
         if let StatsSetting::Jits(cfg) = &setting {
             a.archive
@@ -953,7 +917,8 @@ pub(crate) fn set_setting<S: Store>(env: &Env, s: &mut S, setting: StatsSetting)
 /// The snapshot is taken between statements (under read guards on a
 /// shared database), so it is consistent; "fuzzy" refers to its placement
 /// at an arbitrary point of the workload, not to torn in-flight state.
-pub(crate) fn checkpoint<S: Store>(env: &Env, s: &mut S) -> Result<Option<u64>> {
+pub(crate) fn checkpoint(s: &mut Locked<'_>) -> Result<Option<u64>> {
+    let env = s.env();
     s.with_snapshot(|state, wal| {
         let Some(log) = wal.wal else {
             return Ok(None);
@@ -969,10 +934,10 @@ pub(crate) fn checkpoint<S: Store>(env: &Env, s: &mut S) -> Result<Option<u64>> 
 /// Runs *before* the next statement is logged, so the statement lands in
 /// the fresh log generation. Two sessions racing the trigger at worst
 /// checkpoint twice, which is harmless.
-fn maybe_checkpoint<S: Store>(env: &Env, s: &mut S) -> Result<()> {
+fn maybe_checkpoint(s: &mut Locked<'_>) -> Result<()> {
     let every = s.checkpoint_every();
     if every > 0 && s.with_wal(|wal| wal.wal.is_some_and(|w| w.since_checkpoint() >= every)) {
-        checkpoint(env, s)?;
+        checkpoint(s)?;
     }
     Ok(())
 }

@@ -46,8 +46,9 @@ pub struct JitsConfig {
     /// remaining budget) the table degrades to archive/catalog statistics.
     /// The budget is counted in deterministic work units — never wall
     /// clock — so budgeted runs replay bit-identically at any thread count.
-    /// Only tests set it: it is the one way into the budget-degradation
-    /// path they cover.
+    /// Only tests set it (`tests/chaos.rs`): no default workload binds a
+    /// budget, so it is the one way into the budget-degradation path, and
+    /// a test hook in its place would be this knob under another name.
     pub collect_budget: u64,
     /// Worker threads for per-table statistics collection (1 = sequential).
     /// Any value yields bit-identical statistics — per-table RNG streams
@@ -63,13 +64,6 @@ pub struct JitsConfig {
     /// distributed ... as they are close to the optimizer's assumptions").
     /// The `ablations` bin varies it.
     pub eviction_uniformity: f64,
-    /// Run the statistics-migration module every this many statements,
-    /// folding one-dimensional QSS histograms into the catalog's general
-    /// statistics (paper §3.1: "the information in the QSS archive can be
-    /// used to periodically update the system catalog"). 0 disables. Only
-    /// tests vary it: it is the one way to move or disable the cadence they
-    /// cover.
-    pub migrate_every: u64,
 }
 
 impl Default for JitsConfig {
@@ -83,7 +77,6 @@ impl Default for JitsConfig {
             collect_threads: 1,
             archive_bucket_budget: 4096,
             eviction_uniformity: 0.9,
-            migrate_every: 25,
         }
     }
 }

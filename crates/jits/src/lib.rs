@@ -61,6 +61,7 @@ pub use history::{HistEntry, HistorySnapshot, StatHistory};
 pub use materialize::{
     commit_drawn_samples, materialize_group, resolve_sample_sources, MaterializeOutcome,
 };
+pub use migrate::MIGRATE_EVERY;
 pub use predcache::{fingerprint, CachedSelectivity, PredicateCache, PredicateCacheSnapshot};
 pub use provider::{JitsStatisticsProvider, PhysicalMetadataProvider};
 pub use sensitivity::{

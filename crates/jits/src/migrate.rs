@@ -12,6 +12,12 @@ use jits_catalog::{Catalog, ColumnStats, TableStats};
 use jits_common::DataType;
 use jits_histogram::EquiDepth;
 
+/// Statements between migrations under the JITS setting: the engine runs
+/// [`migrate`] whenever its logical clock reaches a multiple of this (paper
+/// §3.1: "the information in the QSS archive can be used to periodically
+/// update the system catalog").
+pub const MIGRATE_EVERY: u64 = 25;
+
 /// Migrates all one-dimensional archive histograms into the catalog's
 /// column statistics. Returns the number of columns updated.
 pub fn migrate(archive: &QssArchive, catalog: &mut Catalog, clock: u64) -> usize {

@@ -18,7 +18,7 @@
 //! The tracker only sees acquisitions a test performs. The engine takes
 //! every ranked lock inside branch-free bundle methods, so a test that calls
 //! each bundle once (`jits-engine`'s
-//! `session::tests::every_bundle_acquires_in_rank_order`) covers every
+//! `store::tests::every_bundle_acquires_in_rank_order`) covers every
 //! acquisition order the engine has.
 
 /// A lock's position in the global acquisition order.

@@ -635,4 +635,97 @@ mod tests {
     fn null_comparison_rejected() {
         assert!(bind_sql("SELECT * FROM car WHERE make = NULL").is_err());
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The binder never panics on what the parser accepts. Statements
+        /// are built from the names of this two-table catalog (right, wrong
+        /// table, qualified, unknown), mistyped literals and every statement
+        /// form, plus the parser fuzz's SQL-ish soup; every outcome is `Ok`
+        /// or a typed error other than an internal one.
+        #[test]
+        fn binder_never_panics_on_sqlish_soup(
+            form in 0usize..7,
+            picks in proptest::collection::vec(proptest::prelude::any::<usize>(), 16),
+            soup in proptest::collection::vec(0usize..SOUP.len(), 0..24),
+        ) {
+            let pick = |i: usize, from: &[&'static str]| from[picks[i] % from.len()];
+            let pred = |i: usize| {
+                let (col, a, b) = (pick(i, COLUMNS), pick(i + 1, LITERALS), pick(i + 2, LITERALS));
+                match picks[i + 3] % 4 {
+                    0 => format!("{col} {} {a}", pick(i + 2, OPS)),
+                    1 => format!("{col} IS {}NULL", ["", "NOT "][picks[i + 2] % 2]),
+                    2 => format!("{col} IN ({a}, {b})"),
+                    _ => format!("{col} BETWEEN {a} AND {b}"),
+                }
+            };
+            let preds = format!("{} AND {}", pred(0), pred(4));
+            let (table, col, lit) = (pick(8, TABLES), pick(9, COLUMNS), pick(10, LITERALS));
+            let proj = pick(11, PROJECTIONS);
+            let sql = match form {
+                0 => format!("SELECT {proj} FROM {table} WHERE {preds}"),
+                1 => format!("SELECT {col}, COUNT(*) FROM {table} WHERE {preds} GROUP BY {col}"),
+                2 => format!("SELECT {proj} FROM {table} ORDER BY {col} DESC LIMIT 3"),
+                3 => format!("UPDATE {table} SET {col} = {lit} WHERE {preds}"),
+                4 => format!("DELETE FROM {table} WHERE {preds}"),
+                5 => format!(
+                    "INSERT INTO {table} VALUES ({lit}, {}, {})",
+                    pick(12, LITERALS),
+                    pick(13, LITERALS)
+                ),
+                _ => soup.iter().map(|&i| SOUP[i]).collect::<Vec<_>>().join(" "),
+            };
+            if let Ok(stmt) = parse(&sql) {
+                if let Err(e) = bind_statement(&stmt, &catalog()) {
+                    assert!(!matches!(e, JitsError::Internal(_)), "{sql}: {e:?}");
+                }
+            }
+        }
+    }
+
+    const TABLES: &[&str] = &["car", "owner", "car c, owner o", "owner o, car c", "nope"];
+    const COLUMNS: &[&str] = &[
+        "id",
+        "ownerid",
+        "make",
+        "model",
+        "year",
+        "name",
+        "salary",
+        "c.id",
+        "o.id",
+        "c.ownerid",
+        "o.salary",
+        "car.make",
+        "x.id",
+        "nope",
+    ];
+    const OPS: &[&str] = &["=", "<", ">", "<>", "<=", ">="];
+    const LITERALS: &[&str] = &[
+        "'x'",
+        "42",
+        "3.5",
+        "-1",
+        "NULL",
+        "'Toyota'",
+        "o.id",
+        "c.ownerid",
+        "year",
+    ];
+    const PROJECTIONS: &[&str] = &[
+        "*",
+        "COUNT(*)",
+        "id, make",
+        "SUM(salary)",
+        "AVG(year), MIN(make)",
+        "o.name, c.make",
+        "MAX(nope)",
+    ];
+    /// The parser fuzz's fragments plus this catalog's names.
+    const SOUP: &[&str] = &[
+        "SELECT", "FROM", "WHERE", "AND", "BETWEEN", "ORDER", "BY", "LIMIT", "COUNT", "(", ")",
+        "*", ",", "=", "<", ">", "<>", "'x'", "42", "3.5", "car", "make", "c", ".", ";", "owner",
+        "o", "id", "ownerid", "model", "year", "name", "salary",
+    ];
 }

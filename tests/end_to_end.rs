@@ -2,7 +2,7 @@
 //! statistics settings, and the JITS lifecycle end to end.
 
 use jits_repro::common::{DataType, Schema, Value};
-use jits_repro::core::JitsConfig;
+use jits_repro::core::{JitsConfig, MIGRATE_EVERY};
 use jits_repro::engine::{Database, StatsSetting};
 
 /// A database with a model→make functional dependency and an FK join.
@@ -340,18 +340,21 @@ fn epsilon_strategy_pays_optimizer_calls() {
     assert!(db.archive().is_empty());
 }
 
-/// Periodic statistics migration fires on the configured cadence.
+/// Periodic statistics migration fires on its cadence: every
+/// `MIGRATE_EVERY` statements.
 #[test]
 fn migration_cadence_populates_catalog() {
     let mut db = build_db(37);
     db.set_setting(StatsSetting::Jits(JitsConfig {
         s_max: 0.0,
-        migrate_every: 3,
         ..JitsConfig::default()
     }));
     let (tid, col) = db.column_id("car", "year").unwrap();
     assert!(db.catalog().column_stats(tid, col).is_none());
-    for _ in 0..4 {
+    // run past the next multiple of the cadence
+    let next = (db.clock() / MIGRATE_EVERY + 1) * MIGRATE_EVERY;
+    while db.clock() < next {
+        assert!(db.catalog().column_stats(tid, col).is_none());
         db.execute("SELECT COUNT(*) FROM car WHERE year > 2000")
             .unwrap();
     }
