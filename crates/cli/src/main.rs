@@ -14,7 +14,7 @@
 //! \migrate            fold 1-D QSS histograms into the catalog
 //! \stats              show archive / history / catalog status
 //! \checkpoint         force a durability checkpoint (needs --data-dir)
-//! \trace on|off       per-statement span traces (also: --trace flag)
+//! \trace on|off       print each statement's record (also: --trace flag)
 //! \metrics [prom]     dump the metrics registry (JSON or Prometheus)
 //! \analyze <stmt>     execute a SELECT/UPDATE/DELETE and print its per-operator profile
 //!                     (est/actual rows, q-error, work, wall)
@@ -30,13 +30,15 @@
 //! re-sample. Every statement is logged before it runs; `\checkpoint`
 //! forces a fuzzy checkpoint on demand.
 //!
-//! With `--trace`, each statement prints its span tree (parse/bind,
-//! analyze, sensitivity, collect, refine, optimize, execute, feedback)
-//! to stderr; `--metrics` dumps the registry as JSON on exit.
+//! With `--trace`, each statement prints its record — the stage walls
+//! (parse/bind, analyze, sensitivity, collect, refine, optimize, execute,
+//! feedback) and the decisions made in each — to stderr; the record is
+//! kept either way, so the flag only toggles printing. `--metrics` dumps
+//! the registry as JSON on exit.
 //!
 //! `--dump-flight <path>` writes the flight-recorder ring (the last 256
-//! query profiles, degradations, and anomaly markers, `FLIGHT_CAPACITY` in
-//! `jits-obs`) to `<path>` as JSON on exit, and also arms anomaly auto-dump:
+//! statement records and notes, `FLIGHT_CAPACITY` in `jits-obs`) to
+//! `<path>` as JSON on exit, and also arms anomaly auto-dump:
 //! any statement whose max q-error crosses `jits::QERROR_THRESHOLD`, or
 //! that degrades, rewrites the dump immediately — so the black box survives
 //! even a crash later in the session.
@@ -64,7 +66,7 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .unwrap_or(scale);
     }
-    let trace = args.iter().any(|a| a == "--trace");
+    let mut trace = args.iter().any(|a| a == "--trace");
     let metrics = args.iter().any(|a| a == "--metrics");
     let dump_flight: Option<String> = match args.iter().position(|a| a == "--dump-flight") {
         Some(i) => match args.get(i + 1) {
@@ -157,7 +159,6 @@ fn main() {
             db.archive().len(),
         );
     }
-    db.obs().tracer.set_enabled(trace);
     if let Some(path) = &dump_flight {
         // arm anomaly auto-dump so the black box is on disk even if the
         // process dies before the exit-time dump
@@ -190,7 +191,7 @@ fn main() {
             continue;
         }
         if let Some(cmd) = line.strip_prefix('\\') {
-            if !meta_command(&mut db, cmd) {
+            if !meta_command(&mut db, cmd, &mut trace) {
                 break;
             }
             continue;
@@ -205,10 +206,8 @@ fn main() {
                 if result.rows.len() > shown {
                     let _ = writeln!(out, "... ({} rows total)", result.rows.len());
                 }
-                if db.obs().tracer.enabled() {
-                    if let Some(t) = db.obs().tracer.latest() {
-                        eprint!("{}", t.render());
-                    }
+                if let Some(rec) = result.metrics.profile.as_ref().filter(|_| trace) {
+                    eprint!("{}", rec.render());
                 }
                 let m = &result.metrics;
                 eprintln!(
@@ -236,7 +235,7 @@ fn main() {
 }
 
 /// Handles a `\...` meta command; returns false to quit.
-fn meta_command(db: &mut Database, cmd: &str) -> bool {
+fn meta_command(db: &mut Database, cmd: &str, trace: &mut bool) -> bool {
     let parts: Vec<&str> = cmd.split_whitespace().collect();
     match parts.first().copied() {
         Some("q") | Some("quit") | Some("exit") => return false,
@@ -266,16 +265,9 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
             None => println!("{}", db.obs().flight.to_json(true)),
         },
         Some("trace") => match parts.get(1).copied() {
-            Some("on") => db.obs().tracer.set_enabled(true),
-            Some("off") => db.obs().tracer.set_enabled(false),
-            _ => eprintln!(
-                "tracing is {}",
-                if db.obs().tracer.enabled() {
-                    "on"
-                } else {
-                    "off"
-                }
-            ),
+            Some("on") => *trace = true,
+            Some("off") => *trace = false,
+            _ => eprintln!("tracing is {}", if *trace { "on" } else { "off" }),
         },
         Some("metrics") => {
             if parts.get(1).copied() == Some("prom") {

@@ -36,3 +36,21 @@ pub use rng::SplitMix64;
 pub use schema::{ColumnDef, Schema};
 pub use testpath::TestDir;
 pub use value::{DataType, Value};
+
+/// How a quantifier's sample rows were obtained.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SampleOrigin {
+    /// Drawn fresh (cold cache or no cache in play).
+    Fresh,
+    /// Drawn fresh because the cached sample had drifted past the
+    /// staleness limit.
+    Redrawn {
+        /// The staleness that invalidated the cached sample.
+        staleness: f64,
+    },
+    /// Served from the sample cache.
+    Cached {
+        /// The (below-limit) staleness the sample was served at.
+        staleness: f64,
+    },
+}

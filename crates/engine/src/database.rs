@@ -219,7 +219,8 @@ impl Database {
         self.fault = fault;
     }
 
-    /// The observability state: tracer, metrics registry, and query log.
+    /// The observability state: metrics registry and the flight ring of
+    /// statement records.
     pub fn obs(&self) -> &Arc<Observability> {
         &self.env.obs
     }

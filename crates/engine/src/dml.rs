@@ -3,15 +3,15 @@
 //! Both statements find their rows through the executor's
 //! [`locate_rows`] — the same index probes and zone-map pruning SELECT
 //! uses, chosen by exact cost — and are charged `locate cost + rows
-//! affected`. What the statement did is reported as a one-node profile
-//! (`index_scan` / `pruned_scan` / `seq_scan` on the table) riding on its
-//! [`QueryMetrics`] and the flight ring, never through the SELECT-only
-//! q-error aggregates or `jits.skip.*` counters.
+//! affected`. What the statement did is reported as a one-node record
+//! (`index_scan` / `pruned_scan` / `seq_scan` on the table) in the flight
+//! ring and on its [`QueryMetrics`], never through the SELECT-only q-error
+//! aggregates or `jits.skip.*` counters.
 
-use crate::metrics::{wall_since, QueryMetrics};
+use crate::metrics::{nanos_since, QueryMetrics};
 use jits_common::Result;
 use jits_executor::{locate_rows, Located};
-use jits_obs::{FlightEvent, Observability, ProfileNodeRow, QueryProfile};
+use jits_obs::{Observability, ProfileNodeRow, QueryProfile};
 use jits_optimizer::{CostModel, PlanSummary};
 use jits_query::{BoundDelete, BoundUpdate};
 use jits_storage::Table;
@@ -62,57 +62,31 @@ fn charged_node(table: &Table, located: &Located) -> ProfileNodeRow {
     }
 }
 
-/// Who ran the statement, for its profile.
-pub(crate) struct DmlContext<'a> {
-    /// Logical statement clock.
-    pub clock: u64,
-    /// Session id (0 on the single-owner path).
-    pub session: u64,
-    /// Statement text.
-    pub sql: &'a str,
-}
-
 /// The metrics of a finished UPDATE/DELETE whose execution began at
-/// `exec_start` (an `obs::clock` reading). The one-node profile also lands
-/// in the flight ring.
+/// `exec_start` (an `obs::clock` reading). Its record — `rec` plus the one
+/// node — lands in the flight ring.
 pub(crate) fn finish(
     mut node: ProfileNodeRow,
-    ctx: &DmlContext<'_>,
+    mut rec: QueryProfile,
     obs: &Observability,
-    compile_wall: Duration,
     exec_start: u64,
     lock_wait: Duration,
 ) -> QueryMetrics {
-    let exec_wall = wall_since(exec_start);
-    let affected = node.actual_rows as usize;
+    node.wall_nanos = nanos_since(exec_start);
     let plan = PlanSummary {
         qun_order: vec![0],
         est_rows: node.actual_rows,
         est_cost: node.work,
     };
-    let exec_work = node.work;
-    node.wall_nanos = exec_wall.as_nanos() as u64;
-    let profile = QueryProfile {
-        clock: ctx.clock,
-        session: ctx.session,
-        sql: ctx.sql.to_string(),
-        executor: "dml".to_string(),
-        result_rows: affected,
-        total_work: exec_work,
-        max_q_error: 1.0,
-        degraded: false,
-        exec_wall_nanos: node.wall_nanos,
-        nodes: vec![node],
-    };
-    obs.flight.record(FlightEvent::Profile(profile.clone()));
+    rec.stages.execute = node.wall_nanos;
+    rec.result_rows = node.actual_rows as usize;
+    rec.total_work = node.work;
+    rec.nodes = vec![node];
+    let rec = obs.flight.record_statement(rec);
     QueryMetrics {
-        compile_wall,
-        exec_wall,
-        exec_work,
+        exec_work: rec.total_work,
         plan: Some(plan),
-        result_rows: affected,
-        lock_wait,
-        profile: Some(profile),
         ..QueryMetrics::default()
     }
+    .with_record(&rec, lock_wait)
 }

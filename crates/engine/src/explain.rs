@@ -11,22 +11,11 @@ use crate::settings::StatsSetting;
 use jits::{query_analysis, sensitivity_analysis_with_feedback, TableScore};
 use jits_catalog::Catalog;
 use jits_common::TableId;
-use jits_obs::ScoreRow;
+use jits_obs::{GroupVerdict, ScoreRow};
 use jits_query::QueryBlock;
 use jits_storage::Table;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// One Algorithm 4 materialize-or-not verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MaterializeExplain {
-    /// The candidate column group.
-    pub colgroup: String,
-    /// Whether the group would be materialized.
-    pub materialize: bool,
-    /// Why.
-    pub reason: String,
-}
 
 /// The full JITS decision trace for one statement, without executing it.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,12 +32,13 @@ pub struct JitsExplain {
     /// Raw per-table sensitivity scores, bit-for-bit what `execute` would
     /// report in [`crate::QueryMetrics::table_scores`].
     pub table_scores: Vec<TableScore>,
-    /// The same scores resolved to table names with rationale strings.
+    /// The same scores resolved to table names — the rows the statement's
+    /// record would carry.
     pub scores: Vec<ScoreRow>,
     /// Names of the tables that would be sampled.
     pub sample_tables: Vec<String>,
     /// Per-candidate materialization verdicts for every sampled table.
-    pub materialize: Vec<MaterializeExplain>,
+    pub materialize: Vec<GroupVerdict>,
 }
 
 impl JitsExplain {
@@ -66,16 +56,10 @@ impl JitsExplain {
             self.s_max, self.candidate_groups
         );
         for s in &self.scores {
-            let verdict = if s.collect { "sample" } else { "skip" };
-            let _ = writeln!(
-                out,
-                "  q{} {}: s1={:.3} s2={:.3} score={:.3} -> {} ({})",
-                s.qun, s.table, s.s1, s.s2, s.score, verdict, s.reason
-            );
+            let _ = writeln!(out, "  {}", s.line(self.s_max));
         }
         for m in &self.materialize {
-            let verdict = if m.materialize { "materialize" } else { "skip" };
-            let _ = writeln!(out, "  {}: {} ({})", m.colgroup, verdict, m.reason);
+            let _ = writeln!(out, "  {m}");
         }
         if self.sample_tables.is_empty() {
             out.push_str("  tables to sample: none\n");
@@ -133,33 +117,13 @@ pub(crate) fn explain_block(
         cfg,
         qerror,
     );
-    out.scores = decision
-        .table_scores
-        .iter()
-        .map(|s| ScoreRow {
-            qun: s.qun,
-            table: observe::table_name(catalog, s.table),
-            s1: s.s1,
-            s2: s.s2,
-            score: s.score,
-            collect: s.collect,
-            reason: observe::score_reason(s, cfg),
-        })
-        .collect();
+    out.scores = observe::score_rows(catalog, &decision.table_scores);
     out.table_scores = decision.table_scores;
     out.sample_tables = decision
         .sample_quns
         .iter()
         .map(|&qun| observe::table_name(catalog, block.quns[qun].table))
         .collect();
-    out.materialize = decision
-        .materialize_log
-        .iter()
-        .map(|d| MaterializeExplain {
-            colgroup: d.colgroup.to_string(),
-            materialize: d.materialize,
-            reason: d.reason.to_string(),
-        })
-        .collect();
+    out.materialize = observe::group_verdicts(&decision.materialize_log);
     out
 }

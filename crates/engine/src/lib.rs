@@ -15,12 +15,15 @@
 //! (cost-unit) compile/execution times — the quantities every experiment in
 //! the paper's evaluation section reports.
 //!
-//! Observability (see `jits-obs` and DESIGN.md §8): every statement can be
-//! traced span-by-span, counters/histograms accumulate in a metrics
-//! registry, [`Database::explain_jits`] previews the JITS decisions
-//! without executing, and virtual system views (`jits_archive_stats`,
-//! `jits_table_scores`, `jits_query_log`, `jits_degradation`) expose the
-//! collected state through plain SQL.
+//! Observability (see `jits-obs` and DESIGN.md §8): every statement leaves
+//! one record — stage walls, JITS decisions, operator tree, degradations —
+//! in the flight ring and on [`QueryMetrics::profile`];
+//! counters/histograms accumulate in a metrics registry;
+//! [`Database::explain_jits`] previews the JITS decisions without
+//! executing; and eight virtual system views (`jits_archive_stats`,
+//! `jits_table_scores`, `jits_query_log`, `jits_sample_cache`,
+//! `jits_degradation`, `jits_profile`, `jits_flight`, `jits_access_paths`)
+//! expose the collected state through plain SQL.
 //!
 //! Fault injection and graceful degradation (DESIGN.md §10): install a
 //! [`jits_common::FaultPlane`] with [`Database::set_fault_plane`] to
@@ -50,13 +53,13 @@ mod store;
 pub mod views;
 
 pub use database::{Database, DEFAULT_CHECKPOINT_EVERY};
-pub use explain::{JitsExplain, MaterializeExplain};
-pub use metrics::{QueryMetrics, StageWalls};
+pub use explain::JitsExplain;
+pub use metrics::QueryMetrics;
 pub use persist::RecoveryReport;
 pub use pipeline::QueryResult;
 pub use session::{Session, SharedDatabase};
 pub use settings::StatsSetting;
 pub use views::{
-    VIEW_ARCHIVE_STATS, VIEW_DEGRADATION, VIEW_FLIGHT, VIEW_PROFILE, VIEW_QUERY_LOG,
-    VIEW_TABLE_SCORES,
+    VIEW_ACCESS_PATHS, VIEW_ARCHIVE_STATS, VIEW_DEGRADATION, VIEW_FLIGHT, VIEW_PROFILE,
+    VIEW_QUERY_LOG, VIEW_SAMPLE_CACHE, VIEW_TABLE_SCORES,
 };

@@ -1,16 +1,19 @@
 //! Per-query timing and diagnostics.
 
 use jits::TableScore;
+use jits_obs::QueryProfile;
 use jits_optimizer::PlanSummary;
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Wall-clock elapsed since a [`jits_obs::clock::now_nanos`] reading.
+/// Wall-clock nanoseconds elapsed since a [`jits_obs::clock::now_nanos`]
+/// reading.
 ///
 /// Every engine wall measurement goes through this helper (and thus through
 /// `obs::clock`), so the determinism lint can pin OS-clock reads to a
 /// single file.
-pub(crate) fn wall_since(start_nanos: u64) -> Duration {
-    Duration::from_nanos(jits_obs::clock::now_nanos().saturating_sub(start_nanos))
+pub(crate) fn nanos_since(start_nanos: u64) -> u64 {
+    jits_obs::clock::now_nanos().saturating_sub(start_nanos)
 }
 
 /// The rate converting cost-model work units into simulated seconds.
@@ -19,23 +22,6 @@ pub(crate) fn wall_since(start_nanos: u64) -> Duration {
 /// same order of magnitude as the paper's DB2 numbers (seconds); all
 /// experiment *shapes* are rate-invariant.
 pub const WORK_UNITS_PER_SIM_SECOND: f64 = 250_000.0;
-
-/// Wall-clock durations of the JITS compile-phase stages of one statement.
-///
-/// The same measurements decorate the statement's trace spans — flat
-/// metrics and spans are populated from a single reading, so they cannot
-/// disagree.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageWalls {
-    /// Query analysis (Algorithm 1 group enumeration).
-    pub analyze: Duration,
-    /// Sensitivity analysis (Algorithms 2–4).
-    pub sensitivity: Duration,
-    /// Sampling / statistics collection.
-    pub collect: Duration,
-    /// Archive materialization and max-entropy refinement.
-    pub refine: Duration,
-}
 
 /// Everything measured about one statement.
 #[derive(Debug, Clone, Default)]
@@ -81,11 +67,13 @@ pub struct QueryMetrics {
     /// One `"<fault-point> -> <fallback>"` entry per degradation, in the
     /// deterministic order they were recorded.
     pub degraded_reasons: Vec<String>,
-    /// Per-operator profile of the executed plan; for UPDATE/DELETE the one
-    /// node naming the access path that located the rows (None for INSERT,
-    /// EXPLAIN and system views). Captured at execution time so
-    /// `explain_analyze` never races other sessions for the flight ring.
-    pub profile: Option<jits_obs::QueryProfile>,
+    /// The statement's record — the same `Arc` the flight ring holds: stage
+    /// walls, JITS decisions, and the operator tree (for UPDATE/DELETE the
+    /// one node naming the access path that located the rows; no nodes for
+    /// INSERT and EXPLAIN). None for system views, which record nothing.
+    /// Carried here so `explain_analyze` never races other sessions for
+    /// the ring.
+    pub profile: Option<Arc<QueryProfile>>,
 }
 
 impl QueryMetrics {
@@ -94,13 +82,28 @@ impl QueryMetrics {
         self.compile_wall + self.exec_wall
     }
 
-    /// Copies the per-stage compile-phase durations into the flat fields
-    /// (the single write point keeping flat fields and spans in agreement).
-    pub fn set_stage_walls(&mut self, walls: StageWalls) {
-        self.analyze_wall = walls.analyze;
-        self.sensitivity_wall = walls.sensitivity;
-        self.collect_wall = walls.collect;
-        self.refine_wall = walls.refine;
+    /// Fills the walls, rows and degradations of a finished statement from
+    /// its record (their single source) and attaches the record.
+    pub(crate) fn with_record(self, rec: &Arc<QueryProfile>, lock_wait: Duration) -> Self {
+        let wall = Duration::from_nanos;
+        QueryMetrics {
+            compile_wall: wall(rec.compile_wall_nanos),
+            exec_wall: wall(rec.stages.execute),
+            analyze_wall: wall(rec.stages.analyze),
+            sensitivity_wall: wall(rec.stages.sensitivity),
+            collect_wall: wall(rec.stages.collect),
+            refine_wall: wall(rec.stages.refine),
+            result_rows: rec.result_rows,
+            lock_wait,
+            degraded: rec.degraded(),
+            degraded_reasons: rec
+                .degradations
+                .iter()
+                .map(|d| format!("{} -> {}", d.fault_point, d.fallback))
+                .collect(),
+            profile: Some(Arc::clone(rec)),
+            ..self
+        }
     }
 
     /// Simulated compilation seconds (work-unit based, machine-independent).

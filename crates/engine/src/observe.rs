@@ -1,30 +1,28 @@
-//! Bridges engine/JITS types into the generic `jits-obs` events and
-//! metrics.
+//! Bridges engine/JITS types into the statement record and the metrics
+//! registry.
 //!
 //! Both execution paths — the single-owner [`crate::Database`] and the
 //! locked [`crate::Session`] — funnel their instrumentation through these
-//! helpers so span taxonomy, metric names (`jits.<component>.<name>`), and
-//! volatility classification are defined in exactly one place. Registry
-//! updates happen unconditionally; trace events cost nothing when the
-//! tracer is off (the builder drops the closures unevaluated).
+//! helpers so the record's contents, metric names
+//! (`jits.<component>.<name>`), and volatility classification are defined in
+//! exactly one place. Every statement fills one [`QueryProfile`] and stores
+//! it once, in the flight ring.
 //!
 //! The obs registry lock ranks *above* every engine lock, so calling these
 //! helpers while holding engine guards is always rank-safe.
 
-use jits::{
-    CollectTiming, JitsConfig, MaterializeDecision, SampleOrigin, TableScore, QERROR_THRESHOLD,
-};
+use jits::{CollectTiming, JitsConfig, MaterializeDecision, TableScore, QERROR_THRESHOLD};
 use jits_catalog::Catalog;
 use jits_common::{ColGroup, TableId};
 use jits_obs::{
-    clamp_q_error, DegradationRow, FlightEvent, Observability, QueryLogEntry, QueryProfile,
-    ScoreRow, TraceBuilder, TraceEvent, Volatility,
+    clamp_q_error, Degradation, FlightEvent, GroupVerdict, Observability, QueryProfile, RefineRow,
+    SampleRow, ScoreRow, Volatility,
 };
 use jits_query::QueryBlock;
 use jits_storage::CacheCounters;
 use std::collections::BTreeMap;
 
-/// Resolves a table id to its name for trace/score rows.
+/// Resolves a table id to its name for record rows.
 pub(crate) fn table_name(catalog: &Catalog, tid: TableId) -> String {
     catalog
         .table(tid)
@@ -32,53 +30,10 @@ pub(crate) fn table_name(catalog: &Catalog, tid: TableId) -> String {
         .unwrap_or_else(|| format!("table{}", tid.0))
 }
 
-/// The human-readable rationale of one Algorithm 3 verdict.
-pub(crate) fn score_reason(score: &TableScore, cfg: &JitsConfig) -> String {
-    if cfg.always_collects() {
-        "s_max = 0: always collect".to_string()
-    } else if score.collect {
-        format!("score {:.3} >= s_max {:.3}", score.score, cfg.s_max)
-    } else {
-        format!("score {:.3} < s_max {:.3}", score.score, cfg.s_max)
-    }
-}
-
-/// Records the query-analysis stage (Algorithm 1).
-pub(crate) fn note_analysis(
-    obs: &Observability,
-    tb: &mut TraceBuilder,
-    tables: usize,
-    candidate_groups: usize,
-) {
-    obs.registry
-        .counter("jits.analysis.candidate_groups", Volatility::Deterministic)
-        .add(candidate_groups as u64);
-    tb.event(|| TraceEvent::Analysis {
-        tables,
-        candidate_groups,
-    });
-}
-
-/// Records the sensitivity stage (Algorithms 2–4): per-table scores with
-/// rationale, per-candidate materialize verdicts, and the latest-scores
-/// state backing the `jits_table_scores` view.
-pub(crate) fn note_sensitivity(
-    obs: &Observability,
-    tb: &mut TraceBuilder,
-    catalog: &Catalog,
-    scores: &[TableScore],
-    materialize_log: &[MaterializeDecision],
-    cfg: &JitsConfig,
-    clock: u64,
-) {
-    let marked = scores.iter().filter(|s| s.collect).count();
-    obs.registry
-        .counter("jits.sensitivity.tables_scored", Volatility::Deterministic)
-        .add(scores.len() as u64);
-    obs.registry
-        .counter("jits.sensitivity.tables_marked", Volatility::Deterministic)
-        .add(marked as u64);
-    let rows: Vec<ScoreRow> = scores
+/// The Algorithm 3 score rows of one sensitivity pass, resolved to table
+/// names — shared by the statement record and `explain_jits`.
+pub(crate) fn score_rows(catalog: &Catalog, scores: &[TableScore]) -> Vec<ScoreRow> {
+    scores
         .iter()
         .map(|s| ScoreRow {
             qun: s.qun,
@@ -87,35 +42,56 @@ pub(crate) fn note_sensitivity(
             s2: s.s2,
             score: s.score,
             collect: s.collect,
-            reason: score_reason(s, cfg),
         })
-        .collect();
-    for r in &rows {
-        tb.event(|| TraceEvent::TableSensitivity {
-            qun: r.qun,
-            table: r.table.clone(),
-            s1: r.s1,
-            s2: r.s2,
-            score: r.score,
-            collect: r.collect,
-            reason: r.reason.clone(),
-        });
-    }
-    for d in materialize_log {
-        tb.event(|| TraceEvent::MaterializeDecision {
-            colgroup: d.colgroup.to_string(),
-            materialize: d.materialize,
-            reason: d.reason.to_string(),
-        });
-    }
-    obs.record_scores(clock, rows);
+        .collect()
 }
 
-/// Records the collection stage: deterministic row/probe counters plus
-/// volatile per-table sampling wall times.
+/// The Algorithm 4 verdicts of one sensitivity pass.
+pub(crate) fn group_verdicts(log: &[MaterializeDecision]) -> Vec<GroupVerdict> {
+    log.iter()
+        .map(|d| GroupVerdict {
+            colgroup: d.colgroup.clone(),
+            materialize: d.materialize,
+            reason: d.reason.to_string(),
+        })
+        .collect()
+}
+
+/// Records the query-analysis stage (Algorithm 1).
+pub(crate) fn note_analysis(obs: &Observability, rec: &mut QueryProfile, candidate_groups: usize) {
+    obs.registry
+        .counter("jits.analysis.candidate_groups", Volatility::Deterministic)
+        .add(candidate_groups as u64);
+    rec.candidate_groups = candidate_groups;
+}
+
+/// Records the sensitivity stage (Algorithms 2–4): per-table scores and
+/// per-candidate materialize verdicts.
+pub(crate) fn note_sensitivity(
+    obs: &Observability,
+    rec: &mut QueryProfile,
+    catalog: &Catalog,
+    scores: &[TableScore],
+    materialize_log: &[MaterializeDecision],
+    cfg: &JitsConfig,
+) {
+    let marked = scores.iter().filter(|s| s.collect).count();
+    obs.registry
+        .counter("jits.sensitivity.tables_scored", Volatility::Deterministic)
+        .add(scores.len() as u64);
+    obs.registry
+        .counter("jits.sensitivity.tables_marked", Volatility::Deterministic)
+        .add(marked as u64);
+    rec.s_max = cfg.s_max;
+    rec.scores = score_rows(catalog, scores);
+    rec.verdicts = group_verdicts(materialize_log);
+}
+
+/// Records the collection stage: deterministic row/probe counters,
+/// volatile per-table sampling wall times, and one record row per table.
 pub(crate) fn note_collect(
     obs: &Observability,
-    tb: &mut TraceBuilder,
+    rec: &mut QueryProfile,
     block: &QueryBlock,
     catalog: &Catalog,
     timings: &[CollectTiming],
@@ -143,69 +119,42 @@ pub(crate) fn note_collect(
         if t.eval_nanos > 0 {
             eval.observe(t.eval_nanos);
         }
-        tb.event(|| TraceEvent::SampleTable {
+    }
+    rec.samples = timings
+        .iter()
+        .map(|t| SampleRow {
             qun: t.qun,
             table: table_name(catalog, block.quns[t.qun].table),
-            rows_sampled: t.rows_sampled,
-            slot_probes: t.slot_probes,
+            rows: t.rows_sampled,
+            probes: t.slot_probes,
+            origin: t.origin,
             worker: t.worker,
             wall_nanos: t.wall_nanos,
-        });
-        match t.origin {
-            SampleOrigin::Fresh => {}
-            SampleOrigin::Cached { staleness } => tb.event(|| TraceEvent::Note {
-                label: "samplecache",
-                detail: format!(
-                    "qun {} served cached sample (staleness {staleness:.3})",
-                    t.qun
-                ),
-            }),
-            SampleOrigin::Redrawn { staleness } => tb.event(|| TraceEvent::Note {
-                label: "samplecache",
-                detail: format!(
-                    "qun {} redrew stale sample (staleness {staleness:.3})",
-                    t.qun
-                ),
-            }),
-        }
-    }
+        })
+        .collect();
 }
 
 /// Records one collect pass's sample-cache outcomes as counter deltas.
 /// The lookups run sequentially in quantifier order before collection fans
 /// out, so these counters are deterministic at any `collect_threads`.
-pub(crate) fn note_samplecache(
-    obs: &Observability,
-    tb: &mut TraceBuilder,
-    before: CacheCounters,
-    after: CacheCounters,
-) {
+pub(crate) fn note_samplecache(obs: &Observability, before: CacheCounters, after: CacheCounters) {
     if before == after {
         return;
     }
-    let (hits, misses, stale) = (
-        after.hits - before.hits,
-        after.misses - before.misses,
-        after.stale_redraws - before.stale_redraws,
-    );
     let reg = &obs.registry;
     reg.counter("jits.samplecache.hits", Volatility::Deterministic)
-        .add(hits);
+        .add(after.hits - before.hits);
     reg.counter("jits.samplecache.misses", Volatility::Deterministic)
-        .add(misses);
+        .add(after.misses - before.misses);
     reg.counter("jits.samplecache.stale_redraws", Volatility::Deterministic)
-        .add(stale);
-    tb.event(|| TraceEvent::Note {
-        label: "samplecache",
-        detail: format!("hits {hits}, misses {misses}, stale redraws {stale}"),
-    });
+        .add(after.stale_redraws - before.stale_redraws);
 }
 
 /// Records one materialization's outcome: cache insert, or archive refine
 /// (bucket growth, IPF fit, forced evictions).
 pub(crate) fn note_materialize_outcome(
     obs: &Observability,
-    tb: &mut TraceBuilder,
+    rec: &mut QueryProfile,
     colgroup: &ColGroup,
     outcome: &jits::MaterializeOutcome,
 ) {
@@ -215,8 +164,8 @@ pub(crate) fn note_materialize_outcome(
         jits::MaterializeOutcome::Cache => {
             reg.counter("jits.archive.cached_groups", Volatility::Deterministic)
                 .inc();
-            tb.event(|| TraceEvent::Refine {
-                colgroup: colgroup.to_string(),
+            rec.refines.push(RefineRow {
+                colgroup: colgroup.clone(),
                 target: "predcache",
                 buckets_before: 0,
                 buckets_after: 0,
@@ -243,8 +192,8 @@ pub(crate) fn note_materialize_outcome(
             }
             reg.counter("jits.archive.evictions", Volatility::Deterministic)
                 .add(r.evicted.len() as u64);
-            tb.event(|| TraceEvent::Refine {
-                colgroup: colgroup.to_string(),
+            rec.refines.push(RefineRow {
+                colgroup: colgroup.clone(),
                 target: "archive",
                 buckets_before: r.buckets_before,
                 buckets_after: r.buckets_after,
@@ -252,11 +201,7 @@ pub(crate) fn note_materialize_outcome(
                 max_residual: r.fit.max_residual,
                 converged: r.fit.converged,
             });
-            for g in &r.evicted {
-                tb.event(|| TraceEvent::Evicted {
-                    colgroup: g.to_string(),
-                });
-            }
+            rec.evictions.extend(r.evicted.iter().cloned());
         }
     }
 }
@@ -286,18 +231,17 @@ fn degraded_counter_name(point: &str) -> &'static str {
     }
 }
 
-/// Records one degradation event: per-fault-point counter, trace note,
-/// `jits_degradation` view row, and the statement-level flag/reason on the
-/// metrics. Degradation counters are deterministic — every decision derives
-/// from the fault seed or a work-unit budget, never wall clock.
+/// Records one degradation event: per-fault-point counter and the
+/// record's degradation row (which backs `jits_degradation` and the
+/// statement's `degraded` flag). Degradation counters are deterministic —
+/// every decision derives from the fault seed or a work-unit budget, never
+/// wall clock.
 pub(crate) fn note_degradation(
     obs: &Observability,
-    tb: &mut TraceBuilder,
-    metrics: &mut crate::QueryMetrics,
-    clock: u64,
+    rec: &mut QueryProfile,
     table: String,
-    fault_point: &str,
-    fallback: &str,
+    fault_point: &'static str,
+    fallback: &'static str,
 ) {
     obs.registry
         .counter(
@@ -308,25 +252,10 @@ pub(crate) fn note_degradation(
     obs.registry
         .counter("jits.degraded.total", Volatility::Deterministic)
         .inc();
-    tb.event(|| TraceEvent::Note {
-        label: "degraded",
-        detail: format!("{fault_point} -> {fallback} (table '{table}')"),
-    });
-    metrics.degraded = true;
-    metrics
-        .degraded_reasons
-        .push(format!("{fault_point} -> {fallback}"));
-    obs.flight.record(FlightEvent::Degradation {
-        clock,
-        table: table.clone(),
-        fault_point: fault_point.to_string(),
-        fallback: fallback.to_string(),
-    });
-    obs.record_degradation(DegradationRow {
-        clock,
+    rec.degradations.push(Degradation {
         table,
-        fault_point: fault_point.to_string(),
-        fallback: fallback.to_string(),
+        fault_point,
+        fallback,
     });
 }
 
@@ -336,14 +265,14 @@ fn qerror_milli(q: f64) -> u64 {
     (clamp_q_error(q) * 1000.0) as u64
 }
 
-/// Records one statement's operator profile: the `jits.qerror.*` accuracy
+/// Records one SELECT's operator profile: the `jits.qerror.*` accuracy
 /// metrics, the per-table q-error aggregates the sensitivity loop reads,
-/// the flight-recorder event, and — on a misprediction above
-/// [`QERROR_THRESHOLD`] or a degraded statement — the anomaly marker that
-/// triggers an automatic flight dump. Everything recorded here derives
-/// from estimated vs. actual row counts, never timing, so the metrics are
-/// deterministic at any `collect_threads`.
-pub(crate) fn note_profile(obs: &Observability, profile: &QueryProfile) {
+/// and — on a misprediction above [`QERROR_THRESHOLD`] or a degraded
+/// statement — the record's anomaly reason, which triggers an automatic
+/// flight dump. Everything recorded here derives from estimated vs. actual
+/// row counts, never timing, so the metrics are deterministic at any
+/// `collect_threads`.
+pub(crate) fn note_profile(obs: &Observability, profile: &mut QueryProfile) {
     let reg = &obs.registry;
     reg.counter("jits.profile.statements", Volatility::Deterministic)
         .inc();
@@ -369,37 +298,28 @@ pub(crate) fn note_profile(obs: &Observability, profile: &QueryProfile) {
     reg.gauge("jits.qerror.last_max_milli", Volatility::Deterministic)
         .set(qerror_milli(profile.max_q_error));
     let max_q = profile.max_q_error;
-    let (clock, degraded) = (profile.clock, profile.degraded);
-    obs.flight.record(FlightEvent::Profile(profile.clone()));
     if max_q > QERROR_THRESHOLD {
-        obs.flight.record_anomaly(
-            clock,
-            format!("q-error {:.3} above threshold {QERROR_THRESHOLD:.3}", max_q),
-        );
-    } else if degraded {
-        obs.flight
-            .record_anomaly(clock, "degraded statement".to_string());
+        profile.anomaly = Some(format!(
+            "q-error {max_q:.3} above threshold {QERROR_THRESHOLD:.3}"
+        ));
+    } else if profile.degraded() {
+        profile.anomaly = Some("degraded statement".to_string());
     }
 }
 
 /// Observes one statement's per-stage wall latencies into the fixed-bucket
 /// log-scale sketches behind the `jits.stage.*` p50/p99/p999 exports.
 /// Volatile by definition — masked out of deterministic metric dumps.
-pub(crate) fn note_stage_latencies(
-    obs: &Observability,
-    plan_nanos: u64,
-    collect_nanos: u64,
-    exec_nanos: u64,
-) {
+pub(crate) fn note_stage_latencies(obs: &Observability, rec: &QueryProfile) {
     let reg = &obs.registry;
     reg.histogram("jits.stage.plan_nanos", Volatility::Volatile)
-        .observe(plan_nanos);
-    if collect_nanos > 0 {
+        .observe(rec.stages.optimize);
+    if rec.stages.collect > 0 {
         reg.histogram("jits.stage.collect_nanos", Volatility::Volatile)
-            .observe(collect_nanos);
+            .observe(rec.stages.collect);
     }
     reg.histogram("jits.stage.execute_nanos", Volatility::Volatile)
-        .observe(exec_nanos);
+        .observe(rec.stages.execute);
 }
 
 /// The last observed per-table q-errors resolved to table ids — the
@@ -443,23 +363,22 @@ pub(crate) fn note_access_paths(obs: &Observability, stats: &jits_executor::Exec
 }
 
 /// Records the feedback stage (LEO ingest).
-pub(crate) fn note_feedback(obs: &Observability, tb: &mut TraceBuilder, observations: usize) {
+pub(crate) fn note_feedback(obs: &Observability, rec: &mut QueryProfile, observations: usize) {
     obs.registry
         .counter("jits.feedback.observations", Volatility::Deterministic)
         .add(observations as u64);
-    tb.event(|| TraceEvent::Feedback { observations });
+    rec.feedback_observations = observations;
 }
 
-/// Records one finished statement: counter, latency histograms, query log.
-pub(crate) fn note_statement(obs: &Observability, entry: QueryLogEntry) {
+/// Counts one finished SELECT and its compile/execute latencies.
+pub(crate) fn note_statement(obs: &Observability, rec: &QueryProfile) {
     let reg = &obs.registry;
     reg.counter("jits.query.statements", Volatility::Deterministic)
         .inc();
     reg.histogram("jits.query.compile_nanos", Volatility::Volatile)
-        .observe(entry.compile_nanos);
+        .observe(rec.compile_wall_nanos);
     reg.histogram("jits.query.exec_nanos", Volatility::Volatile)
-        .observe(entry.exec_nanos);
-    obs.log_query(entry);
+        .observe(rec.stages.execute);
 }
 
 /// Charges one lock acquisition that blocked for `nanos` of wall-clock. A

@@ -5,11 +5,10 @@
 //! sample caches, the deterministic substrate (clock, RNG stream, setting),
 //! the deterministic metric counters, and the q-error aggregates
 //! that feed sensitivity scoring. What it deliberately does *not* capture
-//! are the observability rings (query log, flight recorder, trace ring,
-//! degradation ring, latest scores): those are bounded post-mortem
+//! is the flight ring of statement records: those are bounded post-mortem
 //! diagnostics, not decision-bearing state, and the durability contract in
 //! DESIGN.md §14 excludes them — a recovered engine plans, collects, and
-//! scores identically with empty rings.
+//! scores identically with an empty ring.
 //!
 //! Sample-cache entries persist only their decision-bearing core (row ids,
 //! epoch, probe cost, hit counts). Columnar gathers and predicate bitsets

@@ -11,11 +11,11 @@
 //! own; a [`crate::Database`] passes session 0 of the stack `Shared` it
 //! lends its state to.
 
-use crate::dml::{self, DmlContext};
+use crate::dml;
 use crate::explain::{explain_block, JitsExplain};
-use crate::metrics::{wall_since, QueryMetrics, StageWalls};
+use crate::metrics::{nanos_since, QueryMetrics};
 use crate::persist;
-use crate::profile::{build_profile, render_profile, ProfileContext};
+use crate::profile::{fill_profile, render_profile};
 use crate::settings::StatsSetting;
 use crate::store::{Locked, Logged};
 use crate::{observe, views};
@@ -32,13 +32,15 @@ use jits_common::fault::{
 use jits_common::{fault_key, ColumnId, FaultPlane, JitsError, Result, Schema, TableId, Value};
 use jits_executor::execute as execute_plan;
 use jits_obs::clock::now_nanos;
-use jits_obs::{FlightEvent, ProfileNodeRow, QueryLogEntry, TraceBuilder};
+use jits_obs::{FlightEvent, ProfileNodeRow, QueryProfile};
 use jits_optimizer::{
     optimize, CardinalityEstimator, CatalogStatisticsProvider, CostModel, PhysicalPlan, PlanSummary,
 };
 use jits_query::{bind_statement, parse, BoundInsert, BoundStatement, QueryBlock, Statement};
 use jits_storage::{SampleCache, Table};
 use jits_wal::WalRecord;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Result of executing one SQL statement.
 #[derive(Debug, Clone)]
@@ -63,7 +65,7 @@ pub(crate) fn execute(s: &mut Locked<'_>, sql: &str) -> Result<QueryResult> {
     if let Some(rows) = system_view_rows(s, &stmt) {
         return Ok(QueryResult {
             metrics: QueryMetrics {
-                compile_wall: wall_since(t0),
+                compile_wall: Duration::from_nanos(nanos_since(t0)),
                 result_rows: rows.len(),
                 lock_wait: s.lock_wait(),
                 ..QueryMetrics::default()
@@ -82,15 +84,14 @@ pub(crate) fn execute(s: &mut Locked<'_>, sql: &str) -> Result<QueryResult> {
     match s.with_catalog(|catalog| bind_statement(&stmt, catalog))? {
         BoundStatement::Select(block) => run_select(s, logged, block, t0, sql),
         BoundStatement::Explain(block) => {
-            let (plan, collected) = compile_and_plan(s, logged, &block)?;
+            let (plan, collected, rec) = compile_and_plan(s, logged, &block, t0, sql)?;
             let metrics = QueryMetrics {
-                compile_wall: wall_since(t0),
                 compile_work: collected.work,
                 plan: Some(PlanSummary::from(&plan)),
                 collect_threads: collected.collect_threads,
-                lock_wait: s.lock_wait(),
                 ..QueryMetrics::default()
-            };
+            }
+            .with_record(&rec, s.lock_wait());
             let rows = plan
                 .explain()
                 .lines()
@@ -98,7 +99,7 @@ pub(crate) fn execute(s: &mut Locked<'_>, sql: &str) -> Result<QueryResult> {
                 .collect();
             Ok(QueryResult { rows, metrics })
         }
-        BoundStatement::Insert(ins) => run_insert(s, &logged, ins, t0),
+        BoundStatement::Insert(ins) => run_insert(s, &logged, ins, t0, sql),
         BoundStatement::Update(upd) => run_dml(s, &logged, t0, sql, |tables, cost| {
             dml::update(&mut tables[upd.table.index()], &upd, cost)
         }),
@@ -112,6 +113,7 @@ pub(crate) fn execute(s: &mut Locked<'_>, sql: &str) -> Result<QueryResult> {
 /// statement: compiling ticks the clock and can draw samples and refine the
 /// archive.
 pub(crate) fn explain(s: &mut Locked<'_>, sql: &str) -> Result<String> {
+    let t0 = now_nanos();
     let stmt = parse(sql)?;
     maybe_checkpoint(s)?;
     let logged = s.wal_append(&WalRecord::Explain {
@@ -122,7 +124,7 @@ pub(crate) fn explain(s: &mut Locked<'_>, sql: &str) -> Result<String> {
     else {
         return Err(JitsError::Plan("EXPLAIN supports SELECT only".into()));
     };
-    Ok(compile_and_plan(s, logged, &block)?.0.explain())
+    Ok(compile_and_plan(s, logged, &block, t0, sql)?.0.explain())
 }
 
 /// Replays the JITS compile-phase decisions for `sql` without executing
@@ -154,13 +156,15 @@ pub(crate) fn explain_jits(s: &mut Locked<'_>, sql: &str) -> Result<JitsExplain>
 }
 
 /// Executes `sql` and renders its per-operator profile tree. The profile
-/// rides on the statement's own metrics, never on the shared flight ring,
-/// so concurrent sessions cannot swap profiles.
+/// rides on the statement's own metrics, never read back from the shared
+/// flight ring, so concurrent sessions cannot swap profiles.
 pub(crate) fn explain_analyze(s: &mut Locked<'_>, sql: &str) -> Result<String> {
-    let profile = execute(s, sql)?.metrics.profile.ok_or_else(|| {
-        JitsError::Plan("EXPLAIN ANALYZE supports SELECT, UPDATE and DELETE only".into())
-    })?;
-    Ok(render_profile(&profile))
+    match execute(s, sql)?.metrics.profile {
+        Some(profile) if !profile.nodes.is_empty() => Ok(render_profile(&profile)),
+        _ => Err(JitsError::Plan(
+            "EXPLAIN ANALYZE supports SELECT, UPDATE and DELETE only".into(),
+        )),
+    }
 }
 
 /// Answers a `SELECT` from one of the virtual system views, unless a user
@@ -207,22 +211,48 @@ impl Stmt {
     }
 }
 
-/// The compile half of EXPLAIN: tick, JITS compile phase, plan.
+/// The statement's record, opened once the clock has ticked: parse, bind,
+/// log and tick count as its `parse_bind` stage.
+fn open_record(
+    s: &Locked<'_>,
+    clock: u64,
+    sql: &str,
+    executor: &'static str,
+    t0: u64,
+) -> QueryProfile {
+    let mut rec = QueryProfile::new(clock, s.session_id(), sql, executor);
+    rec.stages.parse_bind = nanos_since(t0);
+    rec
+}
+
+/// Runs `f`, adding its wall nanoseconds to `stage`.
+fn timed<T>(stage: &mut u64, f: impl FnOnce() -> T) -> T {
+    let t = now_nanos();
+    let out = f();
+    *stage += nanos_since(t);
+    out
+}
+
+/// The compile half of EXPLAIN: tick, JITS compile phase, plan. The record
+/// (no operator tree) is stored even when planning fails, so its
+/// compile-phase degradations still reach `jits_degradation`.
 fn compile_and_plan(
     s: &mut Locked<'_>,
     logged: Logged,
     block: &QueryBlock,
-) -> Result<(PhysicalPlan, CollectedStats)> {
+    t0: u64,
+    sql: &str,
+) -> Result<(PhysicalPlan, CollectedStats, Arc<QueryProfile>)> {
+    let env = s.env();
     let stmt = Stmt::begin(s, logged);
-    let compiled = compile_phase(
-        s,
-        block,
-        &stmt,
-        &mut TraceBuilder::off(),
-        &mut QueryMetrics::default(),
-    );
-    let plan = plan_for(s, block, &compiled.collected, &stmt)?;
-    Ok((plan, compiled.collected))
+    let mut rec = open_record(s, stmt.clock, sql, "explain", t0);
+    let compiled = compile_phase(s, block, &stmt, &mut rec);
+    let plan = timed(&mut rec.stages.optimize, || {
+        plan_for(s, block, &compiled.collected, &stmt)
+    });
+    rec.compile_wall_nanos = nanos_since(t0);
+    let rec = env.obs.flight.record_statement(rec);
+    Ok((plan?, compiled.collected, rec))
 }
 
 fn run_select(
@@ -235,94 +265,75 @@ fn run_select(
     let env = s.env();
     let obs = &env.obs;
     let stmt = Stmt::begin(s, logged);
-    let (clock, setting) = (stmt.clock, &stmt.setting);
-    let session = s.session_id();
-    let mut tb = obs.tracer.start(sql, clock, session);
-    tb.begin("parse_bind");
-    tb.end(now_nanos().saturating_sub(t0));
-    let mut metrics = QueryMetrics::default();
+    let mut rec = open_record(s, stmt.clock, sql, "batch", t0);
+    let ran = select_phases(s, &block, &stmt, &mut rec, t0);
+    // stored even when planning or execution fails, so the compile-phase
+    // decisions and degradations stay on record
+    let rec = obs.flight.record_statement(rec);
+    let QueryResult { rows, metrics } = ran?;
+    Ok(QueryResult {
+        rows,
+        metrics: metrics.with_record(&rec, s.lock_wait()),
+    })
+}
 
-    // -- JITS compile-time pipeline --
-    let compiled = compile_phase(s, &block, &stmt, &mut tb, &mut metrics);
-    metrics.set_stage_walls(compiled.walls);
-    metrics.compile_work = compiled.collected.work;
-    metrics.sampled_tables = compiled.sampled;
-    metrics.materialized_groups = compiled.materialized;
-    metrics.table_scores = compiled.scores;
-    metrics.collect_threads = compiled.collected.collect_threads;
+/// A SELECT's stages after the tick, filling `rec`: JITS compile phase,
+/// optimize, execute, profile, feedback, periodic migration. The metrics
+/// returned lack what [`QueryMetrics::with_record`] adds.
+fn select_phases(
+    s: &mut Locked<'_>,
+    block: &QueryBlock,
+    stmt: &Stmt,
+    rec: &mut QueryProfile,
+    t0: u64,
+) -> Result<QueryResult> {
+    let env = s.env();
+    let obs = &env.obs;
+    let clock = stmt.clock;
+    let compiled = compile_phase(s, block, stmt, rec);
+    let plan = timed(&mut rec.stages.optimize, || {
+        plan_for(s, block, &compiled.collected, stmt)
+    })?;
+    rec.compile_wall_nanos = nanos_since(t0);
 
-    // -- optimize --
-    tb.begin("optimize");
-    let topt = now_nanos();
-    let plan = plan_for(s, &block, &compiled.collected, &stmt)?;
-    let plan_nanos = now_nanos().saturating_sub(topt);
-    tb.end(plan_nanos);
-    metrics.plan = Some(PlanSummary::from(&plan));
-    metrics.compile_wall = wall_since(t0);
-
-    // -- execute --
-    tb.begin("execute");
-    let t1 = now_nanos();
-    let out = s.with_tables(|tables| execute_plan(&plan, &block, tables, &env.cost))?;
-    metrics.exec_wall = wall_since(t1);
-    let exec_nanos = metrics.exec_wall.as_nanos() as u64;
-    tb.end(exec_nanos);
-    metrics.exec_work = out.stats.work;
-    metrics.result_rows = out.rows.len();
+    let out = timed(&mut rec.stages.execute, || {
+        s.with_tables(|tables| execute_plan(&plan, block, tables, &env.cost))
+    })?;
+    rec.result_rows = out.rows.len();
     observe::note_access_paths(obs, &out.stats);
 
     // -- profile (estimation-quality observatory) --
-    let ctx = ProfileContext {
-        clock,
-        session,
-        sql,
-        result_rows: out.rows.len(),
-        degraded: metrics.degraded,
-        exec_wall_nanos: exec_nanos,
-    };
-    let profile = s.with_catalog(|catalog| build_profile(&plan, &out.stats, catalog, &ctx));
-    observe::note_profile(obs, &profile);
-    metrics.profile = Some(profile);
-    observe::note_stage_latencies(
-        obs,
-        plan_nanos,
-        metrics.collect_wall.as_nanos() as u64,
-        exec_nanos,
-    );
+    s.with_catalog(|catalog| fill_profile(rec, &plan, &out.stats, catalog));
+    observe::note_profile(obs, rec);
+    observe::note_stage_latencies(obs, rec);
 
     // -- feedback (LEO) --
-    tb.begin("feedback");
-    let tf = now_nanos();
-    s.with_feedback(&stmt.logged, |history| {
-        ingest(&block, &out.stats.scans, history)
+    timed(&mut rec.stages.feedback, || {
+        s.with_feedback(&stmt.logged, |history| {
+            ingest(block, &out.stats.scans, history)
+        });
     });
-    observe::note_feedback(obs, &mut tb, out.stats.scans.len());
-    tb.end(now_nanos().saturating_sub(tf));
+    observe::note_feedback(obs, rec, out.stats.scans.len());
 
     // -- periodic statistics migration (paper Figure 1) --
-    if matches!(setting, StatsSetting::Jits(_)) && clock.is_multiple_of(MIGRATE_EVERY) {
+    if matches!(stmt.setting, StatsSetting::Jits(_)) && clock.is_multiple_of(MIGRATE_EVERY) {
         s.with_migrate(&stmt.logged, |catalog, archive| {
             jits::migrate::migrate(archive, catalog, clock)
         });
     }
-
-    metrics.lock_wait = s.lock_wait();
-    observe::note_statement(
-        obs,
-        QueryLogEntry {
-            clock,
-            session,
-            sql: sql.to_string(),
-            result_rows: metrics.result_rows,
-            compile_nanos: metrics.compile_wall.as_nanos() as u64,
-            exec_nanos: metrics.exec_wall.as_nanos() as u64,
-            sampled_tables: compiled.sampled,
-        },
-    );
-    obs.tracer.finish(tb, now_nanos().saturating_sub(t0));
+    observe::note_statement(obs, rec);
     Ok(QueryResult {
         rows: out.rows,
-        metrics,
+        metrics: QueryMetrics {
+            compile_work: compiled.collected.work,
+            exec_work: out.stats.work,
+            plan: Some(PlanSummary::from(&plan)),
+            sampled_tables: compiled.sampled,
+            materialized_groups: compiled.materialized,
+            table_scores: compiled.scores,
+            collect_threads: compiled.collected.collect_threads,
+            ..QueryMetrics::default()
+        },
     })
 }
 
@@ -337,22 +348,20 @@ struct Compiled {
     materialized: usize,
     /// Sensitivity scores.
     scores: Vec<jits::TableScore>,
-    /// Per-stage wall times (which also decorate the trace spans).
-    walls: StageWalls,
 }
 
 /// Runs query analysis, sensitivity analysis, sampling and archive
-/// materialization, if JITS is enabled.
+/// materialization, if JITS is enabled, filling the stage walls and
+/// decisions into `rec`.
 ///
 /// Degradations (fault-isolated tables, budget aborts, quarantined archive
-/// groups) are recorded onto `metrics` and the obs state as they happen;
-/// the statement always proceeds to planning.
+/// groups) are recorded onto `rec` and the registry as they happen; the
+/// statement always proceeds to planning.
 fn compile_phase(
     s: &mut Locked<'_>,
     block: &QueryBlock,
     stmt: &Stmt,
-    tb: &mut TraceBuilder,
-    metrics: &mut QueryMetrics,
+    rec: &mut QueryProfile,
 ) -> Compiled {
     let env = s.env();
     let StatsSetting::Jits(cfg) = &stmt.setting else {
@@ -363,20 +372,14 @@ fn compile_phase(
         return Compiled::default();
     }
     let obs = &env.obs;
-    let mut walls = StageWalls::default();
 
     // -- query analysis (Algorithm 1) --
-    tb.begin("analyze");
-    let t = now_nanos();
-    let candidates = query_analysis(block);
-    walls.analyze = wall_since(t);
-    observe::note_analysis(obs, tb, block.quns.len(), candidates.len());
-    tb.end(walls.analyze.as_nanos() as u64);
+    let candidates = timed(&mut rec.stages.analyze, || query_analysis(block));
+    observe::note_analysis(obs, rec, candidates.len());
 
     let (sample_quns, materialize, scores, collected, rebuild_due, cand_tables) =
         s.with_collect(&stmt.logged, |r, mut c| {
             // -- sensitivity analysis (Algorithms 2-4) --
-            tb.begin("sensitivity");
             let t = now_nanos();
             let (sample_quns, materialize, scores, extra_work, mat_log) = match &cfg.strategy {
                 SensitivityStrategy::PaperHeuristic => {
@@ -389,9 +392,7 @@ fn compile_phase(
                     if !history_ok {
                         observe::note_degradation(
                             obs,
-                            tb,
-                            metrics,
-                            clock,
+                            rec,
                             String::new(),
                             FP_HISTORY_READ,
                             "empty_history",
@@ -439,18 +440,11 @@ fn compile_phase(
                     )
                 }
             };
-            walls.sensitivity = wall_since(t);
-            observe::note_sensitivity(obs, tb, r.catalog, &scores, &mat_log, cfg, clock);
-            tb.end(walls.sensitivity.as_nanos() as u64);
+            rec.stages.sensitivity = nanos_since(t);
+            observe::note_sensitivity(obs, rec, r.catalog, &scores, &mat_log, cfg);
 
             // -- statistics collection (sampling) --
-            tb.begin("collect");
             let t = now_nanos();
-            let clock_fn: Option<&(dyn Fn() -> u64 + Sync)> = if tb.enabled() {
-                Some(&jits_obs::clock::now_nanos)
-            } else {
-                None
-            };
             // Phase A: resolve each quantifier's sample source.
             let (sources, draw_meta, cache_before) = c.samplecache.write(|cache| {
                 let before = cache.counters();
@@ -467,7 +461,7 @@ fn compile_phase(
                 cfg.sample,
                 c.rng,
                 cfg.collect_threads,
-                clock_fn,
+                Some(&now_nanos),
                 &sources,
                 cfg.collect_budget,
                 fault,
@@ -475,15 +469,7 @@ fn compile_phase(
             );
             for d in &collected.degraded {
                 let table = observe::table_name(r.catalog, d.table);
-                observe::note_degradation(
-                    obs,
-                    tb,
-                    metrics,
-                    clock,
-                    table,
-                    d.fault_point,
-                    d.fallback,
-                );
+                observe::note_degradation(obs, rec, table, d.fault_point, d.fallback);
             }
             // Phase C: memoize the fresh draws. A failed (post-retry)
             // commit skips the memoization — the draw is still used for
@@ -498,9 +484,7 @@ fn compile_phase(
             } else {
                 observe::note_degradation(
                     obs,
-                    tb,
-                    metrics,
-                    clock,
+                    rec,
                     String::new(),
                     FP_SAMPLECACHE_COMMIT,
                     "skip_commit",
@@ -508,10 +492,9 @@ fn compile_phase(
                 c.samplecache.read(SampleCache::counters)
             };
             collected.work += extra_work;
-            walls.collect = wall_since(t);
-            observe::note_collect(obs, tb, block, r.catalog, &timings);
-            observe::note_samplecache(obs, tb, cache_before, cache_after);
-            tb.end(walls.collect.as_nanos() as u64);
+            rec.stages.collect = nanos_since(t);
+            observe::note_collect(obs, rec, block, r.catalog, &timings);
+            observe::note_samplecache(obs, cache_before, cache_after);
 
             // Table names for quarantine notes, resolved now: the catalog
             // is not part of the refine window. Only faults quarantine, so
@@ -546,7 +529,6 @@ fn compile_phase(
     }
 
     // -- archive materialization / max-entropy refinement --
-    tb.begin("refine");
     let t = now_nanos();
     // The window opens when there is something to write, a quarantined
     // group awaits its rebuild, or the fault plane can tear a write or fail
@@ -572,7 +554,7 @@ fn compile_phase(
                 if !matches!(outcome, MaterializeOutcome::Skipped) {
                     materialized += 1;
                 }
-                observe::note_materialize_outcome(obs, tb, &cand.colgroup, &outcome);
+                observe::note_materialize_outcome(obs, rec, &cand.colgroup, &outcome);
                 // archive.write fault: a torn write lands a histogram whose
                 // stored checksum no longer matches — detected (and
                 // quarantined) by the verification pass below.
@@ -609,9 +591,7 @@ fn compile_phase(
                     archive.quarantine(&cand.colgroup);
                     observe::note_degradation(
                         obs,
-                        tb,
-                        metrics,
-                        clock,
+                        rec,
                         cand_tables.get(i).cloned().unwrap_or_default(),
                         FP_ARCHIVE_READ,
                         "default_selectivity",
@@ -621,15 +601,13 @@ fn compile_phase(
             observe::note_archive_gauges(obs, archive);
         });
     }
-    walls.refine = wall_since(t);
-    tb.end(walls.refine.as_nanos() as u64);
+    rec.stages.refine = nanos_since(t);
 
     Compiled {
         collected,
         sampled: sample_quns.len(),
         materialized,
         scores,
-        walls,
     }
 }
 
@@ -688,28 +666,32 @@ fn run_insert(
     logged: &Logged,
     ins: BoundInsert,
     t0: u64,
+    sql: &str,
 ) -> Result<QueryResult> {
-    s.tick(logged);
-    let compile_wall = wall_since(t0);
-    let t1 = now_nanos();
+    let env = s.env();
+    let clock = s.tick(logged);
+    let mut rec = open_record(s, clock, sql, "insert", t0);
+    rec.compile_wall_nanos = rec.stages.parse_bind;
     let n = ins.rows.len();
-    s.with_tables_mut(logged, |tables| {
-        let t = &mut tables[ins.table.index()];
-        for row in ins.rows {
-            t.insert(row)?;
-        }
-        Ok::<_, JitsError>(())
+    timed(&mut rec.stages.execute, || {
+        s.with_tables_mut(logged, |tables| {
+            let t = &mut tables[ins.table.index()];
+            for row in ins.rows {
+                t.insert(row)?;
+            }
+            Ok::<_, JitsError>(())
+        })
     })?;
+    rec.result_rows = n;
+    rec.total_work = n as f64;
+    let rec = env.obs.flight.record_statement(rec);
     Ok(QueryResult {
         rows: Vec::new(),
         metrics: QueryMetrics {
-            compile_wall,
-            exec_wall: wall_since(t1),
             exec_work: n as f64,
-            result_rows: n,
-            lock_wait: s.lock_wait(),
             ..QueryMetrics::default()
-        },
+        }
+        .with_record(&rec, s.lock_wait()),
     })
 }
 
@@ -724,17 +706,13 @@ fn run_dml(
 ) -> Result<QueryResult> {
     let env = s.env();
     let clock = s.tick(logged);
-    let compile_wall = wall_since(t0);
+    let mut rec = open_record(s, clock, sql, "dml", t0);
+    rec.compile_wall_nanos = rec.stages.parse_bind;
     let t1 = now_nanos();
     let node = s.with_tables_mut(logged, |tables| apply(tables, &env.cost))?;
-    let ctx = DmlContext {
-        clock,
-        session: s.session_id(),
-        sql,
-    };
     Ok(QueryResult {
         rows: Vec::new(),
-        metrics: dml::finish(node, &ctx, &env.obs, compile_wall, t1, s.lock_wait()),
+        metrics: dml::finish(node, rec, &env.obs, t1, s.lock_wait()),
     })
 }
 
@@ -859,12 +837,9 @@ pub(crate) fn precollect_query_stats(s: &mut Locked<'_>, sql: &str) -> Result<()
     s.with_stats_mut(&logged, |archive, predcache| {
         for cand in &candidates {
             let outcome = materialize_group(&block, cand, &collected, clock, archive, predcache);
-            observe::note_materialize_outcome(
-                &env.obs,
-                &mut TraceBuilder::off(),
-                &cand.colgroup,
-                &outcome,
-            );
+            // no statement record: preparation is not a statement
+            let rec = &mut QueryProfile::default();
+            observe::note_materialize_outcome(&env.obs, rec, &cand.colgroup, &outcome);
         }
     });
     Ok(())

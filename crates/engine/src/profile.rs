@@ -2,8 +2,9 @@
 //!
 //! After every executed SELECT the engine zips the physical plan with the
 //! executor's post-order observation stream ([`jits_executor::ExecStats`])
-//! into a [`QueryProfile`]: one row per operator carrying estimated vs.
-//! actual cardinality, q-error, charged work, and inclusive wall time.
+//! into the operator tree of the statement's [`QueryProfile`]: one row per
+//! operator carrying estimated vs. actual cardinality, q-error, charged
+//! work, and inclusive wall time.
 //! (UPDATE and DELETE build their one-node profile in [`crate::dml`].)
 //! The deterministic fields (kind, table, rows, q-error, work) equal the
 //! row reference executor's observations bit for bit and do not depend on
@@ -23,35 +24,19 @@ use jits_obs::{clamp_q_error, ProfileNodeRow, QueryProfile};
 use jits_optimizer::PhysicalPlan;
 use std::fmt::Write as _;
 
-/// Everything [`build_profile`] needs about the statement besides the plan
-/// and the executor stats.
-pub(crate) struct ProfileContext<'a> {
-    /// Logical statement clock.
-    pub clock: u64,
-    /// Session id (0 on the single-owner path).
-    pub session: u64,
-    /// Statement text.
-    pub sql: &'a str,
-    /// Result rows returned.
-    pub result_rows: usize,
-    /// Whether any pipeline stage degraded for this statement.
-    pub degraded: bool,
-    /// Execute-phase wall nanoseconds (volatile).
-    pub exec_wall_nanos: u64,
-}
-
-/// Builds the per-operator profile of one executed statement.
+/// Fills the operator tree of one executed statement into its record:
+/// nodes, total work and the largest q-error.
 ///
 /// The walker visits the plan in the executor's push order (post-order,
 /// children before self) to consume `stats.nodes` / `stats.node_walls`,
 /// but emits rows in pre-order with depths so the profile reads as an
 /// indented tree.
-pub(crate) fn build_profile(
+pub(crate) fn fill_profile(
+    rec: &mut QueryProfile,
     plan: &PhysicalPlan,
     stats: &ExecStats,
     catalog: &Catalog,
-    ctx: &ProfileContext<'_>,
-) -> QueryProfile {
+) {
     let mut nodes = Vec::with_capacity(stats.nodes.len());
     let mut cursor = 0usize;
     flatten(plan, stats, catalog, 0, &mut cursor, &mut nodes);
@@ -60,19 +45,9 @@ pub(crate) fn build_profile(
         stats.nodes.len(),
         "profile walker out of step with the observation stream"
     );
-    let max_q_error = nodes.iter().map(|n| n.q_error).fold(1.0f64, f64::max);
-    QueryProfile {
-        clock: ctx.clock,
-        session: ctx.session,
-        sql: ctx.sql.to_string(),
-        executor: "batch".to_string(),
-        result_rows: ctx.result_rows,
-        total_work: stats.work,
-        max_q_error,
-        degraded: ctx.degraded,
-        exec_wall_nanos: ctx.exec_wall_nanos,
-        nodes,
-    }
+    rec.max_q_error = nodes.iter().map(|n| n.q_error).fold(1.0f64, f64::max);
+    rec.total_work = stats.work;
+    rec.nodes = nodes;
 }
 
 /// Consumes this subtree's observations from the post-order stream and
@@ -170,7 +145,7 @@ pub(crate) fn render_profile(p: &QueryProfile) -> String {
         p.result_rows,
         p.total_work,
         p.max_q_error,
-        if p.degraded { ", DEGRADED" } else { "" },
+        if p.degraded() { ", DEGRADED" } else { "" },
     );
     for n in &p.nodes {
         let on = if n.table.is_empty() {

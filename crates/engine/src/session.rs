@@ -223,8 +223,8 @@ impl SharedDatabase {
         self.shared.clock.load(Ordering::SeqCst)
     }
 
-    /// The observability state: tracer, metrics registry, and query log
-    /// (shared by every session).
+    /// The observability state: metrics registry and the flight ring of
+    /// statement records (shared by every session).
     pub fn obs(&self) -> &Arc<Observability> {
         &self.shared.env.obs
     }

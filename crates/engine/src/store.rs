@@ -77,8 +77,8 @@ pub(crate) struct Env {
     pub cost: CostModel,
     pub defaults: DefaultSelectivities,
     pub runstats_opts: RunstatsOptions,
-    /// Tracer, metrics registry, query log and flight ring (lock-free or
-    /// ranked above every engine component, so usable from any phase).
+    /// Metrics registry and flight ring (lock-free or ranked above every
+    /// engine component, so usable from any phase).
     pub obs: Arc<Observability>,
 }
 

@@ -2,7 +2,9 @@
 //!
 //! Eight read-only views answer plain `SELECT * FROM <view>` statements
 //! without touching user data, bumping the query clock, or drawing from
-//! the sampling RNG:
+//! the sampling RNG. The five over per-statement data (`jits_table_scores`,
+//! `jits_query_log`, `jits_degradation`, `jits_profile`, `jits_flight`) all
+//! read the statement records in the flight ring:
 //!
 //! | View                 | Row layout                                         |
 //! |----------------------|----------------------------------------------------|
@@ -27,16 +29,17 @@ use jits_storage::SampleCache;
 
 /// `SELECT * FROM jits_archive_stats` — one row per archived histogram.
 pub const VIEW_ARCHIVE_STATS: &str = "jits_archive_stats";
-/// `SELECT * FROM jits_table_scores` — latest sensitivity scores.
+/// `SELECT * FROM jits_table_scores` — the newest retained sensitivity
+/// scores.
 pub const VIEW_TABLE_SCORES: &str = "jits_table_scores";
-/// `SELECT * FROM jits_query_log` — recent statements.
+/// `SELECT * FROM jits_query_log` — the retained statement records.
 pub const VIEW_QUERY_LOG: &str = "jits_query_log";
 /// `SELECT * FROM jits_sample_cache` — one row per memoized table sample.
 pub const VIEW_SAMPLE_CACHE: &str = "jits_sample_cache";
-/// `SELECT * FROM jits_degradation` — recent pipeline degradation events.
+/// `SELECT * FROM jits_degradation` — the retained records' degradations.
 pub const VIEW_DEGRADATION: &str = "jits_degradation";
-/// `SELECT * FROM jits_profile` — per-operator profile of the most recent
-/// profiled statement.
+/// `SELECT * FROM jits_profile` — the operator tree of the newest record
+/// that has one.
 pub const VIEW_PROFILE: &str = "jits_profile";
 /// `SELECT * FROM jits_flight` — the flight-recorder event ring.
 pub const VIEW_FLIGHT: &str = "jits_flight";
@@ -82,20 +85,25 @@ pub(crate) fn archive_stats_rows(archive: &QssArchive) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// Rows of `jits_table_scores` from the most recent sensitivity pass.
+/// Rows of `jits_table_scores`: the newest retained record with scores
+/// (so DML, which scores nothing, does not clobber them).
 pub(crate) fn table_scores_rows(obs: &Observability) -> Vec<Vec<Value>> {
-    let (clock, rows) = obs.latest_scores();
-    rows.into_iter()
+    let records = obs.flight.statements();
+    let Some(p) = records.iter().rev().find(|p| !p.scores.is_empty()) else {
+        return Vec::new();
+    };
+    p.scores
+        .iter()
         .map(|r| {
             vec![
-                Value::Int(clock as i64),
+                Value::Int(p.clock as i64),
                 Value::Int(r.qun as i64),
-                Value::str(r.table),
+                Value::str(&r.table),
                 Value::Float(r.s1),
                 Value::Float(r.s2),
                 Value::Float(r.score),
                 Value::Int(r.collect as i64),
-                Value::str(r.reason),
+                Value::str(r.reason(p.s_max)),
             ]
         })
         .collect()
@@ -122,36 +130,41 @@ pub(crate) fn sample_cache_rows(cache: &SampleCache, catalog: &Catalog) -> Vec<V
         .collect()
 }
 
-/// Rows of `jits_degradation`, oldest first: every time the pipeline fell
-/// back (budget abort, fault-isolated table, quarantined archive group).
+/// Rows of `jits_degradation`, oldest first: every retained record's
+/// fallbacks (budget abort, fault-isolated table, quarantined archive
+/// group).
 pub(crate) fn degradation_rows(obs: &Observability) -> Vec<Vec<Value>> {
-    obs.recent_degradations()
-        .into_iter()
-        .map(|d| {
-            vec![
-                Value::Int(d.clock as i64),
-                Value::str(d.table),
-                Value::str(d.fault_point),
-                Value::str(d.fallback),
-            ]
+    let records = obs.flight.statements();
+    records
+        .iter()
+        .flat_map(|p| {
+            p.degradations.iter().map(|d| {
+                vec![
+                    Value::Int(p.clock as i64),
+                    Value::str(&d.table),
+                    Value::str(d.fault_point),
+                    Value::str(d.fallback),
+                ]
+            })
         })
         .collect()
 }
 
-/// Rows of `jits_profile`: the operator tree of the most recent profiled
-/// statement, one row per node in pre-order.
+/// Rows of `jits_profile`: the operator tree of the newest record that has
+/// one, one row per node in pre-order.
 pub(crate) fn profile_rows(obs: &Observability) -> Vec<Vec<Value>> {
-    let Some(p) = obs.flight.latest_profile() else {
+    let records = obs.flight.statements();
+    let Some(p) = records.iter().rev().find(|p| !p.nodes.is_empty()) else {
         return Vec::new();
     };
     p.nodes
-        .into_iter()
+        .iter()
         .map(|n| {
             vec![
                 Value::Int(p.clock as i64),
                 Value::Int(n.depth as i64),
-                Value::str(n.kind),
-                Value::str(n.table),
+                Value::str(&n.kind),
+                Value::str(&n.table),
                 Value::Float(n.est_rows),
                 Value::Float(n.actual_rows),
                 Value::Float(n.q_error),
@@ -162,8 +175,8 @@ pub(crate) fn profile_rows(obs: &Observability) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// Rows of `jits_flight`, oldest first: every retained flight-recorder
-/// event with a one-line deterministic summary.
+/// Rows of `jits_flight`, oldest first: one row per retained event with a
+/// one-line deterministic summary.
 pub(crate) fn flight_rows(obs: &Observability) -> Vec<Vec<Value>> {
     use jits_obs::FlightEvent;
     obs.flight
@@ -177,22 +190,9 @@ pub(crate) fn flight_rows(obs: &Observability) -> Vec<Vec<Value>> {
                     p.executor,
                     p.result_rows,
                     p.max_q_error,
-                    if p.degraded { ", degraded" } else { "" },
+                    if p.degraded() { ", degraded" } else { "" },
                 ),
-                FlightEvent::Degradation {
-                    table,
-                    fault_point,
-                    fallback,
-                    ..
-                } => {
-                    if table.is_empty() {
-                        format!("{fault_point} -> {fallback}")
-                    } else {
-                        format!("{table}: {fault_point} -> {fallback}")
-                    }
-                }
                 FlightEvent::Note { label, detail, .. } => format!("{label}: {detail}"),
-                FlightEvent::Anomaly { reason, .. } => reason.clone(),
             };
             vec![
                 Value::Int(e.clock() as i64),
@@ -233,19 +233,20 @@ pub(crate) fn access_paths_rows(obs: &Observability) -> Vec<Vec<Value>> {
     ]
 }
 
-/// Rows of `jits_query_log`, oldest first.
+/// Rows of `jits_query_log`, oldest first: one per retained record.
 pub(crate) fn query_log_rows(obs: &Observability) -> Vec<Vec<Value>> {
-    obs.recent_queries()
-        .into_iter()
-        .map(|q| {
+    obs.flight
+        .statements()
+        .iter()
+        .map(|p| {
             vec![
-                Value::Int(q.clock as i64),
-                Value::Int(q.session as i64),
-                Value::str(q.sql),
-                Value::Int(q.result_rows as i64),
-                Value::Int(q.compile_nanos as i64),
-                Value::Int(q.exec_nanos as i64),
-                Value::Int(q.sampled_tables as i64),
+                Value::Int(p.clock as i64),
+                Value::Int(p.session as i64),
+                Value::str(&p.sql),
+                Value::Int(p.result_rows as i64),
+                Value::Int(p.compile_wall_nanos as i64),
+                Value::Int(p.stages.execute as i64),
+                Value::Int(p.samples.len() as i64),
             ]
         })
         .collect()

@@ -68,27 +68,11 @@ pub const FB_PARTIAL_SAMPLE: &str = "partial_sample";
 /// not an injected fault — degraded a table.
 pub const FP_COLLECT_BUDGET: &str = "collect.budget";
 
-/// How a quantifier's sample rows were obtained.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SampleOrigin {
-    /// Drawn fresh (cold cache or no cache in play).
-    Fresh,
-    /// Drawn fresh because the cached sample had drifted past the
-    /// staleness limit.
-    Redrawn {
-        /// The staleness that invalidated the cached sample.
-        staleness: f64,
-    },
-    /// Served from the sample cache.
-    Cached {
-        /// The (below-limit) staleness the sample was served at.
-        staleness: f64,
-    },
-}
+pub use jits_common::SampleOrigin;
 
-/// Per-table collection telemetry — trace decoration only, deliberately
-/// kept *out* of [`CollectedStats`] so wall-clock readings can never reach
-/// statistics-bearing state. `rows_sampled`, `slot_probes` and `origin` are
+/// Per-table collection telemetry — statement-record decoration only,
+/// deliberately kept *out* of [`CollectedStats`] so wall-clock readings can
+/// never reach statistics-bearing state. `rows_sampled`, `slot_probes` and `origin` are
 /// deterministic; `worker` and the nanosecond fields depend on scheduling
 /// and the caller's clock (all 0 when no clock is supplied).
 #[derive(Debug, Clone, PartialEq)]
@@ -931,10 +915,10 @@ pub fn collect_for_tables_parallel(
 
 /// [`collect_for_tables_parallel`] with per-table [`CollectTiming`]
 /// telemetry and per-quantifier [`SampleSource`]s from the engine's
-/// sample-cache resolution. `clock` supplies monotonic nanoseconds (pass
-/// `None` when not tracing — timings then carry zero wall time but still
-/// report deterministic row/probe counts); the statistics returned are
-/// identical whether or not a clock is supplied. Quantifiers absent from
+/// sample-cache resolution. `clock` supplies monotonic nanoseconds (with
+/// `None` timings carry zero wall time but still report deterministic
+/// row/probe counts); the statistics returned are identical whether or not
+/// a clock is supplied. Quantifiers absent from
 /// `sources` draw fresh (so an empty map is exactly the cold path). Returns
 /// every cache deposit — fresh draws plus columns gathered on top of served
 /// samples — as [`DrawnSample`]s (in quantifier order) for the caller to

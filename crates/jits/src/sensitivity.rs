@@ -82,7 +82,7 @@ impl fmt::Display for MaterializeReason {
     }
 }
 
-/// One Algorithm 4 verdict, with its rationale (diagnostics/tracing).
+/// One Algorithm 4 verdict, with its rationale (for the statement record).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaterializeDecision {
     /// Quantifier index the candidate belongs to.
@@ -105,7 +105,7 @@ pub struct SensitivityDecision {
     /// Collected groups to materialize into the QSS archive.
     pub materialize: Vec<CandidateGroup>,
     /// Per-candidate Algorithm 4 verdicts with rationale, for every
-    /// candidate of every sampled table (diagnostics/tracing).
+    /// candidate of every sampled table (for the statement record).
     pub materialize_log: Vec<MaterializeDecision>,
 }
 

@@ -2,12 +2,12 @@
 //!
 //! This file is the only place in the workspace allowed to read the OS
 //! clock: `clippy.toml` disallows `Instant::now` and `SystemTime::now`, and
-//! [`now_nanos`] carries the one `#[expect]`. Everything else — trace
-//! spans, latency histograms, per-worker collection timings, the bench
-//! binaries — receives nanosecond readings *through* [`now_nanos`], which
-//! keeps all timing quarantined in trace/metrics state and out of anything
-//! statistics-bearing: a reading taken here can decorate a span, but it can
-//! never influence what the engine computes.
+//! [`now_nanos`] carries the one `#[expect]`. Everything else — record
+//! stage walls, latency histograms, per-worker collection timings, the
+//! bench binaries — receives nanosecond readings *through* [`now_nanos`],
+//! which keeps all timing quarantined in record/metrics state and out of
+//! anything statistics-bearing: a reading taken here can decorate a
+//! statement record, but it can never influence what the engine computes.
 
 use std::sync::OnceLock;
 use std::time::Instant;

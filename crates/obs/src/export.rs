@@ -15,9 +15,11 @@ use crate::registry::{histogram_quantile, MetricSample, SampleValue};
 /// `(suffix, q)` pairs: p50/p99/p999 derived from the log2 buckets.
 const EXPORTED_QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)];
 
-/// Escapes a string for a JSON string literal (quotes not included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Quotes and escapes a string as a JSON string literal (shared by the
+/// metrics exporter and the flight dump).
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -29,6 +31,7 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
@@ -52,7 +55,7 @@ pub fn to_json(samples: &[MetricSample], include_volatile: bool) -> String {
         }
         first = false;
         let vol = if s.volatile { "true" } else { "false" };
-        out.push_str(&format!("  \"{}\": ", json_escape(&s.name)));
+        out.push_str(&format!("  {}: ", json_str(&s.name)));
         match &s.value {
             SampleValue::Counter(v) => {
                 out.push_str(&format!(

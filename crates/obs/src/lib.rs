@@ -1,13 +1,12 @@
-//! Observability for the JITS engine: span tracing, a metrics registry,
-//! exporters, and the state backing the engine's introspection surface
-//! (`explain_jits`, virtual system views).
+//! Observability for the JITS engine: the per-statement record, the flight
+//! ring that stores it, a metrics registry, and exporters.
 //!
 //! The crate is deliberately engine-agnostic — it knows nothing about
 //! blocks, candidate groups, or archives. The engine translates its own
-//! types into the generic rows/events defined here, which keeps the
-//! dependency arrow pointing one way (engine → obs) and lets obs stay free
-//! of statistics-bearing state. The only OS-clock read in the crate lives
-//! in [`clock`]; everything else receives timings from callers.
+//! types into the generic records defined here, which keeps the dependency
+//! arrow pointing one way (engine → obs) and lets obs stay free of
+//! statistics-bearing state. The only OS-clock read in the crate lives in
+//! [`clock`]; everything else receives timings from callers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,84 +14,22 @@
 pub mod clock;
 pub mod export;
 pub mod flight;
+pub mod record;
 pub mod registry;
-pub mod trace;
 
 pub use export::{to_json, to_prometheus, validate_json, validate_prometheus};
-pub use flight::{
-    clamp_q_error, FlightEvent, FlightRecorder, ProfileNodeRow, QueryProfile, FLIGHT_CAPACITY,
-    Q_ERROR_CAP, RANK_FLIGHT,
+pub use flight::{FlightEvent, FlightRecorder, FLIGHT_CAPACITY, RANK_FLIGHT};
+pub use record::{
+    clamp_q_error, Degradation, GroupVerdict, ProfileNodeRow, QueryProfile, RefineRow, SampleRow,
+    ScoreRow, StageNanos, Q_ERROR_CAP,
 };
 pub use registry::{
     histogram_quantile, Counter, Gauge, Histogram, MetricSample, MetricsRegistry, SampleValue,
     Volatility, RANK_REGISTRY,
 };
-pub use trace::{QueryTrace, SpanNode, TraceBuilder, TraceEvent, Tracer};
 
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
-
-/// Retained statements in the query log ring.
-const QUERY_LOG_CAPACITY: usize = 256;
-
-/// Retained rows in the degradation ring.
-const DEGRADATION_CAPACITY: usize = 256;
-
-/// One pipeline degradation event (backs the `jits_degradation` system
-/// view): which table fell back, at which fault point, to which fallback,
-/// and when. Engine-agnostic — the engine resolves table ids to names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradationRow {
-    /// Logical statement clock when the degradation happened.
-    pub clock: u64,
-    /// Affected table name (empty when the degradation is not
-    /// table-scoped, e.g. an archive bucket-set quarantine).
-    pub table: String,
-    /// The fault point (or budget) that tripped.
-    pub fault_point: String,
-    /// The fallback the pipeline served instead.
-    pub fallback: String,
-}
-
-/// One finished statement in the query log (backs the `jits_query_log`
-/// system view).
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryLogEntry {
-    /// Logical statement clock.
-    pub clock: u64,
-    /// Session id (0 on the single-owner path).
-    pub session: u64,
-    /// Statement text.
-    pub sql: String,
-    /// Rows the statement returned.
-    pub result_rows: usize,
-    /// Compile-phase wall nanoseconds.
-    pub compile_nanos: u64,
-    /// Execute-phase wall nanoseconds.
-    pub exec_nanos: u64,
-    /// Tables the JITS pipeline sampled for the statement.
-    pub sampled_tables: usize,
-}
-
-/// One per-table sensitivity score row (backs the `jits_table_scores`
-/// system view). Engine-agnostic mirror of the engine's `TableScore`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoreRow {
-    /// Quantifier index within the query block.
-    pub qun: usize,
-    /// Table name.
-    pub table: String,
-    /// `1 − MaxAcc` component.
-    pub s1: f64,
-    /// UDI activity component.
-    pub s2: f64,
-    /// Aggregated score.
-    pub score: f64,
-    /// Whether the table was marked for sampling.
-    pub collect: bool,
-    /// Decision rationale.
-    pub reason: String,
-}
+use std::collections::BTreeMap;
 
 /// Per-table estimation-accuracy aggregate fed by query profiles. All
 /// fields are deterministic: q-errors derive from estimated vs. actual row
@@ -110,33 +47,24 @@ pub struct QErrorStat {
     pub mispredicted: u64,
 }
 
-/// Engine-wide observability state: tracer, metrics registry, query log,
-/// flight recorder, q-error accuracy aggregates, and the latest
-/// sensitivity scores.
+/// Engine-wide observability state: metrics registry, flight recorder
+/// (the one store of statement records), and the q-error accuracy
+/// aggregates.
 #[derive(Debug)]
 pub struct Observability {
-    /// The span tracer (ring of recent per-statement trace trees).
-    pub tracer: Tracer,
     /// The metrics registry.
     pub registry: MetricsRegistry,
-    /// The flight recorder (bounded post-mortem event ring).
+    /// The flight recorder (bounded ring of statement records and notes).
     pub flight: FlightRecorder,
-    query_log: Mutex<VecDeque<QueryLogEntry>>,
-    scores: Mutex<(u64, Vec<ScoreRow>)>,
-    degradations: Mutex<VecDeque<DegradationRow>>,
     qerror: Mutex<BTreeMap<String, QErrorStat>>,
 }
 
 impl Observability {
-    /// Fresh state: tracing disabled, empty registry/log.
+    /// Fresh state: empty registry, ring and aggregates.
     pub fn new() -> Self {
         Observability {
-            tracer: Tracer::new(32),
             registry: MetricsRegistry::new(),
             flight: FlightRecorder::new(),
-            query_log: Mutex::new(VecDeque::new()),
-            scores: Mutex::new((0, Vec::new())),
-            degradations: Mutex::new(VecDeque::new()),
             qerror: Mutex::new(BTreeMap::new()),
         }
     }
@@ -188,49 +116,6 @@ impl Observability {
             .collect()
     }
 
-    /// Appends one degradation event to the bounded ring.
-    pub fn record_degradation(&self, row: DegradationRow) {
-        let mut ring = self.degradations.lock();
-        if ring.len() == DEGRADATION_CAPACITY {
-            ring.pop_front();
-        }
-        ring.push_back(row);
-    }
-
-    /// The retained degradation events, oldest first.
-    pub fn recent_degradations(&self) -> Vec<DegradationRow> {
-        self.degradations.lock().iter().cloned().collect()
-    }
-
-    /// Appends one statement to the query log ring.
-    pub fn log_query(&self, entry: QueryLogEntry) {
-        let mut log = self.query_log.lock();
-        if log.len() == QUERY_LOG_CAPACITY {
-            log.pop_front();
-        }
-        log.push_back(entry);
-    }
-
-    /// The retained query log, oldest first.
-    pub fn recent_queries(&self) -> Vec<QueryLogEntry> {
-        self.query_log.lock().iter().cloned().collect()
-    }
-
-    /// Records the sensitivity scores of the statement at `clock`
-    /// (overwrites the previous set; empty score sets are ignored so DML
-    /// doesn't clobber the last query's scores).
-    pub fn record_scores(&self, clock: u64, rows: Vec<ScoreRow>) {
-        if rows.is_empty() {
-            return;
-        }
-        *self.scores.lock() = (clock, rows);
-    }
-
-    /// The most recent non-empty score set as `(clock, rows)`.
-    pub fn latest_scores(&self) -> (u64, Vec<ScoreRow>) {
-        self.scores.lock().clone()
-    }
-
     /// Registry snapshot rendered as JSON (see [`export::to_json`]).
     pub fn metrics_json(&self, include_volatile: bool) -> String {
         to_json(&self.registry.snapshot(), include_volatile)
@@ -245,67 +130,5 @@ impl Observability {
 impl Default for Observability {
     fn default() -> Self {
         Observability::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn query_log_is_bounded() {
-        let obs = Observability::new();
-        for i in 0..(QUERY_LOG_CAPACITY as u64 + 5) {
-            obs.log_query(QueryLogEntry {
-                clock: i,
-                session: 0,
-                sql: format!("q{i}"),
-                result_rows: 0,
-                compile_nanos: 0,
-                exec_nanos: 0,
-                sampled_tables: 0,
-            });
-        }
-        let log = obs.recent_queries();
-        assert_eq!(log.len(), QUERY_LOG_CAPACITY);
-        assert_eq!(log[0].clock, 5);
-    }
-
-    #[test]
-    fn degradation_ring_is_bounded_and_ordered() {
-        let obs = Observability::new();
-        for i in 0..(DEGRADATION_CAPACITY as u64 + 3) {
-            obs.record_degradation(DegradationRow {
-                clock: i,
-                table: "cars".to_string(),
-                fault_point: "sample.draw".to_string(),
-                fallback: "archive_or_catalog_stats".to_string(),
-            });
-        }
-        let rows = obs.recent_degradations();
-        assert_eq!(rows.len(), DEGRADATION_CAPACITY);
-        assert_eq!(rows[0].clock, 3);
-        assert_eq!(rows.last().unwrap().clock, DEGRADATION_CAPACITY as u64 + 2);
-    }
-
-    #[test]
-    fn empty_score_sets_do_not_clobber() {
-        let obs = Observability::new();
-        obs.record_scores(
-            3,
-            vec![ScoreRow {
-                qun: 0,
-                table: "cars".to_string(),
-                s1: 0.5,
-                s2: 0.1,
-                score: 0.6,
-                collect: true,
-                reason: "score 0.600 >= s_max 0.100".to_string(),
-            }],
-        );
-        obs.record_scores(4, Vec::new());
-        let (clock, rows) = obs.latest_scores();
-        assert_eq!(clock, 3);
-        assert_eq!(rows.len(), 1);
     }
 }

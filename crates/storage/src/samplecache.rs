@@ -10,8 +10,8 @@
 //! the same staleness shape as the paper's Algorithm 3 activity signal
 //! `s2 = min(UDI / cardinality, 1)`: mutations since the draw, normalized
 //! by the cardinality at draw time. A lightly-mutated table serves its
-//! cached sample (the staleness is surfaced to tracing); a churned table
-//! re-draws.
+//! cached sample (the staleness is surfaced in the statement record); a
+//! churned table re-draws.
 //!
 //! Row ids are stable (deletes tombstone, never compact), so a cached
 //! sample remains addressable no matter how the table has mutated since;

@@ -92,75 +92,6 @@ pub fn run_workload(db: &mut Database, ops: &[WorkloadOp]) -> Result<Vec<RunReco
     Ok(records)
 }
 
-/// Knobs of an observed (traced/metered) workload run — the programmatic
-/// equivalent of the CLI's `--trace` / `--metrics` flags.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ObserveOptions {
-    /// Enable per-statement span tracing for the run.
-    pub trace: bool,
-    /// Export the metrics registry as JSON after the run.
-    pub metrics: bool,
-    /// Export the flight-recorder ring as JSON after the run (deterministic
-    /// form: wall-clock fields masked, so equal-seed runs dump equal bytes).
-    pub flight: bool,
-}
-
-/// An observed run's artifacts.
-#[derive(Debug, Clone)]
-pub struct ObservedRun {
-    /// One record per operation.
-    pub records: Vec<RunRecord>,
-    /// Rendered span tree of the last traced statement (empty unless
-    /// `trace` was set).
-    pub last_trace: String,
-    /// Metrics-registry JSON including volatile samples (empty unless
-    /// `metrics` was set).
-    pub metrics_json: String,
-    /// Flight-recorder JSON with wall-clock fields masked (empty unless
-    /// `flight` was set).
-    pub flight_json: String,
-}
-
-/// [`run_workload`] with observability: enables the tracer for the run
-/// (restoring its prior state afterward) and/or exports the metrics
-/// registry when done.
-pub fn run_workload_observed(
-    db: &mut Database,
-    ops: &[WorkloadOp],
-    opts: ObserveOptions,
-) -> Result<ObservedRun> {
-    let was_tracing = db.obs().tracer.enabled();
-    db.obs().tracer.set_enabled(opts.trace);
-    let outcome = run_workload(db, ops);
-    db.obs().tracer.set_enabled(was_tracing);
-    let records = outcome?;
-    let last_trace = if opts.trace {
-        db.obs()
-            .tracer
-            .latest()
-            .map(|t| t.render())
-            .unwrap_or_default()
-    } else {
-        String::new()
-    };
-    let metrics_json = if opts.metrics {
-        db.metrics_json(true)
-    } else {
-        String::new()
-    };
-    let flight_json = if opts.flight {
-        db.obs().flight.to_json(false)
-    } else {
-        String::new()
-    };
-    Ok(ObservedRun {
-        records,
-        last_trace,
-        metrics_json,
-        flight_json,
-    })
-}
-
 /// Executes the workload through one [`Session`] of a [`SharedDatabase`] —
 /// the shared-state equivalent of [`run_workload`]. With a session opened
 /// first on a fresh conversion ([`Database::into_shared`]), the statement
@@ -346,48 +277,14 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_returns_trace_and_metrics() {
-        let (dg, ws) = tiny();
-        let ops = generate_workload(&ws, &dg);
-        let mut db = setup_database(&dg).unwrap();
-        prepare(&mut db, &Setting::Jits(JitsConfig::default()), &ops).unwrap();
-        let observed = run_workload_observed(
-            &mut db,
-            &ops,
-            ObserveOptions {
-                trace: true,
-                metrics: true,
-                flight: true,
-            },
-        )
-        .unwrap();
-        assert_eq!(observed.records.len(), ops.len());
-        assert!(!observed.last_trace.is_empty());
-        assert!(observed.metrics_json.contains("jits.query.statements"));
-        assert!(observed.flight_json.contains("\"profile\""));
-        assert!(
-            !db.obs().tracer.enabled(),
-            "tracer state must be restored after the run"
-        );
-    }
-
-    #[test]
     fn masked_flight_dump_replays_bit_identically() {
         let (dg, ws) = tiny();
         let ops = generate_workload(&ws, &dg);
         let run = |()| {
             let mut db = setup_database(&dg).unwrap();
             prepare(&mut db, &Setting::Jits(JitsConfig::default()), &ops).unwrap();
-            run_workload_observed(
-                &mut db,
-                &ops,
-                ObserveOptions {
-                    flight: true,
-                    ..ObserveOptions::default()
-                },
-            )
-            .unwrap()
-            .flight_json
+            run_workload(&mut db, &ops).unwrap();
+            db.obs().flight.to_json(false)
         };
         let a = run(());
         assert!(!a.is_empty());

@@ -25,8 +25,8 @@ pub mod schema;
 
 pub use datagen::{populate, DataGenConfig};
 pub use driver::{
-    boxplot, prepare, run_workload, run_workload_concurrent, run_workload_observed,
-    run_workload_session, setup_database, Boxplot, ObserveOptions, ObservedRun, RunRecord, Setting,
+    boxplot, prepare, run_workload, run_workload_concurrent, run_workload_session, setup_database,
+    Boxplot, RunRecord, Setting,
 };
 pub use queries::{generate_workload, WorkloadOp, WorkloadSpec};
 pub use schema::{create_schema, paper_row_counts, TABLE_NAMES};

@@ -10,10 +10,11 @@
 //! multiply the two selectivities (independence) and under-estimate ~3x;
 //! JITS samples the table at compile time and nails the joint selectivity.
 //!
-//! With `--trace`, the JITS run's span tree (parse/bind → analyze →
-//! sensitivity → collect → refine → optimize → execute → feedback) is
-//! printed; with `--metrics`, the metrics registry is exported as both JSON
-//! and Prometheus text and each export is checked against its grammar.
+//! With `--trace`, the JITS run's statement record (stage walls parse/bind
+//! → analyze → sensitivity → collect → refine → optimize → execute →
+//! feedback, with the decisions made in each) is printed; with
+//! `--metrics`, the metrics registry is exported as both JSON and
+//! Prometheus text and each export is checked against its grammar.
 
 use jits::JitsConfig;
 use jits_common::{DataType, Schema, Value};
@@ -27,7 +28,6 @@ fn main() -> jits_common::Result<()> {
 
     // -- build a small correlated table --------------------------------
     let mut db = Database::new(42);
-    db.obs().tracer.set_enabled(trace);
     db.create_table(
         "car",
         Schema::from_pairs(&[
@@ -90,9 +90,13 @@ fn main() -> jits_common::Result<()> {
     );
 
     if trace {
-        let t = db.obs().tracer.latest().expect("tracing was enabled");
-        println!("\n-- span trace of the JITS run ------------------------------");
-        print!("{}", t.render());
+        let rec = r
+            .metrics
+            .profile
+            .as_ref()
+            .expect("every statement has a record");
+        println!("\n-- statement record of the JITS run ------------------------");
+        print!("{}", rec.render());
     }
     if metrics {
         let json = db.metrics_json(true);

@@ -388,3 +388,20 @@ fn quarantine_and_rebuild_round_trip_restores_archive_stats() {
     let session = shared.session();
     quarantine_round_trip(&mut (shared, session));
 }
+
+/// Plain EXPLAIN compiles — and so can degrade — without executing; its
+/// statement record still carries the degradation to `jits_degradation`.
+#[test]
+fn explain_degradations_reach_the_degradation_view() {
+    let (dg, _) = tiny(0);
+    let mut db = setup_database(&dg).unwrap();
+    prepare(&mut db, &Setting::Jits(JitsConfig::default()), &[]).unwrap();
+    db.set_fault_plane(FaultPlane::from_spec(1, "history.read=after:0:inf").unwrap());
+    db.explain("SELECT COUNT(*) FROM car WHERE year > 1990")
+        .unwrap();
+    let rows = db.execute("SELECT * FROM jits_degradation").unwrap().rows;
+    assert!(
+        rows.iter().any(|r| r[2] == Value::str("history.read")),
+        "{rows:?}"
+    );
+}

@@ -49,8 +49,8 @@ fn jits_runs_are_identical() {
 }
 
 /// Runs the JITS workload through one session at the given collection
-/// fan-out with span tracing enabled, and returns the deterministic
-/// (non-volatile) metrics-registry export.
+/// fan-out (every statement filling its record, wall clock included), and
+/// returns the deterministic (non-volatile) metrics-registry export.
 fn metrics_json_at(collect_threads: usize) -> String {
     let dg = DataGenConfig {
         scale: 0.002,
@@ -73,7 +73,6 @@ fn metrics_json_at(collect_threads: usize) -> String {
     )
     .unwrap();
     let shared = db.into_shared();
-    shared.obs().tracer.set_enabled(true);
     let mut session = shared.session();
     run_workload_session(&mut session, &ops).unwrap();
     shared.metrics_json(false)
@@ -83,8 +82,8 @@ fn metrics_json_at(collect_threads: usize) -> String {
 fn deterministic_metrics_are_byte_identical_across_collect_threads() {
     // same workload + seed => the non-volatile registry export is
     // byte-for-byte identical no matter how many collection workers run,
-    // with tracing enabled throughout (observability must not perturb the
-    // computation it observes)
+    // with every statement recorded and timed throughout (observability
+    // must not perturb the computation it observes)
     let one = metrics_json_at(1);
     let eight = metrics_json_at(8);
     assert!(

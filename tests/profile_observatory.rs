@@ -265,3 +265,49 @@ fn anomaly_auto_dump_writes_flight_json() {
     assert!(dump.contains("\"profile\""), "{dump}");
     let _ = std::fs::remove_file(&path);
 }
+
+/// Scan q-error percentiles over a fixed-seed paper-mix stream under JITS:
+/// the distribution selectivity-estimation work judges estimators by. The
+/// run is deterministic, so any estimator change must update these pins
+/// visibly.
+#[test]
+fn scan_qerror_percentiles_are_pinned() {
+    let dg = datagen();
+    let spec = WorkloadSpec {
+        total_ops: 96,
+        dml_every: 12,
+        seed: 0x9E7,
+    };
+    let ops = generate_workload(&spec, &dg);
+    let mut db = setup_database(&dg).unwrap();
+    prepare(&mut db, &Setting::Jits(JitsConfig::default()), &ops).unwrap();
+    let mut q = Vec::new();
+    for op in &ops {
+        let profile = db.execute(&op.sql).unwrap().metrics.profile.unwrap();
+        if profile.executor != "batch" {
+            continue; // DML locates rows exactly: its one node is always 1.0
+        }
+        q.extend(
+            profile
+                .nodes
+                .iter()
+                .filter(|n| n.kind.ends_with("_scan"))
+                .map(|n| n.q_error),
+        );
+    }
+    q.sort_by(f64::total_cmp);
+    // nearest-rank percentile
+    let pct = |p: f64| q[((p * q.len() as f64).ceil() as usize).max(1) - 1];
+    let got = [pct(0.50), pct(0.90), pct(0.99), q[q.len() - 1]];
+    assert_eq!(q.len(), 134, "scan nodes profiled");
+    assert_eq!(
+        got,
+        [
+            1.1033842887946232,
+            1.358876661959447,
+            2.0782819535850363,
+            2.862
+        ],
+        "scan q-error p50 / p90 / p99 / max"
+    );
+}
