@@ -35,7 +35,7 @@ pub use interval::{Bound, Interval};
 pub use rng::SplitMix64;
 pub use schema::{ColumnDef, Schema};
 pub use testpath::TestDir;
-pub use value::{DataType, Value};
+pub use value::{DataType, Value, ValueRef};
 
 /// How a quantifier's sample rows were obtained.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -49,6 +49,32 @@ pub enum Value {
     Str(Arc<str>),
 }
 
+/// A [`Value`] borrowed in place: what a column slot holds, read without
+/// an `Arc` bump. Encoders take it so a stored cell and an owned `Value`
+/// share one byte layout.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Integer.
+    Int(i64),
+    /// Float.
+    Float(f64),
+    /// String.
+    Str(&'a str),
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
 impl Value {
     /// Builds a string value.
     pub fn str(s: impl AsRef<str>) -> Self {

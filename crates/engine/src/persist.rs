@@ -32,7 +32,7 @@ use jits_common::{ColGroup, ColumnId, JitsError, Result, SplitMix64, TableId, Va
 use jits_histogram::{EquiDepth, GridLimits, GridSnapshot};
 use jits_obs::{MetricSample, Observability, QErrorStat, SampleValue};
 use jits_storage::{
-    CacheCounters, CachedSample, SampleCache, SampleSpec, Table, TableSnapshot, ZoneSnapshot,
+    CacheCounters, CachedSample, RowId, SampleCache, SampleSpec, Table, TableSnapshot, ZoneSnapshot,
 };
 use jits_wal::{Decoder, Encoder};
 use std::sync::Arc;
@@ -114,7 +114,7 @@ fn opt_u32(d: &mut Decoder) -> Result<Option<u32>> {
     Ok(if d.bool()? { Some(d.u32()?) } else { None })
 }
 
-fn put_opt_value(e: &mut Encoder, v: &Option<Value>) {
+fn put_opt_value(e: &mut Encoder, v: Option<&Value>) {
     match v {
         None => e.put_bool(false),
         Some(v) => {
@@ -300,8 +300,8 @@ fn equidepth(d: &mut Decoder) -> Result<EquiDepth> {
 
 fn put_column_stats(e: &mut Encoder, cs: &ColumnStats) {
     e.put_dtype(cs.dtype);
-    put_opt_value(e, &cs.min);
-    put_opt_value(e, &cs.max);
+    put_opt_value(e, cs.min.as_ref());
+    put_opt_value(e, cs.max.as_ref());
     e.put_f64(cs.distinct);
     e.put_f64(cs.null_count);
     e.put_f64(cs.row_count);
@@ -422,41 +422,52 @@ fn catalog(d: &mut Decoder) -> Result<Catalog> {
 
 // ---- storage tables -----------------------------------------------------
 
-fn put_table(e: &mut Encoder, s: &TableSnapshot) {
-    e.put_str(&s.name);
-    e.put_schema(&s.schema);
-    e.put_u32(s.slots.len() as u32);
-    for (row, live) in &s.slots {
-        for v in row {
-            e.put_value(v);
+/// One table, written straight from its columns, index postings and zone
+/// maps by borrowed iteration — no per-row `Vec<Value>`, no `Arc` bump.
+/// The bytes are exactly those of the [`TableSnapshot`] layout that
+/// [`table_snapshot`] reads back (`tests::put_table_snapshot` is the
+/// oracle): slots in `RowId` order, each its cells then its live flag;
+/// the UDI triple and epoch; each index in column order with its keys in
+/// B-tree order; each zone-map block with its live-row count and per
+/// column `(min, max, nulls)`.
+fn put_table(e: &mut Encoder, t: &Table) {
+    e.put_str(t.name());
+    e.put_schema(t.schema());
+    let ncols = t.schema().len() as u32;
+    e.put_u32(t.slot_count() as u32);
+    for row in 0..t.slot_count() as RowId {
+        for c in 0..ncols {
+            e.put_value_ref(t.cell(row, ColumnId(c)));
         }
-        e.put_bool(*live);
+        e.put_bool(t.is_live(row));
     }
-    e.put_u64(s.udi.0);
-    e.put_u64(s.udi.1);
-    e.put_u64(s.udi.2);
-    e.put_u64(s.epoch);
-    e.put_u32(s.indexes.len() as u32);
-    for (col, entries) in &s.indexes {
+    let udi = t.udi();
+    e.put_u64(udi.inserts);
+    e.put_u64(udi.updates);
+    e.put_u64(udi.deletes);
+    e.put_u64(t.mutation_epoch());
+    e.put_u32(t.indexes().len() as u32);
+    for (col, idx) in t.indexes() {
         e.put_u32(col.0);
-        e.put_u32(entries.len() as u32);
-        for (key, rows) in entries {
+        e.put_u32(idx.distinct_keys() as u32);
+        for (key, rows) in idx.entries_in_order() {
             e.put_value(key);
             e.put_u32(rows.len() as u32);
-            for r in rows {
-                e.put_u32(*r);
+            for &r in rows {
+                e.put_u32(r);
             }
         }
     }
-    e.put_u32(s.zones.ncols as u32);
-    e.put_u32(s.zones.blocks.len() as u32);
-    for (block, cols) in &s.zones.blocks {
-        e.put_u32(*block);
+    let zones = t.zone_maps();
+    e.put_u32(zones.ncols() as u32);
+    e.put_u32(zones.block_count() as u32);
+    for (live_rows, cols) in zones.blocks() {
+        e.put_u32(live_rows);
         e.put_u32(cols.len() as u32);
-        for (min, max, nulls) in cols {
-            put_opt_value(e, min);
-            put_opt_value(e, max);
-            e.put_u32(*nulls);
+        for z in cols {
+            put_opt_value(e, z.min());
+            put_opt_value(e, z.max());
+            e.put_u32(z.nulls());
         }
     }
 }
@@ -865,6 +876,16 @@ fn qerror(d: &mut Decoder) -> Result<Vec<(String, QErrorStat)>> {
 /// Folds the full engine state, plus the deterministic metrics and q-error
 /// aggregates of `obs`, into one checkpoint payload.
 pub(crate) fn encode_state(s: &StateRefs, obs: &Observability) -> Vec<u8> {
+    encode_state_with(s, obs, put_table)
+}
+
+/// [`encode_state`] with the table writer as a parameter, so the tests
+/// can hold the borrowed walk against the snapshot-based oracle.
+fn encode_state_with(
+    s: &StateRefs,
+    obs: &Observability,
+    put_table: fn(&mut Encoder, &Table),
+) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u8(STATE_VERSION);
     e.put_u64(s.clock);
@@ -873,7 +894,7 @@ pub(crate) fn encode_state(s: &StateRefs, obs: &Observability) -> Vec<u8> {
     put_catalog(&mut e, s.catalog);
     e.put_u32(s.tables.len() as u32);
     for t in s.tables {
-        put_table(&mut e, &t.snapshot());
+        put_table(&mut e, t);
     }
     put_archive(&mut e, &s.archive.snapshot());
     put_history(&mut e, &s.history.snapshot());
@@ -939,6 +960,48 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Result<RestoredState> {
 mod tests {
     use super::*;
     use jits_common::{DataType, Schema};
+
+    /// The table layout as written before tables were encoded straight
+    /// from their columns: through [`Table::snapshot`]. Kept as the byte
+    /// oracle for [`put_table`].
+    fn put_table_snapshot(e: &mut Encoder, s: &TableSnapshot) {
+        e.put_str(&s.name);
+        e.put_schema(&s.schema);
+        e.put_u32(s.slots.len() as u32);
+        for (row, live) in &s.slots {
+            for v in row {
+                e.put_value(v);
+            }
+            e.put_bool(*live);
+        }
+        e.put_u64(s.udi.0);
+        e.put_u64(s.udi.1);
+        e.put_u64(s.udi.2);
+        e.put_u64(s.epoch);
+        e.put_u32(s.indexes.len() as u32);
+        for (col, entries) in &s.indexes {
+            e.put_u32(col.0);
+            e.put_u32(entries.len() as u32);
+            for (key, rows) in entries {
+                e.put_value(key);
+                e.put_u32(rows.len() as u32);
+                for r in rows {
+                    e.put_u32(*r);
+                }
+            }
+        }
+        e.put_u32(s.zones.ncols as u32);
+        e.put_u32(s.zones.blocks.len() as u32);
+        for (live_rows, cols) in &s.zones.blocks {
+            e.put_u32(*live_rows);
+            e.put_u32(cols.len() as u32);
+            for (min, max, nulls) in cols {
+                put_opt_value(e, min.as_ref());
+                put_opt_value(e, max.as_ref());
+                e.put_u32(*nulls);
+            }
+        }
+    }
 
     fn seeded_refs_roundtrip(db: &crate::Database) -> RestoredState {
         decode_state(&encode_state(&db.state().refs(), db.obs())).unwrap()
@@ -1129,77 +1192,188 @@ mod tests {
         assert!(matches!(decode_state(&padded), Err(JitsError::Recovery(_))));
     }
 
-    /// A checkpoint of a populated engine: two tables with indexes and
-    /// several zone-map blocks, catalog statistics, archive histograms,
-    /// StatHistory, a predicate-cache entry and a sample cache whose
-    /// entries carry frames (which the codec drops). Encoded once.
+    /// A checkpoint of [`populated_engine`], encoded once.
     fn populated_checkpoint() -> &'static [u8] {
         static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
         BYTES.get_or_init(|| {
-            let mut db = crate::Database::new(11);
-            db.create_table(
-                "car",
-                Schema::from_pairs(&[
-                    ("id", DataType::Int),
-                    ("make", DataType::Str),
-                    ("price", DataType::Float),
-                ]),
-            )
-            .unwrap();
-            db.create_table(
-                "owner",
-                Schema::from_pairs(&[("id", DataType::Int), ("car", DataType::Int)]),
-            )
-            .unwrap();
-            let makes = ["Toyota", "Honda", "Ford"];
-            db.load_rows(
-                "car",
-                (0..2500i64)
-                    .map(|i| {
-                        let price = if i % 50 == 0 {
-                            Value::Null
-                        } else {
-                            Value::Float(i as f64 * 1.5)
-                        };
-                        vec![Value::Int(i), Value::str(makes[i as usize % 3]), price]
-                    })
-                    .collect(),
-            )
-            .unwrap();
-            db.load_rows(
-                "owner",
-                (0..600i64)
-                    .map(|i| vec![Value::Int(i), Value::Int(i * 4 % 2500)])
-                    .collect(),
-            )
-            .unwrap();
-            db.create_index("car", "id").unwrap();
-            db.create_index("owner", "car").unwrap();
-            db.runstats_all().unwrap();
-            // s_max 0: every statement collects and materializes
-            db.set_setting(StatsSetting::Jits(JitsConfig {
-                s_max: 0.0,
-                ..JitsConfig::default()
-            }));
-            for sql in [
-                "SELECT COUNT(*) FROM car WHERE make <> 'Ford' AND price > 300",
-                "SELECT COUNT(*) FROM car WHERE make = 'Toyota' AND price < 900",
-                "SELECT COUNT(*) FROM car, owner WHERE car.id = owner.car AND car.make = 'Honda'",
-                "UPDATE car SET price = 1 WHERE id = 7",
-                "SELECT COUNT(*) FROM car WHERE make = 'Toyota' AND price < 900",
-            ] {
-                db.execute(sql).unwrap();
-            }
-            let state = db.state();
-            assert!(!state.archive.is_empty());
-            assert!(!state.history.snapshot().is_empty());
-            assert!(!state.predcache.snapshot().1.is_empty());
-            assert!(state
-                .samplecache
-                .entries()
-                .any(|(_, e)| !e.frames().is_empty()));
-            encode_state(&state.refs(), db.obs())
+            let db = populated_engine();
+            encode_state(&db.state().refs(), db.obs())
         })
+    }
+
+    /// A populated engine: two tables with indexes and several zone-map
+    /// blocks, catalog statistics, archive histograms, StatHistory, a
+    /// predicate-cache entry and a sample cache whose entries carry frames
+    /// (which the codec drops).
+    fn populated_engine() -> crate::Database {
+        let mut db = crate::Database::new(11);
+        db.create_table(
+            "car",
+            Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("make", DataType::Str),
+                ("price", DataType::Float),
+            ]),
+        )
+        .unwrap();
+        db.create_table(
+            "owner",
+            Schema::from_pairs(&[("id", DataType::Int), ("car", DataType::Int)]),
+        )
+        .unwrap();
+        let makes = ["Toyota", "Honda", "Ford"];
+        db.load_rows(
+            "car",
+            (0..2500i64)
+                .map(|i| {
+                    let price = if i % 50 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float(i as f64 * 1.5)
+                    };
+                    vec![Value::Int(i), Value::str(makes[i as usize % 3]), price]
+                })
+                .collect(),
+        )
+        .unwrap();
+        db.load_rows(
+            "owner",
+            (0..600i64)
+                .map(|i| vec![Value::Int(i), Value::Int(i * 4 % 2500)])
+                .collect(),
+        )
+        .unwrap();
+        db.create_index("car", "id").unwrap();
+        db.create_index("owner", "car").unwrap();
+        db.runstats_all().unwrap();
+        // s_max 0: every statement collects and materializes
+        db.set_setting(StatsSetting::Jits(JitsConfig {
+            s_max: 0.0,
+            ..JitsConfig::default()
+        }));
+        for sql in [
+            "SELECT COUNT(*) FROM car WHERE make <> 'Ford' AND price > 300",
+            "SELECT COUNT(*) FROM car WHERE make = 'Toyota' AND price < 900",
+            "SELECT COUNT(*) FROM car, owner WHERE car.id = owner.car AND car.make = 'Honda'",
+            "UPDATE car SET price = 1 WHERE id = 7",
+            "SELECT COUNT(*) FROM car WHERE make = 'Toyota' AND price < 900",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        let state = db.state();
+        assert!(!state.archive.is_empty());
+        assert!(!state.history.snapshot().is_empty());
+        assert!(!state.predcache.snapshot().1.is_empty());
+        assert!(state
+            .samplecache
+            .entries()
+            .any(|(_, e)| !e.frames().is_empty()));
+        db
+    }
+
+    /// The payload [`encode_state`] writes for `db`, and the one the
+    /// snapshot-based oracle writes.
+    fn payload_and_oracle(db: &crate::Database) -> (Vec<u8>, Vec<u8>) {
+        let refs = db.state().refs();
+        (
+            encode_state(&refs, db.obs()),
+            encode_state_with(&refs, db.obs(), |e, t| put_table_snapshot(e, &t.snapshot())),
+        )
+    }
+
+    #[test]
+    fn populated_payload_matches_the_snapshot_oracle() {
+        let db = populated_engine();
+        let (payload, oracle) = payload_and_oracle(&db);
+        assert!(payload == oracle, "table encoding drifted from the oracle");
+        assert_eq!(payload, populated_checkpoint());
+    }
+
+    /// After a durable workload stream with UPDATE, DELETE and INSERT —
+    /// NULL cells, dead slots, strings first written by an UPDATE, index
+    /// postings reordered by `swap_remove`, zones widened past live
+    /// values — the checkpoint payload equals the oracle byte for byte,
+    /// the segment on disk is the hand-built layout around it, and it
+    /// opens to the same tables.
+    #[test]
+    fn durable_payload_and_segment_match_the_snapshot_oracle() {
+        let dir = jits_common::TestDir::new("persist-byte-oracle");
+        let mut db = crate::Database::open(5, dir.path()).unwrap();
+        db.set_checkpoint_every(0);
+        db.create_table(
+            "t",
+            Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("tag", DataType::Str),
+                ("score", DataType::Float),
+            ]),
+        )
+        .unwrap();
+        db.load_rows(
+            "t",
+            (0..2100i64)
+                .map(|i| {
+                    let tag = match i % 7 {
+                        0 => Value::Null,
+                        k => Value::str(format!("tag{k}")),
+                    };
+                    let score = if i % 11 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float(i as f64 * 0.5)
+                    };
+                    vec![Value::Int(i), tag, score]
+                })
+                .collect(),
+        )
+        .unwrap();
+        db.create_index("t", "id").unwrap();
+        db.create_index("t", "tag").unwrap();
+        db.runstats_all().unwrap();
+        db.set_setting(StatsSetting::Jits(JitsConfig::default()));
+        for sql in [
+            "SELECT COUNT(*) FROM t WHERE tag = 'tag3' AND score > 100",
+            "UPDATE t SET tag = 'first-by-update' WHERE id = 3",
+            "UPDATE t SET tag = 'Zürich' WHERE id BETWEEN 1500 AND 1510",
+            "UPDATE t SET score = NULL WHERE id = 4",
+            "UPDATE t SET tag = NULL WHERE id = 8",
+            "UPDATE t SET score = 99999.5 WHERE id = 2000",
+            "DELETE FROM t WHERE id = 5",
+            "DELETE FROM t WHERE id BETWEEN 1020 AND 1040",
+            "DELETE FROM t WHERE tag = 'tag2' AND id < 200",
+            "INSERT INTO t VALUES (5000, 'late', NULL)",
+            "INSERT INTO t VALUES (5001, NULL, 1.25)",
+            "SELECT COUNT(*) FROM t WHERE tag = 'first-by-update'",
+            "SELECT COUNT(*) FROM t WHERE tag = 'tag3' AND score > 100",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        let t = &db.tables()[0];
+        assert!(t.row_count() < t.slot_count(), "dead slots exist");
+
+        let (payload, oracle) = payload_and_oracle(&db);
+        assert!(payload == oracle, "table encoding drifted from the oracle");
+
+        let lsn = db.checkpoint().unwrap().unwrap();
+        let seg_path = dir.path().join(format!("ckpt-{lsn:020}.seg"));
+        let mut covered = lsn.to_le_bytes().to_vec();
+        covered.extend_from_slice(&oracle);
+        let mut hand_built = jits_wal::CKPT_MAGIC.to_vec();
+        hand_built.extend_from_slice(&lsn.to_le_bytes());
+        hand_built.extend_from_slice(&jits_wal::crc32(&covered).to_le_bytes());
+        hand_built.extend_from_slice(&(oracle.len() as u64).to_le_bytes());
+        hand_built.extend_from_slice(&oracle);
+        assert!(
+            std::fs::read(&seg_path).unwrap() == hand_built,
+            "the segment is the hand-built layout around the oracle payload"
+        );
+
+        let before: Vec<TableSnapshot> = db.tables().iter().map(Table::snapshot).collect();
+        drop(db);
+        let db = crate::Database::open(5, dir.path()).unwrap();
+        assert_eq!(db.recovery_report().checkpoint_lsn, Some(lsn));
+        let after: Vec<TableSnapshot> = db.tables().iter().map(Table::snapshot).collect();
+        assert_eq!(after, before);
     }
 
     proptest::proptest! {

@@ -20,7 +20,7 @@
 
 #![deny(clippy::indexing_slicing)]
 
-use jits_common::{fast_hash, ChainTable, DataType, JitsError, Result, Value};
+use jits_common::{fast_hash, ChainTable, DataType, JitsError, Result, Value, ValueRef};
 use std::sync::Arc;
 
 /// A typed column vector with per-slot validity.
@@ -201,6 +201,26 @@ impl Column {
                 .map(|(s, _)| Value::Str(Arc::clone(s))),
         };
         v.unwrap_or(Value::Null)
+    }
+
+    /// Reads the value at `idx` in place: what [`Column::get`] returns,
+    /// without building a [`Value`] (a string is borrowed from the
+    /// dictionary's dense copy). Out of bounds reads as NULL, like `get`.
+    #[inline]
+    pub fn cell(&self, idx: usize) -> ValueRef<'_> {
+        debug_assert!(idx < self.len(), "column index {idx} out of bounds");
+        if !self.is_valid(idx) {
+            return ValueRef::Null;
+        }
+        let v = match &self.data {
+            ColumnData::Int(col) => col.get(idx).map(|&i| ValueRef::Int(i)),
+            ColumnData::Float(col) => col.get(idx).map(|&f| ValueRef::Float(f)),
+            ColumnData::Str { codes, dict } => codes
+                .get(idx)
+                .and_then(|&c| dict.entry_str((c as usize).checked_sub(1)?))
+                .map(ValueRef::Str),
+        };
+        v.unwrap_or(ValueRef::Null)
     }
 
     /// Overwrites the value at `idx` (used by UPDATE), coercing like
@@ -476,6 +496,7 @@ mod tests {
             prop_assert_eq!(col.len(), model.len());
             for (i, v) in model.iter().enumerate() {
                 prop_assert_eq!(&col.get(i), v);
+                prop_assert_eq!(col.cell(i), ValueRef::from(v));
                 prop_assert_eq!(col.is_valid(i), !v.is_null());
                 prop_assert_eq!(
                     col.axis_value(i).map(f64::to_bits),

@@ -5,7 +5,7 @@ use crate::index::{HashIndex, SecondaryIndex};
 use crate::row::{Row, RowId};
 use crate::udi::UdiCounter;
 use crate::zonemap::{BlockSkipList, ZoneMaps, ZoneSnapshot, BLOCK_SIZE};
-use jits_common::{ColumnId, Interval, JitsError, Result, Schema, Value};
+use jits_common::{ColumnId, Interval, JitsError, Result, Schema, Value, ValueRef};
 use std::collections::BTreeMap;
 
 /// Raw state of one table, produced by [`Table::snapshot`] for
@@ -267,6 +267,12 @@ impl Table {
         self.columns[column.index()].get(row as usize)
     }
 
+    /// Reads one cell in place ([`Table::value`] without the `Value`).
+    #[inline]
+    pub fn cell(&self, row: RowId, column: ColumnId) -> ValueRef<'_> {
+        self.columns[column.index()].cell(row as usize)
+    }
+
     /// Axis (numeric) projection of one cell, `None` for NULL.
     pub fn axis_value(&self, row: RowId, column: ColumnId) -> Option<f64> {
         self.columns[column.index()].axis_value(row as usize)
@@ -329,6 +335,11 @@ impl Table {
     /// The index on `column`, if one exists.
     pub fn index(&self, column: ColumnId) -> Option<&SecondaryIndex> {
         self.indexes.get(&column)
+    }
+
+    /// Every secondary index with its column, in column order.
+    pub fn indexes(&self) -> impl ExactSizeIterator<Item = (ColumnId, &SecondaryIndex)> + '_ {
+        self.indexes.iter().map(|(cid, idx)| (*cid, idx))
     }
 
     /// The equality-key hash index on `column`, if one exists.

@@ -68,6 +68,21 @@ impl ColumnZone {
         }
     }
 
+    /// Smallest non-NULL value ever stored in the block.
+    pub fn min(&self) -> Option<&Value> {
+        self.min.as_ref()
+    }
+
+    /// Largest non-NULL value ever stored in the block.
+    pub fn max(&self) -> Option<&Value> {
+        self.max.as_ref()
+    }
+
+    /// NULL count among the block's live rows.
+    pub fn nulls(&self) -> u32 {
+        self.nulls
+    }
+
     /// Whether the interval can possibly match a non-NULL value of this
     /// zone. Conservative: incomparable bounds (type confusion) keep the
     /// block.
@@ -207,6 +222,17 @@ impl ZoneMaps {
                 })
                 .collect(),
         }
+    }
+
+    /// Column count of the owning table.
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// Every block in order: its live-row count and one zone per column
+    /// (what [`ZoneMaps::snapshot`] copies, borrowed).
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = (u32, &[ColumnZone])> + '_ {
+        self.blocks.iter().map(|b| (b.live_rows, b.cols.as_slice()))
     }
 
     /// Number of blocks the table's slot space currently spans.

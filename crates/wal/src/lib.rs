@@ -25,6 +25,6 @@ pub mod codec;
 pub mod log;
 pub mod record;
 
-pub use codec::{crc32, Decoder, Encoder};
+pub use codec::{crc32, Crc32, Decoder, Encoder};
 pub use log::{Checkpoint, Wal, WalOpen, CKPT_KEEP, CKPT_MAGIC, WAL_FILE, WAL_MAGIC};
 pub use record::WalRecord;

@@ -35,10 +35,18 @@
 //! therefore loses at most the statements since the last sync — exactly
 //! the window the `wal.after_append_before_fsync` fault injects — and the
 //! torn-tail scan turns any half-written frame back into that clean
-//! prefix. Per-statement fsync costs more than the entire statistics
-//! plane (measured >15% end-to-end; `wal_overhead` gates the relaxed
-//! policy under 5%), which is why group commit is the default and only
-//! policy here.
+//! prefix. Per-statement fsync cost more than the entire statistics
+//! plane (>15% end-to-end when group commit landed), which is why group
+//! commit is the default and only policy here; the benchmark's
+//! `durable_churn` workload tracks what appends cost now
+//! (`wal.append_us_p50`, `wal.bytes_per_stmt`).
+//!
+//! **Checkpoint cost**: the engine encodes its state into one payload
+//! buffer; the segment is that payload behind a 28-byte header, written
+//! as two `write_all`s with the CRC folded incrementally over
+//! `lsn ∥ payload` ([`Crc32`]), so no second segment-sized copy exists.
+//! Recovery reads the header, then the payload into its own buffer, and
+//! checks the CRC there.
 //!
 //! **Poisoning**: any append or checkpoint failure (injected or real)
 //! poisons the handle; every later durable operation fails fast with
@@ -46,7 +54,7 @@
 //! process which cannot write its log must stop accepting writes — the
 //! caller reopens (recovering to the last durable state) to continue.
 
-use crate::codec::array_at;
+use crate::codec::{array_at, Crc32};
 use crate::record::WalRecord;
 use jits_common::fault::{
     FaultPlane, FP_WAL_AFTER_APPEND, FP_WAL_BEFORE_APPEND, FP_WAL_MID_CHECKPOINT, FP_WAL_TORN_TAIL,
@@ -67,6 +75,18 @@ pub const CKPT_KEEP: usize = 2;
 
 /// Per-record framing overhead: len (4) + crc (4) + lsn (8).
 const FRAME_HEADER: usize = 16;
+
+/// Checkpoint segment header: magic (8) + lsn (8) + crc (4) + len (8).
+const SEG_HEADER: usize = CKPT_MAGIC.len() + 8 + 4 + 8;
+
+/// The CRC that log frames and checkpoint segments both carry: over the
+/// LSN's little-endian bytes, then the payload.
+fn frame_crc(lsn: u64, payload: &[u8]) -> u32 {
+    Crc32::new()
+        .update(&lsn.to_le_bytes())
+        .update(payload)
+        .finish()
+}
 
 fn io_err(what: &str, e: std::io::Error) -> JitsError {
     JitsError::Recovery(format!("wal: {what}: {e}"))
@@ -212,12 +232,12 @@ impl Wal {
                     torn_bytes = remaining as u64;
                     break;
                 }
-                let lsn_and_payload = &bytes[pos + 8..pos + FRAME_HEADER + len];
-                if crate::codec::crc32(lsn_and_payload) != crc {
+                let lsn = u64::from_le_bytes(array_at(&bytes, pos + 8, "frame lsn")?);
+                let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
+                if frame_crc(lsn, payload) != crc {
                     torn_bytes = remaining as u64;
                     break;
                 }
-                let lsn = u64::from_le_bytes(array_at(lsn_and_payload, 0, "frame lsn")?);
                 if lsn <= last_lsn {
                     return Err(JitsError::Recovery(format!(
                         "wal.log LSNs not strictly increasing ({last_lsn} then {lsn})"
@@ -225,7 +245,7 @@ impl Wal {
                 }
                 // CRC passed: a decode failure now is corruption, not a torn
                 // tail, and must not be silently dropped.
-                let rec = WalRecord::decode(&lsn_and_payload[8..])?;
+                let rec = WalRecord::decode(payload)?;
                 last_lsn = lsn;
                 if lsn > ckpt_lsn {
                     records.push((lsn, rec));
@@ -325,11 +345,17 @@ impl Wal {
     /// in the state a real crash at that instant would: nothing
     /// (`before_append`), nothing durable (`after_append_before_fsync` —
     /// the unsynced tail is rolled back, as a power cut would), or a torn
-    /// prefix of the frame (`torn_tail`). All three poison the handle.
+    /// prefix of the frame (`torn_tail`). All three poison the handle, as
+    /// does a real write failure.
     pub fn append(&mut self, rec: &WalRecord, fault: &FaultPlane, clock: u64) -> Result<u64> {
         self.check_poisoned()?;
+        let appended = self.append_frame(rec, fault, clock);
+        self.poisoned |= appended.is_err();
+        appended
+    }
+
+    fn append_frame(&mut self, rec: &WalRecord, fault: &FaultPlane, clock: u64) -> Result<u64> {
         if fault.fires(FP_WAL_BEFORE_APPEND, clock, 0) {
-            self.poisoned = true;
             return Err(JitsError::Recovery(format!(
                 "injected crash at {FP_WAL_BEFORE_APPEND} (clock {clock})"
             )));
@@ -338,11 +364,9 @@ impl Wal {
         let payload = rec.encode();
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let mut covered = Vec::with_capacity(8 + payload.len());
-        covered.extend_from_slice(&lsn.to_le_bytes());
-        covered.extend_from_slice(&payload);
-        frame.extend_from_slice(&crate::codec::crc32(&covered).to_le_bytes());
-        frame.extend_from_slice(&covered);
+        frame.extend_from_slice(&frame_crc(lsn, &payload).to_le_bytes());
+        frame.extend_from_slice(&lsn.to_le_bytes());
+        frame.extend_from_slice(&payload);
 
         if fault.fires(FP_WAL_TORN_TAIL, clock, 0) {
             // Crash mid-write: half the frame reaches the disk.
@@ -351,7 +375,6 @@ impl Wal {
                 .write_all(&frame[..cut])
                 .map_err(|e| io_err("torn write", e))?;
             self.file.sync_data().map_err(|e| io_err("torn fsync", e))?;
-            self.poisoned = true;
             return Err(JitsError::Recovery(format!(
                 "injected crash at {FP_WAL_TORN_TAIL} (clock {clock})"
             )));
@@ -371,7 +394,6 @@ impl Wal {
             self.file
                 .sync_data()
                 .map_err(|e| io_err("fsync rollback", e))?;
-            self.poisoned = true;
             return Err(JitsError::Recovery(format!(
                 "injected crash at {FP_WAL_AFTER_APPEND} (clock {clock})"
             )));
@@ -384,43 +406,49 @@ impl Wal {
     }
 
     /// Writes a checkpoint segment covering every appended record, then
-    /// truncates the log. Returns the checkpoint LSN.
+    /// truncates the log. Returns the checkpoint LSN. Any failure poisons
+    /// the handle, and a failure before the rename is durable leaves the
+    /// log untruncated.
     pub fn checkpoint(&mut self, payload: &[u8], fault: &FaultPlane, clock: u64) -> Result<u64> {
         self.check_poisoned()?;
+        let written = self.write_checkpoint(payload, fault, clock);
+        self.poisoned |= written.is_err();
+        written
+    }
+
+    fn write_checkpoint(&mut self, payload: &[u8], fault: &FaultPlane, clock: u64) -> Result<u64> {
         let lsn = self.next_lsn - 1;
         let final_path = self.dir.join(segment_name(lsn));
         let tmp_path = self.dir.join(format!("{}.tmp", segment_name(lsn)));
 
-        let mut seg = Vec::with_capacity(CKPT_MAGIC.len() + 20 + payload.len());
-        seg.extend_from_slice(CKPT_MAGIC);
-        seg.extend_from_slice(&lsn.to_le_bytes());
-        let mut covered = Vec::with_capacity(8 + payload.len());
-        covered.extend_from_slice(&lsn.to_le_bytes());
-        covered.extend_from_slice(payload);
-        seg.extend_from_slice(&crate::codec::crc32(&covered).to_le_bytes());
-        seg.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        seg.extend_from_slice(payload);
+        let mut header = Vec::with_capacity(SEG_HEADER);
+        header.extend_from_slice(CKPT_MAGIC);
+        header.extend_from_slice(&lsn.to_le_bytes());
+        header.extend_from_slice(&frame_crc(lsn, payload).to_le_bytes());
+        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
 
         let mut tmp = File::create(&tmp_path).map_err(|e| io_err("create ckpt tmp", e))?;
         if fault.fires(FP_WAL_MID_CHECKPOINT, clock, 0) {
-            // Crash mid-segment-write: partial tmp file left as debris.
-            tmp.write_all(&seg[..seg.len() / 2])
+            // Crash mid-segment-write: the first half of the segment's
+            // bytes is left in the tmp file as debris.
+            let cut = (SEG_HEADER + payload.len()) / 2;
+            tmp.write_all(&header[..cut.min(SEG_HEADER)])
+                .and_then(|()| tmp.write_all(&payload[..cut.saturating_sub(SEG_HEADER)]))
                 .map_err(|e| io_err("torn ckpt write", e))?;
             tmp.sync_data().map_err(|e| io_err("torn ckpt fsync", e))?;
-            self.poisoned = true;
             return Err(JitsError::Recovery(format!(
                 "injected crash at {FP_WAL_MID_CHECKPOINT} (clock {clock})"
             )));
         }
-        tmp.write_all(&seg).map_err(|e| io_err("write ckpt", e))?;
+        tmp.write_all(&header)
+            .and_then(|()| tmp.write_all(payload))
+            .map_err(|e| io_err("write ckpt", e))?;
         tmp.sync_data().map_err(|e| io_err("fsync ckpt", e))?;
         drop(tmp);
         fs::rename(&tmp_path, &final_path).map_err(|e| io_err("rename ckpt", e))?;
         // Make the rename durable before the log is truncated, or a crash
         // could lose both the segment and the records it covers.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(&self.dir)?;
 
         self.file
             .set_len(WAL_MAGIC.len() as u64)
@@ -481,32 +509,51 @@ fn reopen_at_end(mut file: File, _path: &Path) -> Result<File> {
     Ok(file)
 }
 
-/// Reads and validates one checkpoint segment.
+/// Fsyncs the directory `dir`, making a rename inside it durable.
+fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("fsync data dir", e))
+}
+
+/// Reads and validates one checkpoint segment: the header first, then the
+/// payload into the buffer that is returned, its CRC checked in place.
 fn read_segment(path: &Path, expect_lsn: u64) -> Result<Vec<u8>> {
-    let bytes = fs::read(path).map_err(|e| io_err("read ckpt segment", e))?;
-    let header = CKPT_MAGIC.len() + 8 + 4 + 8;
-    if bytes.len() < header || &bytes[..CKPT_MAGIC.len()] != CKPT_MAGIC {
+    let mut file = File::open(path).map_err(|e| io_err("open ckpt segment", e))?;
+    let size = file
+        .metadata()
+        .map_err(|e| io_err("stat ckpt segment", e))?
+        .len();
+    let mut header = [0u8; SEG_HEADER];
+    if size < SEG_HEADER as u64
+        || file.read_exact(&mut header).is_err()
+        || &header[..CKPT_MAGIC.len()] != CKPT_MAGIC
+    {
         return Err(JitsError::Recovery("ckpt segment: bad header".into()));
     }
     let mut pos = CKPT_MAGIC.len();
-    let lsn = u64::from_le_bytes(array_at(&bytes, pos, "ckpt lsn")?);
+    let lsn = u64::from_le_bytes(array_at(&header, pos, "ckpt lsn")?);
     pos += 8;
-    let crc = u32::from_le_bytes(array_at(&bytes, pos, "ckpt crc")?);
+    let crc = u32::from_le_bytes(array_at(&header, pos, "ckpt crc")?);
     pos += 4;
-    let len = u64::from_le_bytes(array_at(&bytes, pos, "ckpt length")?) as usize;
-    pos += 8;
-    if lsn != expect_lsn || bytes.len() - pos != len {
+    let len = u64::from_le_bytes(array_at(&header, pos, "ckpt length")?);
+    if lsn != expect_lsn || size - SEG_HEADER as u64 != len {
         return Err(JitsError::Recovery(
             "ckpt segment: bad lsn or length".into(),
         ));
     }
-    let mut covered = Vec::with_capacity(8 + len);
-    covered.extend_from_slice(&lsn.to_le_bytes());
-    covered.extend_from_slice(&bytes[pos..]);
-    if crate::codec::crc32(&covered) != crc {
+    let mut payload = Vec::with_capacity(len as usize);
+    file.read_to_end(&mut payload)
+        .map_err(|e| io_err("read ckpt segment", e))?;
+    if payload.len() as u64 != len {
+        return Err(JitsError::Recovery(
+            "ckpt segment: length changed while reading".into(),
+        ));
+    }
+    if frame_crc(lsn, &payload) != crc {
         return Err(JitsError::Recovery("ckpt segment: CRC mismatch".into()));
     }
-    Ok(bytes[pos..].to_vec())
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -520,6 +567,21 @@ mod tests {
 
     fn none() -> FaultPlane {
         FaultPlane::disabled()
+    }
+
+    /// A segment built by hand in the on-disk layout: magic, lsn, the
+    /// one-shot CRC of `lsn ∥ payload` concatenated, length, payload.
+    fn segment_bytes(lsn: u64, payload: &[u8]) -> Vec<u8> {
+        let mut covered = Vec::new();
+        covered.extend_from_slice(&lsn.to_le_bytes());
+        covered.extend_from_slice(payload);
+        let mut seg = Vec::new();
+        seg.extend_from_slice(CKPT_MAGIC);
+        seg.extend_from_slice(&lsn.to_le_bytes());
+        seg.extend_from_slice(&crate::codec::crc32(&covered).to_le_bytes());
+        seg.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        seg.extend_from_slice(payload);
+        seg
     }
 
     #[test]
@@ -553,6 +615,11 @@ mod tests {
         w.append(&rec("b"), &none(), 2).unwrap();
         let lsn = w.checkpoint(b"state-at-2", &none(), 3).unwrap();
         assert_eq!(lsn, 2);
+        assert_eq!(
+            std::fs::read(dir.path().join(segment_name(2))).unwrap(),
+            segment_bytes(2, b"state-at-2"),
+            "the segment is written in the hand-built layout, byte for byte"
+        );
         assert_eq!(w.since_checkpoint(), 0);
         w.append(&rec("c"), &none(), 4).unwrap();
         drop(w);
@@ -659,8 +726,16 @@ mod tests {
         w.append(&rec("a"), &fault, 1).unwrap();
         w.checkpoint(b"good", &fault, 2).unwrap();
         w.append(&rec("b"), &fault, 3).unwrap();
-        assert!(w.checkpoint(b"doomed", &fault, 9).is_err());
+        let doomed = b"a payload long enough that the cut falls inside it";
+        assert!(w.checkpoint(doomed, &fault, 9).is_err());
         assert!(w.is_poisoned());
+        let seg = segment_bytes(2, doomed);
+        let tmp = dir.path().join(format!("{}.tmp", segment_name(2)));
+        assert_eq!(
+            std::fs::read(tmp).unwrap(),
+            seg[..seg.len() / 2],
+            "half of the segment's bytes reach the tmp file"
+        );
         drop(w);
         let o = Wal::open(dir.path()).unwrap();
         assert_eq!(o.tmp_removed, 1, "partial tmp segment swept");
@@ -678,21 +753,40 @@ mod tests {
         w.append(&rec("a"), &none(), 1).unwrap();
         w.append(&rec("b"), &none(), 2).unwrap();
         // write the segment by hand, exactly as checkpoint() would
-        let mut covered = Vec::new();
-        covered.extend_from_slice(&2u64.to_le_bytes());
-        covered.extend_from_slice(b"state");
-        let mut seg = Vec::new();
-        seg.extend_from_slice(CKPT_MAGIC);
-        seg.extend_from_slice(&2u64.to_le_bytes());
-        seg.extend_from_slice(&crate::codec::crc32(&covered).to_le_bytes());
-        seg.extend_from_slice(&(5u64).to_le_bytes());
-        seg.extend_from_slice(b"state");
-        std::fs::write(dir.path().join(segment_name(2)), seg).unwrap();
+        std::fs::write(dir.path().join(segment_name(2)), segment_bytes(2, b"state")).unwrap();
         drop(w);
         let o = Wal::open(dir.path()).unwrap();
-        assert_eq!(o.checkpoint.unwrap().lsn, 2);
+        let c = o.checkpoint.unwrap();
+        assert_eq!(c.lsn, 2);
+        assert_eq!(c.payload, b"state");
         assert!(o.records.is_empty(), "covered records are skipped");
         assert_eq!(o.wal.next_lsn(), 3);
+    }
+
+    /// A real I/O failure during a checkpoint (here: the data directory is
+    /// gone) is a typed error that poisons the handle before the log is
+    /// truncated, like an injected one.
+    #[test]
+    fn failed_checkpoint_poisons_before_truncating() {
+        let dir = TestDir::new("wal-ckpt-io-failure");
+        let mut w = Wal::open(dir.path()).unwrap().wal;
+        w.append(&rec("a"), &none(), 1).unwrap();
+        std::fs::remove_dir_all(dir.path()).unwrap();
+        let err = w.checkpoint(b"state", &none(), 2).unwrap_err();
+        assert!(matches!(err, JitsError::Recovery(_)), "{err:?}");
+        assert!(w.is_poisoned());
+        assert_eq!(w.since_checkpoint(), 1, "the log was not truncated");
+        assert!(w.append(&rec("b"), &none(), 3).is_err());
+    }
+
+    /// The directory fsync that makes a checkpoint's rename durable
+    /// reports failure as a typed error instead of ignoring it.
+    #[test]
+    fn directory_sync_failure_is_a_typed_error() {
+        let dir = TestDir::new("wal-dir-sync");
+        sync_dir(dir.path()).unwrap();
+        let missing = dir.path().join("missing");
+        assert!(matches!(sync_dir(&missing), Err(JitsError::Recovery(_))));
     }
 
     #[test]
