@@ -23,8 +23,9 @@
 //!
 //! [`ChainTable`] is the one integer hash kernel built on it: the string
 //! dictionaries of `jits-storage` index their entries by string hash with
-//! it, and the batch executor's hash join and GROUP BY index rows and
-//! groups by integer key or tuple hash.
+//! it, and the batch executor's GROUP BY and its single-`Int`-key hash join
+//! (when the build keys are too sparse to address directly) index groups
+//! and rows by tuple hash or integer key.
 
 use std::collections::hash_map::Entry;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};

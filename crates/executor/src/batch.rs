@@ -1,4 +1,4 @@
-//! Vectorized batch execution over columnar gathers.
+//! Vectorized batch execution over selection vectors and the column store.
 //!
 //! The row executor ([`crate::exec`]) materializes intermediate results as
 //! vectors of row-id tuples and calls [`Table::value`] once per *row ×
@@ -8,19 +8,26 @@
 //! * operators carry **selection vectors** — one `Vec<RowId>` per covered
 //!   quantifier, struct-of-arrays instead of the row path's array-of-structs
 //!   tuple vectors;
-//! * scan predicates evaluate as **bitsets**: each predicate ANDs its
-//!   verdicts into a `Vec<bool>`, integer intervals over a typed dense
-//!   gather of their column ([`FrameColumn`], the collection-path layout,
-//!   reused here against live tables), string predicates by one lookup per
-//!   row into a verdict table over the column's dictionary — the filter is
-//!   [`crate::locate`]'s, shared with UPDATE and DELETE;
-//! * joins gather their key columns once per side and probe/build over the
-//!   dense slices; a single `Int` key goes through the integer hash kernel
-//!   ([`ChainTable`], shared with the string dictionaries: a head map plus
-//!   `next` links, chains in insertion order) instead of a `Vec` per key;
+//! * scans read the column slots **in place**: the filter is
+//!   [`crate::locate`]'s, shared with UPDATE and DELETE — typed kernels
+//!   (an integer interval over the `i64` slots, a string predicate through
+//!   a verdict per dictionary entry) narrow a selection vector seeded block
+//!   by block with the live slots;
+//! * a hash join on one `Int` key reads both sides' key slots through their
+//!   selection vectors, gathering nothing. When the build keys' range
+//!   `max − min + 1` is at most `4·(build + probe) + 1024` slots — a bound
+//!   on the join's own input, so no knob — a direct-address table
+//!   (`heads[key − min]` plus `next` links) replaces hashing; wider ranges
+//!   go through the integer hash kernel ([`ChainTable`]). Both walk each
+//!   key's build rows in insertion order. Multi-key and string-key joins
+//!   gather their key columns and hash `Value` tuples;
 //! * GROUP BY on `Int`/`Str` keys hashes per-row tuples of `i64` values and
-//!   dictionary codes through the same kernel instead of building a
+//!   dictionary codes through [`ChainTable`] instead of building a
 //!   `Vec<Value>` per row; aggregation accumulates over gathered slices.
+//!
+//! Gathers into a [`FrameColumn`] remain for what reads values out:
+//! ORDER BY, projections, aggregates, the index nested-loop join's drive
+//! keys, and multi-key or string-key joins.
 //!
 //! **Bit-identity contract.** For every plan the batch executor produces the
 //! same result rows (values and order), the same `ExecStats.work` (same
@@ -29,11 +36,11 @@
 //! executor. The argument: `FrameColumn::value(i)` is defined to equal
 //! `Table::value(rows[i], c)`, predicates and key comparisons run the same
 //! `Value` operations (or a typed integer fast path whose outcome equals
-//! `Interval::contains` exactly, or a per-entry verdict that *is*
-//! `LocalPredicate::matches` on the entry), hash-join output order is
-//! probe-order × build-insertion-order in both paths, groups appear in
-//! first-seen order whatever their keys hash to, and ORDER BY uses the
-//! same stable comparator. The contract is enforced by
+//! `Interval::contains` or `i64` equality exactly, or a per-entry verdict
+//! that *is* `LocalPredicate::matches` on the entry), hash-join output
+//! order is probe-order × build-insertion-order in both paths, groups
+//! appear in first-seen order whatever their keys hash to, and ORDER BY
+//! uses the same stable comparator. The contract is enforced by
 //! `tests/batch_executor.rs`.
 
 #![deny(clippy::indexing_slicing)]
@@ -42,9 +49,10 @@ use crate::exec::{
     accumulate, finish_groups, index_interval, matches_preds, position_in, record_scan, scan_preds,
     table_of, AggAcc, ExecOutput,
 };
-use crate::locate::{filter_rows, probe_index, surviving_rows, zone_constraints};
+use crate::locate::{filter_rows, probe_index, zone_constraints, Candidates};
 use crate::monitor::{ExecStats, NodeKind, NodeObservation};
 use jits_common::{ChainTable, ColumnId, FastHasher, FastMap, JitsError, Result, Value};
+use jits_optimizer::plan::JoinKey;
 use jits_optimizer::{CostModel, PhysicalPlan};
 use jits_query::{Projection, QueryBlock};
 use jits_storage::{FrameColumn, FrameValues, Row, RowId, Table};
@@ -203,7 +211,7 @@ fn debug_validate_batch(
     match plan {
         PhysicalPlan::SeqScan { .. } | PhysicalPlan::PrunedScan { .. } => {
             // table scans emit row ids in ascending order and both the
-            // bitset filter and block skipping preserve it
+            // selection-vector filter and block skipping preserve it
             for (q, s) in batch.quns.iter().zip(&batch.sel) {
                 assert!(
                     s.is_sorted_by(|a, b| a < b),
@@ -285,8 +293,8 @@ fn run_operator(
     match plan {
         PhysicalPlan::SeqScan { scan, est } => {
             let table = table_of(tables, block, scan.qun)?;
-            let rows: Vec<RowId> = table.scan().collect();
-            let sel = filter_rows(table, rows, scan_preds(block, &scan.pred_indices));
+            let preds = scan_preds(block, &scan.pred_indices);
+            let sel = filter_rows(table, Candidates::All, preds);
             let work = cost.seq_scan(table.row_count() as f64, sel.len() as f64);
             stats.work += work;
             record_scan(
@@ -316,7 +324,7 @@ fn run_operator(
             // blocks contain every matching row
             let preds = scan_preds(block, &scan.pred_indices);
             let skip = table.skip_list(&zone_constraints(preds.clone()));
-            let sel = filter_rows(table, surviving_rows(table, &skip), preds);
+            let sel = filter_rows(table, Candidates::Blocks(&skip), preds);
             let work = cost.pruned_scan(
                 skip.blocks_total as f64,
                 skip.surviving_rows as f64,
@@ -356,7 +364,8 @@ fn run_operator(
             })?;
             let interval = index_interval(block, &scan.pred_indices, *index_column)?;
             let (live, fetched) = probe_index(table, index, *index_column, &interval);
-            let sel = filter_rows(table, live, scan_preds(block, &scan.pred_indices));
+            let preds = scan_preds(block, &scan.pred_indices);
+            let sel = filter_rows(table, Candidates::Rows(live), preds);
             let work = cost.index_scan(fetched as f64, sel.len() as f64);
             stats.work += work;
             record_scan(
@@ -386,9 +395,16 @@ fn run_operator(
             if keys.is_empty() {
                 return Err(JitsError::Execution("hash join without keys".into()));
             }
-            let build_cols = gather_keys(&build_batch, block, tables, keys.iter().map(|(b, _)| b))?;
-            let probe_cols = gather_keys(&probe_batch, block, tables, keys.iter().map(|(_, p)| p))?;
-            let pairs = hash_join_pairs(&build_cols, &probe_cols, build_batch.len, probe_batch.len);
+            let pairs = match single_int_keys(keys, &build_batch, &probe_batch, block, tables)? {
+                Some((build_keys, probe_keys)) => int_join_pairs(build_keys, probe_keys),
+                None => {
+                    let build_cols =
+                        gather_keys(&build_batch, block, tables, keys.iter().map(|(b, _)| b))?;
+                    let probe_cols =
+                        gather_keys(&probe_batch, block, tables, keys.iter().map(|(_, p)| p))?;
+                    value_join_pairs(&build_cols, &probe_cols, build_batch.len, probe_batch.len)
+                }
+            };
             debug_assert!(pairs
                 .iter()
                 .all(|&(b, p)| b < build_batch.len && p < probe_batch.len));
@@ -598,33 +614,16 @@ fn gather_keys<'a>(
         .collect()
 }
 
-/// Hash-join pair construction: output is probe-order × build-insertion-
-/// order, exactly like the row path's tuple loop. NULL keys never join.
-fn hash_join_pairs(
+/// Hash-join pair construction through `Value` tuples, for multi-key and
+/// string-key joins: output is probe-order × build-insertion-order, exactly
+/// like the row path's tuple loop. NULL keys never join.
+fn value_join_pairs(
     build_cols: &[FrameColumn],
     probe_cols: &[FrameColumn],
     build_len: usize,
     probe_len: usize,
 ) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
-    // single-Int-key fast path: raw i64s into the chained integer table,
-    // no Value materialization; its chains walk in build-insertion order
-    if let ([b], [p]) = (build_cols, probe_cols) {
-        if let (FrameValues::Int(bv), FrameValues::Int(pv)) = (&b.values, &p.values) {
-            let mut ht = ChainTable::with_entries(build_len);
-            for (t, (&v, &valid)) in bv.iter().zip(&b.validity).enumerate().take(build_len) {
-                if valid {
-                    ht.append(v as u64, t);
-                }
-            }
-            for (t, (&v, &valid)) in pv.iter().zip(&p.validity).enumerate().take(probe_len) {
-                if valid {
-                    pairs.extend(ht.chain(v as u64).map(|bi| (bi, t)));
-                }
-            }
-            return pairs;
-        }
-    }
     let mut ht: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
     for t in 0..build_len {
         if build_cols
@@ -649,6 +648,139 @@ fn hash_join_pairs(
                 pairs.push((bi, t));
             }
         }
+    }
+    pairs
+}
+
+/// One side of a single-`Int`-key join, read in place: batch row `t` has
+/// the key in slot `sel[t]` of `vals`, NULL where `valid` says so.
+#[derive(Clone, Copy)]
+struct IntKeys<'a> {
+    sel: &'a [RowId],
+    vals: &'a [i64],
+    valid: &'a [bool],
+}
+
+impl IntKeys<'_> {
+    /// `(t, key)` for each batch row whose key is not NULL, in batch order.
+    fn keys(&self) -> impl DoubleEndedIterator<Item = (usize, i64)> + '_ {
+        self.sel.iter().enumerate().filter_map(|(t, &r)| {
+            match (self.valid.get(r as usize), self.vals.get(r as usize)) {
+                (Some(true), Some(&k)) => Some((t, k)),
+                _ => None,
+            }
+        })
+    }
+}
+
+/// Both sides' key slots when the join has one key and it is an `Int`
+/// column on both sides; `None` sends the join down the `Value` path.
+fn single_int_keys<'a>(
+    keys: &[JoinKey],
+    build: &'a ColumnBatch,
+    probe: &'a ColumnBatch,
+    block: &QueryBlock,
+    tables: &'a [Table],
+) -> Result<Option<(IntKeys<'a>, IntKeys<'a>)>> {
+    let [((bq, bc), (pq, pc))] = keys else {
+        return Ok(None);
+    };
+    let side = |batch: &'a ColumnBatch, q: usize, c: ColumnId| -> Result<Option<IntKeys<'a>>> {
+        let Some((vals, valid)) = table_of(tables, block, q)?.int_slots(c) else {
+            return Ok(None);
+        };
+        Ok(Some(IntKeys {
+            sel: batch.sel_of(q)?,
+            vals,
+            valid,
+        }))
+    };
+    Ok(side(build, *bq, *bc)?.zip(side(probe, *pq, *pc)?))
+}
+
+/// End of a chain in [`direct_join`]'s `heads` and `next`.
+const NIL: u32 = u32::MAX;
+
+/// Pairs of a single-`Int`-key join, probe order × build insertion order,
+/// NULL keys never joining. Dense build keys ([`dense_span`]) index a
+/// direct-address table; the rest go through the [`ChainTable`] kernel.
+fn int_join_pairs(build: IntKeys<'_>, probe: IntKeys<'_>) -> Vec<(usize, usize)> {
+    match dense_span(build, probe.sel.len()) {
+        Some((min, span)) => direct_join(build, probe, min, span),
+        None => chain_join(build, probe),
+    }
+}
+
+/// The slots a direct-address table may spend on a join of `build_len`
+/// and `probe_len` rows: a constant times the join's own input, so its
+/// size follows from the input alone and needs no knob.
+fn direct_slots(build_len: usize, probe_len: usize) -> u64 {
+    (build_len as u64)
+        .saturating_add(probe_len as u64)
+        .saturating_mul(4)
+        .saturating_add(1024)
+}
+
+/// `(min, max − min + 1)` over the non-NULL build keys when that span is
+/// at most [`direct_slots`]; `None` when it is wider, when no build key is
+/// non-NULL, or when a build row could not be linked in a `u32`.
+fn dense_span(build: IntKeys<'_>, probe_len: usize) -> Option<(i64, usize)> {
+    if build.sel.len() >= NIL as usize {
+        return None;
+    }
+    let (min, max) = build.keys().fold(None, |acc, (_, v)| match acc {
+        None => Some((v, v)),
+        Some((lo, hi)) => Some((v.min(lo), v.max(hi))),
+    })?;
+    // max − min is at most 2^64 − 1, and the + 1 is checked
+    let span = max.abs_diff(min).checked_add(1)?;
+    if span > direct_slots(build.sel.len(), probe_len) {
+        return None;
+    }
+    Some((min, usize::try_from(span).ok()?))
+}
+
+/// The direct-address join: `heads[k − min]` is the first build row with
+/// key `k` and `next` links it to the following one. Building in reverse
+/// by prepending leaves every chain in build insertion order.
+fn direct_join(
+    build: IntKeys<'_>,
+    probe: IntKeys<'_>,
+    min: i64,
+    span: usize,
+) -> Vec<(usize, usize)> {
+    // `k − min` as an unsigned offset: exact for `k >= min`, and at least
+    // 2^63 (no slot) below it
+    let slot = |k: i64| usize::try_from(k.wrapping_sub(min) as u64).unwrap_or(usize::MAX);
+    let mut heads = vec![NIL; span];
+    let mut next = vec![NIL; build.sel.len()];
+    for (t, k) in build.keys().rev() {
+        if let (Some(head), Some(link)) = (heads.get_mut(slot(k)), next.get_mut(t)) {
+            *link = *head;
+            *head = t as u32;
+        }
+    }
+    let mut pairs = Vec::new();
+    for (t, k) in probe.keys() {
+        let mut e = heads.get(slot(k)).copied().unwrap_or(NIL);
+        while e != NIL {
+            pairs.push((e as usize, t));
+            e = next.get(e as usize).copied().unwrap_or(NIL);
+        }
+    }
+    pairs
+}
+
+/// The hashed join over the [`ChainTable`] kernel, whose chains walk in
+/// append order.
+fn chain_join(build: IntKeys<'_>, probe: IntKeys<'_>) -> Vec<(usize, usize)> {
+    let mut ht = ChainTable::with_entries(build.sel.len());
+    for (t, v) in build.keys() {
+        ht.append(v as u64, t);
+    }
+    let mut pairs = Vec::new();
+    for (t, v) in probe.keys() {
+        pairs.extend(ht.chain(v as u64).map(|b| (b, t)));
     }
     pairs
 }
@@ -935,4 +1067,150 @@ fn group_rows_values(
         }
     }
     Ok(grouping)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jits_common::SplitMix64;
+    use proptest::prelude::*;
+
+    /// One join side over its own slots: `keys[i]` is slot `i` (`None` =
+    /// NULL), and the selection names slots in any order, repeats allowed.
+    struct Side {
+        sel: Vec<RowId>,
+        vals: Vec<i64>,
+        valid: Vec<bool>,
+    }
+
+    impl Side {
+        fn new(keys: &[Option<i64>], sel: Vec<RowId>) -> Side {
+            Side {
+                sel,
+                vals: keys.iter().map(|k| k.unwrap_or(0)).collect(),
+                valid: keys.iter().map(Option::is_some).collect(),
+            }
+        }
+
+        fn keys(&self) -> IntKeys<'_> {
+            IntKeys {
+                sel: &self.sel,
+                vals: &self.vals,
+                valid: &self.valid,
+            }
+        }
+    }
+
+    /// A side of `rows` batch rows whose non-NULL keys lie in
+    /// `[min, min + span)` and, when `rows >= 2`, reach both ends.
+    fn random_side(rng: &mut SplitMix64, rows: usize, min: i64, span: u64) -> Side {
+        let slots = rows.max(2);
+        let keys: Vec<Option<i64>> = (0..slots)
+            .map(|i| {
+                let offset = match i {
+                    0 => 0,
+                    1 => span - 1,
+                    _ if rng.next_bounded(6) == 0 => return None,
+                    // few distinct keys near the ends, so chains repeat
+                    _ => match rng.next_bounded(3) {
+                        0 => rng.next_bounded(4.min(span)),
+                        1 => span - 1 - rng.next_bounded(4.min(span)),
+                        _ => rng.next_bounded(span),
+                    },
+                };
+                Some(min.wrapping_add(offset as i64))
+            })
+            .collect();
+        // the two end slots are selected, the rest at random
+        let mut sel: Vec<RowId> = (0..rows)
+            .map(|i| match i {
+                0 | 1 => i as RowId,
+                _ => rng.next_bounded(slots as u64) as RowId,
+            })
+            .collect();
+        rng.shuffle(&mut sel);
+        Side::new(&keys, sel)
+    }
+
+    /// Every test side's key range starts at `min` or ends at `i64::MAX`.
+    fn random_min(rng: &mut SplitMix64, span: u64) -> i64 {
+        match rng.next_bounded(4) {
+            0 => i64::MIN,
+            1 => i64::MAX - (span as i64 - 1),
+            _ => rng.next_u64() as i64 / 4,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The direct-address join equals the hashed one pair for pair,
+        /// whether the build keys' range is one under, at, or one past the
+        /// bound (where `int_join_pairs` switches kernels) or far inside
+        /// it, at either extreme of `i64`; NULLs, repeated keys and
+        /// repeated selection entries on both sides.
+        #[test]
+        fn direct_join_equals_chain_join(
+            seed in any::<u64>(),
+            build_rows in 2usize..200,
+            probe_rows in 0usize..200,
+            shift in 0u64..4,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let bound = direct_slots(build_rows, probe_rows);
+            let span = match shift {
+                0 => bound - 1,
+                1 => bound,
+                2 => bound + 1,
+                _ => 1 + rng.next_bounded(8),
+            };
+            let min = random_min(&mut rng, span);
+            let build = random_side(&mut rng, build_rows, min, span);
+            let probe = random_side(&mut rng, probe_rows, min, span);
+
+            let found = dense_span(build.keys(), probe_rows);
+            let expect_span = usize::try_from(span).unwrap();
+            prop_assert_eq!(found, (span <= bound).then_some((min, expect_span)));
+            let chained = chain_join(build.keys(), probe.keys());
+            let direct = direct_join(build.keys(), probe.keys(), min, expect_span);
+            prop_assert_eq!(&direct, &chained);
+            prop_assert_eq!(int_join_pairs(build.keys(), probe.keys()), chained);
+        }
+    }
+
+    /// The bound is inclusive: a build range of exactly `direct_slots`
+    /// keys is addressed directly, one more is hashed.
+    #[test]
+    fn dense_span_takes_the_bound_and_not_one_past() {
+        let bound = direct_slots(2, 0) as i64;
+        assert_eq!(bound, 4 * 2 + 1024);
+        for (max, dense) in [(bound - 2, true), (bound - 1, true), (bound, false)] {
+            let side = Side::new(&[Some(0), Some(max)], vec![0, 1]);
+            assert_eq!(
+                dense_span(side.keys(), 0).is_some(),
+                dense,
+                "keys 0..={max} against a bound of {bound}"
+            );
+        }
+        // the widest range of all overflows the + 1 and is hashed
+        let side = Side::new(&[Some(i64::MIN), Some(i64::MAX)], vec![0, 1]);
+        assert_eq!(dense_span(side.keys(), 1 << 40), None);
+        // no non-NULL build key: nothing to address
+        let side = Side::new(&[None], vec![0]);
+        assert_eq!(dense_span(side.keys(), 1), None);
+    }
+
+    /// Chains walk in build insertion order on both kernels: repeated
+    /// build keys come out ascending by build row for every probe row.
+    #[test]
+    fn chains_walk_in_build_order() {
+        let build = Side::new(
+            &[Some(7), Some(3), Some(7), None, Some(7)],
+            vec![0, 1, 2, 3, 4],
+        );
+        let probe = Side::new(&[Some(7), Some(3), None], vec![0, 2, 1, 0]);
+        let expect = vec![(0, 0), (2, 0), (4, 0), (1, 2), (0, 3), (2, 3), (4, 3)];
+        assert_eq!(direct_join(build.keys(), probe.keys(), 3, 5), expect);
+        assert_eq!(chain_join(build.keys(), probe.keys()), expect);
+    }
 }

@@ -281,6 +281,16 @@ impl Column {
         self.validity.get(idx) == Some(&true)
     }
 
+    /// The slots of an integer column in place, `(values, validity)`, one
+    /// entry per slot; a NULL slot's value is 0 and must be read through
+    /// the validity. `None` for other types.
+    pub fn int_slots(&self) -> Option<(&[i64], &[bool])> {
+        match &self.data {
+            ColumnData::Int(col) => Some((col, &self.validity)),
+            _ => None,
+        }
+    }
+
     /// The dictionary encoding, if this is a string column.
     pub fn str_codes(&self) -> Option<StrCodes<'_>> {
         match &self.data {

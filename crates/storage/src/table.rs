@@ -284,6 +284,13 @@ impl Table {
         self.columns[column.index()].str_codes()
     }
 
+    /// An integer column's slots in place, `(values, validity)` indexed by
+    /// `RowId`, tombstoned slots included ([`Column::int_slots`]); `None`
+    /// for other types and unknown columns.
+    pub fn int_slots(&self, column: ColumnId) -> Option<(&[i64], &[bool])> {
+        self.columns.get(column.index())?.int_slots()
+    }
+
     /// Materializes a full row.
     pub fn row(&self, row: RowId) -> Row {
         self.columns.iter().map(|c| c.get(row as usize)).collect()
@@ -358,11 +365,12 @@ impl Table {
         self.zones.skip_list(constraints)
     }
 
-    /// Live row ids of zone-map block `b`, ascending.
-    pub fn block_rows(&self, b: usize) -> impl Iterator<Item = RowId> + '_ {
-        let lo = b * BLOCK_SIZE;
-        let hi = ((b + 1) * BLOCK_SIZE).min(self.live.len());
-        (lo..hi).filter(|&i| self.live[i]).map(|i| i as RowId)
+    /// Zone-map block `b`'s slots: the row id of its first slot and each
+    /// slot's live flag (no slots past the last block).
+    pub fn block_slots(&self, b: usize) -> (RowId, &[bool]) {
+        let lo = b.saturating_mul(BLOCK_SIZE).min(self.live.len());
+        let hi = lo.saturating_add(BLOCK_SIZE).min(self.live.len());
+        (lo as RowId, &self.live[lo..hi])
     }
 
     /// Columns that currently have secondary indexes.
@@ -635,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn block_rows_partition_the_scan() {
+    fn block_slots_partition_the_scan() {
         let schema = Schema::from_pairs(&[("id", DataType::Int)]);
         let mut t = Table::new("t", schema);
         for i in 0..2500i64 {
@@ -644,10 +652,15 @@ mod tests {
         t.delete(100);
         t.delete(1500);
         let via_blocks: Vec<RowId> = (0..t.zone_maps().block_count())
-            .flat_map(|b| t.block_rows(b).collect::<Vec<_>>())
+            .flat_map(|b| {
+                let (first, live) = t.block_slots(b);
+                (first..).zip(live).filter(|(_, l)| **l).map(|(r, _)| r)
+            })
             .collect();
         assert_eq!(via_blocks, t.scan().collect::<Vec<_>>());
         assert_eq!(t.zone_maps().block_count(), 3);
+        assert_eq!(t.block_slots(2), (2048, &[true; 452][..]));
+        assert_eq!(t.block_slots(3).1.len(), 0, "past the last block");
     }
 
     #[test]

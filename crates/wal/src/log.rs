@@ -461,12 +461,12 @@ impl Wal {
             .map_err(|e| io_err("fsync truncation", e))?;
         self.log_len = WAL_MAGIC.len() as u64;
         self.since_checkpoint = 0;
-        self.prune_segments(lsn)?;
+        self.prune_segments()?;
         Ok(lsn)
     }
 
     /// Removes checkpoint segments older than the [`CKPT_KEEP`] newest.
-    fn prune_segments(&self, _newest: u64) -> Result<()> {
+    fn prune_segments(&self) -> Result<()> {
         let mut lsns: Vec<u64> = Vec::new();
         for entry in fs::read_dir(&self.dir).map_err(|e| io_err("read data dir", e))? {
             let entry = entry.map_err(|e| io_err("read data dir entry", e))?;

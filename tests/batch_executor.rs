@@ -24,11 +24,27 @@ const MODELS: &[&str] = &[
     "Civic", "Corolla", "Model S", "Mustang", "Prius", "Q5", "RAV4", "A4",
 ];
 
-/// car(1200, some NULL join keys) joins owner(100) on `ownerid = id` and —
-/// for the multi-key corpus entries — additionally on `year`. `car.model`
-/// holds NULLs and a value (`Roadster`) first written by UPDATE after the
-/// load; `car.price` holds NULLs and both zeros; `owner.name` is unique and
-/// indexed, so its dictionary outnumbers any index probe's candidates.
+/// Rows loaded into `car`: four zone-map blocks (`BLOCK_SIZE` = 1024).
+const CAR_ROWS: i64 = 3600;
+
+/// Owners; `owner.id` runs densely over `0..OWNERS`.
+const OWNERS: i64 = 100;
+
+/// `car.tag` / `owner.tag`: a sparse join key whose values lie a million
+/// apart (negative ones included), so its range is far past what a
+/// direct-address join may spend and the join hashes.
+fn tag(k: i64) -> i64 {
+    (k - 30) * 1_000_003
+}
+
+/// car(3600, some NULL join keys) joins owner(100) on `ownerid = id` and —
+/// for the multi-key corpus entries — additionally on `year`; `delta`
+/// (dense, negative, repeating on the car side, NULL on both) and `tag`
+/// (sparse) are further `Int` join keys. `car.model` holds NULLs and a
+/// value (`Roadster`) first written by UPDATE after the load; `car.price`
+/// holds NULLs and both zeros; `owner.name` is unique and indexed, so its
+/// dictionary outnumbers any index probe's candidates. `car` spans four
+/// blocks: the second is deleted whole, and every 29th row elsewhere.
 fn setup() -> (Catalog, Vec<Table>) {
     let mut catalog = Catalog::new();
     let car_schema = Schema::from_pairs(&[
@@ -38,12 +54,16 @@ fn setup() -> (Catalog, Vec<Table>) {
         ("year", DataType::Int),
         ("model", DataType::Str),
         ("price", DataType::Float),
+        ("delta", DataType::Int),
+        ("tag", DataType::Int),
     ]);
     let owner_schema = Schema::from_pairs(&[
         ("id", DataType::Int),
         ("name", DataType::Str),
         ("salary", DataType::Int),
         ("year", DataType::Int),
+        ("delta", DataType::Int),
+        ("tag", DataType::Int),
     ]);
     let car_id = catalog.register_table("car", car_schema.clone()).unwrap();
     let owner_id = catalog
@@ -51,11 +71,11 @@ fn setup() -> (Catalog, Vec<Table>) {
         .unwrap();
 
     let mut car = Table::new("car", car_schema);
-    for i in 0..1200i64 {
+    for i in 0..CAR_ROWS {
         let owner = if i % 11 == 0 {
             Value::Null // NULL join keys must match nothing on either path
         } else {
-            Value::Int(i % 100)
+            Value::Int(i % OWNERS)
         };
         let make = ["Toyota", "Honda", "Audi"][(i % 3) as usize];
         let model = if i % 7 == 0 {
@@ -69,6 +89,16 @@ fn setup() -> (Catalog, Vec<Table>) {
             2 => Value::Float(0.0),
             _ => Value::Float((i % 13) as f64 * 1.5),
         };
+        let delta = if i % 19 == 0 {
+            Value::Null
+        } else {
+            Value::Int(i % 120 - 60)
+        };
+        let tag_key = if i % 17 == 0 {
+            Value::Null
+        } else {
+            Value::Int(tag(i % 50))
+        };
         car.insert(vec![
             Value::Int(i),
             owner,
@@ -76,20 +106,30 @@ fn setup() -> (Catalog, Vec<Table>) {
             Value::Int(1990 + i % 17),
             model,
             price,
+            delta,
+            tag_key,
         ])
         .unwrap();
     }
-    for r in (5..1200).step_by(97) {
+    for r in (5..CAR_ROWS as u32).step_by(97) {
         car.update(r, ColumnId(4), Value::str("Roadster")).unwrap();
     }
+    for r in 0..CAR_ROWS as u32 {
+        if (1024..2048).contains(&r) || r % 29 == 3 {
+            assert!(car.delete(r));
+        }
+    }
     let mut owner = Table::new("owner", owner_schema);
-    for i in 0..100i64 {
+    for i in 0..OWNERS {
+        let nullable = |null: bool, v: i64| if null { Value::Null } else { Value::Int(v) };
         owner
             .insert(vec![
                 Value::Int(i),
                 Value::str(format!("owner{i}")),
                 Value::Int(i * 1000),
                 Value::Int(1990 + i % 17),
+                nullable(i % 13 == 5, i - 50),
+                nullable(i % 23 == 4, tag(i)),
             ])
             .unwrap();
     }
@@ -156,6 +196,19 @@ const CORPUS: &[&str] = &[
     "SELECT model, ownerid, COUNT(*), SUM(year) FROM car WHERE year > 2000 \
      GROUP BY model, ownerid",
     "SELECT price, COUNT(*), MAX(id) FROM car GROUP BY price",
+    // single-Int-key joins: dense `owner.id`, sparse `tag`, and `delta`
+    // (negative, repeated on the car side, NULL on both)
+    "SELECT c.id, o.name FROM car c, owner o WHERE c.ownerid = o.id AND o.salary < 30000",
+    "SELECT c.id, o.id FROM car c, owner o WHERE c.tag = o.tag",
+    "SELECT c.id, o.id, c.delta FROM car c, owner o WHERE c.delta = o.delta AND c.year > 2000",
+    "SELECT o.id, COUNT(*) FROM car c, owner o WHERE c.delta = o.delta GROUP BY o.id",
+    // integer intervals with exclusive ends at the extremes of i64
+    "SELECT COUNT(*) FROM car WHERE delta > 9223372036854775807",
+    "SELECT COUNT(*) FROM car WHERE delta < -9223372036854775808",
+    "SELECT id FROM car WHERE delta > -9223372036854775808 AND delta < 9223372036854775807 \
+     AND year = 1999",
+    "SELECT COUNT(*) FROM car WHERE tag >= -30000090 AND tag < -29000087",
+    "SELECT id FROM car WHERE delta >= -3 AND delta < 0 AND make <> 'Audi'",
 ];
 
 /// The core contract: for the optimizer's chosen plan, the batch executor
@@ -254,6 +307,50 @@ fn string_corpus_cases_select_rows() {
     );
 }
 
+/// The integer corpus cases are not vacuous, and the intervals with
+/// exclusive ends at the extremes of `i64` select what they must: nothing
+/// past an extreme, every non-NULL value short of both.
+#[test]
+fn int_corpus_cases_select_what_they_must() {
+    let (catalog, tables) = setup();
+    let run = |sql: &str| {
+        let (block, plan, cost) = plan_of(&catalog, sql);
+        execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost)
+            .unwrap()
+            .rows
+    };
+    for sql in CORPUS
+        .iter()
+        .filter(|q| q.contains(".delta = o.delta") || q.contains(".tag"))
+    {
+        assert!(!run(sql).is_empty(), "{sql}");
+    }
+    let car = &tables[0];
+    let live_where = |keep: &dyn Fn(u32) -> bool| car.scan().filter(|&r| keep(r)).count() as i64;
+    let cell = |r: u32, c: u32| car.value(r, ColumnId(c));
+    assert_eq!(
+        run("SELECT COUNT(*) FROM car WHERE delta > 9223372036854775807"),
+        vec![vec![Value::Int(0)]]
+    );
+    assert_eq!(
+        run("SELECT COUNT(*) FROM car WHERE delta < -9223372036854775808"),
+        vec![vec![Value::Int(0)]]
+    );
+    let open = run(
+        "SELECT id FROM car WHERE delta > -9223372036854775808 AND delta < 9223372036854775807 \
+         AND year = 1999",
+    );
+    let expect = live_where(&|r| !cell(r, 6).is_null() && cell(r, 3) == Value::Int(1999));
+    assert!(expect > 0);
+    assert_eq!(open.len() as i64, expect);
+    let first_tag = live_where(&|r| cell(r, 7) == Value::Int(tag(0)));
+    assert!(first_tag > 0);
+    assert_eq!(
+        run("SELECT COUNT(*) FROM car WHERE tag >= -30000090 AND tag < -29000087"),
+        vec![vec![Value::Int(first_tag)]]
+    );
+}
+
 /// `owner.name` is unique, so its 100-entry dictionary outnumbers the one
 /// candidate of an index probe (the filter decides that row cell by cell)
 /// but not a full scan's 100 rows (the filter decides by code). Both plans
@@ -308,7 +405,7 @@ fn hash_join_walks_duplicate_build_keys_in_insertion_order() {
     };
     let plan = PhysicalPlan::HashJoin {
         build: Box::new(PhysicalPlan::SeqScan {
-            scan: scan(0, 0, 1200.0),
+            scan: scan(0, 0, CAR_ROWS as f64),
             est,
         }),
         probe: Box::new(PhysicalPlan::SeqScan {
@@ -337,6 +434,91 @@ fn hash_join_walks_duplicate_build_keys_in_insertion_order() {
     }
 }
 
+/// The range a direct-address hash join may index for a join of these
+/// input sizes (`batch.rs`): wider build keys fall back to the hashed
+/// kernel.
+fn direct_slots(build: usize, probe: usize) -> i64 {
+    4 * (build + probe) as i64 + 1024
+}
+
+/// `max − min + 1` over the non-NULL values of an `Int` column's live rows.
+fn key_span(table: &Table, col: ColumnId) -> i64 {
+    let keys: Vec<i64> = table
+        .scan()
+        .filter_map(|r| table.value(r, col).as_i64())
+        .collect();
+    keys.iter().max().unwrap() - keys.iter().min().unwrap() + 1
+}
+
+/// Every single-`Int`-key join shape, forced into a hash join over two
+/// full scans with each table on the build side in turn, against the row
+/// executor: dense keys with repeats on the build side (`ownerid`/`id`),
+/// dense negative keys with NULLs on both sides (`delta`), and sparse keys
+/// whose range is past the direct-address bound (`tag`). The spans are
+/// checked so that the data keeps exercising both kernels.
+#[test]
+fn int_key_hash_joins_match_row_executor_on_both_kernels() {
+    let (catalog, tables) = setup();
+    let (car, owner) = (&tables[0], &tables[1]);
+    let bound = direct_slots(car.row_count(), owner.row_count());
+    let cases = [
+        ("ownerid", ColumnId(1), "id", ColumnId(0), true),
+        ("delta", ColumnId(6), "delta", ColumnId(4), true),
+        ("tag", ColumnId(7), "tag", ColumnId(5), false),
+    ];
+    for (car_key, car_col, owner_key, owner_col, dense) in cases {
+        for span in [key_span(car, car_col), key_span(owner, owner_col)] {
+            assert_eq!(
+                span <= bound,
+                dense,
+                "{car_key}: span {span}, bound {bound}"
+            );
+        }
+        let sql = format!(
+            "SELECT c.id, o.id, c.{car_key} FROM car c, owner o WHERE c.{car_key} = o.{owner_key}"
+        );
+        let (block, _, cost) = plan_of(&catalog, &sql);
+        let scan = |qun: usize, base_rows: f64| PhysicalPlan::SeqScan {
+            scan: ScanGroupEstimate {
+                qun,
+                table: TableId(qun as u32),
+                pred_indices: vec![],
+                selectivity: 1.0,
+                base_rows,
+                statlist: vec![],
+                source: StatSource::Default,
+            },
+            est: NodeEst {
+                rows: base_rows,
+                cost: 1.0,
+            },
+        };
+        let car_side = || (scan(0, CAR_ROWS as f64), (0, car_col));
+        let owner_side = || (scan(1, OWNERS as f64), (1, owner_col));
+        for (build, probe) in [(car_side(), owner_side()), (owner_side(), car_side())] {
+            let plan = PhysicalPlan::HashJoin {
+                build: Box::new(build.0),
+                probe: Box::new(probe.0),
+                keys: vec![(build.1, probe.1)],
+                est: NodeEst {
+                    rows: 1000.0,
+                    cost: 1.0,
+                },
+            };
+            let row = execute_with(ExecutorKind::Row, &plan, &block, &tables, &cost).unwrap();
+            let batch = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
+            assert!(!batch.rows.is_empty(), "{sql}: the join must match rows");
+            assert_eq!(row.rows, batch.rows, "rows diverged: {sql}, {plan:?}");
+            assert_eq!(
+                row.stats.work.to_bits(),
+                batch.stats.work.to_bits(),
+                "{sql}"
+            );
+            assert_eq!(row.stats.nodes, batch.stats.nodes, "{sql}");
+        }
+    }
+}
+
 /// A malformed index nested-loop plan (no equality keys) must fail with a
 /// typed execution error on both paths, never a panic.
 #[test]
@@ -356,12 +538,12 @@ fn keyless_index_nl_join_is_a_typed_error() {
         source: StatSource::Default,
     };
     let est = NodeEst {
-        rows: 1200.0,
+        rows: CAR_ROWS as f64,
         cost: 1.0,
     };
     let plan = PhysicalPlan::IndexNLJoin {
         outer: Box::new(PhysicalPlan::SeqScan {
-            scan: scan(0, 0, 1200.0),
+            scan: scan(0, 0, CAR_ROWS as f64),
             est,
         }),
         inner: scan(1, 1, 100.0),
