@@ -107,14 +107,14 @@ pub(crate) fn note_collect(
     reg.counter("jits.collect.slot_probes", Volatility::Deterministic)
         .add(timings.iter().map(|t| t.slot_probes as u64).sum());
     let hist = reg.histogram("jits.collect.table_nanos", Volatility::Volatile);
-    let gather = reg.histogram("jits.collect.gather_nanos", Volatility::Volatile);
+    let kernel = reg.histogram("jits.collect.kernel_nanos", Volatility::Volatile);
     let eval = reg.histogram("jits.collect.eval_nanos", Volatility::Volatile);
     for t in timings {
         if t.wall_nanos > 0 {
             hist.observe(t.wall_nanos);
         }
-        if t.gather_nanos > 0 {
-            gather.observe(t.gather_nanos);
+        if t.kernel_nanos > 0 {
+            kernel.observe(t.kernel_nanos);
         }
         if t.eval_nanos > 0 {
             eval.observe(t.eval_nanos);

@@ -10,11 +10,8 @@
 //! DESIGN.md §14 excludes them — a recovered engine plans, collects, and
 //! scores identically with an empty ring.
 //!
-//! Sample-cache entries persist only their decision-bearing core (row ids,
-//! epoch, probe cost, hit counts). Columnar gathers and predicate bitsets
-//! are dropped: they are served only on an exact epoch match and rebuilt
-//! first-in-wins from fresh gathers, so their absence after recovery is
-//! invisible to results, work charging, and deterministic counters.
+//! Sample-cache entries persist whole: spec, row ids, epoch, cardinality
+//! at draw, probe cost and hit counts.
 //!
 //! Archive checksums are likewise not persisted — recovery recomputes them
 //! from the restored bucket sets (the checksum is a pure function of
@@ -718,7 +715,7 @@ fn put_samplecache(e: &mut Encoder, c: &SampleCache) {
     for (tid, s) in entries {
         e.put_u32(tid.0);
         e.put_u64(s.spec.size as u64);
-        e.put_u64(s.epoch());
+        e.put_u64(s.epoch);
         e.put_u64(s.rows_at_draw);
         e.put_u32(s.rows.len() as u32);
         for &r in s.rows.iter() {
@@ -748,20 +745,18 @@ fn samplecache(d: &mut Decoder) -> Result<SampleCache> {
             rows.push(d.u32()?);
         }
         let probes = d.u64()? as usize;
-        // columnar gathers and bitsets are rebuilt from fresh draws; they
-        // are served only on exact epoch matches, so recovery starting
-        // without them is behavior-identical
-        let mut sample = CachedSample::new(
-            SampleSpec { size },
-            epoch,
-            rows_at_draw,
-            Arc::new(rows),
-            probes,
-            Default::default(),
-            Default::default(),
+        let hits = d.u64()?;
+        cache.store(
+            tid,
+            CachedSample {
+                spec: SampleSpec { size },
+                epoch,
+                rows_at_draw,
+                rows: Arc::new(rows),
+                probes,
+                hits,
+            },
         );
-        sample.hits = d.u64()?;
-        cache.store(tid, sample);
     }
     cache.restore_counters(counters);
     Ok(cache)
@@ -1264,10 +1259,7 @@ mod tests {
         assert!(!state.archive.is_empty());
         assert!(!state.history.snapshot().is_empty());
         assert!(!state.predcache.snapshot().1.is_empty());
-        assert!(state
-            .samplecache
-            .entries()
-            .any(|(_, e)| !e.frames().is_empty()));
+        assert!(!state.samplecache.is_empty());
         db
     }
 

@@ -11,7 +11,7 @@
 //! | `jits_archive_stats` | colgroup, buckets, total, uniformity, last_used    |
 //! | `jits_table_scores`  | clock, qun, table, s1, s2, score, collect, reason  |
 //! | `jits_query_log`     | clock, session, sql, rows, compile_ns, exec_ns, sampled |
-//! | `jits_sample_cache`  | table, spec_size, epoch, rows_at_draw, sample_rows, probes, hits, frame_cols |
+//! | `jits_sample_cache`  | table, spec_size, epoch, rows_at_draw, sample_rows, probes, hits |
 //! | `jits_degradation`   | clock, table, fault_point, fallback                |
 //! | `jits_profile`       | clock, depth, kind, table, est_rows, actual_rows, q_error, work, wall_ns |
 //! | `jits_flight`        | clock, kind, detail                                |
@@ -110,8 +110,8 @@ pub(crate) fn table_scores_rows(obs: &Observability) -> Vec<Vec<Value>> {
 }
 
 /// Rows of `jits_sample_cache`, in table-id order: one row per memoized
-/// sample with its version (mutation epoch and cardinality at draw time),
-/// serve count, and how many columnar gathers are memoized alongside it.
+/// sample with its version (mutation epoch and cardinality at draw time)
+/// and serve count.
 pub(crate) fn sample_cache_rows(cache: &SampleCache, catalog: &Catalog) -> Vec<Vec<Value>> {
     cache
         .entries()
@@ -119,12 +119,11 @@ pub(crate) fn sample_cache_rows(cache: &SampleCache, catalog: &Catalog) -> Vec<V
             vec![
                 Value::str(crate::observe::table_name(catalog, tid)),
                 Value::Int(e.spec.size as i64),
-                Value::Int(e.epoch() as i64),
+                Value::Int(e.epoch as i64),
                 Value::Int(e.rows_at_draw as i64),
                 Value::Int(e.rows.len() as i64),
                 Value::Int(e.probes as i64),
                 Value::Int(e.hits as i64),
-                Value::Int(e.frames().len() as i64),
             ]
         })
         .collect()

@@ -12,6 +12,10 @@
 //! time, so each reads only the rows the ones before it kept; table scans
 //! run them block by block over each block's live slots.
 //!
+//! Statistics collection asks the same kernels about the slots of a
+//! sample ([`sample_bits`]), so scans, DML and collection share one
+//! evaluator of local predicates.
+//!
 //! The batch executor's scan operators run the path their plan node names;
 //! [`locate_rows`], the entry point of UPDATE and DELETE, picks the path
 //! itself by *exact* cost: posting-list lengths and per-block live counts
@@ -211,6 +215,31 @@ pub(crate) fn filter_rows<'a>(
             narrow(&compile(table, preds, rows.len()), &mut rows);
             rows
         }
+    }
+}
+
+/// One bit per slot of a sample: bit `i % 64` of word `i / 64` is set
+/// when `pred` matches the cell of row `rows[i]`, and bits past the end
+/// stay clear. The predicate compiles into one kernel for `rows.len()`
+/// candidates, as a scan over that many rows would, and reads the column
+/// in place; rows need not be live or distinct, since deletes leave their
+/// cells behind. This is how statistics collection evaluates each local
+/// predicate on a sample, so collection and scans share every verdict.
+pub fn sample_bits(table: &Table, pred: &LocalPredicate, rows: &[RowId]) -> Vec<u64> {
+    /// Packs `keep` over `rows` into words, with no branch on the verdict.
+    fn pack(rows: &[RowId], keep: impl Fn(RowId) -> bool) -> Vec<u64> {
+        rows.chunks(64)
+            .map(|chunk| {
+                (0..)
+                    .zip(chunk)
+                    .fold(0u64, |word, (bit, &r)| word | (u64::from(keep(r)) << bit))
+            })
+            .collect()
+    }
+    match compile(table, [pred], rows.len()).pop() {
+        Some(Kernel::Int(k)) => pack(rows, |r| k.passes(r)),
+        Some(Kernel::Codes(k)) => pack(rows, |r| k.passes(r)),
+        _ => pack(rows, |r| pred.matches(&table.value(r, pred.column))),
     }
 }
 
@@ -535,7 +564,9 @@ mod tests {
         /// three candidate sources: a full scan, an arbitrary set of
         /// surviving blocks (whose candidate count decides between the
         /// dictionary verdicts and the cell-by-cell kernel), and unsorted
-        /// live rows as an index probe hands them over.
+        /// live rows as an index probe hands them over. So does
+        /// [`sample_bits`] on random slots, repeated and tombstoned ones
+        /// included, as a sample served after DELETEs addresses them.
         #[test]
         fn filter_equals_matches_cell_by_cell(
             seed in any::<u64>(),
@@ -578,6 +609,25 @@ mod tests {
                 filter_rows(&table, Candidates::Rows(probed.clone()), &preds),
                 oracle(&table, &probed, &preds)
             );
+
+            let slots = rows as usize;
+            let sample: Vec<RowId> = (0..rng.next_index(2 * slots))
+                .map(|_| rng.next_index(slots) as RowId)
+                .collect();
+            for pred in &preds {
+                let bits = sample_bits(&table, pred, &sample);
+                prop_assert_eq!(bits.len(), sample.len().div_ceil(64));
+                for (i, &r) in sample.iter().enumerate() {
+                    let bit = bits.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1);
+                    prop_assert_eq!(bit, pred.matches(&table.value(r, pred.column)), "slot {}", i);
+                }
+                let set: u32 = bits.iter().map(|w| w.count_ones()).sum();
+                let matching = sample
+                    .iter()
+                    .filter(|&&r| pred.matches(&table.value(r, pred.column)))
+                    .count();
+                prop_assert_eq!(set as usize, matching, "no bit past the sample");
+            }
         }
     }
 

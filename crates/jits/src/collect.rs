@@ -17,24 +17,20 @@
 //!
 //! # The collection fast path
 //!
-//! Three layers keep the per-query collection tax low without changing any
-//! output bit on the cold path:
+//! Three choices keep the per-query collection tax low:
 //!
 //! 1. **Versioned sample reuse** ([`SampleSource`]): the engine resolves,
 //!    per marked quantifier, whether to draw a fresh sample or serve row
 //!    ids memoized in a [`jits_storage::SampleCache`]; the decision is made
 //!    sequentially before the parallel fan-out, so it cannot depend on
-//!    thread count. When the cache entry is at the table's **exact**
-//!    mutation epoch the memoized columnar gathers and per-predicate
-//!    bitsets (keyed by predicate fingerprint) ride along too, so a
-//!    repeated query skips the draw, the gather, *and* the predicate
-//!    evaluation. Fresh draws and freshly derived artifacts flow back as
-//!    [`DrawnSample`]s for the engine to commit.
-//! 2. **Columnar sample frames** ([`jits_storage::SampleFrame`]): the
-//!    sample's used columns are gathered once into dense typed buffers;
-//!    predicate bitsets are built over typed slices (with a
-//!    `Value`-materializing fallback for exotic kind/type combinations)
-//!    and the per-column min/max frame falls out of the same gather pass.
+//!    thread count. Fresh draws flow back as [`DrawnSample`]s for the
+//!    engine to commit. The cache holds row ids only: every collection
+//!    reads the current cells at those rows.
+//! 2. **The scan kernels, in place**: each local predicate is evaluated at
+//!    the sampled row ids by [`jits_executor::locate::sample_bits`], the
+//!    typed kernels every scan and DML statement runs, so collection and
+//!    execution share one evaluator. Each used column's axis min/max (for
+//!    histogram frames) is read through [`Table::axis_value`].
 //! 3. **Lattice-incremental group evaluation**: candidate groups arrive in
 //!    (size, lexicographic) order, so a k-predicate group's bitset is its
 //!    (k−1)-prefix parent's bitset AND one more predicate bitset — O(words)
@@ -44,17 +40,12 @@
 //!    incremental result is bit-identical to the full re-AND.
 
 use crate::analysis::CandidateGroup;
-use crate::predcache::fingerprint;
 use jits_common::fault::{FP_COLLECT_WORKER, FP_SAMPLE_DRAW};
-use jits_common::interval::Bound;
-use jits_common::{
-    fault_key, ColGroup, ColumnId, DataType, FaultPlane, SplitMix64, TableId, Value,
-};
+use jits_common::{fault_key, ColGroup, ColumnId, DataType, FaultPlane, SplitMix64, TableId};
+use jits_executor::locate::sample_bits;
 use jits_histogram::Region;
-use jits_query::{LocalPredicate, PredKind, QueryBlock};
-use jits_storage::{
-    sample::sample_rows_budgeted, FrameColumn, FrameValues, RowId, SampleSpec, Table,
-};
+use jits_query::QueryBlock;
+use jits_storage::{sample::sample_rows_budgeted, RowId, SampleSpec, Table};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -90,8 +81,9 @@ pub struct CollectTiming {
     pub wall_nanos: u64,
     /// Where the sample rows came from.
     pub origin: SampleOrigin,
-    /// Wall nanoseconds of the columnar gather + predicate bitset phase.
-    pub gather_nanos: u64,
+    /// Wall nanoseconds of the per-predicate scan kernels over the sample
+    /// (and the axis min/max read beside them).
+    pub kernel_nanos: u64,
     /// Wall nanoseconds of the lattice group-evaluation phase.
     pub eval_nanos: u64,
 }
@@ -200,7 +192,9 @@ pub enum SampleSource {
         /// the staleness limit (`None` = cold miss).
         staleness: Option<f64>,
     },
-    /// Serve these previously-drawn rows instead of drawing.
+    /// Serve these previously-drawn rows instead of drawing. Predicates
+    /// are evaluated on the rows' current cells, whatever changed since
+    /// the draw.
     Served {
         /// The cached row ids.
         rows: Arc<Vec<RowId>>,
@@ -208,25 +202,11 @@ pub enum SampleSource {
         probes: usize,
         /// The (below-limit) staleness at serve time.
         staleness: f64,
-        /// Columnar gathers memoized with the sample. Only valid — and only
-        /// provided by the engine — when the cache entry sits at the
-        /// table's exact mutation epoch, where a cached gather is
-        /// bit-identical to re-gathering from the table. Columns a query
-        /// uses that are absent here are gathered fresh.
-        frames: BTreeMap<ColumnId, Arc<FrameColumn>>,
-        /// Predicate bitsets memoized with the sample, keyed by the
-        /// single-predicate [`fingerprint`]. Same exact-epoch validity as
-        /// `frames` (a bitset is a pure function of the gather it came
-        /// from); predicates absent here are evaluated fresh.
-        bitsets: BTreeMap<String, Arc<Vec<u64>>>,
     },
 }
 
-/// One cache deposit produced during collection, handed back so the engine
-/// can commit it. A `fresh` deposit is a complete draw (rows + gathers —
-/// first quantifier wins per table); a non-fresh deposit carries only the
-/// columns gathered on top of a served sample, for the engine to merge into
-/// the existing entry when the epochs still match.
+/// A fresh draw made during collection, handed back so the engine can
+/// commit it to its sample cache (first quantifier wins per table).
 #[derive(Debug, Clone)]
 pub struct DrawnSample {
     /// Quantifier the collection pass ran for.
@@ -237,15 +217,6 @@ pub struct DrawnSample {
     pub rows: Arc<Vec<RowId>>,
     /// Slot probes the draw cost.
     pub probes: usize,
-    /// True when the rows were drawn fresh this pass; false when they were
-    /// served and only `frames` is new.
-    pub fresh: bool,
-    /// Columns gathered from the table this pass (cached frames that were
-    /// served are not repeated here).
-    pub frames: Vec<(ColumnId, Arc<FrameColumn>)>,
-    /// Predicate bitsets evaluated this pass, keyed by single-predicate
-    /// [`fingerprint`] (served bitsets are not repeated here).
-    pub bitsets: Vec<(String, Arc<Vec<u64>>)>,
 }
 
 /// Everything collecting one marked quantifier produced. Accumulated into
@@ -284,7 +255,7 @@ impl TablePartial {
                 worker: 0,
                 wall_nanos: 0,
                 origin: SampleOrigin::Fresh,
-                gather_nanos: 0,
+                kernel_nanos: 0,
                 eval_nanos: 0,
             },
             drawn: None,
@@ -308,215 +279,6 @@ fn table_stream(base: u64, tid: TableId, qun: usize) -> SplitMix64 {
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add((qun as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
     SplitMix64::new(base ^ mix)
-}
-
-/// One bound of an interval compiled against a typed column: `Free` always
-/// passes, `Never` always fails (incomparable bound type — `try_cmp`
-/// returns `None`, which `Interval::contains` treats as unsatisfied).
-enum NumBound {
-    Free,
-    InclI(i64),
-    ExclI(i64),
-    InclF(f64),
-    ExclF(f64),
-    Never,
-}
-
-impl NumBound {
-    /// Compiles one bound for an Int column. Int bounds compare exactly as
-    /// i64 (matching `try_cmp`'s Int/Int arm); Float bounds compare through
-    /// f64 (matching the mixed-numeric arm); Str bounds are incomparable;
-    /// a NULL bound sorts below every non-NULL value.
-    fn for_int(b: &Bound, is_low: bool) -> NumBound {
-        match b {
-            Bound::Unbounded => NumBound::Free,
-            Bound::Inclusive(Value::Int(x)) => NumBound::InclI(*x),
-            Bound::Exclusive(Value::Int(x)) => NumBound::ExclI(*x),
-            Bound::Inclusive(Value::Float(x)) => NumBound::InclF(*x),
-            Bound::Exclusive(Value::Float(x)) => NumBound::ExclF(*x),
-            // try_cmp(non-null, Null) = Greater: a NULL low bound passes
-            // everything, a NULL high bound passes nothing
-            Bound::Inclusive(Value::Null) | Bound::Exclusive(Value::Null) => {
-                if is_low {
-                    NumBound::Free
-                } else {
-                    NumBound::Never
-                }
-            }
-            Bound::Inclusive(Value::Str(_)) | Bound::Exclusive(Value::Str(_)) => NumBound::Never,
-        }
-    }
-
-    /// Compiles one bound for a Float column — all numeric comparisons go
-    /// through f64, exactly like `try_cmp`'s mixed arm.
-    fn for_float(b: &Bound, is_low: bool) -> NumBound {
-        match NumBound::for_int(b, is_low) {
-            NumBound::InclI(x) => NumBound::InclF(x as f64),
-            NumBound::ExclI(x) => NumBound::ExclF(x as f64),
-            other => other,
-        }
-    }
-
-    #[inline]
-    fn low_ok_int(&self, v: i64) -> bool {
-        match self {
-            NumBound::Free => true,
-            NumBound::InclI(b) => v >= *b,
-            NumBound::ExclI(b) => v > *b,
-            NumBound::InclF(b) => (v as f64) >= *b,
-            NumBound::ExclF(b) => (v as f64) > *b,
-            NumBound::Never => false,
-        }
-    }
-
-    #[inline]
-    fn high_ok_int(&self, v: i64) -> bool {
-        match self {
-            NumBound::Free => true,
-            NumBound::InclI(b) => v <= *b,
-            NumBound::ExclI(b) => v < *b,
-            NumBound::InclF(b) => (v as f64) <= *b,
-            NumBound::ExclF(b) => (v as f64) < *b,
-            NumBound::Never => false,
-        }
-    }
-
-    /// f64 comparison operators agree with `partial_cmp`: any NaN operand
-    /// fails every ordered comparison, which is exactly `try_cmp = None`.
-    #[inline]
-    fn low_ok_f64(&self, v: f64) -> bool {
-        match self {
-            NumBound::Free => true,
-            NumBound::InclF(b) => v >= *b,
-            NumBound::ExclF(b) => v > *b,
-            NumBound::InclI(b) => v >= *b as f64,
-            NumBound::ExclI(b) => v > *b as f64,
-            NumBound::Never => false,
-        }
-    }
-
-    #[inline]
-    fn high_ok_f64(&self, v: f64) -> bool {
-        match self {
-            NumBound::Free => true,
-            NumBound::InclF(b) => v <= *b,
-            NumBound::ExclF(b) => v < *b,
-            NumBound::InclI(b) => v <= *b as f64,
-            NumBound::ExclI(b) => v < *b as f64,
-            NumBound::Never => false,
-        }
-    }
-}
-
-/// One bound compiled against a Str column: only Str bounds are comparable
-/// (`try_cmp` compares strings bytewise and yields `None` against numbers);
-/// a NULL low bound passes every non-NULL string.
-enum StrBound {
-    Free,
-    Incl(Arc<str>),
-    Excl(Arc<str>),
-    Never,
-}
-
-impl StrBound {
-    fn compile(b: &Bound, is_low: bool) -> StrBound {
-        match b {
-            Bound::Unbounded => StrBound::Free,
-            Bound::Inclusive(Value::Str(s)) => StrBound::Incl(Arc::clone(s)),
-            Bound::Exclusive(Value::Str(s)) => StrBound::Excl(Arc::clone(s)),
-            Bound::Inclusive(Value::Null) | Bound::Exclusive(Value::Null) => {
-                if is_low {
-                    StrBound::Free
-                } else {
-                    StrBound::Never
-                }
-            }
-            _ => StrBound::Never,
-        }
-    }
-
-    #[inline]
-    fn low_ok(&self, v: &str) -> bool {
-        match self {
-            StrBound::Free => true,
-            StrBound::Incl(b) => v >= b.as_ref(),
-            StrBound::Excl(b) => v > b.as_ref(),
-            StrBound::Never => false,
-        }
-    }
-
-    #[inline]
-    fn high_ok(&self, v: &str) -> bool {
-        match self {
-            StrBound::Free => true,
-            StrBound::Incl(b) => v <= b.as_ref(),
-            StrBound::Excl(b) => v < b.as_ref(),
-            StrBound::Never => false,
-        }
-    }
-}
-
-#[inline]
-fn set_bit(bits: &mut [u64], i: usize) {
-    bits[i / 64] |= 1 << (i % 64);
-}
-
-/// Builds the bitset of sample slots satisfying `p` over a gathered frame
-/// column. Typed fast paths cover `IS [NOT] NULL` and interval predicates
-/// on every column type; other kinds fall back to per-slot `Value`
-/// materialization, which is semantically identical to the row-oriented
-/// `table.value()` path (the frame is a pure projection of the table).
-fn pred_bitset(p: &LocalPredicate, fc: &FrameColumn, words: usize) -> Vec<u64> {
-    let n = fc.len();
-    let mut bits = vec![0u64; words];
-    match (&p.kind, &fc.values) {
-        (PredKind::IsNull(want_null), _) => {
-            for (i, valid) in fc.validity.iter().enumerate() {
-                // matches() is `v.is_null() == want_null`
-                if valid != want_null {
-                    set_bit(&mut bits, i);
-                }
-            }
-        }
-        (PredKind::Interval(iv), FrameValues::Int(vals)) => {
-            let low = NumBound::for_int(&iv.low, true);
-            let high = NumBound::for_int(&iv.high, false);
-            for (i, &v) in vals.iter().enumerate() {
-                if fc.validity[i] && low.low_ok_int(v) && high.high_ok_int(v) {
-                    set_bit(&mut bits, i);
-                }
-            }
-        }
-        (PredKind::Interval(iv), FrameValues::Float(vals)) => {
-            let low = NumBound::for_float(&iv.low, true);
-            let high = NumBound::for_float(&iv.high, false);
-            for (i, &v) in vals.iter().enumerate() {
-                if fc.validity[i] && low.low_ok_f64(v) && high.high_ok_f64(v) {
-                    set_bit(&mut bits, i);
-                }
-            }
-        }
-        (PredKind::Interval(iv), FrameValues::Str(vals)) => {
-            let low = StrBound::compile(&iv.low, true);
-            let high = StrBound::compile(&iv.high, false);
-            for (i, v) in vals.iter().enumerate() {
-                if fc.validity[i] && low.low_ok(v) && high.high_ok(v) {
-                    set_bit(&mut bits, i);
-                }
-            }
-        }
-        // NotEq / InList carry SQL three-valued equality against arbitrary
-        // literal lists; the fallback materializes each slot as the same
-        // Value `table.value()` would return and asks the predicate itself.
-        _ => {
-            for i in 0..n {
-                if p.matches(&fc.value(i)) {
-                    set_bit(&mut bits, i);
-                }
-            }
-        }
-    }
-    bits
 }
 
 fn popcount(bits: &[u64]) -> usize {
@@ -551,7 +313,7 @@ fn collect_one_table(
     }
     let mut backoff_work = 0.0;
     let mut budget_abort = false;
-    let (rows, probes, origin, fresh_draw, cached_frames, cached_bitsets) = match source {
+    let (rows, probes, origin, fresh_draw) = match source {
         SampleSource::Draw { staleness } => {
             // Transient draw failures get bounded retry with deterministic
             // backoff: each failed attempt charges 1 << attempt work units
@@ -586,45 +348,21 @@ fn collect_one_table(
                 Some(s) => SampleOrigin::Redrawn { staleness: s },
                 None => SampleOrigin::Fresh,
             };
-            (
-                Arc::new(draw.rows),
-                draw.probes,
-                origin,
-                true,
-                BTreeMap::new(),
-                BTreeMap::new(),
-            )
+            (Arc::new(draw.rows), draw.probes, origin, true)
         }
         SampleSource::Served {
             rows,
             probes,
             staleness,
-            frames,
-            bitsets,
-        } => (
-            rows,
-            probes,
-            SampleOrigin::Cached { staleness },
-            false,
-            frames,
-            bitsets,
-        ),
+        } => (rows, probes, SampleOrigin::Cached { staleness }, false),
     };
     let n = rows.len();
-    let drawn = if fresh_draw {
-        // frames and bitsets are attached after the gather below
-        Some(DrawnSample {
-            qun,
-            table: tid,
-            rows: Arc::clone(&rows),
-            probes,
-            fresh: true,
-            frames: Vec::new(),
-            bitsets: Vec::new(),
-        })
-    } else {
-        None
-    };
+    let drawn = fresh_draw.then(|| DrawnSample {
+        qun,
+        table: tid,
+        rows: Arc::clone(&rows),
+        probes,
+    });
     let mut out = TablePartial {
         qun,
         groups: Vec::new(),
@@ -637,7 +375,7 @@ fn collect_one_table(
             worker,
             wall_nanos: 0,
             origin,
-            gather_nanos: 0,
+            kernel_nanos: 0,
             eval_nanos: 0,
         },
         drawn,
@@ -669,13 +407,11 @@ fn collect_one_table(
         return out;
     }
 
-    // gather the used columns once into dense typed buffers, folding the
-    // per-column axis min/max into the same pass, then evaluate each single
-    // local predicate into a bitset over the sample. Columns already
-    // memoized with a served sample (exact-epoch cache hit) are reused
-    // as-is — a cached gather is a pure projection of an unchanged table,
-    // so its buffers are bit-identical to what this gather would produce.
-    let gather_started = clock.map(|c| c()).unwrap_or(0);
+    // evaluate each single local predicate into a bitset over the sample
+    // through the scan kernels, reading the current cells at the sampled
+    // row ids (a served sample included), and fold each used column's
+    // axis min/max for the histogram frames
+    let kernel_started = clock.map(|c| c()).unwrap_or(0);
     let local = block.local_predicates_of(qun);
     // Post-draw evaluation budget: a full draw can still blow the budget in
     // the row×predicate evaluation phase (probes already spent plus one
@@ -692,83 +428,34 @@ fn collect_one_table(
         d.timing.wall_nanos = clock.map(|c| c().saturating_sub(started)).unwrap_or(0);
         return d;
     }
-    let used_cols: Vec<ColumnId> = {
-        let mut cols: Vec<ColumnId> = local
-            .iter()
-            .map(|&pi| block.local_predicates[pi].column)
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
-        cols
-    };
-    let mut frame: BTreeMap<ColumnId, Arc<FrameColumn>> = BTreeMap::new();
-    let mut gathered: Vec<(ColumnId, Arc<FrameColumn>)> = Vec::new();
-    for &col in &used_cols {
-        let fc = match cached_frames.get(&col) {
-            Some(fc) => Arc::clone(fc),
-            None => {
-                let fc = Arc::new(table.gather_column(col, &rows));
-                gathered.push((col, Arc::clone(&fc)));
-                fc
-            }
-        };
-        frame.insert(col, fc);
-    }
-    let words = n.div_ceil(64);
-    let mut bitsets: BTreeMap<usize, Arc<Vec<u64>>> = BTreeMap::new();
-    let mut evaluated: Vec<(String, Arc<Vec<u64>>)> = Vec::new();
-    for &pi in &local {
-        let p = &block.local_predicates[pi];
-        let key = fingerprint(block, &[pi]);
-        let bits = match cached_bitsets.get(&key) {
-            Some(b) => Arc::clone(b),
-            None => match frame.get(&p.column) {
-                Some(fc) => {
-                    let b = Arc::new(pred_bitset(p, fc, words));
-                    evaluated.push((key, Arc::clone(&b)));
-                    b
-                }
-                None => continue,
-            },
-        };
-        bitsets.insert(pi, bits);
-    }
+    let bitsets: BTreeMap<usize, Vec<u64>> = local
+        .iter()
+        .map(|&pi| (pi, sample_bits(table, &block.local_predicates[pi], &rows)))
+        .collect();
     out.work += (n * local.len()) as f64;
 
-    // per-column frames from the gather, for seeding archive histograms
+    // per-column frames from the sample, for seeding archive histograms
+    let mut used_cols: Vec<ColumnId> = local
+        .iter()
+        .map(|&pi| block.local_predicates[pi].column)
+        .collect();
+    used_cols.sort_unstable();
+    used_cols.dedup();
     let mut col_minmax: BTreeMap<ColumnId, (f64, f64)> = BTreeMap::new();
-    for &col in &used_cols {
-        if let Some(fc) = frame.get(&col) {
-            let (lo, hi) = (fc.axis_min, fc.axis_max);
-            if lo.is_finite() && hi >= lo {
-                let pad = ((hi - lo).abs() * 0.05).max(1.0);
-                col_minmax.insert(col, (lo - pad, hi + pad));
-            }
+    for col in used_cols {
+        let (lo, hi) = rows
+            .iter()
+            .filter_map(|&r| table.axis_value(r, col))
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), a| {
+                (lo.min(a), hi.max(a))
+            });
+        if lo.is_finite() && hi >= lo {
+            let pad = ((hi - lo).abs() * 0.05).max(1.0);
+            col_minmax.insert(col, (lo - pad, hi + pad));
         }
     }
-    // hand freshly derived artifacts back for cache commit: attached to the
-    // fresh draw, or as an artifact-only deposit on top of a served sample
-    if !gathered.is_empty() || !evaluated.is_empty() {
-        match out.drawn.as_mut() {
-            Some(d) => {
-                d.frames = gathered;
-                d.bitsets = evaluated;
-            }
-            None => {
-                out.drawn = Some(DrawnSample {
-                    qun,
-                    table: tid,
-                    rows: Arc::clone(&rows),
-                    probes,
-                    fresh: false,
-                    frames: gathered,
-                    bitsets: evaluated,
-                })
-            }
-        }
-    }
-    out.timing.gather_nanos = clock
-        .map(|c| c().saturating_sub(gather_started))
+    out.timing.kernel_nanos = clock
+        .map(|c| c().saturating_sub(kernel_started))
         .unwrap_or(0);
 
     // Lattice-incremental AND per candidate group. Candidates arrive in
@@ -777,6 +464,7 @@ fn collect_one_table(
     // predicate bitsets never set bits past the sample tail, so no
     // re-masking is needed along the lattice.
     let eval_started = clock.map(|c| c()).unwrap_or(0);
+    let words = n.div_ceil(64);
     let types = |col: ColumnId| {
         table
             .schema()
@@ -791,7 +479,7 @@ fn collect_one_table(
         let (acc, matches) = if k == 1 {
             match bitsets.get(&preds[0]) {
                 Some(b) => {
-                    let bits = (**b).clone();
+                    let bits = b.clone();
                     let m = popcount(&bits);
                     (bits, m)
                 }
@@ -920,9 +608,8 @@ pub fn collect_for_tables_parallel(
 /// row/probe counts); the statistics returned are identical whether or not
 /// a clock is supplied. Quantifiers absent from
 /// `sources` draw fresh (so an empty map is exactly the cold path). Returns
-/// every cache deposit — fresh draws plus columns gathered on top of served
-/// samples — as [`DrawnSample`]s (in quantifier order) for the caller to
-/// commit back to its cache.
+/// every fresh draw as a [`DrawnSample`] (in quantifier order) for the
+/// caller to commit back to its cache.
 ///
 /// `budget` is the per-table work-unit budget (`0` = unlimited), `fault`
 /// the injection plane (pass [`FaultPlane::disabled`] outside chaos runs),
@@ -1044,8 +731,8 @@ pub fn collect_for_tables_sourced(
         }
         for (cg, frame) in p.frames {
             // merging worker partials of one collection call: every partial
-            // gathered under this statement's guards at a single epoch, so
-            // no boundary can be crossed here
+            // read its table under this statement's guards at a single
+            // epoch, so no boundary can be crossed here
             out.frames.entry(cg).or_insert(frame);
         }
         timings.push(p.timing);
@@ -1341,14 +1028,20 @@ mod tests {
         assert_eq!(stats.work, 0.0);
     }
 
-    /// Table mixing every column type, NULLs included, for semantics tests.
-    fn setup_mixed() -> (Catalog, Vec<Table>, QueryBlock) {
+    /// Table mixing every column type, NULLs included, for semantics
+    /// tests, and queries covering every predicate kind: integer and float
+    /// intervals over NULLs, string equality and ranges, `IN` lists,
+    /// `<>` on numbers and strings, `IS [NOT] NULL`. `model` is unique per
+    /// row and some rows are deleted, so its dictionary outnumbers every
+    /// sample and its predicates take the cell-by-cell kernel.
+    fn setup_mixed() -> (Catalog, Vec<Table>, Vec<QueryBlock>) {
         let mut catalog = Catalog::new();
         let schema = Schema::from_pairs(&[
             ("id", DataType::Int),
             ("make", DataType::Str),
             ("price", DataType::Float),
             ("year", DataType::Int),
+            ("model", DataType::Str),
         ]);
         catalog.register_table("car", schema.clone()).unwrap();
         let mut t = Table::new("car", schema);
@@ -1364,54 +1057,68 @@ mod tests {
             } else {
                 Value::Float(5.0 + (i % 50) as f64 * 0.75)
             };
-            t.insert(vec![Value::Int(i), make, price, Value::Int(1990 + i % 25)])
-                .unwrap();
+            let model = Value::str(format!("m{i}"));
+            t.insert(vec![
+                Value::Int(i),
+                make,
+                price,
+                Value::Int(1990 + i % 25),
+                model,
+            ])
+            .unwrap();
         }
-        let BoundStatement::Select(block) = bind_statement(
-            &parse(
-                "SELECT * FROM car WHERE make = 'Toyota' AND year > 2000 \
-                 AND year <= 2012 AND price <= 30.5 AND id <> 7",
-            )
-            .unwrap(),
-            &catalog,
-        )
-        .unwrap() else {
-            panic!()
-        };
-        (catalog, vec![t], block)
+        for r in (0..600).step_by(13) {
+            t.delete(r);
+        }
+        let blocks = [
+            "SELECT * FROM car WHERE make = 'Toyota' AND year > 2000 \
+             AND year <= 2012 AND price <= 30.5 AND id <> 7",
+            "SELECT * FROM car WHERE model >= 'm2' AND model < 'm5' \
+             AND make IN ('Honda', 'Toyota') AND make <> 'Honda' \
+             AND price > 9.5 AND id > 50",
+            "SELECT * FROM car WHERE price IS NULL AND make IS NOT NULL \
+             AND make >= 'B' AND model <> 'm17' AND year > 2001",
+        ]
+        .iter()
+        .map(|sql| {
+            let BoundStatement::Select(block) =
+                bind_statement(&parse(sql).unwrap(), &catalog).unwrap()
+            else {
+                panic!()
+            };
+            block
+        })
+        .collect();
+        (catalog, vec![t], blocks)
     }
 
     #[test]
     fn columnar_lattice_eval_matches_row_oriented_reference() {
         // full-table sample: every group's matches must equal a row-by-row
         // reference evaluation through LocalPredicate::matches + Table::value
-        let (_, tables, block) = setup_mixed();
-        let candidates = query_analysis(&block);
-        let stats = collect_for_tables(
-            &block,
-            &[0],
-            &candidates,
-            &tables,
-            SampleSpec::fixed(5000),
-            &mut SplitMix64::new(5),
-        );
-        let t = &tables[0];
-        for cand in &candidates {
-            let expected = t
-                .scan()
-                .filter(|&r| {
-                    cand.pred_indices.iter().all(|&pi| {
-                        let p = &block.local_predicates[pi];
-                        p.matches(&t.value(r, p.column))
-                    })
-                })
-                .count();
-            let got = stats.group(0, &cand.pred_indices).unwrap();
-            assert_eq!(
-                got.matches, expected,
-                "group {:?} disagrees with the reference",
-                cand.pred_indices
+        let (_, tables, blocks) = setup_mixed();
+        for block in &blocks {
+            let candidates = query_analysis(block);
+            assert!(!candidates.is_empty());
+            let stats = collect_for_tables(
+                block,
+                &[0],
+                &candidates,
+                &tables,
+                SampleSpec::fixed(5000),
+                &mut SplitMix64::new(5),
             );
+            let live: Vec<RowId> = tables[0].scan().collect();
+            assert_matches_per_slot(&stats, block, &candidates, &tables[0], &live);
+            // each column's frame is the gathered axis min/max, padded
+            for (cg, frame) in &stats.frames {
+                for (&col, &range) in cg.columns().iter().zip(frame.ranges()) {
+                    let fc = tables[0].gather_column(col, &live);
+                    let pad = ((fc.axis_max - fc.axis_min).abs() * 0.05).max(1.0);
+                    assert_eq!(range, (fc.axis_min - pad, fc.axis_max + pad));
+                }
+            }
+            assert!(!stats.frames.is_empty());
         }
     }
 
@@ -1494,6 +1201,43 @@ mod tests {
         }
     }
 
+    /// Collects `block` on `tables` through `sources` (seed 42, one
+    /// thread, no clock, budget or faults).
+    fn collect_sourced(
+        block: &QueryBlock,
+        candidates: &[CandidateGroup],
+        tables: &[Table],
+        spec: SampleSpec,
+        sources: &BTreeMap<usize, SampleSource>,
+    ) -> (CollectedStats, Vec<CollectTiming>, Vec<DrawnSample>) {
+        collect_for_tables_sourced(
+            block,
+            &[0],
+            candidates,
+            tables,
+            spec,
+            &mut SplitMix64::new(42),
+            1,
+            None,
+            sources,
+            0,
+            &FaultPlane::disabled(),
+            0,
+        )
+    }
+
+    /// A `Served` source over `drawn`'s rows.
+    fn served(drawn: &DrawnSample, staleness: f64) -> BTreeMap<usize, SampleSource> {
+        BTreeMap::from([(
+            0usize,
+            SampleSource::Served {
+                rows: Arc::clone(&drawn.rows),
+                probes: drawn.probes,
+                staleness,
+            },
+        )])
+    }
+
     #[test]
     fn served_sample_reproduces_draw_exactly() {
         // collecting with a Served source over the rows a fresh draw
@@ -1502,61 +1246,13 @@ mod tests {
         let (_, tables, block) = setup();
         let candidates = query_analysis(&block);
         let spec = SampleSpec::fixed(400);
-        let (cold, cold_timings, drawn) = collect_for_tables_sourced(
-            &block,
-            &[0],
-            &candidates,
-            &tables,
-            spec,
-            &mut SplitMix64::new(42),
-            1,
-            None,
-            &BTreeMap::new(),
-            0,
-            &FaultPlane::disabled(),
-            0,
-        );
+        let (cold, cold_timings, drawn) =
+            collect_sourced(&block, &candidates, &tables, spec, &BTreeMap::new());
         assert_eq!(drawn.len(), 1);
-        assert!(drawn[0].fresh);
-        assert!(
-            !drawn[0].frames.is_empty(),
-            "a fresh draw deposits its gathered columns"
-        );
         assert_eq!(cold_timings[0].origin, SampleOrigin::Fresh);
-        let mut sources = BTreeMap::new();
-        sources.insert(
-            0usize,
-            SampleSource::Served {
-                rows: Arc::clone(&drawn[0].rows),
-                probes: drawn[0].probes,
-                staleness: 0.0,
-                frames: BTreeMap::new(),
-                bitsets: BTreeMap::new(),
-            },
-        );
-        let (warm, warm_timings, warm_drawn) = collect_for_tables_sourced(
-            &block,
-            &[0],
-            &candidates,
-            &tables,
-            spec,
-            &mut SplitMix64::new(42),
-            1,
-            None,
-            &sources,
-            0,
-            &FaultPlane::disabled(),
-            0,
-        );
-        assert!(
-            warm_drawn.iter().all(|d| !d.fresh),
-            "served samples draw nothing"
-        );
-        assert_eq!(
-            warm_drawn.len(),
-            1,
-            "columns gathered over a served sample come back as a deposit"
-        );
+        let (warm, warm_timings, warm_drawn) =
+            collect_sourced(&block, &candidates, &tables, spec, &served(&drawn[0], 0.0));
+        assert!(warm_drawn.is_empty(), "served samples draw nothing");
         assert_eq!(warm.groups, cold.groups);
         assert_eq!(warm.frames, cold.frames);
         assert_eq!(warm.work.to_bits(), cold.work.to_bits());
@@ -1566,40 +1262,83 @@ mod tests {
         );
         assert_eq!(warm_timings[0].rows_sampled, cold_timings[0].rows_sampled);
         assert_eq!(warm_timings[0].slot_probes, cold_timings[0].slot_probes);
+    }
 
-        // serving the memoized gathers as well must change nothing but the
-        // work done: same groups, same frames, same charged work, and no
-        // deposit at all (every used column was already cached)
-        let mut hot_sources = BTreeMap::new();
-        hot_sources.insert(
-            0usize,
-            SampleSource::Served {
-                rows: Arc::clone(&drawn[0].rows),
-                probes: drawn[0].probes,
-                staleness: 0.0,
-                frames: drawn[0].frames.iter().cloned().collect(),
-                bitsets: drawn[0].bitsets.iter().cloned().collect(),
-            },
-        );
-        let (hot, hot_timings, hot_drawn) = collect_for_tables_sourced(
-            &block,
-            &[0],
-            &candidates,
-            &tables,
-            spec,
-            &mut SplitMix64::new(42),
-            1,
-            None,
-            &hot_sources,
-            0,
-            &FaultPlane::disabled(),
-            0,
-        );
-        assert!(hot_drawn.is_empty(), "nothing left to deposit");
-        assert_eq!(hot.groups, cold.groups);
-        assert_eq!(hot.frames, cold.frames);
-        assert_eq!(hot.work.to_bits(), cold.work.to_bits());
-        assert_eq!(hot_timings[0].rows_sampled, cold_timings[0].rows_sampled);
+    /// Every group's `matches` is the number of sample slots whose current
+    /// cells satisfy all of the group's predicates.
+    fn assert_matches_per_slot(
+        stats: &CollectedStats,
+        block: &QueryBlock,
+        candidates: &[CandidateGroup],
+        table: &Table,
+        rows: &[RowId],
+    ) {
+        for cand in candidates {
+            let expected = rows
+                .iter()
+                .filter(|&&r| {
+                    cand.pred_indices.iter().all(|&pi| {
+                        let p = &block.local_predicates[pi];
+                        p.matches(&table.value(r, p.column))
+                    })
+                })
+                .count();
+            let got = stats.group(0, &cand.pred_indices).unwrap();
+            assert_eq!(got.sample_size, rows.len());
+            assert_eq!(
+                got.matches, expected,
+                "group {:?} disagrees with the per-slot count",
+                cand.pred_indices
+            );
+        }
+    }
+
+    #[test]
+    fn served_stale_sample_reads_current_cells() {
+        // draw, then UPDATE and DELETE sampled rows: serving the same rows
+        // evaluates every group on the cells as they are now, deleted
+        // rows' cells included (deletes leave them behind)
+        let (_, mut tables, blocks) = setup_mixed();
+        let spec = SampleSpec::fixed(300);
+        let drawn: Vec<DrawnSample> = blocks
+            .iter()
+            .map(|block| {
+                let candidates = query_analysis(block);
+                let (_, _, mut drawn) =
+                    collect_sourced(block, &candidates, &tables, spec, &BTreeMap::new());
+                drawn.remove(0)
+            })
+            .collect();
+        let t = &mut tables[0];
+        let schema = t.schema().clone();
+        let col = |name: &str| schema.column_id(name).unwrap();
+        let mut deleted = 0;
+        for (i, &r) in drawn[0].rows.iter().enumerate().take(150) {
+            if !t.is_live(r) {
+                continue;
+            }
+            match i % 5 {
+                0 => t.update(r, col("make"), Value::str("Toyota")).unwrap(),
+                1 => t.update(r, col("price"), Value::Null).unwrap(),
+                2 => t
+                    .update(r, col("model"), Value::str(format!("m3x{i}")))
+                    .unwrap(),
+                3 => t.update(r, col("year"), Value::Int(2005)).unwrap(),
+                _ => {
+                    assert!(t.delete(r));
+                    deleted += 1;
+                }
+            }
+        }
+        assert!(deleted > 0);
+        for (block, drawn) in blocks.iter().zip(&drawn) {
+            let candidates = query_analysis(block);
+            let (stats, timings, redrawn) =
+                collect_sourced(block, &candidates, &tables, spec, &served(drawn, 0.05));
+            assert!(redrawn.is_empty());
+            assert_eq!(timings[0].origin, SampleOrigin::Cached { staleness: 0.05 });
+            assert_matches_per_slot(&stats, block, &candidates, &tables[0], &drawn.rows);
+        }
     }
 
     #[test]
@@ -1619,8 +1358,6 @@ mod tests {
                 rows: Arc::new(vec![0, 1, 2]),
                 probes: 3,
                 staleness: 0.0,
-                frames: BTreeMap::new(),
-                bitsets: BTreeMap::new(),
             },
         );
         let _ = collect_for_tables_sourced(

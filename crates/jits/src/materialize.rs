@@ -101,14 +101,10 @@ pub fn resolve_sample_sources(
                 rows,
                 probes,
                 staleness,
-                frames,
-                bitsets,
             } => SampleSource::Served {
                 rows,
                 probes,
                 staleness,
-                frames,
-                bitsets,
             },
             CacheLookup::Stale { staleness } => SampleSource::Draw {
                 staleness: Some(staleness),
@@ -120,15 +116,11 @@ pub fn resolve_sample_sources(
     (sources, draw_meta)
 }
 
-/// Phase C of the collection fast path: memoize the fresh draws (with their
-/// columnar gathers) under the epoch captured at resolve time, and merge
-/// frame-only deposits — columns gathered on top of a served sample — into
-/// the existing entry. When several quantifiers of a self-join drew from
-/// the same table, the first quantifier's draw wins (lowest qun — `drawn`
-/// arrives in quantifier order), keeping the committed entry deterministic.
-/// Frame merges carry the resolve-time epoch, so a gather made over a
-/// stale-but-served sample (newer cell values than the entry's version)
-/// is rejected by the cache rather than contaminating the older sample.
+/// Phase C of the collection fast path: memoize the fresh draws under the
+/// epoch captured at resolve time. When several quantifiers of a self-join
+/// drew from the same table, the first quantifier's draw wins (lowest qun —
+/// `drawn` arrives in quantifier order), keeping the committed entry
+/// deterministic.
 pub fn commit_drawn_samples(
     cache: &mut SampleCache,
     cfg: &JitsConfig,
@@ -143,24 +135,19 @@ pub fn commit_drawn_samples(
         let Some(&(epoch, rows_at_draw)) = draw_meta.get(&d.table) else {
             continue;
         };
-        if !d.fresh {
-            cache.merge_artifacts(d.table, cfg.sample, epoch, &d.frames, &d.bitsets);
-            continue;
-        }
         if !committed.insert(d.table) {
             continue;
         }
         cache.store(
             d.table,
-            CachedSample::new(
-                cfg.sample,
+            CachedSample {
+                spec: cfg.sample,
                 epoch,
                 rows_at_draw,
-                Arc::clone(&d.rows),
-                d.probes,
-                d.frames.iter().cloned().collect(),
-                d.bitsets.iter().cloned().collect(),
-            ),
+                rows: Arc::clone(&d.rows),
+                probes: d.probes,
+                hits: 0,
+            },
         );
     }
 }

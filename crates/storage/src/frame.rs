@@ -1,18 +1,17 @@
-//! Columnar sample frames — dense typed gathers of a sample's used columns.
+//! Columnar frames — dense typed gathers of one column at a list of rows.
 //!
-//! Statistics collection evaluates every candidate predicate group against
-//! the same fixed-size sample. Doing that through [`Table::value`] costs a
-//! `Value` clone (and, for strings, an `Arc` bump) per *row × predicate*
-//! probe. A [`SampleFrame`] instead gathers each used column **once** into
-//! contiguous typed buffers (`Vec<i64>` / `Vec<f64>` / `Vec<Arc<str>>` plus
-//! a validity bitmap), so predicate bitset construction runs over dense
-//! slices. The per-column axis min/max that collection needs for histogram
-//! frames is folded into the same gather pass, eliminating the separate
-//! re-scan.
+//! Where the executor reads values *out* of a table (projections, ORDER
+//! BY, aggregates, join keys that are not a single `Int`), it gathers
+//! each column it needs once into contiguous typed buffers (`Vec<i64>` /
+//! `Vec<f64>` / `Vec<Arc<str>>` plus a validity bitmap) through
+//! [`Table::gather_column`]; the per-column axis min/max is folded into
+//! the same pass. A [`SampleFrame`] gathers several columns at one list
+//! of rows. Predicates do not read frames: scans, DML and statistics
+//! collection evaluate them on the column store in place
+//! (`executor/src/locate.rs`).
 //!
 //! The gather is a pure projection: `frame.column(c)` holds exactly the
-//! values `table.value(rows[i], c)` would return, in sample order, so any
-//! evaluation over the frame is bit-identical to the row-oriented path.
+//! values `table.value(rows[i], c)` would return, in row-list order.
 
 use crate::row::RowId;
 use crate::table::Table;

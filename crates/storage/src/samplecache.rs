@@ -18,17 +18,9 @@
 //! serving a slightly-stale sample is exactly the approximation the paper
 //! already accepts between collections, and the threshold bounds it.
 //!
-//! Entries also memoize two artifacts *derived* from the sample: the
-//! **gathered columnar frames** (typed [`FrameColumn`] buffers per used
-//! column) and the **per-predicate bitsets** (one bit per sample slot,
-//! keyed by an opaque predicate fingerprint the collection layer
-//! computes). Unlike the row ids, both snapshot cell *values*, so they are
-//! served only on an **exact epoch match** — any mutation at all and
-//! collection re-derives them from the table, which makes a served
-//! artifact bit-identical to a fresh one by construction. Artifacts
-//! produced by later queries at the same epoch are merged in, so different
-//! query shapes accumulate one artifact set per sample version; a redraw
-//! replaces the entry and all its artifacts wholesale.
+//! An entry holds row ids, never cell values: collection evaluates its
+//! predicates on the cells as they are when the sample is served, so a
+//! served sample sees every mutation since its draw.
 //!
 //! The cache itself is lock-free storage: the engine wraps it in a ranked
 //! `RwLock` (rank 6, between `predcache` and `setting`) and performs all
@@ -36,35 +28,19 @@
 //! out to worker threads, so cache decisions are independent of
 //! `collect_threads` and identical across concurrent sessions.
 
-use crate::frame::FrameColumn;
 use crate::row::RowId;
 use crate::sample::SampleSpec;
-use jits_common::{ColumnId, TableId};
+use jits_common::TableId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One memoized draw.
-///
-/// The mutation epoch and the artifacts derived at it are private: a frame
-/// or bitset is valid only at `epoch` exactly, so outside this crate they
-/// can be attached only together with the epoch they were made at
-/// ([`CachedSample::new`], stored by [`SampleCache::store`]) or through the
-/// epoch-checked [`SampleCache::merge_artifacts`].
-///
-/// ```compile_fail,E0616
-/// use jits_storage::CachedSample;
-///
-/// fn graft(s: &mut CachedSample) {
-///     // artifacts from another epoch cannot be grafted onto an entry
-///     s.frames.clear();
-/// }
-/// ```
 #[derive(Debug, Clone)]
 pub struct CachedSample {
     /// The spec the sample was drawn under (spec mismatch = miss).
     pub spec: SampleSpec,
     /// Table mutation epoch at draw time.
-    epoch: u64,
+    pub epoch: u64,
     /// Live row count at draw time (the staleness denominator).
     pub rows_at_draw: u64,
     /// The drawn row ids, in draw order.
@@ -74,55 +50,6 @@ pub struct CachedSample {
     pub probes: usize,
     /// Times this entry has been served.
     pub hits: u64,
-    /// Columnar gathers of the sample, keyed by column. Valid only at
-    /// `epoch` exactly: a gather snapshots cell values, and any mutation
-    /// could have changed them even if the row ids still qualify.
-    frames: BTreeMap<ColumnId, Arc<FrameColumn>>,
-    /// Predicate bitsets over the sample (bit `i` = slot `i` matches),
-    /// keyed by an opaque predicate fingerprint chosen by the collection
-    /// layer. Same exact-epoch validity as `frames`, from which they
-    /// derive.
-    bitsets: BTreeMap<String, Arc<Vec<u64>>>,
-}
-
-impl CachedSample {
-    /// A draw made at mutation epoch `epoch`, with the artifacts derived
-    /// from it at that same epoch; served zero times so far.
-    pub fn new(
-        spec: SampleSpec,
-        epoch: u64,
-        rows_at_draw: u64,
-        rows: Arc<Vec<RowId>>,
-        probes: usize,
-        frames: BTreeMap<ColumnId, Arc<FrameColumn>>,
-        bitsets: BTreeMap<String, Arc<Vec<u64>>>,
-    ) -> Self {
-        CachedSample {
-            spec,
-            epoch,
-            rows_at_draw,
-            rows,
-            probes,
-            hits: 0,
-            frames,
-            bitsets,
-        }
-    }
-
-    /// Table mutation epoch at draw time.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The memoized columnar gathers, valid at [`CachedSample::epoch`].
-    pub fn frames(&self) -> &BTreeMap<ColumnId, Arc<FrameColumn>> {
-        &self.frames
-    }
-
-    /// The memoized predicate bitsets, valid at [`CachedSample::epoch`].
-    pub fn bitsets(&self) -> &BTreeMap<String, Arc<Vec<u64>>> {
-        &self.bitsets
-    }
 }
 
 /// Outcome of a cache lookup.
@@ -136,14 +63,6 @@ pub enum CacheLookup {
         probes: usize,
         /// Mutations since the draw over cardinality at draw, in `[0, 1]`.
         staleness: f64,
-        /// The memoized columnar gathers — populated only on an **exact**
-        /// epoch match (staleness from zero mutations), empty when the
-        /// entry is served stale-but-below-limit and cell values may have
-        /// drifted.
-        frames: BTreeMap<ColumnId, Arc<FrameColumn>>,
-        /// The memoized predicate bitsets — same exact-epoch rule as
-        /// `frames`.
-        bitsets: BTreeMap<String, Arc<Vec<u64>>>,
     },
     /// No usable entry (cold table or spec mismatch): draw fresh.
     Miss,
@@ -206,17 +125,10 @@ impl SampleCache {
                 if staleness < limit {
                     e.hits += 1;
                     self.counters.hits += 1;
-                    let (frames, bitsets) = if epoch_now == e.epoch {
-                        (e.frames.clone(), e.bitsets.clone())
-                    } else {
-                        (BTreeMap::new(), BTreeMap::new())
-                    };
                     CacheLookup::Hit {
                         rows: Arc::clone(&e.rows),
                         probes: e.probes,
                         staleness,
-                        frames,
-                        bitsets,
                     }
                 } else {
                     self.counters.stale_redraws += 1;
@@ -233,34 +145,6 @@ impl SampleCache {
     /// Memoizes a fresh draw for `tid`, replacing any previous entry.
     pub fn store(&mut self, tid: TableId, sample: CachedSample) {
         self.entries.insert(tid, sample);
-    }
-
-    /// Merges derived artifacts (columnar gathers and predicate bitsets)
-    /// into `tid`'s entry — only if the entry still matches `spec` and was
-    /// drawn at exactly `epoch` (artifacts made on a stale-but-served
-    /// sample snapshot *newer* cell values and must not contaminate the
-    /// older sample version). Re-derivations of an already cached artifact
-    /// are identical by construction, so first-in wins.
-    pub fn merge_artifacts(
-        &mut self,
-        tid: TableId,
-        spec: SampleSpec,
-        epoch: u64,
-        frames: &[(ColumnId, Arc<FrameColumn>)],
-        bitsets: &[(String, Arc<Vec<u64>>)],
-    ) {
-        if let Some(e) = self.entries.get_mut(&tid) {
-            if e.spec == spec && e.epoch == epoch {
-                for (col, fc) in frames {
-                    e.frames.entry(*col).or_insert_with(|| Arc::clone(fc));
-                }
-                for (key, bits) in bitsets {
-                    e.bitsets
-                        .entry(key.clone())
-                        .or_insert_with(|| Arc::clone(bits));
-                }
-            }
-        }
     }
 
     /// Drops the entry for `tid` (DDL on the table).
@@ -306,26 +190,14 @@ mod tests {
     use super::*;
 
     fn cached(epoch: u64, rows_at_draw: u64) -> CachedSample {
-        CachedSample::new(
-            SampleSpec::fixed(100),
+        CachedSample {
+            spec: SampleSpec::fixed(100),
             epoch,
             rows_at_draw,
-            Arc::new(vec![1, 2, 3]),
-            7,
-            BTreeMap::new(),
-            BTreeMap::new(),
-        )
-    }
-
-    fn int_frame(vals: Vec<i64>) -> Arc<FrameColumn> {
-        let n = vals.len();
-        Arc::new(FrameColumn {
-            values: crate::frame::FrameValues::Int(vals),
-            validity: vec![true; n],
-            axis_min: 0.0,
-            axis_max: 0.0,
-            non_null: n,
-        })
+            rows: Arc::new(vec![1, 2, 3]),
+            probes: 7,
+            hits: 0,
+        }
     }
 
     #[test]
@@ -348,13 +220,10 @@ mod tests {
                 rows,
                 probes,
                 staleness,
-                frames,
-                ..
             } => {
                 assert_eq!(rows.as_slice(), &[1, 2, 3]);
                 assert_eq!(probes, 7);
                 assert!((staleness - 0.05).abs() < 1e-12);
-                assert!(frames.is_empty(), "stale-but-served hits carry no frames");
             }
             other => panic!("expected hit, got {other:?}"),
         }
@@ -399,98 +268,6 @@ mod tests {
             c.lookup(tid, SampleSpec::fixed(100), 10, 0.0),
             CacheLookup::Stale { .. }
         ));
-    }
-
-    #[test]
-    fn artifacts_served_only_at_exact_epoch() {
-        let mut c = SampleCache::new();
-        let tid = TableId(5);
-        c.store(tid, cached(100, 1000));
-        c.merge_artifacts(
-            tid,
-            SampleSpec::fixed(100),
-            100,
-            &[(ColumnId(2), int_frame(vec![10, 20, 30]))],
-            &[("p0".to_string(), Arc::new(vec![0b101u64]))],
-        );
-        // exact epoch: the memoized artifacts ride along with the hit
-        match c.lookup(tid, SampleSpec::fixed(100), 100, 0.1) {
-            CacheLookup::Hit {
-                frames, bitsets, ..
-            } => {
-                assert_eq!(frames.len(), 1);
-                assert!(frames.contains_key(&ColumnId(2)));
-                assert_eq!(bitsets["p0"].as_slice(), &[0b101u64]);
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
-        // one mutation later the rows still serve but the artifacts do not
-        match c.lookup(tid, SampleSpec::fixed(100), 101, 0.1) {
-            CacheLookup::Hit {
-                frames, bitsets, ..
-            } => {
-                assert!(frames.is_empty());
-                assert!(bitsets.is_empty());
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn artifact_merge_rejects_epoch_and_spec_drift() {
-        let mut c = SampleCache::new();
-        let tid = TableId(6);
-        c.store(tid, cached(100, 1000));
-        // derived after a mutation: newer cell values, must not merge
-        c.merge_artifacts(
-            tid,
-            SampleSpec::fixed(100),
-            101,
-            &[(ColumnId(0), int_frame(vec![1]))],
-            &[("q".to_string(), Arc::new(vec![1u64]))],
-        );
-        // wrong spec: a different sample entirely
-        c.merge_artifacts(
-            tid,
-            SampleSpec::fixed(50),
-            100,
-            &[(ColumnId(1), int_frame(vec![2]))],
-            &[],
-        );
-        match c.lookup(tid, SampleSpec::fixed(100), 100, 0.1) {
-            CacheLookup::Hit {
-                frames, bitsets, ..
-            } => {
-                assert!(frames.is_empty());
-                assert!(bitsets.is_empty());
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
-        // first-in wins: a re-merge of the same column is a no-op
-        let first = int_frame(vec![7]);
-        c.merge_artifacts(
-            tid,
-            SampleSpec::fixed(100),
-            100,
-            &[(ColumnId(3), first)],
-            &[],
-        );
-        c.merge_artifacts(
-            tid,
-            SampleSpec::fixed(100),
-            100,
-            &[(ColumnId(3), int_frame(vec![8]))],
-            &[],
-        );
-        match c.lookup(tid, SampleSpec::fixed(100), 100, 0.1) {
-            CacheLookup::Hit { frames, .. } => {
-                let crate::frame::FrameValues::Int(v) = &frames[&ColumnId(3)].values else {
-                    panic!("int frame expected");
-                };
-                assert_eq!(v, &[7]);
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
     }
 
     #[test]

@@ -306,8 +306,8 @@ impl Table {
     }
 
     /// Gathers the slots `rows` of one column into a dense typed
-    /// [`FrameColumn`](crate::frame::FrameColumn) (columnar fast path for
-    /// statistics collection).
+    /// [`FrameColumn`](crate::frame::FrameColumn), for an executor that
+    /// reads the values out.
     pub fn gather_column(&self, column: ColumnId, rows: &[RowId]) -> crate::frame::FrameColumn {
         self.columns[column.index()].gather(rows)
     }

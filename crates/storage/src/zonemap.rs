@@ -12,8 +12,8 @@
 //! # Maintenance and conservatism
 //!
 //! Zones are updated incrementally, O(#columns) per mutation, by the table
-//! mutators — always *after* the table's `mutation_epoch` tick, so any
-//! cached artifact versioned against the epoch (samples, frames) can never
+//! mutators — always *after* the table's `mutation_epoch` tick, so
+//! anything versioned against the epoch (cached samples) can never
 //! observe a new summary under an old epoch. Min/max only ever widen:
 //! deletes and overwrites leave them in place, so a zone may cover values
 //! no longer present (pruning less than possible) but never misses a value

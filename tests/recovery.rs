@@ -98,9 +98,7 @@ fn run_ops(db: &mut Database, from: usize) -> Option<(usize, JitsError)> {
 }
 
 /// Everything decision-bearing, rendered to comparable lines. Sample-cache
-/// entries are compared on their persisted core (spec, epoch, rows, draw
-/// cost, hit counts) — the columnar frames/bitsets are derived artifacts
-/// that recovery intentionally rebuilds on first use (DESIGN.md §14).
+/// entries are compared whole (spec, epoch, rows, draw cost, hit counts).
 fn digest(db: &Database) -> Vec<String> {
     let mut d = vec![
         format!("clock={}", db.clock()),
@@ -128,12 +126,7 @@ fn digest(db: &Database) -> Vec<String> {
         .map(|(t, s)| {
             format!(
                 "sample {t:?}: spec={:?} epoch={} rows_at_draw={} rows={:?} probes={} hits={}",
-                s.spec,
-                s.epoch(),
-                s.rows_at_draw,
-                s.rows,
-                s.probes,
-                s.hits
+                s.spec, s.epoch, s.rows_at_draw, s.rows, s.probes, s.hits
             )
         })
         .collect();
