@@ -336,8 +336,8 @@ pub(crate) fn qerror_feedback(obs: &Observability, catalog: &Catalog) -> BTreeMa
 /// Records one SELECT's access-path usage: zone-map skip counters plus a
 /// per-path tally of how base tables were reached. Everything derives from
 /// the skip lists and the plan shape — never from which blocks were
-/// physically read — so the counters are deterministic, identical on the
-/// row reference executor, and identical at any thread count.
+/// physically read — so the counters are deterministic, the same whether
+/// or not pruned blocks are skipped, and identical at any thread count.
 pub(crate) fn note_access_paths(obs: &Observability, stats: &jits_executor::ExecStats) {
     use jits_executor::NodeKind;
     let (mut seq, mut pruned, mut index) = (0u64, 0u64, 0u64);

@@ -213,14 +213,8 @@ impl Stmt {
 
 /// The statement's record, opened once the clock has ticked: parse, bind,
 /// log and tick count as its `parse_bind` stage.
-fn open_record(
-    s: &Locked<'_>,
-    clock: u64,
-    sql: &str,
-    executor: &'static str,
-    t0: u64,
-) -> QueryProfile {
-    let mut rec = QueryProfile::new(clock, s.session_id(), sql, executor);
+fn open_record(s: &Locked<'_>, clock: u64, sql: &str, kind: &'static str, t0: u64) -> QueryProfile {
+    let mut rec = QueryProfile::new(clock, s.session_id(), sql, kind);
     rec.stages.parse_bind = nanos_since(t0);
     rec
 }
@@ -265,7 +259,7 @@ fn run_select(
     let env = s.env();
     let obs = &env.obs;
     let stmt = Stmt::begin(s, logged);
-    let mut rec = open_record(s, stmt.clock, sql, "batch", t0);
+    let mut rec = open_record(s, stmt.clock, sql, "select", t0);
     let ran = select_phases(s, &block, &stmt, &mut rec, t0);
     // stored even when planning or execution fails, so the compile-phase
     // decisions and degradations stay on record

@@ -6,8 +6,10 @@
 //! operator carrying estimated vs. actual cardinality, q-error, charged
 //! work, and inclusive wall time.
 //! (UPDATE and DELETE build their one-node profile in [`crate::dml`].)
-//! The deterministic fields (kind, table, rows, q-error, work) equal the
-//! row reference executor's observations bit for bit and do not depend on
+//! The deterministic fields (kind, table, rows, q-error, work) are the
+//! executor's observations, bit for bit: each node's actual rows equal a
+//! brute-force oracle's count for the quantifiers it covers
+//! (`tests/profile_observatory.rs`). They do not depend on
 //! `collect_threads`; only `wall_nanos` is volatile, and every dump path
 //! can mask it.
 //!
@@ -140,8 +142,8 @@ pub(crate) fn render_profile(p: &QueryProfile) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "EXPLAIN ANALYZE ({} executor): {} rows, work {:.0}, max q-error {:.2}{}",
-        p.executor,
+        "EXPLAIN ANALYZE ({}): {} rows, work {:.0}, max q-error {:.2}{}",
+        p.kind,
         p.result_rows,
         p.total_work,
         p.max_q_error,

@@ -184,9 +184,9 @@ pub(crate) fn flight_rows(obs: &Observability) -> Vec<Vec<Value>> {
         .map(|e| {
             let detail = match &e {
                 FlightEvent::Profile(p) => format!(
-                    "{} ({} executor, {} rows, max q-error {:.2}{})",
+                    "{} ({}, {} rows, max q-error {:.2}{})",
                     p.sql,
-                    p.executor,
+                    p.kind,
                     p.result_rows,
                     p.max_q_error,
                     if p.degraded() { ", degraded" } else { "" },

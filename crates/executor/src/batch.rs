@@ -1,13 +1,10 @@
-//! Vectorized batch execution over selection vectors and the column store.
+//! Vectorized plan execution over selection vectors and the column store.
 //!
-//! The row executor ([`crate::exec`]) materializes intermediate results as
-//! vectors of row-id tuples and calls [`Table::value`] once per *row ×
-//! predicate/key* probe — a `Value` clone (and, for strings, an `Arc` bump)
-//! each time. This module evaluates the same physical plans columnar:
+//! Intermediate results never materialize rows: each operator evaluates
+//! its predicates, join keys and aggregates over typed column slots.
 //!
 //! * operators carry **selection vectors** — one `Vec<RowId>` per covered
-//!   quantifier, struct-of-arrays instead of the row path's array-of-structs
-//!   tuple vectors;
+//!   quantifier, struct-of-arrays rather than a vector of row-id tuples;
 //! * scans read the column slots **in place**: the filter is
 //!   [`crate::locate`]'s, shared with UPDATE and DELETE — typed kernels
 //!   (an integer interval over the `i64` slots, a string predicate through
@@ -29,23 +26,20 @@
 //! ORDER BY, projections, aggregates, the index nested-loop join's drive
 //! keys, and multi-key or string-key joins.
 //!
-//! **Bit-identity contract.** For every plan the batch executor produces the
-//! same result rows (values and order), the same `ExecStats.work` (same
-//! [`CostModel`] formulas applied to the same counts, in the same order —
-//! f64-bit-identical), and the same node/scan observations as the row
-//! executor. The argument: `FrameColumn::value(i)` is defined to equal
-//! `Table::value(rows[i], c)`, predicates and key comparisons run the same
-//! `Value` operations (or a typed integer fast path whose outcome equals
-//! `Interval::contains` or `i64` equality exactly, or a per-entry verdict
-//! that *is* `LocalPredicate::matches` on the entry), hash-join output
-//! order is probe-order × build-insertion-order in both paths, groups
-//! appear in first-seen order whatever their keys hash to, and ORDER BY
-//! uses the same stable comparator. The contract is enforced by
-//! `tests/batch_executor.rs`.
+//! **Determinism.** Result rows (values and order), `ExecStats.work` (the
+//! same [`CostModel`] formulas applied to the same counts in the same
+//! order, so the same bits) and the node and scan observations depend on
+//! the plan and the data only: hash-join output is probe order × build
+//! insertion order, groups appear in first-seen order whatever their keys
+//! hash to, and ORDER BY is a stable sort. `tests/batch_executor.rs` and
+//! `tests/data_skipping.rs` check every answer and every operator's actual
+//! cardinality against a brute-force oracle that reads no plan, under
+//! forced access paths and join methods, and pin the charged work of
+//! their corpora to a hash.
 
 #![deny(clippy::indexing_slicing)]
 
-use crate::exec::{
+use crate::eval::{
     accumulate, finish_groups, index_interval, matches_preds, position_in, record_scan, scan_preds,
     table_of, AggAcc, ExecOutput,
 };
@@ -60,7 +54,7 @@ use std::hash::Hasher;
 
 /// A batch in struct-of-arrays form: `sel[i]` is the selection vector of
 /// quantifier `quns[i]`, and all selection vectors share length `len`
-/// (tuple `t` of the row executor corresponds to `sel[..][t]`).
+/// (tuple `t` of the batch is `sel[..][t]`).
 struct ColumnBatch {
     quns: Vec<usize>,
     sel: Vec<Vec<RowId>>,
@@ -98,9 +92,9 @@ impl ColumnBatch {
     }
 }
 
-/// Executes a physical plan on the batch executor (see module docs for the
-/// bit-identity contract with [`crate::exec::execute_with`]'s row path).
-pub(crate) fn execute_batch(
+/// Executes a physical plan for `block` against `tables` (indexed by
+/// `TableId`).
+pub fn execute(
     plan: &PhysicalPlan,
     block: &QueryBlock,
     tables: &[Table],
@@ -113,7 +107,7 @@ pub(crate) fn execute_batch(
         let fc = table.gather_column(col, batch.sel_of(qun)?);
         let n = batch.len as f64;
         let mut perm: Vec<usize> = (0..batch.len).collect();
-        // same stable sort and comparator as the row path, over indices
+        // a stable sort over indices, so ties keep the plan's order
         perm.sort_by(|&a, &b| {
             let ord = fc.value(a).cmp_total(&fc.value(b));
             if desc {
@@ -165,13 +159,13 @@ fn run_batch(
 ///
 /// - every covered quantifier carries a selection vector, all of the
 ///   batch's length, with no quantifier covered twice;
-/// - scan output preserves ascending row-id order (the row path's scan
-///   order — joins and ORDER BY may reorder, scans must not);
+/// - scan output preserves ascending row-id order (joins and ORDER BY may
+///   reorder, scans must not);
 /// - the operator charged exactly one node observation whose kind matches
 ///   the plan node, with finite non-negative work, and the running work
-///   total grew by a finite non-negative amount (charged-work parity with
-///   the row path is then enforced per node by `tests/batch_executor.rs`,
-///   which compares the `NodeObservation.work` streams bit for bit).
+///   total grew by a finite non-negative amount (the charged work itself is
+///   pinned per corpus by `tests/batch_executor.rs`, which hashes every
+///   `NodeObservation.work` bit pattern).
 #[cfg(debug_assertions)]
 fn debug_validate_batch(
     plan: &PhysicalPlan,
@@ -287,8 +281,8 @@ fn run_operator(
     cost: &CostModel,
     stats: &mut ExecStats,
 ) -> Result<ColumnBatch> {
-    // inclusive wall per node, mirroring the row path's capture points;
-    // volatile and excluded from the bit-identity contract
+    // inclusive wall per node (children run within the arm, so a join's
+    // wall covers its inputs); volatile, never part of a compared stream
     let t_node = jits_obs::clock::now_nanos();
     match plan {
         PhysicalPlan::SeqScan { scan, est } => {
@@ -319,9 +313,8 @@ fn run_operator(
                 "optimizer block-size assumption diverged from storage"
             );
             let table = table_of(tables, block, scan.qun)?;
-            // same skip list, work formula, and row order as the row path,
-            // which reads every block — pruning is sound, so the surviving
-            // blocks contain every matching row
+            // pruning is sound, so the surviving blocks contain every
+            // matching row, in the order a full scan would find them
             let preds = scan_preds(block, &scan.pred_indices);
             let skip = table.skip_list(&zone_constraints(preds.clone()));
             let sel = filter_rows(table, Candidates::Blocks(&skip), preds);
@@ -615,8 +608,8 @@ fn gather_keys<'a>(
 }
 
 /// Hash-join pair construction through `Value` tuples, for multi-key and
-/// string-key joins: output is probe-order × build-insertion-order, exactly
-/// like the row path's tuple loop. NULL keys never join.
+/// string-key joins: output is probe-order × build-insertion-order, as on
+/// the single-`Int`-key kernels. NULL keys never join.
 fn value_join_pairs(
     build_cols: &[FrameColumn],
     probe_cols: &[FrameColumn],
@@ -799,8 +792,8 @@ fn project_batch(batch: &ColumnBatch, block: &QueryBlock, tables: &[Table]) -> R
             eval_group_by_batch(keys, items, batch, block, tables)
         }
         Projection::Wildcard => {
-            // gather all columns of every quantifier once, then emit rows in
-            // the same qun-major / column-minor order as the row path
+            // gather all columns of every quantifier once, then emit rows
+            // qun-major, column-minor
             let mut frames: Vec<Vec<FrameColumn>> = Vec::with_capacity(block.quns.len());
             for qun in 0..block.quns.len() {
                 let table = table_of(tables, block, qun)?;
@@ -862,7 +855,7 @@ fn eval_aggregate_batch(
 }
 
 /// Hash aggregation over gathered key/input columns, one output row per
-/// distinct key combination in first-seen order (same as the row path).
+/// distinct key combination in first-seen order.
 /// Rows are first assigned group ids — typed when every key is an Int or
 /// Str column ([`group_rows_typed`]), through `Value` tuples otherwise —
 /// then each group's accumulators take its rows in input order, and a
@@ -880,7 +873,7 @@ fn eval_group_by_batch(
         None => group_rows_values(keys, batch, block, tables)?,
     };
     // per-item aggregate input columns, gathered once; None for COUNT(*)
-    // and for items whose table is missing (mirroring the row path's `.ok()`)
+    // and for items whose table is missing
     let agg_cols: Vec<Option<FrameColumn>> = items
         .iter()
         .map(|it| match it {
@@ -1212,5 +1205,284 @@ mod tests {
         let expect = vec![(0, 0), (2, 0), (4, 0), (1, 2), (0, 3), (2, 3), (4, 3)];
         assert_eq!(direct_join(build.keys(), probe.keys(), 3, 5), expect);
         assert_eq!(chain_join(build.keys(), probe.keys()), expect);
+    }
+}
+
+#[cfg(test)]
+mod execute_tests {
+    use super::*;
+    use jits_catalog::{runstats, Catalog, RunstatsOptions};
+    use jits_common::{DataType, Schema};
+    use jits_optimizer::{
+        optimize, CardinalityEstimator, CatalogStatisticsProvider, DefaultSelectivities,
+    };
+    use jits_query::{bind_statement, parse, BoundStatement};
+
+    /// car(1000) with FK ownerid -> owner(100, PK indexed); make correlates
+    /// with owner bucket.
+    fn setup() -> (Catalog, Vec<Table>) {
+        let mut catalog = Catalog::new();
+        let car_schema = Schema::from_pairs(&[
+            ("id", DataType::Int),
+            ("ownerid", DataType::Int),
+            ("make", DataType::Str),
+            ("year", DataType::Int),
+        ]);
+        let owner_schema = Schema::from_pairs(&[
+            ("id", DataType::Int),
+            ("name", DataType::Str),
+            ("salary", DataType::Int),
+        ]);
+        let car_id = catalog.register_table("car", car_schema.clone()).unwrap();
+        let owner_id = catalog
+            .register_table("owner", owner_schema.clone())
+            .unwrap();
+
+        let mut car = Table::new("car", car_schema);
+        for i in 0..1000i64 {
+            let make = if i % 5 == 0 { "Toyota" } else { "Honda" };
+            car.insert(vec![
+                Value::Int(i),
+                Value::Int(i % 100),
+                Value::str(make),
+                Value::Int(1990 + i % 17),
+            ])
+            .unwrap();
+        }
+        let mut owner = Table::new("owner", owner_schema);
+        for i in 0..100i64 {
+            owner
+                .insert(vec![
+                    Value::Int(i),
+                    Value::str(format!("owner{i}")),
+                    Value::Int(i * 1000),
+                ])
+                .unwrap();
+        }
+        owner.create_index(ColumnId(0)).unwrap();
+        catalog.add_index(owner_id, ColumnId(0)).unwrap();
+        car.create_index(ColumnId(0)).unwrap();
+        catalog.add_index(car_id, ColumnId(0)).unwrap();
+
+        let (ts, cs) = runstats(&car, RunstatsOptions::default(), 1);
+        catalog.set_stats(car_id, ts, cs).unwrap();
+        let (ts, cs) = runstats(&owner, RunstatsOptions::default(), 1);
+        catalog.set_stats(owner_id, ts, cs).unwrap();
+        (catalog, vec![car, owner])
+    }
+
+    fn run_sql(catalog: &Catalog, tables: &[Table], sql: &str) -> ExecOutput {
+        let BoundStatement::Select(block) = bind_statement(&parse(sql).unwrap(), catalog).unwrap()
+        else {
+            panic!()
+        };
+        let provider = CatalogStatisticsProvider::new(catalog);
+        let est = CardinalityEstimator::new(&provider, DefaultSelectivities::default());
+        let cost = CostModel::default();
+        let plan = optimize(&block, &est, &cost, catalog).unwrap();
+        execute(&plan, &block, tables, &cost).unwrap()
+    }
+
+    #[test]
+    fn filter_scan_returns_matching_rows() {
+        let (catalog, tables) = setup();
+        let out = run_sql(
+            &catalog,
+            &tables,
+            "SELECT id FROM car WHERE make = 'Toyota'",
+        );
+        assert_eq!(out.rows.len(), 200);
+        assert!(out.stats.work > 0.0);
+        // observation recorded with correct actual selectivity
+        let scan = &out.stats.scans[0];
+        assert_eq!(scan.actual_rows, 200.0);
+        assert!((scan.actual_selectivity() - 0.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn count_star() {
+        let (catalog, tables) = setup();
+        let out = run_sql(
+            &catalog,
+            &tables,
+            "SELECT COUNT(*) FROM car WHERE year > 2000",
+        );
+        assert_eq!(out.rows.len(), 1);
+        let Value::Int(n) = out.rows[0][0] else {
+            panic!()
+        };
+        // years 2001..=2006 -> 6 of 17 buckets
+        let expected: i64 = (0..1000).filter(|i| 1990 + i % 17 > 2000).count() as i64;
+        assert_eq!(n, expected);
+    }
+
+    #[test]
+    fn join_results_match_naive_evaluation() {
+        let (catalog, tables) = setup();
+        let out = run_sql(
+            &catalog,
+            &tables,
+            "SELECT c.id, o.name FROM car c, owner o \
+             WHERE c.ownerid = o.id AND make = 'Toyota' AND salary >= 50000",
+        );
+        // naive: Toyota cars are ids 0,5,10,...,995; ownerid = id % 100;
+        // salary >= 50000 -> owner id >= 50
+        let expected = (0..1000i64)
+            .filter(|i| i % 5 == 0 && (i % 100) >= 50)
+            .count();
+        assert_eq!(out.rows.len(), expected);
+        // join observation recorded
+        assert!(out
+            .stats
+            .nodes
+            .iter()
+            .any(|n| matches!(n.kind, NodeKind::HashJoin | NodeKind::IndexNLJoin)));
+    }
+
+    #[test]
+    fn projection_wildcard_has_all_columns() {
+        let (catalog, tables) = setup();
+        let out = run_sql(
+            &catalog,
+            &tables,
+            "SELECT * FROM car c, owner o WHERE c.ownerid = o.id AND c.id = 7",
+        );
+        assert_eq!(out.rows.len(), 1);
+        assert_eq!(out.rows[0].len(), 4 + 3);
+        assert_eq!(out.rows[0][0], Value::Int(7));
+        assert_eq!(out.rows[0][4], Value::Int(7)); // owner.id == ownerid
+    }
+
+    #[test]
+    fn tombstoned_rows_invisible() {
+        let (catalog, mut tables) = setup();
+        // delete all Toyotas
+        let doomed: Vec<RowId> = tables[0]
+            .scan()
+            .filter(|r| tables[0].value(*r, ColumnId(2)) == Value::str("Toyota"))
+            .collect();
+        for r in doomed {
+            tables[0].delete(r);
+        }
+        let out = run_sql(
+            &catalog,
+            &tables,
+            "SELECT id FROM car WHERE make = 'Toyota'",
+        );
+        assert!(out.rows.is_empty());
+    }
+
+    #[test]
+    fn observed_error_factor_reflects_stale_stats() {
+        let (catalog, mut tables) = setup();
+        // churn the data after stats were collected: make everything Toyota
+        let all: Vec<RowId> = tables[0].scan().collect();
+        for r in all {
+            tables[0]
+                .update(r, ColumnId(2), Value::str("Toyota"))
+                .unwrap();
+        }
+        let out = run_sql(
+            &catalog,
+            &tables,
+            "SELECT id FROM car WHERE make = 'Toyota'",
+        );
+        assert_eq!(out.rows.len(), 1000);
+        let scan = &out.stats.scans[0];
+        // estimate said ~0.2, actual is 1.0 -> errorFactor ~0.2
+        assert!(scan.error_factor() < 0.3, "ef {}", scan.error_factor());
+    }
+}
+
+#[cfg(test)]
+mod additional_tests {
+    use super::*;
+    use jits_catalog::{runstats, Catalog, RunstatsOptions};
+    use jits_common::{DataType, Schema};
+    use jits_optimizer::{
+        optimize, CardinalityEstimator, CatalogStatisticsProvider, DefaultSelectivities,
+    };
+    use jits_query::{bind_statement, parse, BoundStatement};
+
+    fn setup() -> (Catalog, Vec<Table>) {
+        let mut catalog = Catalog::new();
+        let schema = Schema::from_pairs(&[
+            ("id", DataType::Int),
+            ("grp", DataType::Int),
+            ("v", DataType::Int),
+        ]);
+        let tid = catalog.register_table("t", schema.clone()).unwrap();
+        let mut t = Table::new("t", schema);
+        for i in 0..100i64 {
+            // rows 10 and 20 carry NULL join keys
+            let grp = if i == 10 || i == 20 {
+                Value::Null
+            } else {
+                Value::Int(i % 5)
+            };
+            t.insert(vec![Value::Int(i), grp, Value::Int(i * 2)])
+                .unwrap();
+        }
+        let (ts, cs) = runstats(&t, RunstatsOptions::default(), 1);
+        catalog.set_stats(tid, ts, cs).unwrap();
+
+        let other = Schema::from_pairs(&[("grp", DataType::Int), ("name", DataType::Str)]);
+        let oid = catalog.register_table("g", other.clone()).unwrap();
+        let mut o = Table::new("g", other);
+        for i in 0..5i64 {
+            o.insert(vec![Value::Int(i), Value::str(format!("g{i}"))])
+                .unwrap();
+        }
+        let (ts, cs) = runstats(&o, RunstatsOptions::default(), 1);
+        catalog.set_stats(oid, ts, cs).unwrap();
+        (catalog, vec![t, o])
+    }
+
+    fn run_sql(catalog: &Catalog, tables: &[Table], sql: &str) -> ExecOutput {
+        let BoundStatement::Select(block) = bind_statement(&parse(sql).unwrap(), catalog).unwrap()
+        else {
+            panic!()
+        };
+        let provider = CatalogStatisticsProvider::new(catalog);
+        let est = CardinalityEstimator::new(&provider, DefaultSelectivities::default());
+        let cost = CostModel::default();
+        let plan = optimize(&block, &est, &cost, catalog).unwrap();
+        execute(&plan, &block, tables, &cost).unwrap()
+    }
+
+    #[test]
+    fn null_join_keys_never_match() {
+        let (catalog, tables) = setup();
+        let out = run_sql(
+            &catalog,
+            &tables,
+            "SELECT COUNT(*) FROM t, g WHERE t.grp = g.grp",
+        );
+        // 98 non-NULL rows each match exactly one group row
+        assert_eq!(out.rows[0][0], Value::Int(98));
+    }
+
+    #[test]
+    fn order_by_after_join() {
+        let (catalog, tables) = setup();
+        let out = run_sql(
+            &catalog,
+            &tables,
+            "SELECT t.id FROM t, g WHERE t.grp = g.grp AND t.id < 7 ORDER BY t.v DESC LIMIT 3",
+        );
+        let ids: Vec<i64> = out.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        assert_eq!(ids, vec![6, 5, 4]);
+    }
+
+    #[test]
+    fn work_increases_with_sort() {
+        let (catalog, tables) = setup();
+        let plain = run_sql(&catalog, &tables, "SELECT id FROM t WHERE v > 10");
+        let sorted = run_sql(
+            &catalog,
+            &tables,
+            "SELECT id FROM t WHERE v > 10 ORDER BY id",
+        );
+        assert!(sorted.stats.work > plain.stats.work);
     }
 }

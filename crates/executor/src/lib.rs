@@ -1,12 +1,9 @@
 //! Plan execution with cardinality monitoring.
 //!
-//! Two executors share one contract: the row path materializes intermediate
-//! results as vectors of row-id tuples (one row id per covered quantifier),
-//! while the default batch path ([`batch`]) keeps one selection vector per
-//! quantifier and evaluates predicates, join keys, and aggregates over
-//! columnar gathers. Both charge identical work and record identical
-//! observations — [`ExecutorKind`] only selects the evaluation strategy.
-//! Two byproducts matter to JITS:
+//! [`execute`] runs a physical plan vectorized ([`batch`]): each operator
+//! keeps one selection vector per quantifier and evaluates predicates, join
+//! keys, and aggregates over the column store. Two byproducts matter to
+//! JITS:
 //!
 //! * **work accounting** — every operator charges the same
 //!   [`CostModel`](jits_optimizer::CostModel) constants the optimizer used
@@ -21,10 +18,11 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod exec;
+mod eval;
 pub mod locate;
 pub mod monitor;
 
-pub use exec::{execute, execute_with, ExecOutput, ExecutorKind};
+pub use batch::execute;
+pub use eval::ExecOutput;
 pub use locate::{locate_rows, Located};
 pub use monitor::{ExecStats, NodeKind, NodeObservation, ScanObservation};

@@ -195,8 +195,9 @@ pub(crate) enum Candidates<'a> {
 /// scans, in input order for [`Candidates::Rows`]. The predicates compile
 /// once into kernels ([`compile`]); a table scan then seeds a selection
 /// vector with each block's live slots in turn and narrows it, so the
-/// working set stays one block wide. Every kernel's verdict is [`LocalPredicate::matches`] on
-/// the cell's value, so the result is the row executor's, bit for bit.
+/// working set stays one block wide. Every kernel's verdict is
+/// [`LocalPredicate::matches`] on the cell's value, so the result is the
+/// rows a cell-by-cell scan of the candidates keeps, in the same order.
 pub(crate) fn filter_rows<'a>(
     table: &'a Table,
     candidates: Candidates<'_>,
@@ -247,7 +248,7 @@ pub fn sample_bits(table: &Table, pred: &LocalPredicate, rows: &[RowId]) -> Vec<
 enum Kernel<'a> {
     Int(IntRange<'a>),
     Codes(CodeVerdicts<'a>),
-    /// `matches` on each cell, as the row executor asks it.
+    /// `matches` on each cell, read through `Table::value`.
     Cells {
         table: &'a Table,
         pred: &'a LocalPredicate,

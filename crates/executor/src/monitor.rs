@@ -59,10 +59,9 @@ pub struct NodeObservation {
     pub est_rows: f64,
     /// What actually came out.
     pub actual_rows: f64,
-    /// Work this node charged, in cost-model units. The per-node slice of
-    /// [`ExecStats::work`]: the bit-identity contract compares it between
-    /// the row and batch executors at every operator boundary, not just in
-    /// the final total.
+    /// Work this node charged, in cost-model units: the per-node slice of
+    /// [`ExecStats::work`], a [`CostModel`](jits_optimizer::CostModel)
+    /// formula of this node's input and output counts.
     pub work: f64,
 }
 

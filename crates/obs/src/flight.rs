@@ -169,7 +169,7 @@ mod tests {
     use crate::{clamp_q_error, Degradation, ProfileNodeRow, ScoreRow, Q_ERROR_CAP};
 
     fn profile(clock: u64) -> QueryProfile {
-        let mut p = QueryProfile::new(clock, 0, "SELECT 1 -- \"quoted\"\nline two", "batch");
+        let mut p = QueryProfile::new(clock, 0, "SELECT 1 -- \"quoted\"\nline two", "select");
         p.result_rows = 3;
         p.total_work = 120.5;
         p.stages.execute = 987;

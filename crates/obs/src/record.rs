@@ -261,9 +261,9 @@ pub struct QueryProfile {
     pub session: u64,
     /// Statement text.
     pub sql: String,
-    /// What ran the statement: `batch` (a SELECT's plan), `dml` (UPDATE or
-    /// DELETE), `insert`, or `explain` (compiled, not executed).
-    pub executor: &'static str,
+    /// The statement kind: `select`, `dml` (UPDATE or DELETE), `insert`,
+    /// or `explain` (compiled, not executed).
+    pub kind: &'static str,
     /// Rows returned (or affected, for DML).
     pub result_rows: usize,
     /// Charged execution work in cost-model units.
@@ -301,12 +301,12 @@ pub struct QueryProfile {
 
 impl QueryProfile {
     /// An empty record for the statement at `clock`.
-    pub fn new(clock: u64, session: u64, sql: &str, executor: &'static str) -> Self {
+    pub fn new(clock: u64, session: u64, sql: &str, kind: &'static str) -> Self {
         QueryProfile {
             clock,
             session,
             sql: sql.to_string(),
-            executor,
+            kind,
             max_q_error: 1.0,
             ..QueryProfile::default()
         }
@@ -339,12 +339,12 @@ impl QueryProfile {
     /// out.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "statement [clock {} session {}] {}\n  {} executor: {} row(s), work {:.0}, \
+            "statement [clock {} session {}] {}\n  {}: {} row(s), work {:.0}, \
              compile {:.3} ms\n",
             self.clock,
             self.session,
             self.sql,
-            self.executor,
+            self.kind,
             self.result_rows,
             self.total_work,
             ms(self.compile_wall_nanos)
@@ -404,12 +404,12 @@ impl QueryProfile {
         let _ = write!(
             out,
             "{{\"type\": \"profile\", \"clock\": {}, \"session\": {}, \"sql\": {}, \
-             \"executor\": {}, \"result_rows\": {}, \"total_work\": {}, \"max_q_error\": {}, \
+             \"kind\": {}, \"result_rows\": {}, \"total_work\": {}, \"max_q_error\": {}, \
              \"degraded\": {}, \"anomaly\": {}, \"compile_wall_nanos\": {}, \"stages\": {{",
             self.clock,
             self.session,
             json_str(&self.sql),
-            json_str(self.executor),
+            json_str(self.kind),
             self.result_rows,
             json_f64(self.total_work),
             json_f64(self.max_q_error),

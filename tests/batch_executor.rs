@@ -1,23 +1,21 @@
-//! Batch-executor integration tests: the vectorized path must be
-//! bit-identical to the row-at-a-time reference — same rows in the same
-//! order, same `ExecStats.work` bit pattern, same node and scan
-//! observations — on every plan shape, and the engine (which always runs
-//! the batch executor) must match the reference statement for statement
-//! and replay bit for bit at any collection fan-out.
+//! Executor integration tests: on the optimizer's plan and on every forced
+//! plan extreme, each corpus query must equal the brute-force oracle —
+//! rows, every node's actual rows, every scan observation — and the
+//! corpus's charged work is pinned to a hash. The engine must answer what
+//! the oracle answers statement for statement under every statistics
+//! setting, and replay bit for bit at any collection fan-out.
 
 mod oracle;
+mod plans;
 
 use jits_repro::catalog::{runstats, Catalog, RunstatsOptions};
 use jits_repro::common::{ColumnId, DataType, JitsError, Schema, TableId, Value};
 use jits_repro::core::JitsConfig;
 use jits_repro::engine::{Database, StatsSetting};
-use jits_repro::executor::{execute_with, ExecutorKind};
-use jits_repro::optimizer::{
-    optimize, CardinalityEstimator, CatalogStatisticsProvider, CostModel, DefaultSelectivities,
-    NodeEst, PhysicalPlan, ScanGroupEstimate, StatSource,
-};
-use jits_repro::query::{bind_statement, parse, BoundStatement};
+use jits_repro::executor::execute;
+use jits_repro::optimizer::{NodeEst, PhysicalPlan, ScanGroupEstimate, StatSource};
 use jits_repro::storage::Table;
+use plans::{assert_pinned, check_run, digest_rows, digest_run, plan_of, FNV_START};
 
 /// Car models, one per `i % 8`; `model` is NULL on every seventh row.
 const MODELS: &[&str] = &[
@@ -147,21 +145,6 @@ fn setup() -> (Catalog, Vec<Table>) {
     (catalog, vec![car, owner])
 }
 
-fn plan_of(
-    catalog: &Catalog,
-    sql: &str,
-) -> (jits_repro::query::QueryBlock, PhysicalPlan, CostModel) {
-    let BoundStatement::Select(block) = bind_statement(&parse(sql).unwrap(), catalog).unwrap()
-    else {
-        panic!("not a SELECT: {sql}")
-    };
-    let provider = CatalogStatisticsProvider::new(catalog);
-    let est = CardinalityEstimator::new(&provider, DefaultSelectivities::default());
-    let cost = CostModel::default();
-    let plan = optimize(&block, &est, &cost, catalog).unwrap();
-    (block, plan, cost)
-}
-
 /// Every plan shape the optimizer can emit, plus the epilogue combinations:
 /// ORDER BY + LIMIT, GROUP BY, NULL join keys, and a multi-key join; and
 /// every string-predicate kind the dictionary verdicts decide, and GROUP BY
@@ -209,79 +192,59 @@ const CORPUS: &[&str] = &[
      AND year = 1999",
     "SELECT COUNT(*) FROM car WHERE tag >= -30000090 AND tag < -29000087",
     "SELECT id FROM car WHERE delta >= -3 AND delta < 0 AND make <> 'Audi'",
+    // an indexed interval with residual predicates on other columns
+    "SELECT id, make, year FROM car WHERE id >= 100 AND id < 400 AND make = 'Audi' \
+     AND year > 2000",
 ];
 
-/// The core contract: for the optimizer's chosen plan, the batch executor
-/// reproduces the row executor bit for bit — rows, work, and both
-/// observation streams.
+/// The digest of the corpus's runs ([`plans::sweep`]), taken when a
+/// row-at-a-time executor still ran beside this one and agreed with it bit
+/// for bit on every one of these plans.
+const CORPUS_WORK: u64 = 0x9050_cdf5_38d3_c141;
+
+/// Every corpus query, on the chosen plan and on every forced variant of
+/// it, equals the oracle: rows, each node's actual rows, and each scan
+/// observation's actual and live rows.
 #[test]
-fn batch_matches_row_bit_for_bit_across_corpus() {
+fn corpus_matches_the_oracle_under_forced_plans() {
     let (catalog, tables) = setup();
     for sql in CORPUS {
-        let (block, plan, cost) = plan_of(&catalog, sql);
-        let row = execute_with(ExecutorKind::Row, &plan, &block, &tables, &cost).unwrap();
-        let batch = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
-        assert_eq!(row.rows, batch.rows, "rows diverged: {sql}");
-        // `Value` equality calls -0.0 and 0.0 equal; the rendering does not
-        assert_eq!(
-            format!("{:?}", row.rows),
-            format!("{:?}", batch.rows),
-            "row rendering diverged: {sql}"
-        );
-        assert_eq!(
-            row.stats.work.to_bits(),
-            batch.stats.work.to_bits(),
-            "work diverged: {sql} (row {} vs batch {})",
-            row.stats.work,
-            batch.stats.work
-        );
-        assert_eq!(row.stats.nodes, batch.stats.nodes, "nodes diverged: {sql}");
-        assert_eq!(row.stats.scans, batch.stats.scans, "scans diverged: {sql}");
+        plans::sweep(&catalog, &tables, sql);
     }
 }
 
-/// Per-operator charged-work parity: each node observation's `work` slice
-/// must agree bit for bit between the executors (the debug-build validator
-/// in the batch executor checks the structural side — selection-vector
-/// lengths, scan monotonicity, one finite non-negative charge per node —
-/// on every run of this suite), and the node slices must account for no
-/// more than the total (the remainder is the sort/output epilogue, which
-/// both paths charge identically).
+/// The corpus's rows in order, total `ExecStats.work` bits and per-node
+/// (kind, work bits), forced variants included, hash to the pinned value;
+/// every node's work is finite and non-negative, and the node slices
+/// account for no more than the total (the rest is the sort and output
+/// epilogue).
 #[test]
-fn per_node_charged_work_matches_across_executors() {
+fn corpus_charged_work_matches_the_pinned_hash() {
     let (catalog, tables) = setup();
+    let mut digests = Vec::new();
     for sql in CORPUS {
-        let (block, plan, cost) = plan_of(&catalog, sql);
-        let row = execute_with(ExecutorKind::Row, &plan, &block, &tables, &cost).unwrap();
-        let batch = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
-        assert_eq!(
-            row.stats.nodes.len(),
-            batch.stats.nodes.len(),
-            "node count diverged: {sql}"
-        );
-        for (r, b) in row.stats.nodes.iter().zip(&batch.stats.nodes) {
-            assert_eq!(r.kind, b.kind, "node kinds diverged: {sql}");
-            assert_eq!(
-                r.work.to_bits(),
-                b.work.to_bits(),
-                "per-node work diverged: {sql} ({:?}: row {} vs batch {})",
-                r.kind,
-                r.work,
-                b.work
-            );
+        let (block, chosen, cost) = plan_of(&catalog, sql);
+        let mut h = FNV_START;
+        for plan in plans::variants(&chosen, &block, &tables) {
+            let out = execute(&plan, &block, &tables, &cost).unwrap();
+            h = digest_run(h, &out);
+            for n in &out.stats.nodes {
+                assert!(
+                    n.work.is_finite() && n.work >= 0.0,
+                    "non-finite or negative node work: {sql} ({:?})",
+                    n.kind
+                );
+            }
+            let node_sum: f64 = out.stats.nodes.iter().map(|n| n.work).sum();
             assert!(
-                r.work.is_finite() && r.work >= 0.0,
-                "non-finite or negative node work: {sql} ({:?})",
-                r.kind
+                node_sum <= out.stats.work * (1.0 + 1e-12) + 1e-9,
+                "node work slices exceed the total: {sql} ({node_sum} > {})",
+                out.stats.work
             );
         }
-        let node_sum: f64 = row.stats.nodes.iter().map(|n| n.work).sum();
-        assert!(
-            node_sum <= row.stats.work * (1.0 + 1e-12) + 1e-9,
-            "node work slices exceed the total: {sql} ({node_sum} > {})",
-            row.stats.work
-        );
+        digests.push((sql.to_string(), h));
     }
+    assert_pinned("batch_executor corpus", &digests, CORPUS_WORK);
 }
 
 /// The corpus holds the string cases the dictionary path must get right,
@@ -291,8 +254,7 @@ fn string_corpus_cases_select_rows() {
     let (catalog, tables) = setup();
     let count = |sql: &str| {
         let (block, plan, cost) = plan_of(&catalog, sql);
-        let out = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
-        out.rows.len()
+        execute(&plan, &block, &tables, &cost).unwrap().rows.len()
     };
     assert!(count("SELECT id, model FROM car WHERE model = 'Roadster'") > 0);
     assert!(count("SELECT id, model FROM car WHERE model >= 'M' AND model < 'R'") > 0);
@@ -315,9 +277,7 @@ fn int_corpus_cases_select_what_they_must() {
     let (catalog, tables) = setup();
     let run = |sql: &str| {
         let (block, plan, cost) = plan_of(&catalog, sql);
-        execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost)
-            .unwrap()
-            .rows
+        execute(&plan, &block, &tables, &cost).unwrap().rows
     };
     for sql in CORPUS
         .iter()
@@ -354,7 +314,7 @@ fn int_corpus_cases_select_what_they_must() {
 /// `owner.name` is unique, so its 100-entry dictionary outnumbers the one
 /// candidate of an index probe (the filter decides that row cell by cell)
 /// but not a full scan's 100 rows (the filter decides by code). Both plans
-/// return the same row on both executors.
+/// return the oracle's row.
 #[test]
 fn string_equality_agrees_on_scan_and_index_paths() {
     let (catalog, tables) = setup();
@@ -367,22 +327,27 @@ fn string_equality_agrees_on_scan_and_index_paths() {
         scan: scan.clone(),
         est: *est,
     };
+    let answer = oracle::evaluate(&block, &tables);
     for plan in [&chosen, &seq] {
-        for kind in [ExecutorKind::Row, ExecutorKind::Batch] {
-            let out = execute_with(kind, plan, &block, &tables, &cost).unwrap();
-            assert_eq!(
-                out.rows,
-                vec![vec![Value::Int(7), Value::str("owner7")]],
-                "{kind:?} on {plan:?}"
-            );
-        }
+        let out = execute(plan, &block, &tables, &cost).unwrap();
+        check_run(&answer, plan, &out).unwrap_or_else(|m| panic!("{plan:?}: {m}"));
+        assert_eq!(
+            out.rows,
+            vec![vec![Value::Int(7), Value::str("owner7")]],
+            "{plan:?}"
+        );
     }
 }
 
 /// A hash join whose build side repeats every key (car builds on
 /// `ownerid`, about twelve cars per owner) emits probe order × build
 /// insertion order: within one owner, car ids ascend. A chain walked in
-/// reverse would emit them descending.
+/// reverse would emit them descending. The rows are the oracle's, and the
+/// run's charged work is pinned.
+/// The digest of that run, taken when a row-at-a-time executor agreed
+/// with this one bit for bit on the plan.
+const DUPLICATE_KEYS_WORK: u64 = 0x5c47_83b6_901b_91f8;
+
 #[test]
 fn hash_join_walks_duplicate_build_keys_in_insertion_order() {
     let (catalog, tables) = setup();
@@ -415,10 +380,13 @@ fn hash_join_walks_duplicate_build_keys_in_insertion_order() {
         keys: vec![((0, ColumnId(1)), (1, ColumnId(0)))],
         est,
     };
-    let row = execute_with(ExecutorKind::Row, &plan, &block, &tables, &cost).unwrap();
-    let batch = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
-    assert_eq!(row.rows, batch.rows);
-    assert_eq!(row.stats.work.to_bits(), batch.stats.work.to_bits());
+    let batch = execute(&plan, &block, &tables, &cost).unwrap();
+    check_run(&oracle::evaluate(&block, &tables), &plan, &batch).unwrap();
+    assert_pinned(
+        "duplicate build keys",
+        &[("hash join".to_string(), digest_run(FNV_START, &batch))],
+        DUPLICATE_KEYS_WORK,
+    );
     let pairs: Vec<(i64, i64)> = batch
         .rows
         .iter()
@@ -451,14 +419,15 @@ fn key_span(table: &Table, col: ColumnId) -> i64 {
 }
 
 /// Every single-`Int`-key join shape, forced into a hash join over two
-/// full scans with each table on the build side in turn, against the row
-/// executor: dense keys with repeats on the build side (`ownerid`/`id`),
+/// full scans with each table on the build side in turn, against the
+/// oracle, with the runs' charged work pinned: dense keys with repeats on the build side (`ownerid`/`id`),
 /// dense negative keys with NULLs on both sides (`delta`), and sparse keys
 /// whose range is past the direct-address bound (`tag`). The spans are
 /// checked so that the data keeps exercising both kernels.
 #[test]
-fn int_key_hash_joins_match_row_executor_on_both_kernels() {
+fn int_key_hash_joins_match_the_oracle_on_both_kernels() {
     let (catalog, tables) = setup();
+    let mut digests = Vec::new();
     let (car, owner) = (&tables[0], &tables[1]);
     let bound = direct_slots(car.row_count(), owner.row_count());
     let cases = [
@@ -478,6 +447,7 @@ fn int_key_hash_joins_match_row_executor_on_both_kernels() {
             "SELECT c.id, o.id, c.{car_key} FROM car c, owner o WHERE c.{car_key} = o.{owner_key}"
         );
         let (block, _, cost) = plan_of(&catalog, &sql);
+        let answer = oracle::evaluate(&block, &tables);
         let scan = |qun: usize, base_rows: f64| PhysicalPlan::SeqScan {
             scan: ScanGroupEstimate {
                 qun,
@@ -505,22 +475,21 @@ fn int_key_hash_joins_match_row_executor_on_both_kernels() {
                     cost: 1.0,
                 },
             };
-            let row = execute_with(ExecutorKind::Row, &plan, &block, &tables, &cost).unwrap();
-            let batch = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
+            let batch = execute(&plan, &block, &tables, &cost).unwrap();
             assert!(!batch.rows.is_empty(), "{sql}: the join must match rows");
-            assert_eq!(row.rows, batch.rows, "rows diverged: {sql}, {plan:?}");
-            assert_eq!(
-                row.stats.work.to_bits(),
-                batch.stats.work.to_bits(),
-                "{sql}"
-            );
-            assert_eq!(row.stats.nodes, batch.stats.nodes, "{sql}");
+            check_run(&answer, &plan, &batch).unwrap_or_else(|m| panic!("{sql}, {plan:?}: {m}"));
+            digests.push((sql.clone(), digest_run(FNV_START, &batch)));
         }
     }
+    assert_pinned("int-key hash joins", &digests, INT_KEY_JOINS_WORK);
 }
 
+/// The digest of those runs, taken when a row-at-a-time executor agreed
+/// with this one bit for bit on every one of these plans.
+const INT_KEY_JOINS_WORK: u64 = 0x9e01_d9b0_65f6_a454;
+
 /// A malformed index nested-loop plan (no equality keys) must fail with a
-/// typed execution error on both paths, never a panic.
+/// typed execution error, never a panic.
 #[test]
 fn keyless_index_nl_join_is_a_typed_error() {
     let (catalog, tables) = setup();
@@ -551,18 +520,14 @@ fn keyless_index_nl_join_is_a_typed_error() {
         keys: vec![], // malformed: nothing to probe the index with
         est,
     };
-    for kind in [ExecutorKind::Row, ExecutorKind::Batch] {
-        match execute_with(kind, &plan, &block, &tables, &cost) {
-            Err(JitsError::Execution(m)) => {
-                assert!(m.contains("without keys"), "{kind:?}: {m}")
-            }
-            other => panic!("{kind:?}: expected typed execution error, got {other:?}"),
-        }
+    match execute(&plan, &block, &tables, &cost) {
+        Err(JitsError::Execution(m)) => assert!(m.contains("without keys"), "{m}"),
+        other => panic!("expected typed execution error, got {other:?}"),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Engine against the row reference, and fan-out replay
+// Engine against the oracle, and fan-out replay
 // ---------------------------------------------------------------------------
 
 fn build_engine_db(seed: u64) -> Database {
@@ -627,26 +592,47 @@ const SCRIPT: &[&str] = &[
 /// deterministic work counters.
 type OpTrace = Vec<(Vec<Vec<Value>>, u64, u64)>;
 
-/// A/B at the engine level: every SELECT of the query+DML script returns
-/// what the row reference returns on the engine's own plan — same rows,
-/// same `exec_work` bits — with the UPDATE applied in between.
+/// The statistics settings the engine scripts run under.
+fn settings() -> [StatsSetting; 4] {
+    [
+        StatsSetting::NoStatistics,
+        StatsSetting::CatalogOnly,
+        StatsSetting::ArchiveReadOnly,
+        StatsSetting::Jits(always_collect()),
+    ]
+}
+
+/// The digest of the script's SELECTs under `CatalogOnly` — rows and
+/// `exec_work` bits — taken when the engine's answers still equalled a
+/// row-at-a-time executor's run of the same plans bit for bit.
+const SCRIPT_WORK: u64 = 0x6c64_2ded_7fe7_70bd;
+
+/// At the engine level, under every statistics setting, every SELECT of
+/// the query+DML script returns the oracle's rows, with the UPDATE applied
+/// in between; under `CatalogOnly` the rows and `exec_work` bits are
+/// pinned.
 #[test]
 fn engine_ab_replays_bit_for_bit() {
-    let mut db = build_engine_db(52);
-    db.runstats_all().unwrap();
-    db.set_setting(StatsSetting::CatalogOnly);
-    for sql in SCRIPT {
-        let r = db.execute(sql).unwrap();
-        if sql.starts_with("UPDATE") {
-            continue;
+    for setting in settings() {
+        let catalog_only = matches!(setting, StatsSetting::CatalogOnly);
+        let mut db = build_engine_db(52);
+        db.runstats_all().unwrap();
+        db.set_setting(setting.clone());
+        let mut digests = Vec::new();
+        for sql in SCRIPT {
+            let r = db.execute(sql).unwrap();
+            if sql.starts_with("UPDATE") {
+                continue;
+            }
+            plans::answer(db.catalog(), db.tables(), sql)
+                .check(&r.rows)
+                .unwrap_or_else(|m| panic!("{} {sql}: {m}", setting.label()));
+            let digest = digest_rows(FNV_START, &r.rows, r.metrics.exec_work);
+            digests.push((sql.to_string(), digest));
         }
-        let reference = oracle::row_oracle(&db, sql);
-        assert_eq!(r.rows, reference.rows, "{sql}");
-        assert_eq!(
-            r.metrics.exec_work.to_bits(),
-            reference.stats.work.to_bits(),
-            "{sql}"
-        );
+        if catalog_only {
+            assert_pinned("engine script", &digests, SCRIPT_WORK);
+        }
     }
 }
 
@@ -705,37 +691,49 @@ fn nums_db(rows: &[i64]) -> Database {
     db
 }
 
+/// The engine's answer to `sql`, checked against the oracle, whose `SUM`
+/// adds in `i128`.
+fn checked(db: &mut Database, sql: &str) -> Vec<Vec<Value>> {
+    let rows = db.execute(sql).unwrap().rows;
+    plans::answer(db.catalog(), db.tables(), sql)
+        .check(&rows)
+        .unwrap_or_else(|m| panic!("{sql}: {m}"));
+    rows
+}
+
 /// 2^53 is where f64 stops representing every integer: an f64 accumulator
-/// would return 2^53 for this sum, losing the +1.
+/// would return 2^53 for this sum, losing the +1. A sum that fits `i64`
+/// is an exact `Int`.
 #[test]
 fn int_sum_is_exact_past_the_f64_boundary() {
     const B: i64 = 1 << 53;
     let mut db = nums_db(&[B - 1, 1, 1, 1]);
-    let r = db.execute("SELECT SUM(v) FROM nums").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int(B + 2));
+    let rows = checked(&mut db, "SELECT SUM(v) FROM nums");
+    assert_eq!(rows[0][0], Value::Int(B + 2));
 
     // the same digits through GROUP BY accumulation
-    let r = db
-        .execute("SELECT id, SUM(v) FROM nums WHERE id < 2 GROUP BY id")
-        .unwrap();
-    assert_eq!(r.rows[0][1], Value::Int(B - 1));
+    let rows = checked(
+        &mut db,
+        "SELECT id, SUM(v) FROM nums WHERE id < 2 GROUP BY id",
+    );
+    assert!(
+        rows.contains(&vec![Value::Int(0), Value::Int(B - 1)]),
+        "{rows:?}"
+    );
 
     // AVG stays floating-point
-    let r = db.execute("SELECT AVG(v) FROM nums WHERE id > 0").unwrap();
-    assert_eq!(r.rows[0][0], Value::Float(1.0));
+    let rows = checked(&mut db, "SELECT AVG(v) FROM nums WHERE id > 0");
+    assert_eq!(rows[0][0], Value::Float(1.0));
 }
 
-/// Overflowing i64 must not wrap or panic: the sum degrades to the f64
-/// mirror, identically in the engine and on the row reference.
+/// Overflowing i64 must not wrap or panic: the sum degrades to a `Float`,
+/// within the oracle's tolerance of the exact `i128` sum.
 #[test]
 fn int_sum_overflow_promotes_to_float() {
     let mut db = nums_db(&[i64::MAX, i64::MAX, 5]);
-    let sql = "SELECT SUM(v) FROM nums";
-    let batch = db.execute(sql).unwrap().rows[0][0].clone();
-    let row = oracle::row_oracle(&db, sql).rows[0][0].clone();
-    assert_eq!(batch, row);
-    let Value::Float(f) = batch else {
-        panic!("overflowed SUM must promote to Float, got {batch:?}")
+    let rows = checked(&mut db, "SELECT SUM(v) FROM nums");
+    let Value::Float(f) = rows[0][0] else {
+        panic!("overflowed SUM must promote to Float, got {:?}", rows[0][0])
     };
     assert!((f - (i64::MAX as f64) * 2.0).abs() / f < 1e-9);
 }

@@ -1,24 +1,23 @@
-//! Data-skipping integration tests: the batch executor's pruned scan,
-//! which skips pruned blocks, must be bit-identical to the row reference,
-//! which reads every block — same rows in the same order, same
-//! `ExecStats.work` bit pattern, same node and scan observations, and the
-//! same zone-map block totals — and the engine must match the reference
-//! statement for statement and replay bit for bit at any collection
-//! fan-out.
+//! Data-skipping integration tests: the pruned scan skips the blocks its
+//! zone maps rule out, and must still return what the brute-force oracle,
+//! which reads every live row, returns — on the optimizer's plans and on
+//! every forced plan extreme (each scan forced sequential, pruned, or
+//! through an index), with every node's actual rows equal to the oracle's
+//! counts and the corpus's charged work pinned to a hash. The engine must
+//! answer what the oracle answers statement for statement under every
+//! statistics setting, and replay bit for bit at any collection fan-out.
 
 mod oracle;
+mod plans;
 
 use jits_repro::catalog::{runstats, Catalog, RunstatsOptions};
 use jits_repro::common::{ColumnId, DataType, Schema, Value};
 use jits_repro::core::JitsConfig;
 use jits_repro::engine::{Database, StatsSetting};
-use jits_repro::executor::{execute_with, ExecutorKind, NodeKind};
-use jits_repro::optimizer::{
-    optimize, CardinalityEstimator, CatalogStatisticsProvider, CostModel, DefaultSelectivities,
-    PhysicalPlan,
-};
-use jits_repro::query::{bind_statement, parse, BoundStatement};
+use jits_repro::executor::{execute, ExecOutput, NodeKind};
+use jits_repro::optimizer::PhysicalPlan;
 use jits_repro::storage::{Table, BLOCK_SIZE};
+use plans::{assert_pinned, check_run, digest_rows, plan_of, FNV_START};
 
 /// `log` spans 16 zone-map blocks with `ts` perfectly clustered (row i has
 /// ts = i), so a selective `ts` interval prunes most blocks; `level` and
@@ -71,21 +70,6 @@ fn setup() -> (Catalog, Vec<Table>) {
     (catalog, vec![log, src])
 }
 
-fn plan_of(
-    catalog: &Catalog,
-    sql: &str,
-) -> (jits_repro::query::QueryBlock, PhysicalPlan, CostModel) {
-    let BoundStatement::Select(block) = bind_statement(&parse(sql).unwrap(), catalog).unwrap()
-    else {
-        panic!("not a SELECT: {sql}")
-    };
-    let provider = CatalogStatisticsProvider::new(catalog);
-    let est = CardinalityEstimator::new(&provider, DefaultSelectivities::default());
-    let cost = CostModel::default();
-    let plan = optimize(&block, &est, &cost, catalog).unwrap();
-    (block, plan, cost)
-}
-
 /// Every access-path shape the data-skipping work touches: selective and
 /// degenerate pruned scans (all blocks pruned, none prunable), full scans,
 /// hash-routed point index probes, joins over pruned outers, and the
@@ -122,50 +106,33 @@ fn has_pruned_scan(plan: &PhysicalPlan) -> bool {
     }
 }
 
-/// The core contract: with the skip list always computed, physically
-/// skipping pruned blocks (batch) instead of reading them all (row
-/// reference) changes nothing observable — rows, total and per-node work,
-/// scan observations, and the block counters all match bit for bit.
+/// The digest of the corpus's runs ([`plans::sweep`]), taken when a
+/// row-at-a-time executor that read every block still ran beside this one
+/// and agreed with it bit for bit on every one of these plans.
+const CORPUS_WORK: u64 = 0xa81c_55d6_7f77_df66;
+
+/// Skipping pruned blocks changes no answer: every corpus query, on the
+/// chosen plan and with every scan forced sequential, pruned or indexed,
+/// equals the oracle — rows, each node's actual rows, each scan
+/// observation — and the runs' rows, total work bits and per-node work
+/// bits hash to the pinned value.
 #[test]
 fn pruning_on_off_bit_identical_across_corpus() {
     let (catalog, tables) = setup();
     let mut pruned_plans = 0;
+    let mut digests = Vec::new();
     for sql in CORPUS {
-        let (block, plan, cost) = plan_of(&catalog, sql);
+        let (_, plan, _) = plan_of(&catalog, sql);
         if has_pruned_scan(&plan) {
             pruned_plans += 1;
         }
-        let reference = execute_with(ExecutorKind::Row, &plan, &block, &tables, &cost).unwrap();
-        {
-            let out = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
-            let what = format!("{sql} (batch skips, row reads every block)");
-            assert_eq!(reference.rows, out.rows, "rows diverged: {what}");
-            assert_eq!(
-                reference.stats.work.to_bits(),
-                out.stats.work.to_bits(),
-                "work diverged: {what} ({} vs {})",
-                reference.stats.work,
-                out.stats.work
-            );
-            assert_eq!(
-                reference.stats.nodes, out.stats.nodes,
-                "nodes diverged: {what}"
-            );
-            assert_eq!(
-                reference.stats.scans, out.stats.scans,
-                "scans diverged: {what}"
-            );
-            assert_eq!(
-                (reference.stats.blocks_total, reference.stats.blocks_pruned),
-                (out.stats.blocks_total, out.stats.blocks_pruned),
-                "block counters diverged: {what}"
-            );
-        }
+        digests.push((sql.to_string(), plans::sweep(&catalog, &tables, sql)));
     }
     assert!(
         pruned_plans >= 5,
         "corpus must exercise pruned scans, got {pruned_plans}"
     );
+    assert_pinned("data_skipping corpus", &digests, CORPUS_WORK);
 }
 
 /// Spot-checks of the plans and runtime skip totals the corpus relies on:
@@ -177,7 +144,7 @@ fn skip_totals_match_the_zone_layout() {
     let (catalog, tables) = setup();
     let run = |sql: &str| {
         let (block, plan, cost) = plan_of(&catalog, sql);
-        let out = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
+        let out = execute(&plan, &block, &tables, &cost).unwrap();
         (plan, out)
     };
 
@@ -205,7 +172,7 @@ fn skip_totals_match_the_zone_layout() {
 }
 
 // ---------------------------------------------------------------------------
-// Engine against the full-scan reference, and fan-out replay
+// Engine against the oracle, and fan-out replay
 // ---------------------------------------------------------------------------
 
 fn build_engine_db(seed: u64) -> Database {
@@ -261,40 +228,79 @@ const SCRIPT: &[&str] = &[
 /// deterministic work counters.
 type OpTrace = Vec<(Vec<Vec<Value>>, u64, u64)>;
 
-/// Runs the script under catalog statistics and returns, per SELECT, the
-/// row reference's run of the engine's own plan after checking that the
-/// engine answered with the same rows and the same `exec_work` bits.
-fn script_against_the_reference(seed: u64) -> (Database, Vec<jits_repro::executor::ExecOutput>) {
-    let mut db = build_engine_db(seed);
-    db.runstats_all().unwrap();
-    db.set_setting(StatsSetting::CatalogOnly);
-    let mut references = Vec::new();
-    for sql in SCRIPT {
-        let r = db.execute(sql).unwrap();
-        if !sql.starts_with("SELECT") {
-            continue;
-        }
-        let reference = oracle::row_oracle(&db, sql);
-        assert_eq!(r.rows, reference.rows, "{sql}");
-        assert_eq!(
-            r.metrics.exec_work.to_bits(),
-            reference.stats.work.to_bits(),
-            "{sql}"
-        );
-        references.push(reference);
-    }
-    (db, references)
+/// The statistics settings the script runs under.
+fn settings() -> [StatsSetting; 4] {
+    [
+        StatsSetting::NoStatistics,
+        StatsSetting::CatalogOnly,
+        StatsSetting::ArchiveReadOnly,
+        StatsSetting::Jits(always_collect()),
+    ]
 }
 
-/// A/B at the engine level across the skipping flip: the engine skips
-/// pruned blocks, the reference reads them all, and the full query+UDI
-/// script agrees statement for statement.
+/// Runs the script under every statistics setting, checking each SELECT's
+/// rows against the oracle. Under `CatalogOnly` it also re-plans each
+/// SELECT from the catalog — the engine's own plan — runs that plan, and
+/// checks the run against the oracle node for node and against the
+/// engine's rows and `exec_work` bits. Returns that database, those runs,
+/// and per SELECT the digest of the engine's rows and `exec_work` bits.
+fn script_against_the_oracle(seed: u64) -> (Database, Vec<ExecOutput>, Vec<(String, u64)>) {
+    let mut catalog_only = None;
+    for setting in settings() {
+        let replan = matches!(setting, StatsSetting::CatalogOnly);
+        let mut db = build_engine_db(seed);
+        db.runstats_all().unwrap();
+        db.set_setting(setting.clone());
+        let mut runs = Vec::new();
+        let mut digests = Vec::new();
+        for sql in SCRIPT {
+            let r = db.execute(sql).unwrap();
+            if !sql.starts_with("SELECT") {
+                continue;
+            }
+            let answer = plans::answer(db.catalog(), db.tables(), sql);
+            answer
+                .check(&r.rows)
+                .unwrap_or_else(|m| panic!("{} {sql}: {m}", setting.label()));
+            if !replan {
+                continue;
+            }
+            let (block, plan, cost) = plan_of(db.catalog(), sql);
+            let run = execute(&plan, &block, db.tables(), &cost).unwrap();
+            check_run(&answer, &plan, &run).unwrap_or_else(|m| panic!("{sql}: {m}"));
+            assert_eq!(r.rows, run.rows, "{sql}");
+            assert_eq!(
+                r.metrics.exec_work.to_bits(),
+                run.stats.work.to_bits(),
+                "{sql}"
+            );
+            let digest = digest_rows(FNV_START, &r.rows, r.metrics.exec_work);
+            digests.push((sql.to_string(), digest));
+            runs.push(run);
+        }
+        if replan {
+            catalog_only = Some((db, runs, digests));
+        }
+    }
+    catalog_only.unwrap()
+}
+
+/// The script's digest under `CatalogOnly` at seed 61, taken when the
+/// engine's answers still equalled a row-at-a-time executor's run of the
+/// same plans, reading every block, bit for bit.
+const SCRIPT_WORK: u64 = 0x2ea3_c0fd_7f49_5c77;
+
+/// At the engine level across the skipping flip: the engine skips pruned
+/// blocks, the oracle reads every row, and the full query+UDI script
+/// agrees statement for statement under every statistics setting, with
+/// the `CatalogOnly` rows and `exec_work` bits pinned.
 #[test]
 fn engine_ab_replays_bit_for_bit_across_the_skipping_flip() {
-    let (_, references) = script_against_the_reference(61);
-    assert!(references
+    let (_, runs, digests) = script_against_the_oracle(61);
+    assert!(runs
         .iter()
         .any(|r| r.stats.blocks_pruned > 0 && r.stats.blocks_pruned < r.stats.blocks_total));
+    assert_pinned("data_skipping engine script", &digests, SCRIPT_WORK);
 }
 
 /// Replaying through shared sessions stays
@@ -331,12 +337,12 @@ fn pruned_scans_bit_identical_at_1_and_8_collect_threads() {
     assert!(one.1.contains("jits.skip.pruned_scans"));
 }
 
-/// `jits_access_paths` summarizes the skip counters per access path — and
-/// because the counters come from the always-computed skip list, the view
-/// equals the same tally over the reference runs, which read every block.
+/// `jits_access_paths` summarizes the skip counters per access path, and
+/// equals the same tally over the runs of the engine's plans, each checked
+/// against the oracle.
 #[test]
 fn access_paths_view_is_knob_independent() {
-    let (mut db, references) = script_against_the_reference(63);
+    let (mut db, references, _) = script_against_the_oracle(63);
     let on = db.execute("SELECT * FROM jits_access_paths").unwrap().rows;
     let uses = |kinds: &[NodeKind]| -> i64 {
         references
@@ -384,5 +390,5 @@ fn access_paths_view_is_knob_independent() {
         panic!("uses column must be Int: {:?}", on[2])
     };
     assert!(index_uses >= 1, "script must use index scans: {on:?}");
-    assert_eq!(on, tally, "view must equal the reference tally");
+    assert_eq!(on, tally, "view must equal the tally over the runs");
 }

@@ -6,6 +6,9 @@
 //! zone maps, UDI counters, `mutation_epoch` — to a twin mutated through a
 //! brute-force `scan().filter(matches)` oracle.
 
+mod oracle;
+mod plans;
+
 use jits_repro::common::{DataType, Schema, Value};
 use jits_repro::core::JitsConfig;
 use jits_repro::engine::{Database, SharedDatabase, StatsSetting};
@@ -638,4 +641,23 @@ fn dml_work_is_the_same_under_every_statistics_setting() {
     assert_eq!(base, run(Some(StatsSetting::CatalogOnly), true));
     assert_eq!(base, run(Some(StatsSetting::ArchiveReadOnly), true));
     assert_eq!(base, run(Some(jits(1)), false));
+}
+
+/// Every SELECT of the script, on data the DML before it changed, returns
+/// the oracle's answer through the engine and on every forced plan extreme
+/// of its catalog plan.
+#[test]
+fn script_selects_match_the_oracle_under_forced_plans() {
+    let mut db = ev_database(42);
+    db.set_setting(jits(1));
+    for sql in SCRIPT {
+        let rows = db.execute(sql).unwrap().rows;
+        if !sql.starts_with("SELECT") {
+            continue;
+        }
+        plans::answer(db.catalog(), db.tables(), sql)
+            .check(&rows)
+            .unwrap_or_else(|m| panic!("{sql}: {m}"));
+        plans::sweep(db.catalog(), db.tables(), sql);
+    }
 }

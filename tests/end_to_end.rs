@@ -1,6 +1,9 @@
 //! Cross-crate integration tests: correctness of query results across all
 //! statistics settings, and the JITS lifecycle end to end.
 
+mod oracle;
+mod plans;
+
 use jits_repro::common::{DataType, Schema, Value};
 use jits_repro::core::{JitsConfig, MIGRATE_EVERY};
 use jits_repro::engine::{Database, StatsSetting};
@@ -379,4 +382,50 @@ fn insert_is_all_or_nothing() {
         before,
         "a failed multi-row INSERT must not leave partial rows"
     );
+}
+
+/// The SELECTs of this file's tests.
+const SELECTS: &[&str] = &[
+    "SELECT COUNT(*) FROM car WHERE make = 'Toyota' AND model = 'Camry'",
+    "SELECT COUNT(*) FROM car WHERE year BETWEEN 1995 AND 2000 AND make <> 'Audi'",
+    "SELECT c.id, o.name FROM car c, owner o WHERE c.ownerid = o.id \
+     AND make = 'Honda' AND salary > 50000",
+    "SELECT COUNT(*) FROM car c, owner o WHERE c.ownerid = o.id AND model = 'A4' \
+     AND salary < 20000",
+    "SELECT COUNT(*) FROM car WHERE make = 'Toyota' AND model = 'Corolla'",
+    "SELECT COUNT(*) FROM car WHERE year > 2000",
+    "SELECT COUNT(*) FROM car WHERE make = 'Audi'",
+    "SELECT COUNT(*) FROM owner WHERE salary > 10000",
+    "SELECT COUNT(*) FROM car c, owner o WHERE c.ownerid = o.id AND year > 2003",
+    "SELECT COUNT(*) FROM car",
+    "SELECT COUNT(*) FROM car WHERE make <> 'Toyota' AND year > 2000",
+    "SELECT COUNT(*) FROM car WHERE make = 'Toyota'",
+];
+
+/// Every SELECT above returns the oracle's answer through the engine under
+/// JITS, and on every forced plan extreme of its catalog plan — before and
+/// after the churn of `correctness_under_churn_with_jits`.
+#[test]
+fn selects_match_the_oracle_under_forced_plans() {
+    let mut db = build_db(11);
+    db.runstats_all().unwrap();
+    db.set_setting(StatsSetting::Jits(JitsConfig::default()));
+    let check = |db: &mut Database| {
+        for sql in SELECTS {
+            let rows = db.execute(sql).unwrap().rows;
+            plans::answer(db.catalog(), db.tables(), sql)
+                .check(&rows)
+                .unwrap_or_else(|m| panic!("{sql}: {m}"));
+            plans::sweep(db.catalog(), db.tables(), sql);
+        }
+    };
+    check(&mut db);
+    for dml in [
+        "DELETE FROM car WHERE model = 'Camry' AND year < 1995",
+        "INSERT INTO car VALUES (9001, 1, 'Toyota', 'Camry', 2006)",
+        "UPDATE car SET model = 'Corolla' WHERE id = 9001",
+    ] {
+        db.execute(dml).unwrap();
+    }
+    check(&mut db);
 }

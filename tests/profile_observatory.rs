@@ -1,9 +1,10 @@
 //! The estimation-quality observatory, end to end: per-operator profile
-//! trees checked against the row reference executor, the q-error metrics
-//! they aggregate into, the flight recorder that retains them, and the
-//! system views / dumps that surface both (DESIGN.md §12).
+//! trees whose actual rows are checked against a brute-force oracle, the
+//! q-error metrics they aggregate into, the flight recorder that retains
+//! them, and the system views / dumps that surface both (DESIGN.md §12).
 
 mod oracle;
+mod plans;
 
 use jits::JitsConfig;
 use jits_engine::StatsSetting;
@@ -43,16 +44,23 @@ fn mask_render(text: &str) -> String {
     out
 }
 
-/// The engine's (batch) profile tree carries, node for node, what the row
-/// reference observes running the same plan.
+/// The digest of the paper query's runs ([`plans::sweep`]) on this data,
+/// taken when a row-at-a-time executor still ran beside this one and
+/// agreed with it bit for bit on every one of these plans.
+const PAPER_QUERY_WORK: u64 = 0x2bb8_e361_76c1_9bf7;
+
+/// The engine's profile tree carries, node for node, the observations of
+/// a run of the same plan, and that run's every node reports the oracle's
+/// row count for the quantifiers it covers. The paper query also equals
+/// the oracle under every forced plan extreme, with the runs' charged work
+/// pinned.
 #[test]
-fn profile_trees_identical_row_vs_batch() {
+fn profile_trees_match_the_oracle() {
     let mut db = setup_database(&datagen()).unwrap();
     prepare(&mut db, &Setting::GeneralStats, &[]).unwrap();
-    let batch = db.execute(PAPER_QUERY).unwrap().metrics.profile.unwrap();
-    let row = oracle::row_oracle(&db, PAPER_QUERY);
-    assert_eq!(batch.executor, "batch");
-    let joins = batch
+    let profile = db.execute(PAPER_QUERY).unwrap().metrics.profile.unwrap();
+    assert_eq!(profile.kind, "select");
+    let joins = profile
         .nodes
         .iter()
         .filter(|n| n.kind.contains("join"))
@@ -60,13 +68,19 @@ fn profile_trees_identical_row_vs_batch() {
     assert!(
         joins >= 3,
         "four tables need three joins: {:#?}",
-        batch.nodes
+        profile.nodes
     );
     assert!(
-        batch.nodes.iter().all(|n| n.q_error >= 1.0),
+        profile.nodes.iter().all(|n| n.q_error >= 1.0),
         "q-errors are clamped to [1, cap]"
     );
-    // the deterministic skeleton must agree bit-for-bit with the reference
+    // general statistics live in the catalog, so re-planning from it
+    // reproduces the engine's plan
+    let (block, plan, cost) = plans::plan_of(db.catalog(), PAPER_QUERY);
+    let run = jits_executor::execute(&plan, &block, db.tables(), &cost).unwrap();
+    let answer = oracle::evaluate(&block, db.tables());
+    plans::check_run(&answer, &plan, &run).unwrap();
+    // the deterministic skeleton must agree bit for bit with the run
     // (profile rows are pre-order, observations post-order: compare sorted)
     let skeleton = |kind: &str, est: f64, actual: f64, work: f64| {
         format!(
@@ -76,22 +90,29 @@ fn profile_trees_identical_row_vs_batch() {
             work.to_bits()
         )
     };
-    let mut from_profile: Vec<String> = batch
+    let mut from_profile: Vec<String> = profile
         .nodes
         .iter()
         .map(|n| skeleton(&n.kind, n.est_rows, n.actual_rows, n.work))
         .collect();
-    let mut from_reference: Vec<String> = row
+    let mut from_run: Vec<String> = run
         .stats
         .nodes
         .iter()
         .map(|n| skeleton(n.kind.label(), n.est_rows, n.actual_rows, n.work))
         .collect();
     from_profile.sort();
-    from_reference.sort();
-    assert_eq!(from_profile, from_reference);
-    assert_eq!(batch.total_work.to_bits(), row.stats.work.to_bits());
-    assert_eq!(batch.result_rows, row.rows.len());
+    from_run.sort();
+    assert_eq!(from_profile, from_run);
+    assert_eq!(profile.total_work.to_bits(), run.stats.work.to_bits());
+    assert_eq!(profile.result_rows, answer.expected_len());
+
+    let digest = plans::sweep(db.catalog(), db.tables(), PAPER_QUERY);
+    plans::assert_pinned(
+        "paper query",
+        &[(PAPER_QUERY.to_string(), digest)],
+        PAPER_QUERY_WORK,
+    );
 }
 
 #[test]
@@ -103,7 +124,7 @@ fn explain_analyze_shows_per_operator_rows_bit_identically() {
     };
     let first = run();
     let second = run();
-    assert!(first.contains("(batch executor)"), "{first}");
+    assert!(first.contains("EXPLAIN ANALYZE (select)"), "{first}");
     for text in [&first, &second] {
         assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
         assert!(text.contains("max q-error"), "{text}");
@@ -284,7 +305,7 @@ fn scan_qerror_percentiles_are_pinned() {
     let mut q = Vec::new();
     for op in &ops {
         let profile = db.execute(&op.sql).unwrap().metrics.profile.unwrap();
-        if profile.executor != "batch" {
+        if profile.kind != "select" {
             continue; // DML locates rows exactly: its one node is always 1.0
         }
         q.extend(

@@ -1,6 +1,9 @@
 //! End-to-end tests of the extended SQL surface: aggregates, ORDER BY,
 //! LIMIT, EXPLAIN.
 
+mod oracle;
+mod plans;
+
 use jits_repro::common::{DataType, Schema, Value};
 use jits_repro::core::JitsConfig;
 use jits_repro::engine::{Database, StatsSetting};
@@ -414,4 +417,68 @@ fn update_with_a_mistyped_assignment_changes_nothing() {
     assert_eq!(shared.with_tables(|t| t[0].snapshot()), before);
     assert!(matches!(err, JitsError::Binding(_)), "{err:?}");
     assert_eq!(session.execute(probe).unwrap().rows, untouched);
+}
+
+/// The SELECTs of this file that bind, over one database holding what each
+/// test adds (the NULL makes, the `owner` table).
+const SELECTS: &[&str] = &[
+    "SELECT COUNT(*), COUNT(id), SUM(id), AVG(id), MIN(id), MAX(id) FROM car \
+     WHERE make = 'Toyota'",
+    "SELECT COUNT(*), SUM(id), AVG(id), MIN(id) FROM car WHERE year > 3000",
+    "SELECT SUM(price) FROM car WHERE id < 2",
+    "SELECT id FROM car WHERE id < 50 ORDER BY id DESC LIMIT 3",
+    "SELECT id FROM car WHERE id < 50 ORDER BY id ASC LIMIT 2",
+    "SELECT id FROM car LIMIT 5",
+    "SELECT id FROM car LIMIT 0",
+    "SELECT make FROM car WHERE id < 8 ORDER BY make LIMIT 3",
+    "SELECT AVG(price), MAX(year) FROM car WHERE make = 'Toyota' AND year > 1999",
+    "SELECT make, COUNT(*), MIN(year), MAX(price) FROM car GROUP BY make",
+    "SELECT year, COUNT(*) FROM car WHERE make = 'Toyota' GROUP BY year LIMIT 5",
+    "SELECT COUNT(*) FROM car LIMIT 5",
+    "SELECT city, COUNT(*) FROM car c, owner o WHERE c.id = o.id GROUP BY city",
+    "SELECT COUNT(*) FROM car WHERE year IN (1990, 1995, 2000)",
+    "SELECT COUNT(*) FROM car WHERE make IN ('Toyota', 'Nope')",
+    "SELECT COUNT(*) FROM car WHERE make IN ('Toyota')",
+    "SELECT COUNT(*) FROM car WHERE make IS NULL",
+    "SELECT COUNT(*) FROM car WHERE make IS NOT NULL",
+    "SELECT COUNT(*) FROM car WHERE make IS NULL AND year > 2001",
+    "SELECT COUNT(*) FROM car WHERE make IN ('Toyota', 'Honda') AND year > 2000",
+    "SELECT price, year FROM car WHERE id = 1",
+];
+
+/// Every SELECT above returns the oracle's answer through the engine, and
+/// on every forced plan extreme of its catalog plan.
+#[test]
+fn selects_match_the_oracle_under_forced_plans() {
+    let mut db = db();
+    db.execute("INSERT INTO car VALUES (5000, NULL, 999.0, 2001)")
+        .unwrap();
+    db.execute("INSERT INTO car VALUES (5001, NULL, 998.0, 2002)")
+        .unwrap();
+    db.create_table(
+        "owner",
+        Schema::from_pairs(&[("id", DataType::Int), ("city", DataType::Str)]),
+    )
+    .unwrap();
+    db.load_rows(
+        "owner",
+        (0..10i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::str(if i < 5 { "Ottawa" } else { "Boston" }),
+                ]
+            })
+            .collect(),
+    )
+    .unwrap();
+    db.set_primary_key("car", "id").unwrap();
+    db.runstats_all().unwrap();
+    for sql in SELECTS {
+        let rows = db.execute(sql).unwrap().rows;
+        plans::answer(db.catalog(), db.tables(), sql)
+            .check(&rows)
+            .unwrap_or_else(|m| panic!("{sql}: {m}"));
+        plans::sweep(db.catalog(), db.tables(), sql);
+    }
 }
