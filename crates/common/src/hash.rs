@@ -18,8 +18,8 @@
 //! The trade-off is stated, not hidden: the keys are stored values, which
 //! SQL clients choose, and a client that crafts colliding strings or
 //! integers lengthens chains — slower statements, never wrong answers. The
-//! string dictionaries, the hash indexes, the catalog's name map and the
-//! executors' join and GROUP BY tables all share it.
+//! string dictionaries, the indexes' point-probe maps, the catalog's name
+//! map and the executors' join and GROUP BY tables all share it.
 //!
 //! [`ChainTable`] is the one integer hash kernel built on it: the string
 //! dictionaries of `jits-storage` index their entries by string hash with

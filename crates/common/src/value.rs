@@ -250,6 +250,18 @@ impl fmt::Display for Value {
     }
 }
 
+impl From<ValueRef<'_>> for Value {
+    /// The owned value (a string is copied into a fresh `Arc`).
+    fn from(v: ValueRef<'_>) -> Self {
+        match v {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::str(s),
+        }
+    }
+}
+
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)

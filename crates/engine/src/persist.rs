@@ -425,7 +425,7 @@ fn catalog(d: &mut Decoder) -> Result<Catalog> {
 /// [`table_snapshot`] reads back (`tests::put_table_snapshot` is the
 /// oracle): slots in `RowId` order, each its cells then its live flag;
 /// the UDI triple and epoch; each index in column order with its keys in
-/// B-tree order; each zone-map block with its live-row count and per
+/// key order; each zone-map block with its live-row count and per
 /// column `(min, max, nulls)`.
 fn put_table(e: &mut Encoder, t: &Table) {
     e.put_str(t.name());
@@ -448,7 +448,7 @@ fn put_table(e: &mut Encoder, t: &Table) {
         e.put_u32(col.0);
         e.put_u32(idx.distinct_keys() as u32);
         for (key, rows) in idx.entries_in_order() {
-            e.put_value(key);
+            e.put_value_ref(key);
             e.put_u32(rows.len() as u32);
             for &r in rows {
                 e.put_u32(r);

@@ -20,11 +20,14 @@
 //!   gather their key columns and hash `Value` tuples;
 //! * GROUP BY on `Int`/`Str` keys hashes per-row tuples of `i64` values and
 //!   dictionary codes through [`ChainTable`] instead of building a
-//!   `Vec<Value>` per row; aggregation accumulates over gathered slices.
+//!   `Vec<Value>` per row; aggregation accumulates over gathered slices;
+//! * the index nested-loop join reads an `Int` drive key in place through
+//!   the outer selection vector and probes the inner index's hash map with
+//!   the `i64`.
 //!
 //! Gathers into a [`FrameColumn`] remain for what reads values out:
-//! ORDER BY, projections, aggregates, the index nested-loop join's drive
-//! keys, and multi-key or string-key joins.
+//! ORDER BY, projections, aggregates, non-`Int` drive keys and the residual
+//! keys of the index nested-loop join, and multi-key or string-key joins.
 //!
 //! **Determinism.** Result rows (values and order), `ExecStats.work` (the
 //! same [`CostModel`] formulas applied to the same counts in the same
@@ -49,7 +52,7 @@ use jits_common::{ChainTable, ColumnId, FastHasher, FastMap, JitsError, Result, 
 use jits_optimizer::plan::JoinKey;
 use jits_optimizer::{CostModel, PhysicalPlan};
 use jits_query::{Projection, QueryBlock};
-use jits_storage::{FrameColumn, FrameValues, Row, RowId, Table};
+use jits_storage::{FrameColumn, FrameValues, Index, Row, RowId, Table};
 use std::hash::Hasher;
 
 /// A batch in struct-of-arrays form: `sel[i]` is the selection vector of
@@ -356,7 +359,7 @@ fn run_operator(
                 ))
             })?;
             let interval = index_interval(block, &scan.pred_indices, *index_column)?;
-            let (live, fetched) = probe_index(table, index, *index_column, &interval);
+            let (live, fetched) = probe_index(table, index, &interval);
             let preds = scan_preds(block, &scan.pred_indices);
             let sel = filter_rows(table, Candidates::Rows(live), preds);
             let work = cost.index_scan(fetched as f64, sel.len() as f64);
@@ -452,10 +455,11 @@ fn run_operator(
                 ));
             };
             let drive_table = table_of(tables, block, drive_oq)?;
-            let drive_col = drive_table.gather_column(drive_oc, outer_batch.sel_of(drive_oq)?);
-            // equality probes prefer the hash twin (same per-key row order
-            // as the B-tree, so the candidate stream is identical)
-            let hash = inner_table.hash_index(*index_column);
+            let drive_sel = outer_batch.sel_of(drive_oq)?;
+            let drive = match drive_table.int_slots(drive_oc) {
+                Some((values, valid)) => DriveKeys::Int { values, valid },
+                None => DriveKeys::Gathered(drive_table.gather_column(drive_oc, drive_sel)),
+            };
             // residual outer key columns, gathered once before the probe loop
             let residual: Vec<(FrameColumn, ColumnId)> = keys
                 .iter()
@@ -467,14 +471,9 @@ fn run_operator(
                 .collect::<Result<_>>()?;
             let mut pairs: Vec<(usize, RowId)> = Vec::new();
             let mut fetched_total = 0f64;
-            for (t, &valid) in drive_col.validity.iter().enumerate() {
-                if !valid {
+            for (t, &drow) in drive_sel.iter().enumerate() {
+                let Some(candidates) = drive.probe(index, t, drow) else {
                     continue; // NULL keys never join
-                }
-                let key = drive_col.value(t);
-                let candidates = match hash {
-                    Some(h) => h.lookup_eq(&key),
-                    None => index.lookup_eq(&key),
                 };
                 fetched_total += candidates.len() as f64;
                 'cand: for &irow in candidates {
@@ -590,6 +589,38 @@ fn pick(s: &[RowId], picks: impl ExactSizeIterator<Item = usize>) -> Result<Vec<
         out.push(*row);
     }
     Ok(out)
+}
+
+/// The drive keys of an index nested-loop join: an `Int` column read in
+/// place, or any other type gathered once through the outer selection.
+enum DriveKeys<'a> {
+    Int {
+        values: &'a [i64],
+        valid: &'a [bool],
+    },
+    Gathered(FrameColumn),
+}
+
+impl DriveKeys<'_> {
+    /// The inner rows whose key equals outer row `t` (slot `row` of the
+    /// drive table): the index's posting list, `None` for a NULL key.
+    fn probe<'i>(&self, index: &'i Index, t: usize, row: RowId) -> Option<&'i [RowId]> {
+        match self {
+            DriveKeys::Int { values, valid } => {
+                let r = row as usize;
+                match (valid.get(r), values.get(r)) {
+                    (Some(true), Some(&key)) => Some(index.lookup_int(key)),
+                    _ => None,
+                }
+            }
+            DriveKeys::Gathered(col) => col
+                .validity
+                .get(t)
+                .copied()
+                .unwrap_or(false)
+                .then(|| index.lookup_eq(&col.value(t))),
+        }
+    }
 }
 
 /// Gathers one key column per join key side, in key order.

@@ -170,7 +170,10 @@ impl AggAcc {
         match func {
             AggFunc::Count => Value::Int(self.count),
             AggFunc::Sum => {
-                if self.any_float {
+                if self.count == 0 {
+                    // SQL: the sum of no values is NULL, not 0
+                    Value::Null
+                } else if self.any_float {
                     Value::Float(self.sum)
                 } else if self.int_exact {
                     Value::Int(self.int_sum)

@@ -1,16 +1,17 @@
 //! Row location: which live rows of one table satisfy a conjunction of
 //! local predicates, and what finding them costs.
 //!
-//! Three access paths reach the candidates — an index probe (hash twin for
-//! points, B-tree for ranges), a zone-map-pruned scan, a full scan — and
-//! one filter (`filter_rows`) applies the predicates to them, reading the
-//! column store in place. The predicates compile once per scan into typed
-//! kernels: an integer interval compares the column's `i64` slots under
-//! their validity, a string predicate looks each row's code up in a verdict
-//! per dictionary entry, everything else asks `LocalPredicate::matches`
-//! cell by cell. The kernels narrow a selection vector one predicate at a
-//! time, so each reads only the rows the ones before it kept; table scans
-//! run them block by block over each block's live slots.
+//! Three access paths reach the candidates — an index probe (the index's
+//! hash map for points, its ordered map for ranges), a zone-map-pruned
+//! scan, a full scan — and one filter (`filter_rows`) applies the
+//! predicates to them, reading the column store in place. The predicates
+//! compile once per scan into typed kernels: an integer interval compares
+//! the column's `i64` slots under their validity, a string predicate looks
+//! each row's code up in a verdict per dictionary entry, everything else
+//! asks `LocalPredicate::matches` cell by cell. The kernels narrow a
+//! selection vector one predicate at a time, so each reads only the rows
+//! the ones before it kept; table scans run them block by block over each
+//! block's live slots.
 //!
 //! Statistics collection asks the same kernels about the slots of a
 //! sample ([`sample_bits`]), so scans, DML and collection share one
@@ -29,7 +30,7 @@ use crate::monitor::NodeKind;
 use jits_common::{Bound, ColumnId, DataType, Interval, Value};
 use jits_optimizer::CostModel;
 use jits_query::{LocalPredicate, PredKind};
-use jits_storage::{BlockSkipList, RowId, SecondaryIndex, StrCodes, Table, BLOCK_SIZE};
+use jits_storage::{BlockSkipList, Index, RowId, StrCodes, Table, BLOCK_SIZE};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -69,9 +70,9 @@ pub fn locate_rows(table: &Table, preds: &[LocalPredicate], cost: &CostModel) ->
         // postings an index scan would fetch; a range stops counting once
         // the probe can no longer be the cheapest path
         let affordable = ((work - cost.index_probe) / cost.index_row).max(0.0) as usize;
-        let fetched = match (point_key(interval), table.hash_index(*column)) {
-            (Some(key), Some(hash)) => hash.lookup_eq(key).len(),
-            _ => index
+        let fetched = match point_key(interval) {
+            Some(key) => index.lookup_eq(key).len(),
+            None => index
                 .range_iter(interval)
                 .take(affordable.saturating_add(1))
                 .count(),
@@ -79,7 +80,7 @@ pub fn locate_rows(table: &Table, preds: &[LocalPredicate], cost: &CostModel) ->
         let probe = cost.index_scan(fetched as f64, 0.0);
         if fetched <= affordable && probe < work {
             work = probe;
-            path = Path::Index(*column, index, interval);
+            path = Path::Index(index, interval);
         }
     }
     // every block pays its probe, so the skip list is only worth computing
@@ -107,8 +108,8 @@ pub fn locate_rows(table: &Table, preds: &[LocalPredicate], cost: &CostModel) ->
             skip.blocks_total,
             skip.blocks_pruned(),
         ),
-        Path::Index(column, index, interval) => {
-            let (live, _) = probe_index(table, index, column, interval);
+        Path::Index(index, interval) => {
+            let (live, _) = probe_index(table, index, interval);
             // postings arrive in key, then append/swap order; the filter
             // keeps input order, the scans above are ascending already
             let mut rows = filter_rows(table, Candidates::Rows(live), preds);
@@ -128,7 +129,7 @@ pub fn locate_rows(table: &Table, preds: &[LocalPredicate], cost: &CostModel) ->
 enum Path<'a> {
     Seq,
     Pruned(BlockSkipList),
-    Index(ColumnId, &'a SecondaryIndex, &'a Interval),
+    Index(&'a Index, &'a Interval),
 }
 
 fn point_key(interval: &Interval) -> Option<&Value> {
@@ -139,20 +140,19 @@ fn point_key(interval: &Interval) -> Option<&Value> {
     }
 }
 
-/// Candidates of an index scan over `interval` through `index`, the
-/// B-tree on `column`: the live rows among the fetched postings, in index
-/// order, and how many postings were fetched. Equality probes route to the
-/// hash twin, whose per-key row order mirrors the B-tree's, so the stream
-/// is the same either way.
+/// Candidates of an index scan over `interval` through `index`: the live
+/// rows among the fetched postings, in index order, and how many postings
+/// were fetched. A point probes the index's hash map with its typed key,
+/// a range walks its ordered map; both hold the same posting lists, so the
+/// stream is the same either way.
 pub(crate) fn probe_index(
     table: &Table,
-    index: &SecondaryIndex,
-    column: ColumnId,
+    index: &Index,
     interval: &Interval,
 ) -> (Vec<RowId>, usize) {
-    let candidates: Vec<RowId> = match (point_key(interval), table.hash_index(column)) {
-        (Some(key), Some(hash)) => hash.lookup_eq(key).to_vec(),
-        _ => index.lookup_range(interval),
+    let candidates: Vec<RowId> = match point_key(interval) {
+        Some(key) => index.lookup_eq(key).to_vec(),
+        None => index.lookup_range(interval),
     };
     let fetched = candidates.len();
     let live = candidates

@@ -31,8 +31,8 @@ pub struct JitsStatisticsProvider<'a> {
     fresh: &'a CollectedStats,
     archive: &'a QssArchive,
     catalog: &'a Catalog,
-    /// Storage tables (indexed by `TableId`) for index metadata: a B-tree
-    /// index knows its distinct key count for free, and a real DBMS exposes
+    /// Storage tables (indexed by `TableId`) for index metadata: an index
+    /// knows its distinct key count for free, and a real DBMS exposes
     /// it without any RUNSTATS pass.
     tables: &'a [Table],
     predcache: &'a PredicateCache,

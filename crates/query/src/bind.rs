@@ -275,13 +275,7 @@ fn bind_grouped_projection(
                 func: crate::ast::AggFunc::Count,
                 col: None,
             })),
-            SelectItem::Aggregate(func, c) => {
-                let (qun, col) = binder.resolve(c)?;
-                out.push(GroupItem::Agg(BoundAggregate {
-                    func: *func,
-                    col: Some((qun, col)),
-                }));
-            }
+            SelectItem::Aggregate(func, c) => out.push(GroupItem::Agg(binder.aggregate(*func, c)?)),
             SelectItem::Wildcard => {
                 return Err(JitsError::Binding(
                     "SELECT * cannot be combined with GROUP BY".into(),
@@ -313,25 +307,7 @@ fn bind_projection(items: &[SelectItem], binder: &Binder<'_>) -> Result<Projecti
                     func: crate::ast::AggFunc::Count,
                     col: None,
                 }),
-                SelectItem::Aggregate(func, c) => {
-                    let (qun, col) = binder.resolve(c)?;
-                    if matches!(func, crate::ast::AggFunc::Sum | crate::ast::AggFunc::Avg) {
-                        let dtype = binder
-                            .catalog
-                            .table(binder.quns[qun].table)
-                            .and_then(|t| t.schema.column(col))
-                            .map(|cd| cd.dtype);
-                        if dtype == Some(jits_common::DataType::Str) {
-                            return Err(JitsError::Binding(format!(
-                                "{func}({c}) requires a numeric column"
-                            )));
-                        }
-                    }
-                    aggs.push(BoundAggregate {
-                        func: *func,
-                        col: Some((qun, col)),
-                    });
-                }
+                SelectItem::Aggregate(func, c) => aggs.push(binder.aggregate(*func, c)?),
                 other => {
                     return Err(JitsError::Binding(format!(
                         "{other:?} cannot be mixed with aggregates without GROUP BY"
@@ -361,6 +337,28 @@ struct Binder<'a> {
 }
 
 impl Binder<'_> {
+    /// Binds `func(c)`, with or without GROUP BY: `SUM` and `AVG` need a
+    /// numeric column.
+    fn aggregate(&self, func: crate::ast::AggFunc, c: &ColRef) -> Result<BoundAggregate> {
+        let (qun, col) = self.resolve(c)?;
+        if matches!(func, crate::ast::AggFunc::Sum | crate::ast::AggFunc::Avg) {
+            let dtype = self
+                .catalog
+                .table(self.quns[qun].table)
+                .and_then(|t| t.schema.column(col))
+                .map(|cd| cd.dtype);
+            if dtype == Some(jits_common::DataType::Str) {
+                return Err(JitsError::Binding(format!(
+                    "{func}({c}) requires a numeric column"
+                )));
+            }
+        }
+        Ok(BoundAggregate {
+            func,
+            col: Some((qun, col)),
+        })
+    }
+
     /// Resolves a column reference to (quantifier index, column id).
     fn resolve(&self, c: &ColRef) -> Result<(usize, ColumnId)> {
         match &c.qualifier {

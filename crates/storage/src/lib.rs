@@ -7,8 +7,8 @@
 //!
 //! The crate also provides the sampling primitive statistics collection is
 //! built on (fixed-size uniform samples of live rows — the paper cites
-//! [1, 8, 12] for sample sizes being independent of table size) and simple
-//! B-tree secondary indexes that give the optimizer real access-path choices.
+//! [1, 8, 12] for sample sizes being independent of table size) and the
+//! secondary indexes that give the optimizer real access-path choices.
 
 #![forbid(unsafe_code)]
 
@@ -24,7 +24,7 @@ pub mod zonemap;
 
 pub use column::{Column, StrCodes};
 pub use frame::{FrameColumn, FrameValues, SampleFrame};
-pub use index::{HashIndex, SecondaryIndex};
+pub use index::Index;
 pub use row::{Row, RowId};
 pub use sample::{sample_rows_budgeted, BudgetedDraw, SampleSpec};
 pub use samplecache::{sample_staleness, CacheCounters, CacheLookup, CachedSample, SampleCache};

@@ -1,7 +1,11 @@
 //! Tables: column vectors + tombstones + UDI counters + indexes.
+//!
+//! Each indexed column has one [`Index`]; every mutation updates it in the
+//! same step as the column, so a key's posting list is always in the order
+//! the table's inserts, deletes and updates made it.
 
 use crate::column::{Column, StrCodes};
-use crate::index::{HashIndex, SecondaryIndex};
+use crate::index::Index;
 use crate::row::{Row, RowId};
 use crate::udi::UdiCounter;
 use crate::zonemap::{BlockSkipList, ZoneMaps, ZoneSnapshot, BLOCK_SIZE};
@@ -28,9 +32,8 @@ pub struct TableSnapshot {
     pub udi: (u64, u64, u64),
     /// Lifetime mutation epoch.
     pub epoch: u64,
-    /// Indexed columns with their B-tree entries in
-    /// [`SecondaryIndex::entries_in_order`] order; both index kinds are
-    /// rebuilt from the same entries.
+    /// Indexed columns with their entries in
+    /// [`Index::entries_in_order`] order.
     pub indexes: Vec<(ColumnId, IndexEntries)>,
     /// Per-block zone-map state.
     pub zones: ZoneSnapshot,
@@ -57,10 +60,7 @@ pub struct Table {
     epoch: u64,
     /// Keyed by `BTreeMap`: index maintenance and [`Table::indexed_columns`]
     /// iterate this map, and their order must not depend on hash state.
-    indexes: BTreeMap<ColumnId, SecondaryIndex>,
-    /// Equality-key hash indexes, one per indexed column, maintained in
-    /// lock-step with `indexes` (probe-only, never iterated).
-    hash_indexes: BTreeMap<ColumnId, HashIndex>,
+    indexes: BTreeMap<ColumnId, Index>,
     /// Per-block zone maps (min/max/NULLs per column, live rows per
     /// block), updated under the same epoch tick as the data they
     /// summarize.
@@ -85,7 +85,6 @@ impl Table {
             udi: UdiCounter::new(),
             epoch: 0,
             indexes: BTreeMap::new(),
-            hash_indexes: BTreeMap::new(),
             zones: ZoneMaps::new(ncols),
         }
     }
@@ -168,9 +167,6 @@ impl Table {
         self.udi.inserts += 1;
         self.epoch += 1;
         for (cid, idx) in self.indexes.iter_mut() {
-            idx.insert(coerced[cid.index()].clone(), id);
-        }
-        for (cid, idx) in self.hash_indexes.iter_mut() {
             idx.insert(&coerced[cid.index()], id);
         }
         // Block summaries are versioned by the mutation epoch: they must
@@ -189,12 +185,7 @@ impl Table {
             return false;
         }
         for (cid, idx) in self.indexes.iter_mut() {
-            let old = self.columns[cid.index()].get(i);
-            idx.remove(&old, row);
-        }
-        for (cid, idx) in self.hash_indexes.iter_mut() {
-            let old = self.columns[cid.index()].get(i);
-            idx.remove(&old, row);
+            idx.remove(&self.columns[cid.index()].get(i), row);
         }
         let before = self.epoch;
         self.live[i] = false;
@@ -236,13 +227,7 @@ impl Table {
             )));
         }
         if let Some(idx) = self.indexes.get_mut(&column) {
-            let old = self.columns[column.index()].get(i);
-            idx.remove(&old, row);
-            idx.insert(value.clone(), row);
-        }
-        if let Some(idx) = self.hash_indexes.get_mut(&column) {
-            let old = self.columns[column.index()].get(i);
-            idx.remove(&old, row);
+            idx.remove(&self.columns[column.index()].get(i), row);
             idx.insert(value, row);
         }
         let was_null = !self.columns[column.index()].is_valid(i);
@@ -321,37 +306,29 @@ impl Table {
 
     /// Builds (or rebuilds) a secondary index on `column`.
     pub fn create_index(&mut self, column: ColumnId) -> Result<()> {
-        if column.index() >= self.columns.len() {
-            return Err(JitsError::NotFound(format!(
-                "column {column} in '{}'",
-                self.name
-            )));
-        }
-        let mut idx = SecondaryIndex::new();
-        let mut hash = HashIndex::new();
+        let mut idx = Index::new(self.column_type(column)?);
         for row in self.scan() {
-            let v = self.value(row, column);
-            hash.insert(&v, row);
-            idx.insert(v, row);
+            idx.insert(&self.value(row, column), row);
         }
         self.indexes.insert(column, idx);
-        self.hash_indexes.insert(column, hash);
         Ok(())
     }
 
     /// The index on `column`, if one exists.
-    pub fn index(&self, column: ColumnId) -> Option<&SecondaryIndex> {
+    pub fn index(&self, column: ColumnId) -> Option<&Index> {
         self.indexes.get(&column)
     }
 
     /// Every secondary index with its column, in column order.
-    pub fn indexes(&self) -> impl ExactSizeIterator<Item = (ColumnId, &SecondaryIndex)> + '_ {
+    pub fn indexes(&self) -> impl ExactSizeIterator<Item = (ColumnId, &Index)> + '_ {
         self.indexes.iter().map(|(cid, idx)| (*cid, idx))
     }
 
-    /// The equality-key hash index on `column`, if one exists.
-    pub fn hash_index(&self, column: ColumnId) -> Option<&HashIndex> {
-        self.hash_indexes.get(&column)
+    /// The index on `column` under the name of its point-probe path: the
+    /// same [`Index`] as [`Table::index`], whose `lookup_eq` probes its
+    /// hash map.
+    pub fn hash_index(&self, column: ColumnId) -> Option<&Index> {
+        self.index(column)
     }
 
     /// The table's per-block zone maps.
@@ -404,7 +381,7 @@ impl Table {
                     (
                         *cid,
                         idx.entries_in_order()
-                            .map(|(v, rows)| (v.clone(), rows.to_vec()))
+                            .map(|(v, rows)| (Value::from(v), rows.to_vec()))
                             .collect(),
                     )
                 })
@@ -415,9 +392,9 @@ impl Table {
 
     /// Rebuilds a table from a [`Table::snapshot`]. Slots are pushed
     /// directly into the column vectors (no epoch ticks, no index or zone
-    /// maintenance — those travel in the snapshot verbatim), then both
-    /// index kinds are rebuilt by re-inserting the snapshot's entries in
-    /// stored order, which reproduces their per-key row vectors exactly.
+    /// maintenance — those travel in the snapshot verbatim), then each
+    /// index is rebuilt by re-inserting the snapshot's entries in stored
+    /// order, which reproduces its posting lists exactly.
     pub fn from_snapshot(s: TableSnapshot) -> Result<Table> {
         let ncols = s.schema.len();
         let mut t = Table::new(s.name, s.schema);
@@ -448,16 +425,16 @@ impl Table {
         t.udi.deletes = s.udi.2;
         t.epoch = s.epoch;
         for (cid, entries) in s.indexes {
-            let mut idx = SecondaryIndex::new();
-            let mut hash = HashIndex::new();
+            let mut idx = Index::new(
+                t.column_type(cid)
+                    .map_err(|e| JitsError::Recovery(format!("index of '{}': {e}", t.name)))?,
+            );
             for (v, rows) in entries {
                 for r in rows {
-                    hash.insert(&v, r);
-                    idx.insert(v.clone(), r);
+                    idx.insert(&v, r);
                 }
             }
             t.indexes.insert(cid, idx);
-            t.hash_indexes.insert(cid, hash);
         }
         t.zones = ZoneMaps::from_snapshot(s.zones);
         Ok(t)
@@ -664,25 +641,32 @@ mod tests {
     }
 
     #[test]
-    fn hash_index_maintained_with_btree() {
+    fn point_probes_and_ranges_agree_through_dml() {
         let mut t = cars();
         t.create_index(ColumnId(1)).unwrap();
-        let probe = |t: &Table, v: &Value| {
-            (
-                t.index(ColumnId(1)).unwrap().lookup_eq(v).to_vec(),
-                t.hash_index(ColumnId(1)).unwrap().lookup_eq(v).to_vec(),
-            )
-        };
-        let (b, h) = probe(&t, &Value::str("Toyota"));
-        assert_eq!(b, h);
+        t.create_index(ColumnId(2)).unwrap();
         t.insert(vec![Value::Int(5), Value::str("Toyota"), Value::Int(1999)])
             .unwrap();
         t.delete(0);
         t.update(1, ColumnId(1), Value::str("Honda")).unwrap();
+        t.update(2, ColumnId(2), Value::Null).unwrap();
+        let makes = t.index(ColumnId(1)).unwrap();
         for make in ["Toyota", "Honda", "Audi", "BMW"] {
-            let (b, h) = probe(&t, &Value::str(make));
-            assert_eq!(b, h, "{make}: hash and B-tree must agree exactly");
+            let v = Value::str(make);
+            let point = makes.lookup_range(&Interval::point(v.clone()));
+            assert_eq!(makes.lookup_eq(&v), &point[..], "{make}");
         }
+        let years = t.index(ColumnId(2)).unwrap();
+        assert_eq!(years.lookup_int(2003), &[1]);
+        assert!(
+            years.lookup_int(2001).is_empty(),
+            "row 0 deleted, row 2 NULL"
+        );
+        assert_eq!(years.len(), 3, "the NULL is not indexed");
+        assert_eq!(
+            years.lookup_range(&Interval::at_most(Value::Float(2004.5), true)),
+            vec![4, 1]
+        );
     }
 
     #[test]
@@ -716,14 +700,6 @@ mod tests {
                 .unwrap()
                 .lookup_eq(&Value::str("Toyota")),
             t.index(ColumnId(1))
-                .unwrap()
-                .lookup_eq(&Value::str("Toyota")),
-        );
-        assert_eq!(
-            r.hash_index(ColumnId(1))
-                .unwrap()
-                .lookup_eq(&Value::str("Toyota")),
-            t.hash_index(ColumnId(1))
                 .unwrap()
                 .lookup_eq(&Value::str("Toyota")),
         );

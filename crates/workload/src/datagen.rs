@@ -114,6 +114,31 @@ impl ZipfSampler {
     }
 }
 
+/// Rows per `load_rows` call. The load streams in batches: a batch's row
+/// vectors are freed before the next batch is generated, which reuses
+/// them. Loading a whole table at once leaves every row's vector a hole
+/// between the strings the table keeps (tens of thousands of free chunks
+/// at scale 0.05), and every later statement allocates from that
+/// fragmented heap, a key lookup measurably slower.
+const LOAD_BATCH: usize = 4_096;
+
+/// Loads `rows` into `table` once they fill a batch, or whatever is left
+/// when `last`.
+fn load_batch(
+    db: &mut Database,
+    table: &str,
+    rows: &mut Vec<Vec<Value>>,
+    last: bool,
+) -> Result<()> {
+    if last || rows.len() == LOAD_BATCH {
+        db.load_rows(
+            table,
+            std::mem::replace(rows, Vec::with_capacity(LOAD_BATCH)),
+        )?;
+    }
+    Ok(())
+}
+
 /// Populates all four tables at the configured scale. Returns the row
 /// counts loaded. UDI counters are reset afterwards (bulk load is not
 /// "activity").
@@ -123,7 +148,7 @@ pub fn populate(db: &mut Database, cfg: &DataGenConfig) -> Result<[usize; 4]> {
     let mut rng = SplitMix64::new(cfg.seed);
 
     // ---- owners ---------------------------------------------------------
-    let mut owner_rows = Vec::with_capacity(n_owner);
+    let mut owner_rows = Vec::with_capacity(LOAD_BATCH);
     for i in 0..n_owner {
         let age = 18 + (rng.next_f64() * rng.next_f64() * 62.0) as i64; // skewed young
                                                                         // salary correlated with age (peaks mid-career) + noise
@@ -135,13 +160,14 @@ pub fn populate(db: &mut Database, cfg: &DataGenConfig) -> Result<[usize; 4]> {
             Value::Int(age),
             Value::Int(salary),
         ]);
+        load_batch(db, "owner", &mut owner_rows, false)?;
     }
-    db.load_rows("owner", owner_rows)?;
+    load_batch(db, "owner", &mut owner_rows, true)?;
 
     // ---- cars -----------------------------------------------------------
     let make_zipf = ZipfSampler::new(MAKE_MODELS.len());
     let mut car_year = Vec::with_capacity(n_car);
-    let mut car_rows = Vec::with_capacity(n_car);
+    let mut car_rows = Vec::with_capacity(LOAD_BATCH);
     for i in 0..n_car {
         let mk = make_zipf.sample(&mut rng);
         let (make, models, tier) = MAKE_MODELS[mk];
@@ -163,15 +189,13 @@ pub fn populate(db: &mut Database, cfg: &DataGenConfig) -> Result<[usize; 4]> {
             Value::Int(year),
             Value::Float(price.round()),
         ]);
-        if car_rows.len() == 50_000 {
-            db.load_rows("car", std::mem::take(&mut car_rows))?;
-        }
+        load_batch(db, "car", &mut car_rows, false)?;
     }
-    db.load_rows("car", car_rows)?;
+    load_batch(db, "car", &mut car_rows, true)?;
 
     // ---- demographics (one row per owner id, cyclically) -----------------
     let city_zipf = ZipfSampler::new(CITY_COUNTRY.len());
-    let mut demo_rows = Vec::with_capacity(n_demo);
+    let mut demo_rows = Vec::with_capacity(LOAD_BATCH);
     for i in 0..n_demo {
         let (city, country) = CITY_COUNTRY[city_zipf.sample(&mut rng)];
         let marital = MARITAL[rng.next_index(MARITAL.len())];
@@ -181,11 +205,12 @@ pub fn populate(db: &mut Database, cfg: &DataGenConfig) -> Result<[usize; 4]> {
             Value::str(country),
             Value::str(marital),
         ]);
+        load_batch(db, "demographics", &mut demo_rows, false)?;
     }
-    db.load_rows("demographics", demo_rows)?;
+    load_batch(db, "demographics", &mut demo_rows, true)?;
 
     // ---- accidents --------------------------------------------------------
-    let mut acc_rows = Vec::with_capacity(n_acc);
+    let mut acc_rows = Vec::with_capacity(LOAD_BATCH);
     for i in 0..n_acc {
         let carid = rng.next_bounded(n_car as u64) as usize;
         let car_age = (YEAR_RANGE.1 - car_year[carid]) as f64;
@@ -199,11 +224,9 @@ pub fn populate(db: &mut Database, cfg: &DataGenConfig) -> Result<[usize; 4]> {
             Value::Int(damage),
             Value::Int(year),
         ]);
-        if acc_rows.len() == 50_000 {
-            db.load_rows("accidents", std::mem::take(&mut acc_rows))?;
-        }
+        load_batch(db, "accidents", &mut acc_rows, false)?;
     }
-    db.load_rows("accidents", acc_rows)?;
+    load_batch(db, "accidents", &mut acc_rows, true)?;
 
     // bulk load is the database's initial state, not churn
     for name in crate::schema::TABLE_NAMES {

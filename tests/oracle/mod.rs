@@ -190,9 +190,9 @@ fn aggregate(
     let float_sum: f64 = vals.iter().filter_map(Value::as_f64).sum();
     match agg.func {
         AggFunc::Count => Value::Int(vals.len() as i64),
+        AggFunc::Sum | AggFunc::Avg if vals.is_empty() => Value::Null,
         AggFunc::Sum if floats => Value::Float(float_sum),
         AggFunc::Sum => i64::try_from(int_sum).map_or(Value::Float(int_sum as f64), Value::Int),
-        AggFunc::Avg if vals.is_empty() => Value::Null,
         AggFunc::Avg if floats => Value::Float(float_sum / vals.len() as f64),
         AggFunc::Avg => Value::Float(int_sum as f64 / vals.len() as f64),
         AggFunc::Min => vals

@@ -67,7 +67,8 @@ fn aggregates_over_empty_input() {
         .unwrap();
     let row = &r.rows[0];
     assert_eq!(row[0], Value::Int(0));
-    assert_eq!(row[1], Value::Int(0));
+    // SQL: the sum of no values is NULL, like their average and minimum
+    assert_eq!(row[1], Value::Null);
     assert_eq!(row[2], Value::Null);
     assert_eq!(row[3], Value::Null);
 }
@@ -249,6 +250,25 @@ fn group_by_validation() {
     assert!(db
         .execute("SELECT nope, COUNT(*) FROM car GROUP BY nope")
         .is_err());
+}
+
+#[test]
+fn sum_and_avg_of_a_string_column_are_binding_errors_with_group_by() {
+    use jits_repro::common::JitsError;
+
+    let mut db = db();
+    for sql in [
+        "SELECT make, SUM(make), AVG(make) FROM car GROUP BY make",
+        "SELECT year, AVG(make) FROM car GROUP BY year",
+        "SELECT SUM(make) FROM car",
+    ] {
+        let err = db.execute(sql).unwrap_err();
+        assert!(matches!(err, JitsError::Binding(_)), "{sql}: {err:?}");
+    }
+    // MIN and MAX order strings; numeric SUM still binds under GROUP BY
+    assert!(db
+        .execute("SELECT year, MIN(make), MAX(make), SUM(price) FROM car GROUP BY year")
+        .is_ok());
 }
 
 #[test]
