@@ -5,7 +5,8 @@
 //! of `(fault seed, fault point, decision key, attempt)` — never wall clock,
 //! never mutable counters shared across threads. A collection pass that
 //! degrades table 3 at statement 17 degrades exactly that table at exactly
-//! that statement whether the run uses 1 worker thread or 8.
+//! that statement on every replay, whatever order the tables are collected
+//! in.
 //!
 //! A [`FaultPlane`] is either *disabled* (the default: an `Option::None`
 //! that inlines to a constant-false check, so production paths pay nothing)
@@ -39,7 +40,9 @@ use crate::rng::SplitMix64;
 pub const FP_SAMPLE_DRAW: &str = "sample.draw";
 /// Fault point: committing drawn samples into the sample cache.
 pub const FP_SAMPLECACHE_COMMIT: &str = "samplecache.commit";
-/// Fault point: a whole collection worker failing on a table.
+/// Fault point: one table's collection failing as a whole (the table
+/// degrades to archive statistics; the name predates sequential
+/// collection and stays because fault specs use it).
 pub const FP_COLLECT_WORKER: &str = "collect.worker";
 /// Fault point: reading (validating) an archive entry.
 pub const FP_ARCHIVE_READ: &str = "archive.read";

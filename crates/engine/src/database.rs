@@ -213,7 +213,7 @@ impl Database {
     /// Installs the deterministic fault-injection plane (chaos testing).
     /// Every fault decision is a pure function of the plane's seed, the
     /// fault point, and the statement clock — never wall time — so a
-    /// faulted run replays bit-identically at any `collect_threads`.
+    /// faulted run replays bit-identically per seed.
     /// [`FaultPlane::disabled`] (the default) restores normal operation.
     pub fn set_fault_plane(&mut self, fault: FaultPlane) {
         self.fault = fault;
@@ -227,8 +227,7 @@ impl Database {
 
     /// Exports the metrics registry as JSON (see `jits-obs` for the
     /// format). Pass `include_volatile = false` for the deterministic
-    /// subset, which is byte-identical for equal workloads and seeds at
-    /// any `collect_threads`.
+    /// subset, which is byte-identical for equal workloads and seeds.
     pub fn metrics_json(&self, include_volatile: bool) -> String {
         observe::note_archive_gauges(&self.env.obs, &self.state.archive);
         self.env.obs.metrics_json(include_volatile)

@@ -53,9 +53,6 @@ pub struct QueryMetrics {
     pub materialized_groups: usize,
     /// Sensitivity-analysis diagnostics.
     pub table_scores: Vec<TableScore>,
-    /// Worker threads the JITS collection pass of this statement ran on
-    /// (0 when nothing was collected, 1 when sequential).
-    pub collect_threads: usize,
     /// Time this statement spent blocked acquiring engine locks (always
     /// zero on the single-session [`crate::Database`] path).
     pub lock_wait: Duration,

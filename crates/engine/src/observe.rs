@@ -128,15 +128,14 @@ pub(crate) fn note_collect(
             rows: t.rows_sampled,
             probes: t.slot_probes,
             origin: t.origin,
-            worker: t.worker,
             wall_nanos: t.wall_nanos,
         })
         .collect();
 }
 
 /// Records one collect pass's sample-cache outcomes as counter deltas.
-/// The lookups run sequentially in quantifier order before collection fans
-/// out, so these counters are deterministic at any `collect_threads`.
+/// The lookups run in quantifier order before collection starts, so these
+/// counters replay bit for bit per seed.
 pub(crate) fn note_samplecache(obs: &Observability, before: CacheCounters, after: CacheCounters) {
     if before == after {
         return;
@@ -270,8 +269,7 @@ fn qerror_milli(q: f64) -> u64 {
 /// and — on a misprediction above [`QERROR_THRESHOLD`] or a degraded
 /// statement — the record's anomaly reason, which triggers an automatic
 /// flight dump. Everything recorded here derives from estimated vs. actual
-/// row counts, never timing, so the metrics are deterministic at any
-/// `collect_threads`.
+/// row counts, never timing, so the metrics replay bit for bit per seed.
 pub(crate) fn note_profile(obs: &Observability, profile: &mut QueryProfile) {
     let reg = &obs.registry;
     reg.counter("jits.profile.statements", Volatility::Deterministic)
@@ -390,13 +388,6 @@ pub(crate) fn note_lock_wait(obs: &Observability, nanos: u64) {
     reg.counter("jits.engine.lock_wait_nanos", Volatility::Volatile)
         .add(nanos);
     reg.counter("jits.engine.contended_acquisitions", Volatility::Volatile)
-        .inc();
-}
-
-/// Counts one collection pass that fanned out over more than one worker.
-pub(crate) fn note_parallel_collection(obs: &Observability) {
-    obs.registry
-        .counter("jits.engine.parallel_collections", Volatility::Volatile)
         .inc();
 }
 

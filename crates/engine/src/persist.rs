@@ -35,11 +35,11 @@ use jits_wal::{Decoder, Encoder};
 use std::sync::Arc;
 
 /// Checkpoint payload format version. Version 1 also carried three engine
-/// flags that no longer exist; versions 2 and 3 wrote the JITS setting in
-/// its 19- and nine-field layouts (see [`RETIRED_19_FIELD_TAG`] and
-/// [`RETIRED_NINE_FIELD_TAG`]). Segments of any of them are refused, not
-/// reinterpreted.
-const STATE_VERSION: u8 = 4;
+/// flags that no longer exist; versions 2, 3 and 4 wrote the JITS setting
+/// in its 19-, nine- and eight-field layouts (see [`RETIRED_19_FIELD_TAG`],
+/// [`RETIRED_NINE_FIELD_TAG`] and [`RETIRED_EIGHT_FIELD_TAG`]). Segments of
+/// any of them are refused, not reinterpreted.
+const STATE_VERSION: u8 = 5;
 
 /// Setting tag of the retired 19-field `JitsConfig` layout. A payload
 /// carrying it (a version-2 checkpoint, or a `SetSetting` record logged
@@ -52,8 +52,13 @@ const RETIRED_19_FIELD_TAG: u8 = 3;
 /// [`RETIRED_19_FIELD_TAG`].
 const RETIRED_NINE_FIELD_TAG: u8 = 4;
 
-/// Setting tag of a [`StatsSetting::Jits`] in the eight-field layout.
-const JITS_TAG: u8 = 5;
+/// Setting tag of the retired eight-field `JitsConfig` layout, which
+/// carried a collection thread count between `collect_budget` and
+/// `archive_bucket_budget`. Refused like [`RETIRED_19_FIELD_TAG`].
+const RETIRED_EIGHT_FIELD_TAG: u8 = 5;
+
+/// Setting tag of a [`StatsSetting::Jits`] in the seven-field layout.
+const JITS_TAG: u8 = 6;
 
 /// What recovery did, surfaced through `Database::recovery_report` and the
 /// `jits.recovery.*` metrics.
@@ -221,6 +226,11 @@ fn setting(d: &mut Decoder) -> Result<StatsSetting> {
                 "checkpoint: retired nine-field JITS setting layout".to_string(),
             ))
         }
+        RETIRED_EIGHT_FIELD_TAG => {
+            return Err(JitsError::Recovery(
+                "checkpoint: retired eight-field JITS setting layout".to_string(),
+            ))
+        }
         t => {
             return Err(JitsError::Recovery(format!(
                 "checkpoint: bad setting tag {t}"
@@ -243,7 +253,6 @@ fn put_jits_config(e: &mut Encoder, c: &JitsConfig) {
     e.put_u64(c.sample.size as u64);
     e.put_bool(c.sample_cache);
     e.put_u64(c.collect_budget);
-    e.put_u64(c.collect_threads as u64);
     e.put_u64(c.archive_bucket_budget as u64);
     e.put_f64(c.eviction_uniformity);
 }
@@ -270,7 +279,6 @@ fn jits_config(d: &mut Decoder) -> Result<JitsConfig> {
         },
         sample_cache: d.bool()?,
         collect_budget: d.u64()?,
-        collect_threads: d.u64()? as usize,
         archive_bucket_budget: d.u64()? as usize,
         eviction_uniformity: d.f64()?,
     })
@@ -1077,7 +1085,6 @@ mod tests {
             sample: SampleSpec { size: 777 },
             sample_cache: false,
             collect_budget: 12_345,
-            collect_threads: 8,
             archive_bucket_budget: 99,
             eviction_uniformity: 0.75,
         }
@@ -1115,7 +1122,7 @@ mod tests {
         e.put_bool(true); // sample_cache
         e.put_f64(0.1); // sample_cache_staleness
         e.put_u64(0); // collect_budget
-        e.put_u64(1); // collect_threads
+        e.put_u64(1); // collection thread count
         e.put_u64(6); // max_group_enumeration
         e.put_u64(4096); // archive_bucket_budget
         e.put_f64(0.9); // eviction_uniformity
@@ -1140,7 +1147,7 @@ mod tests {
         e.put_u64(SampleSpec::default().size as u64);
         e.put_bool(true); // sample_cache
         e.put_u64(0); // collect_budget
-        e.put_u64(1); // collect_threads
+        e.put_u64(1); // collection thread count
         e.put_u64(4096); // archive_bucket_budget
         e.put_f64(0.9); // eviction_uniformity
         e.put_u64(25); // migrate_every
@@ -1159,8 +1166,8 @@ mod tests {
     }
 
     /// Likewise a payload in the nine-field layout, which carried
-    /// `migrate_every`: read as the eight-field layout it would be one word
-    /// too long.
+    /// `migrate_every`: read as the seven-field layout it would be two
+    /// words too long.
     #[test]
     fn nine_field_setting_payload_is_a_typed_recovery_error() {
         match decode_setting(&nine_field_jits_setting()) {
@@ -1168,6 +1175,57 @@ mod tests {
             Err(other) => panic!("expected Recovery error, got {other:?}"),
             Ok(s) => panic!("expected Recovery error, got {s:?}"),
         }
+    }
+
+    /// The default `JitsConfig` in the retired eight-field layout, byte for
+    /// byte as the version-4 codec wrote it.
+    fn eight_field_jits_setting() -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u8(RETIRED_EIGHT_FIELD_TAG);
+        e.put_u8(0); // strategy: paper heuristic
+        e.put_f64(0.5); // s_max
+        e.put_u64(SampleSpec::default().size as u64);
+        e.put_bool(true); // sample_cache
+        e.put_u64(0); // collect_budget
+        e.put_u64(1); // collection thread count
+        e.put_u64(4096); // archive_bucket_budget
+        e.put_f64(0.9); // eviction_uniformity
+        e.into_bytes()
+    }
+
+    /// Hex of a byte string, for pinning payloads.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A payload in the eight-field layout, which carried the collection
+    /// thread count: read as the seven-field layout it would be one word
+    /// too long. The helper's bytes are pinned to what the version-4 codec
+    /// wrote for the default setting.
+    #[test]
+    fn eight_field_setting_payload_is_a_typed_recovery_error() {
+        assert_eq!(
+            hex(&eight_field_jits_setting()),
+            "0500000000000000e03fe80300000000000001000000000000000001000000000000\
+             000010000000000000cdccccccccccec3f"
+        );
+        match decode_setting(&eight_field_jits_setting()) {
+            Err(JitsError::Recovery(m)) => assert!(m.contains("eight-field"), "{m}"),
+            Err(other) => panic!("expected Recovery error, got {other:?}"),
+            Ok(s) => panic!("expected Recovery error, got {s:?}"),
+        }
+    }
+
+    /// The default setting in the seven-field layout, byte for byte: the
+    /// eight-field payload above with a new tag and no thread-count word.
+    #[test]
+    fn default_setting_payload_is_pinned() {
+        let bytes = encode_setting(&StatsSetting::Jits(JitsConfig::default()));
+        assert_eq!(
+            hex(&bytes),
+            "0600000000000000e03fe80300000000000001000000000000000000100000000000\
+             00cdccccccccccec3f"
+        );
     }
 
     #[test]
@@ -1409,7 +1467,7 @@ mod tests {
         /// overwritten or a cut at a random offset decodes or fails typed.
         #[test]
         fn mutated_setting_payload_decodes_or_fails_typed(
-            which in 0usize..4,
+            which in 0usize..5,
             mutation in 0u8..3,
             flips in proptest::collection::vec(
                 (proptest::prelude::any::<usize>(), 1u8..255),
@@ -1421,6 +1479,7 @@ mod tests {
                 0 => encode_setting(&StatsSetting::Jits(JitsConfig::default())),
                 1 => encode_setting(&StatsSetting::Jits(every_field_jits())),
                 2 => nine_field_jits_setting(),
+                3 => eight_field_jits_setting(),
                 _ => retired_jits_setting(),
             };
             let (at, pick) = flips[0];
@@ -1503,5 +1562,12 @@ mod tests {
     #[test]
     fn version_three_segment_is_a_typed_recovery_error() {
         assert_old_segment_refused(3, nine_field_jits_setting());
+    }
+
+    /// A version-4 segment (the JITS setting in its eight-field layout) is
+    /// refused with a typed error, never decoded as the current version.
+    #[test]
+    fn version_four_segment_is_a_typed_recovery_error() {
+        assert_old_segment_refused(4, eight_field_jits_setting());
     }
 }

@@ -88,7 +88,6 @@ pub(crate) fn execute(s: &mut Locked<'_>, sql: &str) -> Result<QueryResult> {
             let metrics = QueryMetrics {
                 compile_work: collected.work,
                 plan: Some(PlanSummary::from(&plan)),
-                collect_threads: collected.collect_threads,
                 ..QueryMetrics::default()
             }
             .with_record(&rec, s.lock_wait());
@@ -325,7 +324,6 @@ fn select_phases(
             sampled_tables: compiled.sampled,
             materialized_groups: compiled.materialized,
             table_scores: compiled.scores,
-            collect_threads: compiled.collected.collect_threads,
             ..QueryMetrics::default()
         },
     })
@@ -454,7 +452,6 @@ fn compile_phase(
                 r.tables,
                 cfg.sample,
                 c.rng,
-                cfg.collect_threads,
                 Some(&now_nanos),
                 &sources,
                 cfg.collect_budget,
@@ -511,9 +508,6 @@ fn compile_phase(
                 cand_tables,
             )
         });
-    if collected.collect_threads > 1 {
-        observe::note_parallel_collection(obs);
-    }
     if !sample_quns.is_empty() {
         s.with_tables_mut(&stmt.logged, |tables| {
             for &qun in &sample_quns {

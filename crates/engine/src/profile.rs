@@ -9,9 +9,8 @@
 //! The deterministic fields (kind, table, rows, q-error, work) are the
 //! executor's observations, bit for bit: each node's actual rows equal a
 //! brute-force oracle's count for the quantifiers it covers
-//! (`tests/profile_observatory.rs`). They do not depend on
-//! `collect_threads`; only `wall_nanos` is volatile, and every dump path
-//! can mask it.
+//! (`tests/profile_observatory.rs`) and replay bit for bit per seed; only
+//! `wall_nanos` is volatile, and every dump path can mask it.
 //!
 //! Profiles feed three consumers: `EXPLAIN ANALYZE`
 //! ([`crate::Database::explain_analyze`]), the `jits_profile` /

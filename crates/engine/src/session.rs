@@ -17,10 +17,9 @@
 //! [`Database::into_shared`] left it — the same stream the `Database`
 //! itself draws from as session 0 — so a single-session `SharedDatabase`
 //! run is bit-identical to the `Database` run it replaces. Later sessions
-//! fork independent streams. Within any one statement, parallel statistics
-//! collection is bit-identical to sequential regardless of
-//! `collect_threads` (see `jits::collect`), so concurrency knobs never
-//! change *what* is computed — only wall-clock time.
+//! fork independent streams. Within any one statement, each marked table
+//! draws from its own (table, quantifier) stream (see `jits::collect`), so
+//! the statistics a statement collects replay bit for bit per seed.
 //!
 //! Every acquisition that actually blocks is charged to the volatile
 //! registry counters `jits.engine.lock_wait_nanos` and
@@ -232,7 +231,7 @@ impl SharedDatabase {
     /// Exports the metrics registry as JSON, after mirroring the archive
     /// gauges into it. Pass `include_volatile =
     /// false` for the deterministic subset, which is byte-identical for
-    /// equal workloads and seeds at any `collect_threads`.
+    /// equal workloads and seeds.
     pub fn metrics_json(&self, include_volatile: bool) -> String {
         self.sync_observability();
         self.obs().metrics_json(include_volatile)

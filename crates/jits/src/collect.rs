@@ -8,12 +8,11 @@
 //! evaluated once per sampled row into bitsets; every group's joint count is
 //! then a bitwise AND.
 //!
-//! Collection is independent per marked table, so
-//! [`collect_for_tables_parallel`] fans the per-table work out across scoped
-//! worker threads. Each table draws from its own [`SplitMix64`] stream
-//! derived from the caller's RNG state and the (table id, quantifier) pair —
-//! never from a shared sequential stream — so the collected statistics are
-//! bit-identical whatever the thread count or scheduling order.
+//! Collection is independent per marked table. Each table draws from its
+//! own [`SplitMix64`] stream derived from the caller's RNG state and the
+//! (table id, quantifier) pair — never from a shared sequential stream — so
+//! which tables are marked, and in what order, never changes what any one
+//! table's sample holds, and a run replays bit for bit per seed.
 //!
 //! # The collection fast path
 //!
@@ -22,10 +21,9 @@
 //! 1. **Versioned sample reuse** ([`SampleSource`]): the engine resolves,
 //!    per marked quantifier, whether to draw a fresh sample or serve row
 //!    ids memoized in a [`jits_storage::SampleCache`]; the decision is made
-//!    sequentially before the parallel fan-out, so it cannot depend on
-//!    thread count. Fresh draws flow back as [`DrawnSample`]s for the
-//!    engine to commit. The cache holds row ids only: every collection
-//!    reads the current cells at those rows.
+//!    before any table is collected, in quantifier order. Fresh draws flow
+//!    back as [`DrawnSample`]s for the engine to commit. The cache holds
+//!    row ids only: every collection reads the current cells at those rows.
 //! 2. **The scan kernels, in place**: each local predicate is evaluated at
 //!    the sampled row ids by [`jits_executor::locate::sample_bits`], the
 //!    typed kernels every scan and DML statement runs, so collection and
@@ -63,9 +61,9 @@ pub use jits_common::SampleOrigin;
 
 /// Per-table collection telemetry — statement-record decoration only,
 /// deliberately kept *out* of [`CollectedStats`] so wall-clock readings can
-/// never reach statistics-bearing state. `rows_sampled`, `slot_probes` and `origin` are
-/// deterministic; `worker` and the nanosecond fields depend on scheduling
-/// and the caller's clock (all 0 when no clock is supplied).
+/// never reach statistics-bearing state. `rows_sampled`, `slot_probes` and
+/// `origin` are deterministic; the nanosecond fields depend on the caller's
+/// clock (all 0 when no clock is supplied).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectTiming {
     /// Quantifier index the table was sampled for.
@@ -75,8 +73,6 @@ pub struct CollectTiming {
     /// Storage slot probes the draw cost (replayed from the original draw
     /// when the sample was served from cache).
     pub slot_probes: usize,
-    /// Worker thread index that handled the table.
-    pub worker: usize,
     /// Wall nanoseconds the table's collection took (0 without a clock).
     pub wall_nanos: u64,
     /// Where the sample rows came from.
@@ -140,8 +136,6 @@ pub struct CollectedStats {
     pub work: f64,
     /// Marked tables actually sampled by this pass.
     pub tables_sampled: usize,
-    /// Worker threads the pass fanned sampling out across (1 = sequential).
-    pub collect_threads: usize,
     /// Tables whose collection degraded this pass (quantifier order). A
     /// table in this list contributes no fresh group stats — unless the
     /// fallback was [`FB_PARTIAL_SAMPLE`], where stats were measured on the
@@ -182,8 +176,8 @@ pub fn group_region(
 }
 
 /// Pre-resolved sample provenance for one marked quantifier — the engine
-/// makes cache decisions sequentially (under the `samplecache` lock) before
-/// collection fans out, then hands the outcome here.
+/// makes cache decisions (under the `samplecache` lock) before collection
+/// starts, then hands the outcome here.
 #[derive(Debug, Clone)]
 pub enum SampleSource {
     /// Draw a fresh sample from the quantifier's RNG stream.
@@ -221,7 +215,7 @@ pub struct DrawnSample {
 
 /// Everything collecting one marked quantifier produced. Accumulated into
 /// [`CollectedStats`] in quantifier order, so the merged result is
-/// independent of which worker thread produced which partial.
+/// independent of the order the caller marked the quantifiers in.
 struct TablePartial {
     qun: usize,
     groups: Vec<((usize, Vec<usize>), GroupStat)>,
@@ -252,7 +246,6 @@ impl TablePartial {
                 qun,
                 rows_sampled: 0,
                 slot_probes: 0,
-                worker: 0,
                 wall_nanos: 0,
                 origin: SampleOrigin::Fresh,
                 kernel_nanos: 0,
@@ -272,8 +265,8 @@ impl TablePartial {
 /// Derives the independent RNG stream of one (table, quantifier) pair.
 ///
 /// The stream depends only on the caller's RNG state and the pair identity —
-/// not on how many draws other tables made — which is what makes parallel
-/// collection bit-identical to sequential collection.
+/// not on how many draws other tables made — so a table's sample does not
+/// depend on which other tables the statement marked.
 fn table_stream(base: u64, tid: TableId, qun: usize) -> SplitMix64 {
     let mix = (tid.0 as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -297,16 +290,14 @@ fn collect_one_table(
     spec: SampleSpec,
     source: SampleSource,
     mut rng: SplitMix64,
-    worker: usize,
-    clock: Option<&(dyn Fn() -> u64 + Sync)>,
+    clock: Option<&dyn Fn() -> u64>,
     budget: u64,
     fault: &FaultPlane,
     stmt_clock: u64,
 ) -> TablePartial {
     let started = clock.map(|c| c()).unwrap_or(0);
-    // Fault decisions key off (statement clock, quantifier) — both fixed
-    // before the parallel fan-out — so which tables degrade is independent
-    // of worker count and scheduling order.
+    // Fault decisions key off (statement clock, quantifier), so which
+    // tables degrade is independent of the order they are collected in.
     let key = fault_key(stmt_clock, qun as u64);
     if fault.fires(FP_COLLECT_WORKER, key, 0) {
         return TablePartial::degraded(qun, tid, FP_COLLECT_WORKER, FB_ARCHIVE_STATS, 0.0);
@@ -372,7 +363,6 @@ fn collect_one_table(
             qun,
             rows_sampled: n,
             slot_probes: probes,
-            worker,
             wall_nanos: 0,
             origin,
             kernel_nanos: 0,
@@ -556,7 +546,7 @@ fn collect_one_table(
 }
 
 /// Samples each marked quantifier's table once and computes the selectivity
-/// of every candidate group on that quantifier (sequential collection).
+/// of every candidate group on that quantifier.
 pub fn collect_for_tables(
     block: &QueryBlock,
     sample_quns: &[usize],
@@ -565,25 +555,6 @@ pub fn collect_for_tables(
     spec: SampleSpec,
     rng: &mut SplitMix64,
 ) -> CollectedStats {
-    collect_for_tables_parallel(block, sample_quns, candidates, tables, spec, rng, 1)
-}
-
-/// [`collect_for_tables`] with the per-table sampling fanned out across up
-/// to `threads` scoped worker threads.
-///
-/// Results are **bit-identical** to the sequential path for any `threads`
-/// value: every (table, quantifier) pair draws from its own RNG stream
-/// derived via `table_stream`, and partials merge in quantifier order
-/// (fixing the f64 `work` summation order too).
-pub fn collect_for_tables_parallel(
-    block: &QueryBlock,
-    sample_quns: &[usize],
-    candidates: &[CandidateGroup],
-    tables: &[Table],
-    spec: SampleSpec,
-    rng: &mut SplitMix64,
-    threads: usize,
-) -> CollectedStats {
     collect_for_tables_sourced(
         block,
         sample_quns,
@@ -591,7 +562,6 @@ pub fn collect_for_tables_parallel(
         tables,
         spec,
         rng,
-        threads,
         None,
         &BTreeMap::new(),
         0,
@@ -601,7 +571,7 @@ pub fn collect_for_tables_parallel(
     .0
 }
 
-/// [`collect_for_tables_parallel`] with per-table [`CollectTiming`]
+/// [`collect_for_tables`] with per-table [`CollectTiming`]
 /// telemetry and per-quantifier [`SampleSource`]s from the engine's
 /// sample-cache resolution. `clock` supplies monotonic nanoseconds (with
 /// `None` timings carry zero wall time but still report deterministic
@@ -625,8 +595,7 @@ pub fn collect_for_tables_sourced(
     tables: &[Table],
     spec: SampleSpec,
     rng: &mut SplitMix64,
-    threads: usize,
-    clock: Option<&(dyn Fn() -> u64 + Sync)>,
+    clock: Option<&dyn Fn() -> u64>,
     sources: &BTreeMap<usize, SampleSource>,
     budget: u64,
     fault: &FaultPlane,
@@ -646,79 +615,33 @@ pub fn collect_for_tables_sourced(
     // drawn unconditionally so the caller's RNG state evolves identically
     // whether samples are drawn or served from cache
     let stream_base = rng.next_u64();
-    type Job<'t> = (usize, TableId, &'t Table, SplitMix64, SampleSource);
-    let jobs: Vec<Job<'_>> = sample_quns
+    let mut partials: Vec<TablePartial> = sample_quns
         .iter()
         .filter_map(|&qun| {
             let tid = block.quns[qun].table;
-            tables.get(tid.index()).map(|t| {
+            tables.get(tid.index()).map(|table| {
                 let source = sources
                     .get(&qun)
                     .cloned()
                     .unwrap_or(SampleSource::Draw { staleness: None });
-                (qun, tid, t, table_stream(stream_base, tid, qun), source)
-            })
-        })
-        .collect();
-
-    let workers = threads.max(1).min(jobs.len().max(1));
-    out.collect_threads = workers;
-    out.tables_sampled = jobs.len();
-
-    let mut partials: Vec<TablePartial> = if workers <= 1 || jobs.len() <= 1 {
-        jobs.into_iter()
-            .map(|(qun, tid, table, rng, source)| {
                 collect_one_table(
-                    block, qun, candidates, tid, table, spec, source, rng, 0, clock, budget, fault,
+                    block,
+                    qun,
+                    candidates,
+                    tid,
+                    table,
+                    spec,
+                    source,
+                    table_stream(stream_base, tid, qun),
+                    clock,
+                    budget,
+                    fault,
                     stmt_clock,
                 )
             })
-            .collect()
-    } else {
-        // round-robin the jobs across scoped workers; assignment does not
-        // affect the result, only the wall clock
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let worker_jobs: Vec<Job<'_>> = jobs
-                    .iter()
-                    .skip(w)
-                    .step_by(workers)
-                    .map(|(qun, tid, table, rng, source)| {
-                        (*qun, *tid, *table, rng.clone(), source.clone())
-                    })
-                    .collect();
-                // remember the worker's job identities so a poisoned worker
-                // degrades exactly its tables instead of the whole pass
-                let idents: Vec<(usize, TableId)> =
-                    worker_jobs.iter().map(|(q, t, ..)| (*q, *t)).collect();
-                let handle = scope.spawn(move || {
-                    worker_jobs
-                        .into_iter()
-                        .map(|(qun, tid, table, rng, source)| {
-                            collect_one_table(
-                                block, qun, candidates, tid, table, spec, source, rng, w, clock,
-                                budget, fault, stmt_clock,
-                            )
-                        })
-                        .collect::<Vec<TablePartial>>()
-                });
-                handles.push((idents, handle));
-            }
-            let mut all = Vec::new();
-            for (idents, h) in handles {
-                match h.join() {
-                    Ok(worker_partials) => all.extend(worker_partials),
-                    // worker isolation: a panicked worker marks its tables
-                    // degraded and the merge proceeds with the rest
-                    Err(_) => all.extend(idents.into_iter().map(|(qun, tid)| {
-                        TablePartial::degraded(qun, tid, FP_COLLECT_WORKER, FB_ARCHIVE_STATS, 0.0)
-                    })),
-                }
-            }
-            all
         })
-    };
+        .collect();
+    out.tables_sampled = partials.len();
 
     // deterministic merge in quantifier order
     partials.sort_by_key(|p| p.qun);
@@ -730,7 +653,7 @@ pub fn collect_for_tables_sourced(
             out.groups.insert(key, stat);
         }
         for (cg, frame) in p.frames {
-            // merging worker partials of one collection call: every partial
+            // merging the partials of one collection call: every partial
             // read its table under this statement's guards at a single
             // epoch, so no boundary can be crossed here
             out.frames.entry(cg).or_insert(frame);
@@ -932,40 +855,6 @@ mod tests {
             panic!()
         };
         (catalog, vec![car, owner], block)
-    }
-
-    #[test]
-    fn parallel_collection_is_bit_identical_to_sequential() {
-        let (_, tables, block) = setup_join();
-        let candidates = query_analysis(&block);
-        let seq = collect_for_tables(
-            &block,
-            &[0, 1],
-            &candidates,
-            &tables,
-            SampleSpec::fixed(400),
-            &mut SplitMix64::new(99),
-        );
-        for threads in [2, 4, 8] {
-            let par = collect_for_tables_parallel(
-                &block,
-                &[0, 1],
-                &candidates,
-                &tables,
-                SampleSpec::fixed(400),
-                &mut SplitMix64::new(99),
-                threads,
-            );
-            assert_eq!(par.groups, seq.groups, "groups differ at {threads} threads");
-            assert_eq!(par.frames, seq.frames, "frames differ at {threads} threads");
-            assert_eq!(par.table_rows, seq.table_rows);
-            assert_eq!(
-                par.work.to_bits(),
-                seq.work.to_bits(),
-                "work must sum in the same order"
-            );
-            assert_eq!(par.tables_sampled, 2);
-        }
     }
 
     #[test]
@@ -1201,8 +1090,8 @@ mod tests {
         }
     }
 
-    /// Collects `block` on `tables` through `sources` (seed 42, one
-    /// thread, no clock, budget or faults).
+    /// Collects `block` on `tables` through `sources` (seed 42, no clock,
+    /// budget or faults).
     fn collect_sourced(
         block: &QueryBlock,
         candidates: &[CandidateGroup],
@@ -1217,7 +1106,6 @@ mod tests {
             tables,
             spec,
             &mut SplitMix64::new(42),
-            1,
             None,
             sources,
             0,
@@ -1367,7 +1255,6 @@ mod tests {
             &tables,
             spec,
             &mut rng_warm,
-            1,
             None,
             &sources,
             0,
@@ -1381,7 +1268,6 @@ mod tests {
         block: &QueryBlock,
         tables: &[Table],
         candidates: &[CandidateGroup],
-        threads: usize,
         budget: u64,
         fault: &FaultPlane,
         stmt_clock: u64,
@@ -1393,7 +1279,6 @@ mod tests {
             tables,
             SampleSpec::fixed(200),
             &mut SplitMix64::new(21),
-            threads,
             None,
             &BTreeMap::new(),
             budget,
@@ -1409,7 +1294,7 @@ mod tests {
         let candidates = query_analysis(&block);
         // key = clock*1024 + qun: arm qun 0 of statement 1 persistently
         let fault = FaultPlane::from_spec(5, "sample.draw=once:1024:inf").unwrap();
-        let stats = collect_faulted(&block, &tables, &candidates, 1, 0, &fault, 1);
+        let stats = collect_faulted(&block, &tables, &candidates, 0, &fault, 1);
         assert_eq!(stats.degraded.len(), 1);
         let d = &stats.degraded[0];
         assert_eq!(d.qun, 0);
@@ -1426,87 +1311,64 @@ mod tests {
     fn transient_draw_fault_retries_and_charges_backoff() {
         let (_, tables, block) = setup_join();
         let candidates = query_analysis(&block);
-        let clean = collect_faulted(
-            &block,
-            &tables,
-            &candidates,
-            1,
-            0,
-            &FaultPlane::disabled(),
-            1,
-        );
+        let clean = collect_faulted(&block, &tables, &candidates, 0, &FaultPlane::disabled(), 1);
         // default 1 attempt: fires at attempt 0, clears at attempt 1
         let fault = FaultPlane::from_spec(5, "sample.draw=once:1024").unwrap();
-        let stats = collect_faulted(&block, &tables, &candidates, 1, 0, &fault, 1);
+        let stats = collect_faulted(&block, &tables, &candidates, 0, &fault, 1);
         assert!(stats.degraded.is_empty(), "transient fault must clear");
         assert_eq!(stats.groups, clean.groups, "retry must not perturb stats");
         // one failed attempt charges 1 << 0 = 1 backoff work unit
         assert_eq!(stats.work, clean.work + 1.0);
     }
 
+    /// The `collect.worker` point fails one table's collection: the keyed
+    /// quantifier degrades to archive statistics and the other table's
+    /// stats survive the merge unchanged.
     #[test]
-    fn worker_fault_and_degradation_replay_identically_across_threads() {
+    fn worker_fault_degrades_exactly_the_keyed_table() {
         let (_, tables, block) = setup_join();
         let candidates = query_analysis(&block);
+        let clean = collect_faulted(&block, &tables, &candidates, 0, &FaultPlane::disabled(), 2);
+        // key = clock*1024 + qun: arm qun 1 of statement 2 persistently
         let fault = FaultPlane::from_spec(77, "collect.worker=once:2049:inf").unwrap();
-        let one = collect_faulted(&block, &tables, &candidates, 1, 0, &fault, 2);
-        assert_eq!(one.degraded.len(), 1);
-        assert_eq!(one.degraded[0].qun, 1);
-        assert_eq!(one.degraded[0].fault_point, FP_COLLECT_WORKER);
-        for threads in [2, 8] {
-            let par = collect_faulted(&block, &tables, &candidates, threads, 0, &fault, 2);
-            assert_eq!(par.degraded, one.degraded, "at {threads} threads");
-            assert_eq!(par.groups, one.groups, "at {threads} threads");
-            assert_eq!(
-                par.work.to_bits(),
-                one.work.to_bits(),
-                "at {threads} threads"
-            );
-        }
+        let stats = collect_faulted(&block, &tables, &candidates, 0, &fault, 2);
+        assert_eq!(
+            stats.degraded,
+            vec![DegradedTable {
+                qun: 1,
+                table: block.quns[1].table,
+                fault_point: FP_COLLECT_WORKER,
+                fallback: FB_ARCHIVE_STATS,
+            }]
+        );
+        let survivors: BTreeMap<_, _> = clean
+            .groups
+            .into_iter()
+            .filter(|((q, _), _)| *q == 0)
+            .collect();
+        assert!(!survivors.is_empty());
+        assert_eq!(stats.groups, survivors);
     }
 
     #[test]
-    fn budget_degrades_deterministically_at_any_thread_count() {
+    fn tight_budget_degrades_through_the_budget_point() {
         let (_, tables, block) = setup_join();
         let candidates = query_analysis(&block);
         // a tight budget binds on both tables' draws
-        let one = collect_faulted(
+        let tight = collect_faulted(
             &block,
             &tables,
             &candidates,
-            1,
             150,
             &FaultPlane::disabled(),
             3,
         );
-        assert!(!one.degraded.is_empty(), "tight budget must degrade");
-        for d in &one.degraded {
+        assert!(!tight.degraded.is_empty(), "tight budget must degrade");
+        for d in &tight.degraded {
             assert_eq!(d.fault_point, FP_COLLECT_BUDGET);
         }
-        for threads in [2, 8] {
-            let par = collect_faulted(
-                &block,
-                &tables,
-                &candidates,
-                threads,
-                150,
-                &FaultPlane::disabled(),
-                3,
-            );
-            assert_eq!(par.degraded, one.degraded);
-            assert_eq!(par.groups, one.groups);
-            assert_eq!(par.work.to_bits(), one.work.to_bits());
-        }
         // unlimited budget: no degradation at all
-        let clean = collect_faulted(
-            &block,
-            &tables,
-            &candidates,
-            1,
-            0,
-            &FaultPlane::disabled(),
-            3,
-        );
+        let clean = collect_faulted(&block, &tables, &candidates, 0, &FaultPlane::disabled(), 3);
         assert!(clean.degraded.is_empty());
     }
 }

@@ -45,17 +45,11 @@ pub struct JitsConfig {
     /// is still uniform; otherwise (or when evaluation would blow the
     /// remaining budget) the table degrades to archive/catalog statistics.
     /// The budget is counted in deterministic work units — never wall
-    /// clock — so budgeted runs replay bit-identically at any thread count.
+    /// clock — so budgeted runs replay bit-identically per seed.
     /// Only tests set it (`tests/chaos.rs`): no default workload binds a
     /// budget, so it is the one way into the budget-degradation path, and
     /// a test hook in its place would be this knob under another name.
     pub collect_budget: u64,
-    /// Worker threads for per-table statistics collection (1 = sequential).
-    /// Any value yields bit-identical statistics — per-table RNG streams
-    /// derive from (seed, table, quantifier), not from a shared sequence —
-    /// so this is purely a wall-clock knob. The `concurrency` bin and the
-    /// workload driver vary it.
-    pub collect_threads: usize,
     /// QSS archive space budget: total buckets across all histograms. The
     /// `ablations` bin varies it.
     pub archive_bucket_budget: usize,
@@ -74,7 +68,6 @@ impl Default for JitsConfig {
             sample: SampleSpec::default(),
             sample_cache: true,
             collect_budget: 0,
-            collect_threads: 1,
             archive_bucket_budget: 4096,
             eviction_uniformity: 0.9,
         }

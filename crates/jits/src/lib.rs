@@ -50,9 +50,9 @@ pub mod sensitivity;
 pub use analysis::{query_analysis, CandidateGroup};
 pub use archive::{ArchiveSnapshot, QssArchive, RefineOutcome};
 pub use collect::{
-    collect_for_tables, collect_for_tables_parallel, collect_for_tables_sourced, CollectTiming,
-    CollectedStats, DegradedTable, DrawnSample, SampleOrigin, SampleSource, FB_ARCHIVE_STATS,
-    FB_PARTIAL_SAMPLE, FP_COLLECT_BUDGET,
+    collect_for_tables, collect_for_tables_sourced, CollectTiming, CollectedStats, DegradedTable,
+    DrawnSample, SampleOrigin, SampleSource, FB_ARCHIVE_STATS, FB_PARTIAL_SAMPLE,
+    FP_COLLECT_BUDGET,
 };
 pub use config::{JitsConfig, SensitivityStrategy};
 pub use epsilon::{epsilon_sensitivity, EpsilonConfig, EpsilonOutcome};

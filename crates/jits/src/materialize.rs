@@ -74,9 +74,10 @@ pub fn materialize_group(
 /// Phase A of the collection fast path: decide, per marked quantifier,
 /// whether to serve a cached sample or draw fresh, and capture each table's
 /// mutation epoch and cardinality *at resolve time* (the version a fresh
-/// draw will be committed under). Decisions are made sequentially in
-/// quantifier order, so they are independent of `collect_threads`. With the
-/// cache disabled both maps come back empty — exactly the cold path.
+/// draw will be committed under). Decisions are made in quantifier order
+/// before any table is collected, so a run replays them bit for bit per
+/// seed. With the cache disabled both maps come back empty — exactly the
+/// cold path.
 pub fn resolve_sample_sources(
     cache: &mut SampleCache,
     block: &QueryBlock,

@@ -3,7 +3,7 @@
 //! This file is the only place in the workspace allowed to read the OS
 //! clock: `clippy.toml` disallows `Instant::now` and `SystemTime::now`, and
 //! [`now_nanos`] carries the one `#[expect]`. Everything else — record
-//! stage walls, latency histograms, per-worker collection timings, the
+//! stage walls, latency histograms, per-table collection timings, the
 //! bench binaries — receives nanosecond readings *through* [`now_nanos`],
 //! which keeps all timing quarantined in record/metrics state and out of
 //! anything statistics-bearing: a reading taken here can decorate a

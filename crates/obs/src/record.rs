@@ -8,9 +8,9 @@
 //! CLI's `--trace` print, `EXPLAIN ANALYZE` and the JSON dumps read it back.
 //!
 //! Values are recorded typed and formatted only when rendered. The wall
-//! times and the collect worker index depend on the machine and the
-//! scheduler; [`QueryProfile::write_json`] masks them on request, leaving a
-//! pure function of workload and seed.
+//! times depend on the machine and the scheduler;
+//! [`QueryProfile::write_json`] masks them on request, leaving a pure
+//! function of workload and seed.
 
 use crate::export::json_str;
 use jits_common::{ColGroup, SampleOrigin};
@@ -148,8 +148,6 @@ pub struct SampleRow {
     pub probes: usize,
     /// Fresh, served from the sample cache, or redrawn as stale.
     pub origin: SampleOrigin,
-    /// Collect worker that handled the table. Volatile.
-    pub worker: usize,
     /// Wall nanoseconds of the table's collection. Volatile.
     pub wall_nanos: u64,
 }
@@ -167,7 +165,7 @@ impl fmt::Display for SampleRow {
             SampleOrigin::Redrawn { staleness } => write!(f, "redrawn, staleness {staleness:.3}")?,
         }
         let wall = ms(self.wall_nanos);
-        write!(f, ") on worker {} in {wall:.3} ms", self.worker)
+        write!(f, ") in {wall:.3} ms")
     }
 }
 
@@ -398,7 +396,7 @@ impl QueryProfile {
     }
 
     /// Appends the record as one JSON object. With `include_volatile =
-    /// false` every wall time and the collect worker index read zero.
+    /// false` every wall time reads zero.
     pub fn write_json(&self, out: &mut String, include_volatile: bool) {
         let vol = |x: u64| if include_volatile { x } else { 0 };
         let _ = write!(
@@ -459,13 +457,12 @@ impl QueryProfile {
             let _ = write!(
                 out,
                 "{{\"qun\": {}, \"table\": {}, \"rows\": {}, \"probes\": {}, \"origin\": \
-                 \"{origin}\", \"staleness\": {}, \"worker\": {}, \"wall_nanos\": {}}}",
+                 \"{origin}\", \"staleness\": {}, \"wall_nanos\": {}}}",
                 s.qun,
                 json_str(&s.table),
                 s.rows,
                 s.probes,
                 json_f64(staleness),
-                vol(s.worker as u64),
                 vol(s.wall_nanos)
             );
         });

@@ -9,8 +9,8 @@
 //!
 //! Every metric declares a [`Volatility`]. `Deterministic` metrics are pure
 //! functions of the workload and seed (statement counts, rows sampled,
-//! evictions, …) and must be byte-identical across `collect_threads`
-//! settings; `Volatile` metrics carry wall-clock or scheduling noise
+//! evictions, …) and must be byte-identical on every replay of the same
+//! workload and seed; `Volatile` metrics carry wall-clock or scheduling noise
 //! (latency histograms, lock waits) and are excluded from determinism
 //! comparisons by exporting with `include_volatile = false`.
 

@@ -64,7 +64,7 @@ impl CostModel {
 
     /// Zone-map-pruned scan: every block pays a metadata probe, only the
     /// rows of surviving blocks pay row cost. One formula shared by plan
-    /// costing and by both executors' work charging, so charged work stays
+    /// costing and by the executor's work charging, so charged work stays
     /// bit-identical whether or not pruned blocks are physically skipped.
     pub fn pruned_scan(&self, blocks_total: f64, surviving_rows: f64, out_rows: f64) -> f64 {
         blocks_total * self.block_probe + surviving_rows * self.seq_row + out_rows * self.output_row

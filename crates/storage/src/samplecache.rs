@@ -24,9 +24,9 @@
 //!
 //! The cache itself is lock-free storage: the engine wraps it in a ranked
 //! `RwLock` (rank 6, between `predcache` and `setting`) and performs all
-//! lookups **sequentially in quantifier order** before fanning collection
-//! out to worker threads, so cache decisions are independent of
-//! `collect_threads` and identical across concurrent sessions.
+//! lookups **in quantifier order** before any table is collected, so cache
+//! decisions replay bit for bit per seed and are identical across
+//! concurrent sessions.
 
 use crate::row::RowId;
 use crate::sample::SampleSpec;

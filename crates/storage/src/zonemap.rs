@@ -24,8 +24,8 @@
 //!
 //! Zone state is a pure function of the mutation history, and
 //! [`ZoneMaps::skip_list`] walks blocks in ascending order, so the skip
-//! list — and everything charged or recorded from it — is bit-identical
-//! across executors, `collect_threads`, and the `data_skipping` knob.
+//! list — and everything charged or recorded from it — replays bit for bit
+//! from the same statements.
 
 use crate::row::RowId;
 use jits_common::{Bound, ColumnId, Interval, Value};
@@ -143,7 +143,7 @@ pub struct ZoneMaps {
 }
 
 /// The outcome of pruning one scan against a table's zone maps: which
-/// blocks survive and the exact bookkeeping both executors charge from.
+/// blocks survive and the exact bookkeeping the executor charges from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSkipList {
     /// Blocks the table currently spans.

@@ -95,8 +95,7 @@ pub fn run_workload(db: &mut Database, ops: &[WorkloadOp]) -> Result<Vec<RunReco
 /// Executes the workload through one [`Session`] of a [`SharedDatabase`] —
 /// the shared-state equivalent of [`run_workload`]. With a session opened
 /// first on a fresh conversion ([`Database::into_shared`]), the statement
-/// stream replays the `Database` run bit-for-bit; the JITS
-/// `collect_threads` knob then changes wall-clock only, never results.
+/// stream replays the `Database` run bit-for-bit.
 pub fn run_workload_session(session: &mut Session, ops: &[WorkloadOp]) -> Result<Vec<RunRecord>> {
     let mut records = Vec::with_capacity(ops.len());
     for (index, op) in ops.iter().enumerate() {
@@ -114,8 +113,8 @@ pub fn run_workload_session(session: &mut Session, ops: &[WorkloadOp]) -> Result
 /// [`SharedDatabase`], partitioning the operations round-robin. Returns one
 /// record per operation, ordered by workload index.
 ///
-/// Unlike the `collect_threads` axis, *session* concurrency interleaves
-/// statements nondeterministically, so learned statistics (and therefore
+/// Unlike a single session, concurrent sessions interleave statements
+/// nondeterministically, so learned statistics (and therefore
 /// plans) can differ run to run — query answers on tables the workload's
 /// DML does not touch stay exact.
 pub fn run_workload_concurrent(

@@ -636,17 +636,13 @@ fn engine_ab_replays_bit_for_bit() {
     }
 }
 
-/// Replaying through shared sessions stays bit-deterministic at any
-/// collection fan-out, and the profile counters land in the deterministic
-/// metrics export.
+/// Replaying through a shared session stays bit-deterministic, and the
+/// profile counters land in the deterministic metrics export.
 #[test]
-fn batch_executor_bit_identical_at_1_and_8_collect_threads() {
-    let drive = |threads: usize| -> (OpTrace, String) {
+fn batch_executor_replays_bit_identically_through_a_session() {
+    let drive = || -> (OpTrace, String) {
         let mut db = build_engine_db(53);
-        db.set_setting(StatsSetting::Jits(JitsConfig {
-            collect_threads: threads,
-            ..always_collect()
-        }));
+        db.set_setting(StatsSetting::Jits(always_collect()));
         let shared = db.into_shared();
         let mut session = shared.session();
         let traces = SCRIPT
@@ -662,11 +658,10 @@ fn batch_executor_bit_identical_at_1_and_8_collect_threads() {
             .collect();
         (traces, shared.metrics_json(false))
     };
-    let one = drive(1);
-    let eight = drive(8);
-    assert_eq!(one.0, eight.0, "per-op traces diverged across fan-out");
-    assert_eq!(one.1, eight.1, "deterministic metrics diverged");
-    assert!(one.1.contains("jits.profile.statements"));
+    let (first, again) = (drive(), drive());
+    assert_eq!(first.0, again.0, "per-op traces diverged on replay");
+    assert_eq!(first.1, again.1, "deterministic metrics diverged on replay");
+    assert!(first.1.contains("jits.profile.statements"));
 }
 
 // ---------------------------------------------------------------------------

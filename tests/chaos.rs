@@ -169,30 +169,28 @@ fn persistent_faults_degrade_and_are_attributed_in_the_view() {
 }
 
 #[test]
-fn faulted_workload_bit_identical_at_1_and_8_collect_threads() {
+fn faulted_workload_replays_bit_identically() {
     let spec = "sample.draw=every:4:inf,collect.worker=every:5,archive.write=every:3:inf,\
                 history.read=every:6,samplecache.commit=every:7:inf,archive.read=every:9:inf";
-    let run_at = |threads: usize| {
+    let run = || {
         let cfg = JitsConfig {
-            collect_threads: threads,
             s_max: 0.0,
             ..JitsConfig::default()
         };
         drive(36, cfg, FaultPlane::from_spec(0xFA17, spec).unwrap())
     };
-    let sequential = run_at(1);
-    let parallel = run_at(8);
-    assert_eq!(sequential.traces.len(), parallel.traces.len());
-    for (i, (a, b)) in sequential.traces.iter().zip(&parallel.traces).enumerate() {
-        assert_eq!(a, b, "op {i} diverged between 1 and 8 collect threads");
+    let (first, again) = (run(), run());
+    assert_eq!(first.traces.len(), again.traces.len());
+    for (i, (a, b)) in first.traces.iter().zip(&again.traces).enumerate() {
+        assert_eq!(a, b, "op {i} diverged on replay");
     }
-    assert_eq!(sequential.archive, parallel.archive, "archive diverged");
+    assert_eq!(first.archive, again.archive, "archive diverged");
     assert_eq!(
-        sequential.degradations, parallel.degradations,
+        first.degradations, again.degradations,
         "degradation log diverged"
     );
     assert!(
-        !sequential.degradations.is_empty(),
+        !first.degradations.is_empty(),
         "the chaos spec must actually fire"
     );
 }

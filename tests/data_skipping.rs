@@ -303,17 +303,13 @@ fn engine_ab_replays_bit_for_bit_across_the_skipping_flip() {
     assert_pinned("data_skipping engine script", &digests, SCRIPT_WORK);
 }
 
-/// Replaying through shared sessions stays
-/// bit-deterministic at any collection fan-out, and the skip counters land
-/// in the deterministic metrics export.
+/// Replaying through a shared session stays bit-deterministic, and the
+/// skip counters land in the deterministic metrics export.
 #[test]
-fn pruned_scans_bit_identical_at_1_and_8_collect_threads() {
-    let drive = |threads: usize| -> (OpTrace, String) {
+fn pruned_scans_replay_bit_identically_through_a_session() {
+    let drive = || -> (OpTrace, String) {
         let mut db = build_engine_db(62);
-        db.set_setting(StatsSetting::Jits(JitsConfig {
-            collect_threads: threads,
-            ..always_collect()
-        }));
+        db.set_setting(StatsSetting::Jits(always_collect()));
         let shared = db.into_shared();
         let mut session = shared.session();
         let traces = SCRIPT
@@ -329,12 +325,11 @@ fn pruned_scans_bit_identical_at_1_and_8_collect_threads() {
             .collect();
         (traces, shared.metrics_json(false))
     };
-    let one = drive(1);
-    let eight = drive(8);
-    assert_eq!(one.0, eight.0, "per-op traces diverged across fan-out");
-    assert_eq!(one.1, eight.1, "deterministic metrics diverged");
-    assert!(one.1.contains("jits.skip.blocks_pruned"));
-    assert!(one.1.contains("jits.skip.pruned_scans"));
+    let (first, again) = (drive(), drive());
+    assert_eq!(first.0, again.0, "per-op traces diverged on replay");
+    assert_eq!(first.1, again.1, "deterministic metrics diverged on replay");
+    assert!(first.1.contains("jits.skip.blocks_pruned"));
+    assert!(first.1.contains("jits.skip.pruned_scans"));
 }
 
 /// `jits_access_paths` summarizes the skip counters per access path, and

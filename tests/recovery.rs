@@ -3,8 +3,8 @@
 //!
 //! The central claim under test: recovering a durable database — newest
 //! checkpoint segment + WAL tail replay — produces **bit-identical**
-//! in-memory state to a never-crashed replay of the same statement prefix,
-//! at any `collect_threads`. "Bit-identical" is checked over everything
+//! in-memory state to a never-crashed replay of the same statement prefix.
+//! "Bit-identical" is checked over everything
 //! decision-bearing: tables (slots, epochs, UDI, indexes), catalog stats,
 //! archive contents, StatHistory, predicate/sample caches, the RNG stream
 //! position, the logical clock, and the deterministic metrics subset.
@@ -53,16 +53,15 @@ const OPS: &[&str] = &[
     "SELECT id FROM car WHERE make = 'Toyota'",
 ];
 
-fn cfg(collect_threads: usize) -> JitsConfig {
+fn cfg() -> JitsConfig {
     JitsConfig {
         s_max: 0.0, // collect on every query: maximal statistics churn
-        collect_threads,
         ..JitsConfig::default()
     }
 }
 
 /// DDL + data + setting, identical for in-memory and durable databases.
-fn setup(db: &mut Database, threads: usize) {
+fn setup(db: &mut Database) {
     db.create_table(
         "car",
         Schema::from_pairs(&[
@@ -84,7 +83,7 @@ fn setup(db: &mut Database, threads: usize) {
     db.load_rows("car", rows).unwrap();
     db.set_primary_key("car", "id").unwrap();
     db.create_index("car", "year").unwrap();
-    db.set_setting(StatsSetting::Jits(cfg(threads)));
+    db.set_setting(StatsSetting::Jits(cfg()));
 }
 
 /// Executes `ops[from..]`, returning the first failure (index + error).
@@ -143,67 +142,64 @@ fn assert_digests_eq(a: &[String], b: &[String], what: &str) {
     }
 }
 
-/// The crash matrix: every named WAL crash point × {1, 8} collect threads.
-/// At each combination: the recovered state is bit-identical to a
-/// never-crashed in-memory replay of the pre-crash prefix, and finishing
-/// the workload lands bit-identically to a full never-crashed run.
+/// The crash matrix: every named WAL crash point. At each point the
+/// recovered state is bit-identical to a never-crashed in-memory replay of
+/// the pre-crash prefix, and finishing the workload lands bit-identically
+/// to a full never-crashed run.
 #[test]
 fn crash_matrix_recovers_bit_identical_state() {
-    for &threads in &[1usize, 8] {
-        for (point, spec) in CRASH_SPECS {
-            let dir = TestDir::new(&format!("recovery-crash-{point}-t{threads}"));
+    for (point, spec) in CRASH_SPECS {
+        let dir = TestDir::new(&format!("recovery-crash-{point}"));
 
-            // crashed run
-            let mut db = Database::open(SEED, dir.path()).unwrap();
-            setup(&mut db, threads);
-            db.set_checkpoint_every(4);
-            db.set_fault_plane(FaultPlane::from_spec(7, spec).unwrap());
-            let (failed_at, err) = run_ops(&mut db, 0)
-                .unwrap_or_else(|| panic!("{point} (threads {threads}): crash never fired"));
+        // crashed run
+        let mut db = Database::open(SEED, dir.path()).unwrap();
+        setup(&mut db);
+        db.set_checkpoint_every(4);
+        db.set_fault_plane(FaultPlane::from_spec(7, spec).unwrap());
+        let (failed_at, err) =
+            run_ops(&mut db, 0).unwrap_or_else(|| panic!("{point}: crash never fired"));
+        assert!(
+            matches!(err, JitsError::Recovery(_)),
+            "{point}: crash must surface as a typed Recovery error, got {err:?}"
+        );
+        // the poisoned log fails all further durable statements fast
+        let (again, err2) = run_ops(&mut db, failed_at).expect("poisoned log must keep failing");
+        assert_eq!(again, failed_at);
+        assert!(matches!(err2, JitsError::Recovery(_)));
+        drop(db); // the simulated crash
+
+        // recover, and compare against a never-crashed in-memory replay
+        // of the same statement prefix
+        let mut recovered = Database::open(SEED, dir.path()).unwrap();
+        if *point == "wal.torn_tail" {
             assert!(
-                matches!(err, JitsError::Recovery(_)),
-                "{point}: crash must surface as a typed Recovery error, got {err:?}"
-            );
-            // the poisoned log fails all further durable statements fast
-            let (again, err2) =
-                run_ops(&mut db, failed_at).expect("poisoned log must keep failing");
-            assert_eq!(again, failed_at);
-            assert!(matches!(err2, JitsError::Recovery(_)));
-            drop(db); // the simulated crash
-
-            // recover, and compare against a never-crashed in-memory replay
-            // of the same statement prefix
-            let mut recovered = Database::open(SEED, dir.path()).unwrap();
-            if *point == "wal.torn_tail" {
-                assert!(
-                    recovered.recovery_report().torn_bytes > 0,
-                    "torn-tail crash must leave (and recovery must cut) a torn frame"
-                );
-            }
-            let mut prefix_control = Database::new(SEED);
-            setup(&mut prefix_control, threads);
-            for sql in &OPS[..failed_at] {
-                prefix_control.execute(sql).unwrap();
-            }
-            assert_digests_eq(
-                &digest(&recovered),
-                &digest(&prefix_control),
-                &format!("{point} (threads {threads}): recovered vs prefix control"),
-            );
-
-            // finish the workload on the recovered database: bit-identical
-            // to a full never-crashed run
-            recovered.set_checkpoint_every(4);
-            assert_eq!(run_ops(&mut recovered, failed_at).map(|(i, _)| i), None);
-            let mut full_control = Database::new(SEED);
-            setup(&mut full_control, threads);
-            assert_eq!(run_ops(&mut full_control, 0).map(|(i, _)| i), None);
-            assert_digests_eq(
-                &digest(&recovered),
-                &digest(&full_control),
-                &format!("{point} (threads {threads}): resumed vs full control"),
+                recovered.recovery_report().torn_bytes > 0,
+                "torn-tail crash must leave (and recovery must cut) a torn frame"
             );
         }
+        let mut prefix_control = Database::new(SEED);
+        setup(&mut prefix_control);
+        for sql in &OPS[..failed_at] {
+            prefix_control.execute(sql).unwrap();
+        }
+        assert_digests_eq(
+            &digest(&recovered),
+            &digest(&prefix_control),
+            &format!("{point}: recovered vs prefix control"),
+        );
+
+        // finish the workload on the recovered database: bit-identical
+        // to a full never-crashed run
+        recovered.set_checkpoint_every(4);
+        assert_eq!(run_ops(&mut recovered, failed_at).map(|(i, _)| i), None);
+        let mut full_control = Database::new(SEED);
+        setup(&mut full_control);
+        assert_eq!(run_ops(&mut full_control, 0).map(|(i, _)| i), None);
+        assert_digests_eq(
+            &digest(&recovered),
+            &digest(&full_control),
+            &format!("{point}: resumed vs full control"),
+        );
     }
 }
 
@@ -214,11 +210,11 @@ fn crash_matrix_recovers_bit_identical_state() {
 fn durable_run_is_bit_identical_to_in_memory() {
     let dir = TestDir::new("recovery-durable-ab");
     let mut durable = Database::open(SEED, dir.path()).unwrap();
-    setup(&mut durable, 1);
+    setup(&mut durable);
     durable.set_checkpoint_every(3);
     assert_eq!(run_ops(&mut durable, 0).map(|(i, _)| i), None);
     let mut memory = Database::new(SEED);
-    setup(&mut memory, 1);
+    setup(&mut memory);
     assert_eq!(run_ops(&mut memory, 0).map(|(i, _)| i), None);
     assert_digests_eq(&digest(&durable), &digest(&memory), "durable vs in-memory");
 }
@@ -291,7 +287,7 @@ fn restart_answers_first_query_from_warm_statistics() {
 fn wal_prefix_cut_at_every_byte_recovers_or_errors_typed() {
     let dir = TestDir::new("recovery-prefix-cut-source");
     let mut db = Database::open(SEED, dir.path()).unwrap();
-    setup(&mut db, 1);
+    setup(&mut db);
     db.set_checkpoint_every(0); // manual cadence
     for sql in &OPS[..4] {
         db.execute(sql).unwrap();
@@ -362,7 +358,7 @@ fn shared_database_durability_round_trips() {
     let dir = TestDir::new("recovery-shared-roundtrip");
     {
         let mut db = Database::open(SEED, dir.path()).unwrap();
-        setup(&mut db, 1);
+        setup(&mut db);
         let shared = db.into_shared();
         shared.set_checkpoint_every(4);
         let mut s = shared.session();
@@ -374,7 +370,7 @@ fn shared_database_durability_round_trips() {
     }
     let recovered = Database::open(SEED, dir.path()).unwrap();
     let mut control = Database::new(SEED);
-    setup(&mut control, 1);
+    setup(&mut control);
     assert_eq!(run_ops(&mut control, 0).map(|(i, _)| i), None);
     assert_digests_eq(
         &digest(&recovered),
@@ -417,7 +413,7 @@ fn string_codes_are_not_observable_across_restart() {
     let dir = TestDir::new("recovery-string-codes");
     let (before, codes_before) = {
         let mut db = Database::open(SEED, dir.path()).unwrap();
-        setup(&mut db, 1);
+        setup(&mut db);
         // values first written by UPDATE, and one ("Toyota") that then
         // survives only as a dead dictionary entry
         for sql in [
@@ -442,16 +438,15 @@ fn string_codes_are_not_observable_across_restart() {
     assert_eq!(answer(&mut db), before);
 }
 
-/// A checkpoint segment in the version-1 format (which still carried the
-/// engine's executor, skipping and profiling flags) is refused with a typed
-/// error on both front-ends, never decoded as the current format.
-#[test]
-fn version_one_checkpoint_is_refused_with_a_typed_error() {
-    let dir = TestDir::new("recovery-version-one-checkpoint");
+/// Writes a checkpoint segment whose payload opens with `version` and
+/// asserts both front-ends refuse it with a typed error naming that
+/// version.
+fn assert_checkpoint_version_refused(version: u8) {
+    let dir = TestDir::new(&format!("recovery-version-{version}-checkpoint"));
     let mut opened = jits_wal::Wal::open(dir.path()).unwrap();
     opened
         .wal
-        .checkpoint(&[1, 0, 0, 0], &FaultPlane::disabled(), 0)
+        .checkpoint(&[version, 0, 0, 0], &FaultPlane::disabled(), 0)
         .unwrap();
     drop(opened);
     for err in [
@@ -459,8 +454,25 @@ fn version_one_checkpoint_is_refused_with_a_typed_error() {
         jits_engine::SharedDatabase::open(SEED, dir.path()).err(),
     ] {
         match err {
-            Some(JitsError::Recovery(m)) => assert!(m.contains("version 1"), "{m}"),
+            Some(JitsError::Recovery(m)) => {
+                assert!(m.contains(&format!("version {version}")), "{m}")
+            }
             other => panic!("expected a Recovery error, got {other:?}"),
         }
     }
+}
+
+/// A checkpoint segment in the version-1 format (which still carried the
+/// engine's executor, skipping and profiling flags) is refused with a typed
+/// error on both front-ends, never decoded as the current format.
+#[test]
+fn version_one_checkpoint_is_refused_with_a_typed_error() {
+    assert_checkpoint_version_refused(1);
+}
+
+/// Likewise a version-4 segment, whose JITS setting still carried a
+/// collection thread count.
+#[test]
+fn version_four_checkpoint_is_refused_with_a_typed_error() {
+    assert_checkpoint_version_refused(4);
 }
